@@ -14,7 +14,6 @@ from .semantics import (
     enumerate_reachable,
     event_universe,
     initial_state,
-    step,
 )
 from .simulator import (
     CallRecord,
@@ -64,7 +63,6 @@ __all__ = [
     "pretty_print",
     "render_trace",
     "run_script",
-    "step",
     "validate",
     "__version__",
 ]

@@ -18,7 +18,7 @@ spans, so a pretty-printed and re-parsed contract compares equal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "Span",
@@ -215,19 +215,20 @@ def conjuncts(clause: Clause) -> list[Clause]:
     return [clause]
 
 
-def _walk(clause: Clause, path: str):
-    yield clause, path
-    if isinstance(clause, And):
-        yield from _walk(clause.left, path + ".left")
-        yield from _walk(clause.right, path + ".right")
-    elif isinstance(clause, (Box, IterBox)):
-        yield from _walk(clause.body, path + ".body")
-
-
 def iter_clauses(contract: Contract):
-    """Depth-first traversal of every clause node with its path."""
-    for i, clause in enumerate(contract.clauses):
-        yield from _walk(clause, f"clauses[{i}]")
+    """Pre-order traversal of every clause node with its path, such as
+    ``clauses[0].body.left``."""
+    stack = [(clause, f"clauses[{i}]") for i, clause in enumerate(contract.clauses)]
+    stack.reverse()
+    while stack:
+        clause, path = stack.pop()
+        yield clause, path
+        kids = children(clause)
+        if len(kids) == 2:  # And; right goes on first so left comes off first
+            stack.append((kids[1], path + ".right"))
+            stack.append((kids[0], path + ".left"))
+        elif kids:
+            stack.append((kids[0], path + ".body"))
 
 
 def validate(contract: Contract) -> list[ValidationIssue]:
@@ -347,10 +348,6 @@ def _validate_meta(contract, agent_set, action_set, issues):
                     err(f"{label} annotation refers to undeclared agent '{agent}'", "annotations")
 
 
-def has_errors(issues) -> bool:
-    return any(i.severity == "error" for i in issues)
-
-
 # -- canonical rendering ------------------------------------------------
 
 def _fmt_key(key: Key) -> str:
@@ -383,22 +380,6 @@ def _clause_text(clause: Clause, indent: int = 0) -> str:
         parts = [_clause_text(c, indent) for c in conjuncts(clause)]
         return " &\n".join(parts)
     raise TypeError(f"not a clause: {clause!r}")
-
-
-def clause_heading(clause: Clause) -> str:
-    """One-line rendering of a clause's own form, bodies elided."""
-    if isinstance(clause, Obligation):
-        return f"{clause.pair} O({clause.action})"
-    if isinstance(clause, Prohibition):
-        return f"{clause.pair} F({clause.action})"
-    if isinstance(clause, Permission):
-        return f"{clause.pair} P({clause.action})"
-    if isinstance(clause, Box):
-        return f"{clause.pair} [{clause.action}](...)"
-    if isinstance(clause, IterBox):
-        guard = clause.action if clause.positive else "!" + clause.action
-        return f"{clause.pair} [{guard}]*(...)"
-    return "(...)"
 
 
 def pretty_print(contract: Contract) -> str:
@@ -443,23 +424,3 @@ def pretty_print(contract: Contract) -> str:
         out.append(_clause_text(clause) + ";")
     return "\n".join(out) + "\n"
 
-
-def strip_spans(contract: Contract) -> Contract:
-    """Copy with all spans zeroed; handy for golden comparisons."""
-
-    def scrub(clause: Clause) -> Clause:
-        if isinstance(clause, And):
-            return And(scrub(clause.left), scrub(clause.right))
-        if isinstance(clause, Box):
-            return Box(clause.pair, clause.action, scrub(clause.body))
-        if isinstance(clause, IterBox):
-            return IterBox(clause.pair, clause.action, scrub(clause.body),
-                           clause.positive, clause.starred)
-        return replace(clause, span=_NO_SPAN)
-
-    return Contract(
-        tuple(Decl(d.name) for d in contract.agents),
-        tuple(Decl(d.name) for d in contract.actions),
-        tuple(scrub(c) for c in contract.clauses),
-        contract.meta,
-    )

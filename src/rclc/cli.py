@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 means no conflicts (or the command
 succeeded), 1 means conflicts were found, 2 means the input could not
-be processed at all (parse, validation, or I/O errors, bad flags).
+be processed at all (parse, validation, or I/O errors, bad flags,
+over-deep nesting) or an internal error stopped the run.
 Set RCLC_COLOR=1 to colorize the text conflict report.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from .ast import Contract, pretty_print, validate
 from .checker import check, report_to_json, report_to_text
@@ -51,8 +53,7 @@ def _load(path: str) -> Contract:
     contract = result.contract
     issues = validate(contract)
     for issue in issues:
-        stream = sys.stderr
-        print(f"{path}: {issue.severity}: {issue.message}", file=stream)
+        print(f"{path}: {issue.severity}: {issue.message}", file=sys.stderr)
     if any(i.severity == "error" for i in issues):
         raise _Bail(2)
     return contract
@@ -86,14 +87,6 @@ def _cmd_check(args) -> int:
 
 
 def _lower_or_bail(contract: Contract, args):
-    report = check(contract)
-    if report.conflicts and not args.allow_conflicts:
-        sys.stderr.write(report_to_text(report, file=args.input, color=False))
-        print(
-            "rclc: conflicts found; pass --allow-conflicts to proceed anyway",
-            file=sys.stderr,
-        )
-        raise _Bail(1)
     try:
         ir = lower(
             contract,
@@ -101,7 +94,14 @@ def _lower_or_bail(contract: Contract, args):
             fidelity_internal_calls=getattr(args, "fidelity_internal_calls", False),
         )
     except LowerError as exc:
-        raise _fail(str(exc)) from None
+        if exc.report is None:
+            raise _fail(str(exc)) from None
+        sys.stderr.write(report_to_text(exc.report, file=args.input, color=False))
+        print(
+            "rclc: conflicts found; pass --allow-conflicts to proceed anyway",
+            file=sys.stderr,
+        )
+        raise _Bail(1) from None
     for warning in ir.warnings:
         print(f"rclc: warning: {warning}", file=sys.stderr)
     return ir
@@ -226,6 +226,10 @@ def main(argv=None) -> int:
         return bail.code
     except SimError as exc:
         print(f"rclc: error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a defect, never "conflicts found"
+        traceback.print_exc()
+        print(f"rclc: internal error: {exc!r}", file=sys.stderr)
         return 2
 
 

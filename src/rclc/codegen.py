@@ -56,8 +56,9 @@ from .ast import (
     Permission,
     Prohibition,
     conjuncts,
+    iter_clauses,
 )
-from .checker import check
+from .checker import CheckReport, check
 from .semantics import Event
 
 __all__ = [
@@ -74,7 +75,13 @@ __all__ = [
 
 
 class LowerError(Exception):
-    pass
+    """Lowering refused. `report` is the CheckReport when the refusal is
+    for normative conflicts, None for a contract shape that cannot be
+    lowered."""
+
+    def __init__(self, message: str, report: CheckReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,32 @@ def _is_inline(meta: Meta, pair: AgentPair, action: str) -> bool:
     )
 
 
+# Names no generated function or flag may take: Solidity keywords,
+# reserved words, units, types and the globals the emitted code calls,
+# then the members every generated contract declares. lower() adds the
+# contract's role fields and only* modifiers.
+_RESERVED_NAMES = frozenset(
+    """
+    abstract address after alias anonymous apply as assembly auto bool break
+    byte bytes calldata case catch constant constructor continue contract
+    copyof days default define delete do else emit enum error ether event
+    external fallback false final finney fixed for function global gwei hours
+    if immutable implements import in indexed inline int interface internal
+    is let library macro mapping match memory minutes modifier mutable new
+    null of override partial payable pragma private promise public pure
+    receive reference relocatable return returns revert sealed seconds
+    sizeof static storage string struct super supports switch szabo this
+    true try type typedef typeof ufixed uint unchecked unicode using var
+    view virtual weeks wei while years
+    abi addmod assert block blockhash ecrecover gasleft keccak256 msg mulmod
+    now require ripemd160 selfdestruct sha256 tx
+    state ContractState Notify atState checkFinalization
+    """.split()
+) | {f"{t}{n}" for t in ("int", "uint") for n in range(8, 257, 8)} | {
+    f"bytes{n}" for n in range(1, 33)
+}
+
+
 class _Namer:
     """Hands out unique identifiers, falling back through candidates and
     finally to a numeric suffix."""
@@ -175,14 +208,15 @@ def lower(
     fidelity_internal_calls: bool = False,
 ) -> MachineIR:
     """Lower a conflict-free contract to a state machine (see the module
-    docstring for the mapping). Conflicted input is rejected unless
-    `allow_conflicts` is set."""
+    docstring for the mapping). Conflicted input is rejected, with the
+    report attached to the LowerError, unless `allow_conflicts` is set."""
     report = check(contract)  # validates the contract as a side effect
     if report.conflicts and not allow_conflicts:
         where = ", ".join(f"{c.pair} {c.action}" for c in report.conflicts)
         raise LowerError(
             f"contract has normative conflicts ({where}); resolve them or "
-            "lower with allow_conflicts"
+            "lower with allow_conflicts",
+            report,
         )
 
     meta = contract.meta
@@ -230,20 +264,15 @@ def lower(
     roles = tuple((role_of[a.name], a.name) for a in contract.agents)
 
     # -- global indexes --------------------------------------------------
+    # Every obligation and box lies under root_box: the sort above refuses
+    # any other top-level clause that could hold one.
     box_by_event: dict[Event, Box] = {}
     obligations: list[Obligation] = []
-
-    def index(clause: Clause):
-        for part in conjuncts(clause):
-            if isinstance(part, Obligation):
-                obligations.append(part)
-            elif isinstance(part, Box):
-                box_by_event.setdefault((part.pair, part.action), part)
-                index(part.body)
-            elif isinstance(part, IterBox):
-                index(part.body)
-
-    index(root_box)
+    for part, _path in iter_clauses(contract):
+        if isinstance(part, Obligation):
+            obligations.append(part)
+        elif isinstance(part, Box):
+            box_by_event.setdefault((part.pair, part.action), part)
 
     def promoted(box: Box) -> bool:
         immediate = [c for c in conjuncts(box.body) if isinstance(c, Obligation)]
@@ -282,8 +311,12 @@ def lower(
         states.append(state_name((link.pair, link.action)))
 
     # -- name assignment ------------------------------------------------------
-    fn_namer = _Namer()
-    flag_namer = _Namer()
+    # functions and flags share one namespace in the emitted contract
+    member_namer = _Namer(
+        _RESERVED_NAMES
+        | {role for role, _agent in roles}
+        | set(_modifier_names(roles).values())
+    )
     fn_name_of: dict[Event, str] = {}
     flag_of: dict[Event, str] = {}
     advancing: set[Event] = set(chain_events)
@@ -298,20 +331,20 @@ def lower(
         )
 
     for link in chain:
-        fn_name_of[(link.pair, link.action)] = fn_namer.claim(
+        fn_name_of[(link.pair, link.action)] = member_namer.claim(
             *fn_candidates(link.pair, link.action)
         )
     for ob in obligations:
         event = (ob.pair, ob.action)
         if event in fn_name_of:
             continue  # a chain guard doubles as this obligation's function
-        fn_name_of[event] = fn_namer.claim(*fn_candidates(ob.pair, ob.action))
+        fn_name_of[event] = member_namer.claim(*fn_candidates(ob.pair, ob.action))
         box = box_by_event.get(event)
         if box is not None and promoted(box):
             advancing.add(event)
         else:
             given = meta.lookup(meta.flags, ob.pair, ob.action)
-            flag_of[event] = flag_namer.claim(
+            flag_of[event] = member_namer.claim(
                 given or "",
                 f"{ob.action}Done",
                 f"{ob.action}Done{_cap(role_of[ob.pair.counterparty])}",
@@ -338,7 +371,7 @@ def lower(
         flag = flag_of.get(source)
         if flag is None:
             given = meta.lookup(meta.flags, watch_pair, watch_action)
-            flag = flag_namer.claim(given or "", f"{watch_action}Done")
+            flag = member_namer.claim(given or "", f"{watch_action}Done")
             flag_of[source] = flag
             phantom_flags.append(
                 (flag, f"// {watch_pair} [!{watch_action}]* (no setter)")
@@ -526,7 +559,7 @@ def lower(
                 else:
                     flag = flag_of.get(event)
                     if flag is None:
-                        flag = flag_namer.claim(f"{part.action}Done")
+                        flag = member_namer.claim(f"{part.action}Done")
                         flag_of[event] = flag
                         phantom_flags.append(
                             (flag, f"// {part.pair} [{part.action}] (no setter)")
@@ -593,10 +626,10 @@ def lower(
 
 # -- emission ----------------------------------------------------------------
 
-def _modifier_names(ir: MachineIR) -> dict[str, str]:
+def _modifier_names(roles: tuple[tuple[str, str], ...]) -> dict[str, str]:
     """Modifier per agent: only<Initial>, spelled out on collisions."""
     by_initial: dict[str, list[str]] = {}
-    for _role, agent in ir.roles:
+    for _role, agent in roles:
         by_initial.setdefault(agent[0].upper(), []).append(agent)
     names: dict[str, str] = {}
     for initial, agents in by_initial.items():
@@ -615,7 +648,7 @@ def _esc(text: str) -> str:
 def emit_solidity(ir: MachineIR) -> str:
     """Render the IR as Solidity text. The output is deterministic:
     LF line endings, four-space indents, one trailing newline."""
-    mods = _modifier_names(ir)
+    mods = _modifier_names(ir.roles)
     role_messages = dict(ir.role_messages)
     out: list[str] = []
     w = out.append

@@ -22,6 +22,9 @@ Line comments start with "//". The Unicode aliases "∧" for "&" and "¬"
 for "!" are accepted. Errors render as
 ``<file>:<line>:<col>: error: expected <X>, found <Y>`` and the parser
 resynchronizes at the next ";" so several faults report in one run.
+A clause may sit inside at most MAX_NESTING guards; deeper nesting is
+a parse error, not a stack overflow in this recursive parser or in the
+recursive walks that follow it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,11 @@ from .ast import (
     Span,
 )
 
-__all__ = ["Token", "ParseError", "ParseResult", "tokenize", "parse_contract"]
+__all__ = [
+    "MAX_NESTING", "Token", "ParseError", "ParseResult", "tokenize", "parse_contract",
+]
+
+MAX_NESTING = 100
 
 _PUNCT = {
     "{": "LBRACE",
@@ -169,8 +176,6 @@ def tokenize(text: str) -> list[Token]:
 def _describe(token: Token) -> str:
     if token.kind == "EOF":
         return "end of input"
-    if token.kind == "ERROR":
-        return f"'{token.text}'"
     return f"'{token.text}'"
 
 
@@ -196,9 +201,6 @@ class _Parser:
 
     def fail(self, expected: str) -> ParseError:
         tok = self.peek()
-        if tok.kind == "ERROR":
-            # lexical fault: report the stray byte itself
-            return ParseError(tok.span, expected, _describe(tok), self.file)
         return ParseError(tok.span, expected, _describe(tok), self.file)
 
     def expect(self, kind: str, expected: str) -> Token:
@@ -232,7 +234,7 @@ class _Parser:
         clauses = []
         while not self.at("EOF"):
             try:
-                clause = self.clause_and()
+                clause = self.clause_and(0)
                 self.expect("SEMI", "';'")
                 clauses.append(clause)
             except ParseError as exc:
@@ -324,8 +326,16 @@ class _Parser:
         self.expect("RBRACE", "'}'")
         return AgentPair(performer, counterparty)
 
-    def clause(self) -> Clause:
+    def clause(self, depth: int) -> Clause:
+        """Parse one clause enclosed by `depth` guards."""
         start = self.peek().span
+        if depth > MAX_NESTING:
+            raise ParseError(
+                start,
+                f"a clause inside at most {MAX_NESTING} guards",
+                f"one inside {depth}",
+                self.file,
+            )
         pair = self.pair()
         tok = self.peek()
         if tok.kind in ("O", "F", "P"):
@@ -349,7 +359,7 @@ class _Parser:
                 self.advance()
                 starred = True
             self.expect("LPAREN", "'('")
-            body = self.clause_and()
+            body = self.clause_and(depth + 1)
             end = self.expect("RPAREN", "')'").span
             span = Span(start.line, start.col, end.end_line, end.end_col)
             if negated:
@@ -359,11 +369,11 @@ class _Parser:
             return Box(pair, action, body, span)
         raise self.fail("'O', 'F', 'P' or '['")
 
-    def clause_and(self) -> Clause:
-        clause = self.clause()
+    def clause_and(self, depth: int) -> Clause:
+        clause = self.clause(depth)
         while self.at("AMP"):
             self.advance()
-            right = self.clause()
+            right = self.clause(depth)
             span = Span(clause.span.line, clause.span.col,
                         right.span.end_line, right.span.end_col)
             clause = And(clause, right, span)

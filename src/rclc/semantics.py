@@ -22,7 +22,7 @@ event universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast import (
     AgentPair,
@@ -35,6 +35,7 @@ from .ast import (
     Permission,
     Prohibition,
     Span,
+    iter_clauses,
     validate,
 )
 
@@ -47,7 +48,6 @@ __all__ = [
     "ContractSemantics",
     "event_universe",
     "initial_state",
-    "step",
     "enumerate_reachable",
     "dump_lts",
     "lts_to_dot",
@@ -93,7 +93,6 @@ class NormState:
     pending_boxes: frozenset[tuple[Event, Clause]]
     # (watched action, guarded clause, positive?) for every armed watch
     iter_watch: frozenset[tuple[str, Clause, bool]]
-    _sem: "ContractSemantics" = field(compare=False, repr=False, default=None)
 
     def obligations(self) -> set[Norm]:
         return {n for n in self.active if n.kind == "O"}
@@ -122,19 +121,11 @@ class Lts:
 def event_universe(contract: Contract) -> tuple[Event, ...]:
     """Every distinct (pair, action) occurring anywhere: as the subject
     of a deontic operator, a box guard, or an iterated watch."""
-    seen: set[Event] = set()
-
-    def walk(clause: Clause):
-        if isinstance(clause, And):
-            walk(clause.left)
-            walk(clause.right)
-            return
-        seen.add((clause.pair, clause.action))
-        if isinstance(clause, (Box, IterBox)):
-            walk(clause.body)
-
-    for clause in contract.clauses:
-        walk(clause)
+    seen = {
+        (clause.pair, clause.action)
+        for clause, _path in iter_clauses(contract)
+        if not isinstance(clause, And)
+    }
     return tuple(sorted(seen, key=_event_key))
 
 
@@ -144,7 +135,7 @@ def _event_key(event: Event):
 
 
 class ContractSemantics:
-    """Memoized state derivation and stepping for one contract."""
+    """State derivation and stepping for one contract."""
 
     def __init__(self, contract: Contract):
         problems = [i for i in validate(contract) if i.severity == "error"]
@@ -155,14 +146,6 @@ class ContractSemantics:
         self.contract = contract
         self.universe = event_universe(contract)
         self._known = frozenset(self.universe)
-        self._cache: dict[frozenset[Event], NormState] = {}
-
-    def state(self, fired: frozenset[Event]) -> NormState:
-        cached = self._cache.get(fired)
-        if cached is None:
-            cached = self._derive(fired)
-            self._cache[fired] = cached
-        return cached
 
     def initial_state(self) -> NormState:
         return self.state(frozenset())
@@ -177,7 +160,9 @@ class ContractSemantics:
     def enabled(self, state: NormState) -> list[Event]:
         return [e for e in self.universe if e not in state.fired]
 
-    def _derive(self, fired: frozenset[Event]) -> NormState:
+    def state(self, fired: frozenset[Event]) -> NormState:
+        """Derive the norm state after exactly `fired` has happened;
+        only boxes whose guard has fired are descended into."""
         fired_actions = {action for _pair, action in fired}
         active: list[Norm] = []
         pending: list[tuple[Event, Clause]] = []
@@ -209,13 +194,12 @@ class ContractSemantics:
 
         for clause in self.contract.clauses:
             walk(clause)
-        return NormState(
-            fired, frozenset(active), frozenset(pending), frozenset(watches), self
-        )
+        return NormState(fired, frozenset(active), frozenset(pending), frozenset(watches))
 
     def enumerate_reachable(self) -> Lts:
         """Breadth-first closure of step; any unfired event is enabled
-        in any state, so this visits the subset lattice."""
+        in any state, so this visits the subset lattice. Each fired set
+        is derived once, on first reaching it."""
         initial = self.initial_state()
         order: dict[frozenset[Event], int] = {initial.fired: 0}
         states = [initial]
@@ -226,11 +210,12 @@ class ContractSemantics:
             for state in frontier:
                 src = order[state.fired]
                 for event in self.enabled(state):
-                    succ = self.step(state, event)
-                    dst = order.get(succ.fired)
+                    fired = state.fired | {event}
+                    dst = order.get(fired)
                     if dst is None:
                         dst = len(states)
-                        order[succ.fired] = dst
+                        order[fired] = dst
+                        succ = self.state(fired)
                         states.append(succ)
                         next_frontier.append(succ)
                     edges.append((src, event, dst))
@@ -258,12 +243,6 @@ def _canonicalize(states, edges, universe) -> Lts:
 
 def initial_state(contract: Contract) -> NormState:
     return ContractSemantics(contract).initial_state()
-
-
-def step(state: NormState, event: Event) -> NormState:
-    if state._sem is None:
-        raise StepError("state is not attached to a contract")
-    return state._sem.step(state, event)
 
 
 def enumerate_reachable(contract: Contract) -> Lts:

@@ -26,6 +26,7 @@ from rclc.ast import (
     Span,
     conjuncts,
 )
+from rclc.semantics import event_universe
 
 _SPAN = Span(1, 1, 1, 1)
 
@@ -67,24 +68,6 @@ def _clause(rng: random.Random, agents: list[str], actions: list[str],
     return IterBox(pair, action, body, False, True, _SPAN)
 
 
-def event_count(contract: Contract) -> int:
-    """Distinct (pair, action) occurrences across every clause position."""
-    seen = set()
-
-    def walk(clause: Clause):
-        if isinstance(clause, And):
-            walk(clause.left)
-            walk(clause.right)
-            return
-        seen.add((clause.pair, clause.action))
-        if isinstance(clause, (Box, IterBox)):
-            walk(clause.body)
-
-    for clause in contract.clauses:
-        walk(clause)
-    return len(seen)
-
-
 def random_contract(rng: random.Random, max_events: int = 10) -> Contract:
     """Arbitrary well-formed contract with a bounded event universe."""
     agents = _AGENT_POOL[: rng.randint(2, 4)]
@@ -101,7 +84,7 @@ def random_contract(rng: random.Random, max_events: int = 10) -> Contract:
             clauses,
             Meta(),
         )
-        if event_count(contract) <= max_events:
+        if len(event_universe(contract)) <= max_events:
             return contract
 
 

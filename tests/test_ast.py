@@ -111,12 +111,18 @@ def test_conjuncts_flattens_nested_and():
 
 
 def test_iter_clauses_reports_paths():
-    c = parsed("agents a, b; actions x, y; {a,b}[x]({b,a}O(y) & {b,a}P(x));")
-    entries = list(iter_clauses(c))
-    # root box, its conjunction, and both leaves
-    kinds = [type(cl).__name__ for cl, _path in entries]
-    assert kinds[0] == "Box"
-    assert "Obligation" in kinds and "Permission" in kinds
+    c = parsed(
+        "agents a, b; actions x, y; {a,b}[x]({b,a}O(y) & {b,a}P(x)); {a,b}F(y);"
+    )
+    entries = [(type(cl).__name__, path) for cl, path in iter_clauses(c)]
+    # pre-order: each node before its children, left before right
+    assert entries == [
+        ("Box", "clauses[0]"),
+        ("And", "clauses[0].body"),
+        ("Obligation", "clauses[0].body.left"),
+        ("Permission", "clauses[0].body.right"),
+        ("Prohibition", "clauses[1]"),
+    ]
 
 
 def test_pretty_print_idempotent():

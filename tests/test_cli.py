@@ -4,7 +4,11 @@ script runs, and the color toggle."""
 import json
 from pathlib import Path
 
+import rclc.cli
+import rclc.codegen
+from rclc.checker import check
 from rclc.cli import main
+from rclc.parser import MAX_NESTING
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -104,7 +108,63 @@ def test_gen_conflicted_without_flag_exits_1(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
+    assert "{c,b} is both obliged and forbidden to deliverProduct" in captured.err
     assert "--allow-conflicts" in captured.err
+
+
+def test_gen_and_sim_run_the_conflict_check_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(contract):
+        calls.append(contract)
+        return check(contract)
+
+    monkeypatch.setattr(rclc.codegen, "check", counted)
+    monkeypatch.setattr(rclc.cli, "check", counted)
+    assert main(["gen", FIXED]) == 0
+    assert len(calls) == 1
+    sim = ["sim", FIXED, "--script", str(SCRIPTS / "corrected_run.txt"),
+           "--amount", "paymentAmount=100", "--amount", "shippingCosts=10"]
+    assert main(sim) == 0
+    assert len(calls) == 2
+    assert main(["gen", CONFLICTED]) == 1
+    assert len(calls) == 3
+    capsys.readouterr()
+
+
+def _nested(tmp_path, depth):
+    path = tmp_path / f"nested{depth}.rcl"
+    path.write_text(
+        "agents a, b;\nactions x;\n"
+        + "{a,b}[x](" * depth + "{a,b}O(x)" + ")" * depth + ";\n"
+    )
+    return str(path)
+
+
+def test_nesting_at_the_bound_checks_clean(tmp_path, capsys):
+    assert main(["check", _nested(tmp_path, MAX_NESTING)]) == 0
+    assert "no conflicts" in capsys.readouterr().out
+
+
+def test_over_deep_nesting_exits_2(tmp_path, capsys):
+    path = _nested(tmp_path, 1200)
+    code = main(["check", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    column = 9 * (MAX_NESTING + 1) + 1  # past that many 9-character "{a,b}[x]("
+    assert err == (
+        f"{path}:3:{column}: error: expected a clause inside at "
+        f"most {MAX_NESTING} guards, found one inside {MAX_NESTING + 1}\n"
+    )
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(contract):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(rclc.cli, "check", broken)
+    assert main(["check", FIXED]) == 2
+    assert "rclc: internal error: RuntimeError('boom')" in capsys.readouterr().err
 
 
 def test_gen_unloverable_exits_2(tmp_path, capsys):

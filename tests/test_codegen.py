@@ -15,6 +15,7 @@ from rclc.codegen import (
     emit_solidity,
     lower,
 )
+from rclc.ast import Obligation, iter_clauses
 from rclc.parser import parse_contract
 
 from contractgen import random_lowerable
@@ -129,8 +130,10 @@ def test_conflicted_deliver_is_walled_off():
 
 
 def test_conflicted_lowering_requires_opt_in():
-    with pytest.raises(LowerError, match="conflicts"):
+    with pytest.raises(LowerError, match="conflicts") as refused:
         lower(load("purchase_conflicted.rcl"))
+    (conflict,) = refused.value.report.conflicts
+    assert conflict.action == "deliverProduct"
 
 
 def test_corrected_fixture_lowering():
@@ -224,8 +227,9 @@ def test_no_payables_without_money_roles():
 
 
 def test_rejects_contracts_without_a_root_box():
-    with pytest.raises(LowerError, match="single top-level box"):
+    with pytest.raises(LowerError, match="single top-level box") as refused:
         lower(parse("agents a, b;\nactions x;\n{a,b}F(x);"))
+    assert refused.value.report is None
     with pytest.raises(LowerError, match="unsupported top-level"):
         lower(parse("agents a, b;\nactions x;\n{a,b}O(x);"))
     two_boxes = """
@@ -302,18 +306,11 @@ def test_random_lowerable_contracts_lower_cleanly():
         # totality: one function per distinct performed event
         events = [fn.event for fn in ir.functions]
         assert len(set(events)) == len(events)
-        obligation_events = set()
-        from rclc.ast import Box, IterBox, Obligation, conjuncts
-
-        def walk(clause):
-            for part in conjuncts(clause):
-                if isinstance(part, Obligation):
-                    obligation_events.add((part.pair, part.action))
-                elif isinstance(part, (Box, IterBox)):
-                    walk(part.body)
-
-        for clause in contract.clauses:
-            walk(clause)
+        obligation_events = {
+            (part.pair, part.action)
+            for part, _path in iter_clauses(contract)
+            if isinstance(part, Obligation)
+        }
         assert obligation_events <= set(events)
         # every function carries exactly one state or flag effect
         for fn in ir.functions:
@@ -322,6 +319,28 @@ def test_random_lowerable_contracts_lower_cleanly():
             ]
             assert len(changes) == 1
             assert any(isinstance(e, EmitEvent) for e in fn.effects)
+
+
+def test_generated_names_avoid_members_and_reserved_words():
+    src = """
+    agents a, b;
+    actions start, state, emit, Notify, owner, onlyA, pay, payDone;
+    role a = owner;
+    {a,b}[start](
+        {b,a}O(state) & {a,b}O(emit) & {a,b}O(Notify) & {b,a}O(owner)
+        & {b,a}O(onlyA) & {a,b}O(pay) & {a,b}O(payDone)
+    );
+    """
+    ir = lower(parse(src))
+    members = [fn.name for fn in ir.functions] + [flag for flag, _ in ir.flags]
+    assert len(set(members)) == len(members)
+    generated = {"state", "ContractState", "Notify", "atState",
+                 "checkFinalization", "owner", "b", "onlyA", "onlyB", "emit"}
+    assert not generated & set(members)
+    assert {"stateOwner", "emitB", "payDone", "payDoneB"} <= set(members)
+    text = emit_solidity(ir)
+    assert "function state()" not in text
+    assert "function emit()" not in text
 
 
 def test_reemission_after_pretty_print_round_trip():

@@ -14,7 +14,6 @@ from rclc.semantics import (
     event_universe,
     initial_state,
     lts_to_dot,
-    step,
 )
 
 from contractgen import random_contract
@@ -191,9 +190,10 @@ def test_confluence_of_enabled_pairs():
             assert one == other
 
 
-def test_module_level_step_uses_attached_contract():
-    state = initial_state(parsed("agents a, b; actions x; {a,b}O(x);"))
-    after = step(state, (pair("a", "b"), "x"))
+def test_state_steps_under_any_semantics_of_its_contract():
+    contract = parsed("agents a, b; actions x; {a,b}O(x);")
+    state = initial_state(contract)
+    after = ContractSemantics(contract).step(state, (pair("a", "b"), "x"))
     assert after.active == frozenset()
 
 
