@@ -2,10 +2,11 @@
 
 A conflict is an obligation and a prohibition on the same (pair,
 action) active in the same reachable state. `check` finds every such
-clash by breadth-first search and reports one entry per origin pair
-with a shortest witness trace. `brute_force_oracle` answers the same
-question by exhaustive enumeration with its own tiny interpreter; it
-shares nothing with the search path and exists to keep `check` honest.
+clash by walking the subset lattice in its canonical order
+(`semantics.fired_sets`) and reports one entry per origin pair with a
+shortest witness trace. `brute_force_oracle` answers the same question
+by exhaustive enumeration with its own tiny interpreter; it shares
+nothing with the scan and exists to keep `check` honest.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .ast import (
     Permission,
     Prohibition,
 )
-from .semantics import ContractSemantics, Event, Norm, format_event
+from .semantics import ContractSemantics, Event, Norm, clashes, fired_sets, format_event
 
 __all__ = [
     "Conflict",
@@ -73,80 +74,33 @@ class CheckReport:
 
 
 def check(contract: Contract) -> CheckReport:
-    """Explore every reachable state; report each obligation/prohibition
-    origin pair that clashes somewhere, with a shortest witness (ties
-    broken by event order). Witnesses are re-run through the stepper
-    before being reported, not trusted from the search."""
+    """Derive every reachable state, smallest fired set first; report
+    each obligation/prohibition origin pair that clashes somewhere, with
+    a shortest witness (ties broken by event order). Witnesses are re-run
+    through the stepper before being reported, not trusted from the
+    scan."""
     begin = time.perf_counter()
     sem = ContractSemantics(contract)
-    universe = sem.universe
-    n = len(universe)
-    bit_of = {event: 1 << i for i, event in enumerate(universe)}
-
-    def unpack(mask: int) -> frozenset[Event]:
-        return frozenset(e for e in universe if mask & bit_of[e])
-
-    parent: dict[int, tuple[int, Event]] = {}
     seen_keys = set()
     conflicts: list[Conflict] = []
-    transitions = 0
-
-    def scan(mask: int):
-        state = sem.state(unpack(mask))
-        obliged = {}
-        for norm in state.active:
-            if norm.kind == "O":
-                obliged.setdefault((norm.pair, norm.action), []).append(norm)
-        if not obliged:
-            return
-        for norm in sorted(
-            (n for n in state.active if n.kind == "F"),
-            key=lambda n: (n.origin.line, n.origin.col),
-        ):
-            for ob in sorted(
-                obliged.get((norm.pair, norm.action), ()),
-                key=lambda n: (n.origin.line, n.origin.col),
-            ):
-                key = (ob.pair, ob.action, ob.origin, norm.origin)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                conflicts.append(Conflict(ob, norm, _trace(parent, mask)))
-
-    visited = {0}
-    scan(0)
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for mask in frontier:
-            for event in universe:
-                bit = bit_of[event]
-                if mask & bit:
-                    continue
-                transitions += 1
-                succ = mask | bit
-                if succ not in visited:
-                    visited.add(succ)
-                    parent[succ] = (mask, event)
-                    scan(succ)
-                    next_frontier.append(succ)
-        frontier = next_frontier
+    for fired in fired_sets(sem.universe):
+        for ob, forbid in clashes(sem.state(frozenset(fired))):
+            key = (ob.pair, ob.action, ob.origin, forbid.origin)
+            if key in seen_keys:
+                continue
+            seen_keys.add(key)
+            conflicts.append(Conflict(ob, forbid, fired))
 
     for conflict in conflicts:
         _replay_witness(sem, conflict)
 
+    # the lattice is full: 2^n states, and each of the n events labels
+    # the edges out of the half of them where it is unfired
+    n = len(sem.universe)
     wall_ms = (time.perf_counter() - begin) * 1000.0
     return CheckReport(
-        tuple(conflicts), CheckStats(len(visited), transitions, wall_ms)
+        tuple(conflicts), CheckStats(2**n, n * 2**n // 2, wall_ms)
     )
-
-
-def _trace(parent, mask: int) -> tuple[Event, ...]:
-    events = []
-    while mask:
-        mask, event = parent[mask]
-        events.append(event)
-    return tuple(reversed(events))
 
 
 def _replay_witness(sem: ContractSemantics, conflict: Conflict):

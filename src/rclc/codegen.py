@@ -158,8 +158,9 @@ def _is_inline(meta: Meta, pair: AgentPair, action: str) -> bool:
 
 # Names no generated function or flag may take: Solidity keywords,
 # reserved words, units, types and the globals the emitted code calls,
-# then the members every generated contract declares. lower() adds the
-# contract's role fields and only* modifiers.
+# then the members every generated contract declares. lower() refuses
+# role names among these and adds the contract's role fields and only*
+# modifiers.
 _RESERVED_NAMES = frozenset(
     """
     abstract address after alias anonymous apply as assembly auto bool break
@@ -262,6 +263,20 @@ def lower(
 
     role_of = {a.name: meta.roles.get(a.name, a.name) for a in contract.agents}
     roles = tuple((role_of[a.name], a.name) for a in contract.agents)
+    modifiers = set(_modifier_names(roles).values())
+    agent_of: dict[str, str] = {}
+    for role, agent in roles:
+        if role in _RESERVED_NAMES or role in modifiers:
+            raise LowerError(
+                f"cannot lower: agent {agent}'s role name '{role}' is reserved "
+                "in the generated contract; choose another role name"
+            )
+        if role in agent_of:
+            raise LowerError(
+                f"cannot lower: agents {agent_of[role]} and {agent} share the "
+                f"role name '{role}'; give each agent its own role"
+            )
+        agent_of[role] = agent
 
     # -- global indexes --------------------------------------------------
     # Every obligation and box lies under root_box: the sort above refuses
@@ -311,12 +326,9 @@ def lower(
         states.append(state_name((link.pair, link.action)))
 
     # -- name assignment ------------------------------------------------------
-    # functions and flags share one namespace in the emitted contract
-    member_namer = _Namer(
-        _RESERVED_NAMES
-        | {role for role, _agent in roles}
-        | set(_modifier_names(roles).values())
-    )
+    # functions, flags and amount parameters share one namespace in the
+    # emitted contract
+    member_namer = _Namer(_RESERVED_NAMES | set(agent_of) | modifiers)
     fn_name_of: dict[Event, str] = {}
     flag_of: dict[Event, str] = {}
     advancing: set[Event] = set(chain_events)
@@ -386,15 +398,19 @@ def lower(
     bank_agents = {a for a, r in role_of.items() if r == "bank"}
     buyer_agents = {a for a, r in role_of.items() if r == "buyer"}
 
+    param_of: dict[str, str] = {}  # wanted name -> claimed member name
+
     def payable_param(pair: AgentPair, action: str) -> str | None:
-        given = meta.lookup(meta.payables, pair, action)
-        if given:
-            return given
-        if "pay" in action and (
+        wanted = meta.lookup(meta.payables, pair, action)
+        if not wanted and "pay" in action and (
             pair.counterparty in bank_agents or pair.performer in buyer_agents
         ):
-            return f"{action}Amount"
-        return None
+            wanted = f"{action}Amount"
+        if not wanted:
+            return None
+        if wanted not in param_of:
+            param_of[wanted] = member_namer.claim(wanted)
+        return param_of[wanted]
 
     functions: list[FunctionIR] = []
     params: list[str] = []

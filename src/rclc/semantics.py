@@ -22,6 +22,8 @@ event universe.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .ast import (
@@ -47,6 +49,8 @@ __all__ = [
     "StepError",
     "ContractSemantics",
     "event_universe",
+    "fired_sets",
+    "clashes",
     "initial_state",
     "enumerate_reachable",
     "dump_lts",
@@ -94,19 +98,14 @@ class NormState:
     # (watched action, guarded clause, positive?) for every armed watch
     iter_watch: frozenset[tuple[str, Clause, bool]]
 
-    def obligations(self) -> set[Norm]:
-        return {n for n in self.active if n.kind == "O"}
-
-    def prohibitions(self) -> set[Norm]:
-        return {n for n in self.active if n.kind == "F"}
-
 
 @dataclass(frozen=True)
 class Lts:
     """Reachability-closed transition system, canonically ordered.
 
-    states[0] is the initial state; states sort by (|fired|, fired as
-    event indices); transitions sort by (source, event index).
+    states[0] is the initial state; states follow `fired_sets`, i.e.
+    (|fired|, fired as event indices); transitions sort by (source,
+    event index).
     """
 
     states: tuple[NormState, ...]
@@ -134,6 +133,37 @@ def _event_key(event: Event):
     return (pair.performer, pair.counterparty, action)
 
 
+def fired_sets(universe: tuple[Event, ...]) -> Iterator[tuple[Event, ...]]:
+    """Every subset of `universe`, each a tuple in universe order, smallest
+    first and, within a size, lexicographic in event indices. This is the
+    canonical order of the subset lattice: the order of `Lts.states` and
+    of `check`'s scan. Firing order never matters, so the tuple is also
+    a run, and the first set showing a clash is a shortest witness."""
+    for size in range(len(universe) + 1):
+        yield from itertools.combinations(universe, size)
+
+
+def clashes(state: NormState) -> list[tuple[Norm, Norm]]:
+    """The (obligation, prohibition) pairs on one (pair, action) that are
+    both in force in `state`, ordered by prohibition origin, then
+    obligation origin."""
+    obliged: dict[Event, list[Norm]] = {}
+    for norm in state.active:
+        if norm.kind == "O":
+            obliged.setdefault((norm.pair, norm.action), []).append(norm)
+    if not obliged:
+        return []
+
+    def by_origin(norm: Norm):
+        return (norm.origin.line, norm.origin.col)
+
+    return [
+        (ob, forbid)
+        for forbid in sorted((n for n in state.active if n.kind == "F"), key=by_origin)
+        for ob in sorted(obliged.get((forbid.pair, forbid.action), ()), key=by_origin)
+    ]
+
+
 class ContractSemantics:
     """State derivation and stepping for one contract."""
 
@@ -156,9 +186,6 @@ class ContractSemantics:
         if event in state.fired:
             raise StepError(f"event {format_event(event)} already fired")
         return self.state(state.fired | {event})
-
-    def enabled(self, state: NormState) -> list[Event]:
-        return [e for e in self.universe if e not in state.fired]
 
     def state(self, fired: frozenset[Event]) -> NormState:
         """Derive the norm state after exactly `fired` has happened;
@@ -197,46 +224,19 @@ class ContractSemantics:
         return NormState(fired, frozenset(active), frozenset(pending), frozenset(watches))
 
     def enumerate_reachable(self) -> Lts:
-        """Breadth-first closure of step; any unfired event is enabled
-        in any state, so this visits the subset lattice. Each fired set
-        is derived once, on first reaching it."""
-        initial = self.initial_state()
-        order: dict[frozenset[Event], int] = {initial.fired: 0}
-        states = [initial]
-        edges: list[tuple[int, Event, int]] = []
-        frontier = [initial]
-        while frontier:
-            next_frontier = []
-            for state in frontier:
-                src = order[state.fired]
-                for event in self.enabled(state):
-                    fired = state.fired | {event}
-                    dst = order.get(fired)
-                    if dst is None:
-                        dst = len(states)
-                        order[fired] = dst
-                        succ = self.state(fired)
-                        states.append(succ)
-                        next_frontier.append(succ)
-                    edges.append((src, event, dst))
-            frontier = next_frontier
-        return _canonicalize(states, edges, self.universe)
-
-
-def _canonicalize(states, edges, universe) -> Lts:
-    index_of = {event: i for i, event in enumerate(universe)}
-
-    def state_key(state: NormState):
-        return (len(state.fired), sorted(index_of[e] for e in state.fired))
-
-    ranked = sorted(range(len(states)), key=lambda i: state_key(states[i]))
-    remap = {old: new for new, old in enumerate(ranked)}
-    new_states = tuple(states[old] for old in ranked)
-    new_edges = sorted(
-        ((remap[s], ev, remap[d]) for s, ev, d in edges),
-        key=lambda t: (t[0], index_of[t[1]]),
-    )
-    return Lts(new_states, tuple(new_edges), universe)
+        """The subset lattice in `fired_sets` order, each fired set derived
+        once; any unfired event is enabled in any state, so every state
+        has one edge per unfired event, in universe order."""
+        universe = self.universe
+        index_of = {frozenset(fired): i for i, fired in enumerate(fired_sets(universe))}
+        states = tuple(self.state(fired) for fired in index_of)
+        edges = tuple(
+            (src, event, index_of[state.fired | {event}])
+            for src, state in enumerate(states)
+            for event in universe
+            if event not in state.fired
+        )
+        return Lts(states, edges, universe)
 
 
 # Convenience wrappers over a per-contract ContractSemantics.
@@ -286,18 +286,10 @@ def lts_to_dot(lts: Lts) -> str:
     on the same (pair, action) are highlighted."""
     lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
     for i, state in enumerate(lts.states):
-        clash = _has_collision(state)
-        attrs = ' style=filled fillcolor="#ffb3b3"' if clash else ""
+        attrs = ' style=filled fillcolor="#ffb3b3"' if clashes(state) else ""
         label = f"s{i}"
         lines.append(f'  s{i} [label="{label}"{attrs}];')
     for src, event, dst in lts.transitions:
         lines.append(f'  s{src} -> s{dst} [label="{format_event(event)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _has_collision(state: NormState) -> bool:
-    obliged = {(n.pair, n.action) for n in state.active if n.kind == "O"}
-    return any(
-        (n.pair, n.action) in obliged for n in state.active if n.kind == "F"
-    )

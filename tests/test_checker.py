@@ -1,5 +1,6 @@
 """Conflict search versus the exhaustive oracle, plus report rendering."""
 
+import itertools
 import json
 import random
 
@@ -7,7 +8,14 @@ import pytest
 
 from rclc.ast import pretty_print
 from rclc.parser import parse_contract
-from rclc.checker import brute_force_oracle, check, report_to_json, report_to_text
+from rclc.checker import (
+    _oracle_active,
+    _oracle_universe,
+    brute_force_oracle,
+    check,
+    report_to_json,
+    report_to_text,
+)
 from rclc.semantics import ContractSemantics, dump_lts, enumerate_reachable
 
 from contractgen import random_contract
@@ -75,6 +83,7 @@ def test_purchase_fixture_one_conflict_class():
         "buyProduct", "payProduct", "notifyProductPayment", "sendProduct"
     }
     assert report.stats.states == 8192
+    assert report.stats.transitions == 53248
 
 
 def test_fixed_fixture_is_clean():
@@ -82,6 +91,20 @@ def test_fixed_fixture_is_clean():
     assert report.conflicts == ()
     assert report.ok
     assert report.stats.states == 4096
+    assert report.stats.transitions == 24576
+
+
+def test_witness_ties_break_by_event_order():
+    # either {a,b} x or {b,a} x arms the prohibition; {a,b} x comes first
+    # in the event universe
+    contract = parsed(
+        "agents a, b; actions x, y; {a,b}O(y); {b,a}P(x); {a,b}[x]*({a,b}F(y));"
+    )
+    (conflict,) = check(contract).conflicts
+    assert [(str(p), a) for p, a in conflict.witness] == [("{a,b}", "x")]
+    assert _oracle_first_witnesses(contract) == {
+        (conflict.pair, "y"): conflict.witness
+    }
 
 
 def test_witness_replays_to_conflicting_state():
@@ -122,13 +145,32 @@ def test_permutation_and_subset_modes_agree():
         compared += 1
 
 
+def _oracle_first_witnesses(contract):
+    """(pair, action) -> the first fired set, by size and then event
+    index, at which the oracle's interpreter shows that clash."""
+    universe = sorted(_oracle_universe(contract),
+                      key=lambda e: (e[0].performer, e[0].counterparty, e[1]))
+    first = {}
+    for size in range(len(universe) + 1):
+        for subset in itertools.combinations(universe, size):
+            obliged, forbidden = _oracle_active(contract, frozenset(subset))
+            for clash in obliged & forbidden:
+                first.setdefault(clash, subset)
+    return first
+
+
 def test_oracle_equivalence_on_random_contracts():
     rng = random.Random(20260819)
     agreed = 0
     while agreed < 120:
         contract = parsed(pretty_print(random_contract(rng)))
-        found = {(c.pair, c.action) for c in check(contract).conflicts}
+        conflicts = check(contract).conflicts
+        found = {(c.pair, c.action) for c in conflicts}
         assert found == brute_force_oracle(contract)
+        reported = {}
+        for c in conflicts:
+            reported.setdefault((c.pair, c.action), c.witness)
+        assert reported == _oracle_first_witnesses(contract)
         agreed += 1
 
 

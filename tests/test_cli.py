@@ -1,14 +1,21 @@
 """Command-line behavior: exit codes, output formats, golden equality,
 script runs, and the color toggle."""
 
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rclc.cli
 import rclc.codegen
 from rclc.checker import check
 from rclc.cli import main
-from rclc.parser import MAX_NESTING
+from rclc.parser import MAX_NESTING, ParseResult, parse_contract
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -81,6 +88,19 @@ def test_color_toggle(capsys, monkeypatch):
     monkeypatch.delenv("RCLC_COLOR")
     main(["check", FIXED])
     assert "\x1b[" not in capsys.readouterr().out
+
+
+def test_dump_lts_output_is_pinned(capsys):
+    digests = {
+        (FIXED, False): "5ac5e5e5e363954bf022f8bab2ba4f3c67c5806c914b8aac44d24f703eac63ed",
+        (FIXED, True): "daadd83ccc7dfd230c284ee951028c789e560e3c7fc30fb623b6ef7a7c0b56cc",
+        (CONFLICTED, False): "05ea3221bd05c6129b9931fc49f727045cbdd9e87259d4806108114bf3649bfc",
+        (CONFLICTED, True): "becfec76a48474c9a27fdb09d8eacade614ce25986a7db52100b95f42afab3fe",
+    }
+    for (path, dot), digest in digests.items():
+        assert main(["dump-lts", path] + (["--dot"] if dot else [])) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (path, dot)
 
 
 def test_gen_writes_golden(tmp_path, capsys):
@@ -174,6 +194,73 @@ def test_gen_unloverable_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cannot lower" in err
+
+
+def test_gen_reserved_role_name_exits_2(tmp_path, capsys):
+    src = tmp_path / "role.rcl"
+    src.write_text("agents a, b;\nactions x, y;\nrole a = state;\n{a,b}[x]({b,a}O(y));\n")
+    code = main(["gen", str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot lower: agent a's role name 'state' is reserved" in captured.err
+
+
+_NOISE = ["{", "}", "[", "]", "(", ")", ",", ";", "*", "=", "&", "!",
+          "O", "F", "P", "role", "payable", "state", "buyer", "bank"]
+
+
+@st.composite
+def _token_streams(draw):
+    """A header for 2-3 agents and at most 3 actions, an optional role
+    annotation, then well-formed clauses; a few tokens are then inserted
+    or deleted at random and the stream is cut at 60 tokens."""
+    agents = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    actions = ["x", "pay", "z"][: draw(st.integers(1, 3))]
+
+    def clause(depth):
+        performer, counterparty = draw(st.permutations(agents))[:2]
+        pair = ["{", performer, ",", counterparty, "}"]
+        kind = draw(st.sampled_from("OFP[" if depth else "OFP"))
+        action = draw(st.sampled_from(actions))
+        if kind != "[":
+            return pair + [kind, "(", action, ")"]
+        head = pair + ["["] + draw(st.sampled_from([[], ["!"]])) + [action, "]"]
+        head += draw(st.sampled_from([[], ["*"]])) + ["("]
+        body = clause(depth - 1)
+        if draw(st.booleans()):
+            body += ["&"] + clause(depth - 1)
+        return head + body + [")"]
+
+    tokens = ["agents", *" , ".join(agents).split(), ";",
+              "actions", *" , ".join(actions).split(), ";"]
+    if draw(st.booleans()):
+        tokens += ["role", draw(st.sampled_from(agents)), "=",
+                   draw(st.sampled_from(agents + actions + ["state", "buyer", "bank"])), ";"]
+    for _ in range(draw(st.integers(1, 4))):
+        tokens += clause(draw(st.integers(0, 2))) + [";"]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(tokens)))
+        if draw(st.booleans()):
+            tokens.insert(at, draw(st.sampled_from(_NOISE + agents + actions)))
+        else:
+            del tokens[at:at + 1]
+    return " ".join(tokens[:60])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_token_streams())
+def test_fuzz_cli_over_token_streams(src):
+    assert isinstance(parse_contract(src), ParseResult)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.rcl")
+        Path(path).write_text(src)
+        for command in ("check", "gen"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, path])
+            assert code in (0, 1, 2), (command, src)
+            assert "internal error" not in err.getvalue(), (command, src)
 
 
 def test_sim_corrected_run(capsys):

@@ -343,6 +343,41 @@ def test_generated_names_avoid_members_and_reserved_words():
     assert "function emit()" not in text
 
 
+def test_role_names_must_be_free_and_distinct():
+    for roles, message in (
+        ("role a = state;", "agent a's role name 'state' is reserved"),
+        ("role b = uint;", "agent b's role name 'uint' is reserved"),
+        ("role a = onlyB;", "agent a's role name 'onlyB' is reserved"),
+        ("role a = r, b = r;", "agents a and b share the role name 'r'"),
+        ("role a = b;", "agents a and b share the role name 'b'"),
+    ):
+        src = f"agents a, b;\nactions x, y;\n{roles}\n{{a,b}}[x]({{b,a}}O(y));"
+        with pytest.raises(LowerError, match=message) as refused:
+            lower(parse(src))
+        assert refused.value.report is None
+
+
+def test_amount_parameters_avoid_function_names():
+    src = """
+    agents a, b;
+    actions start, pay, payAmount;
+    role a = buyer;
+    {a,b}[start]({a,b}O(pay) & {a,b}O(payAmount));
+    """
+    ir = lower(parse(src))
+    assert ir.params == ("payAmount2", "payAmountAmount")
+    assert ir.function("pay").value_guard == "payAmount2"
+    assert ir.function("payAmount").value_guard == "payAmountAmount"
+    members = (
+        [fn.name for fn in ir.functions] + [flag for flag, _ in ir.flags]
+        + list(ir.params) + [role for role, _agent in ir.roles]
+    )
+    assert len(set(members)) == len(members)
+    text = emit_solidity(ir)
+    assert "uint public payAmount2;" in text
+    assert "uint public payAmount;" not in text
+
+
 def test_reemission_after_pretty_print_round_trip():
     from rclc.ast import pretty_print
 

@@ -9,9 +9,11 @@ from rclc.parser import parse_contract
 from rclc.semantics import (
     ContractSemantics,
     StepError,
+    clashes,
     dump_lts,
     enumerate_reachable,
     event_universe,
+    fired_sets,
     initial_state,
     lts_to_dot,
 )
@@ -139,12 +141,25 @@ def test_enumerate_two_state_lts():
     assert lts.initial.fired == frozenset()
 
 
+def test_fired_sets_order_by_size_then_event_index():
+    assert list(fired_sets(("e0", "e1", "e2"))) == [
+        (),
+        ("e0",), ("e1",), ("e2",),
+        ("e0", "e1"), ("e0", "e2"), ("e1", "e2"),
+        ("e0", "e1", "e2"),
+    ]
+    assert list(fired_sets(())) == [()]
+
+
 def test_enumerate_visits_subset_lattice():
     lts = enumerate_reachable(
         parsed("agents a, b; actions x, y; {a,b}O(x); {b,a}F(y);")
     )
     assert len(lts.states) == 2 ** 2
     assert len(lts.transitions) == 2 * 2 ** 1
+    assert [s.fired for s in lts.states] == [
+        frozenset(fired) for fired in fired_sets(lts.universe)
+    ]
 
 
 def test_transitions_grow_fired_by_one():
@@ -213,6 +228,23 @@ def test_dot_output_shape():
     dot = lts_to_dot(lts)
     assert dot.startswith("digraph")
     assert "s0 -> s1" in dot
+
+
+def test_clashes_order_by_prohibition_then_obligation_origin():
+    contract = parsed(
+        "agents a, b; actions x, y;\n"
+        "{a,b}O(x); {a,b}F(x);\n"
+        "{a,b}F(x); {a,b}O(x); {b,a}O(x); {a,b}F(y);\n"
+    )
+    found = [
+        ((ob.origin.line, ob.origin.col), (forbid.origin.line, forbid.origin.col))
+        for ob, forbid in clashes(initial_state(contract))
+    ]
+    assert found == [
+        ((2, 1), (2, 12)), ((3, 12), (2, 12)),
+        ((2, 1), (3, 1)), ((3, 12), (3, 1)),
+    ]
+    assert clashes(ContractSemantics(contract).state(frozenset({(pair("a", "b"), "x")}))) == []
 
 
 def test_conflicting_state_is_highlighted_in_dot():
