@@ -1,12 +1,15 @@
-"""Conflict search over the reachable state space.
+"""Conflict search by path conditions.
 
 A conflict is an obligation and a prohibition on the same (pair,
-action) active in the same reachable state. `check` finds every such
-clash by walking the subset lattice in its canonical order
-(`semantics.fired_sets`) and reports one entry per origin pair with a
-shortest witness trace. `brute_force_oracle` answers the same question
-by exhaustive enumeration with its own tiny interpreter; it shares
-nothing with the scan and exists to keep `check` honest.
+action) active in the same reachable state. The norm state depends only
+on the fired set, so each O/F occurrence is in force exactly under a
+conjunction of literals on that set, its path condition. `check` derives
+every condition in one walk of the clause tree, decides each O/F pair
+by whether the two conditions hold together, and builds the shortest
+witness directly, so no state of the 2^n subset lattice is visited.
+`brute_force_oracle` answers the same question by exhaustive enumeration
+with its own tiny interpreter; it shares nothing with the check and
+exists to keep `check` honest.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .ast import (
     Permission,
     Prohibition,
 )
-from .semantics import ContractSemantics, Event, Norm, clashes, fired_sets, format_event
+from .semantics import ContractSemantics, Event, Norm, clash_order, format_event
 
 __all__ = [
     "Conflict",
@@ -74,43 +77,113 @@ class CheckReport:
 
 
 def check(contract: Contract) -> CheckReport:
-    """Derive every reachable state, smallest fired set first; report
-    each obligation/prohibition origin pair that clashes somewhere, with
-    a shortest witness (ties broken by event order). Witnesses are re-run
-    through the stepper before being reported, not trusted from the
-    scan."""
+    """Report each obligation/prohibition origin pair that clashes in some
+    reachable state, with its witness: the first fired set in
+    `semantics.fired_sets` order (smallest, then by event index) at which
+    the clash shows. Reports follow (witness, `clash_order`), the order a
+    walk of the lattice would find them in. Witnesses are re-run through
+    the stepper before being reported, not trusted from the construction.
+    """
     begin = time.perf_counter()
     sem = ContractSemantics(contract)
-    seen_keys = set()
-    conflicts: list[Conflict] = []
-    for fired in fired_sets(sem.universe):
-        for ob, forbid in clashes(sem.state(frozenset(fired))):
-            key = (ob.pair, ob.action, ob.origin, forbid.origin)
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            conflicts.append(Conflict(ob, forbid, fired))
+    universe = sem.universe
+    first_with: dict[str, int] = {}
+    for i, (_pair, action) in enumerate(universe):
+        first_with.setdefault(action, i)
 
+    obliged: dict[Event, list[tuple[Norm, _Condition]]] = {}
+    forbidden: list[tuple[Norm, _Condition]] = []
+    for norm, cond in _path_conditions(contract, universe):
+        if norm.kind == "O":
+            obliged.setdefault((norm.pair, norm.action), []).append((norm, cond))
+        else:
+            forbidden.append((norm, cond))
+
+    # (obligation, prohibition) -> the least witness as (size, event
+    # indices), the rank of a fired set in `fired_sets` order
+    least: dict[tuple[Norm, Norm], tuple[int, tuple[int, ...]]] = {}
+    for forbid, (f_need, f_banned, f_wanted) in forbidden:
+        for ob, (o_need, o_banned, o_wanted) in obliged.get((forbid.pair, forbid.action), ()):
+            # The obligation's own literal, its event unfired, needs no
+            # test: the prohibition bans that event's action.
+            banned = f_banned | o_banned
+            wanted = f_wanted | o_wanted
+            need = f_need | o_need
+            done = {universe[i][1] for i in need}
+            if banned & wanted or banned & done:
+                continue
+            # each watched action not yet performed costs one event, and
+            # the lowest-index one is the least choice
+            witness = tuple(sorted(need.union(first_with[a] for a in wanted - done)))
+            rank = (len(witness), witness)
+            if (ob, forbid) not in least or rank < least[ob, forbid]:
+                least[ob, forbid] = rank
+
+    conflicts = tuple(
+        Conflict(ob, forbid, tuple(universe[i] for i in least[ob, forbid][1]))
+        for ob, forbid in sorted(least, key=lambda clash: (least[clash], clash_order(clash)))
+    )
+    sharing: dict[tuple[Event, ...], list[Conflict]] = {}
     for conflict in conflicts:
-        _replay_witness(sem, conflict)
+        sharing.setdefault(conflict.witness, []).append(conflict)
+    for witness, group in sharing.items():
+        _replay_witness(sem, witness, group)
 
     # the lattice is full: 2^n states, and each of the n events labels
     # the edges out of the half of them where it is unfired
-    n = len(sem.universe)
+    n = len(universe)
     wall_ms = (time.perf_counter() - begin) * 1000.0
-    return CheckReport(
-        tuple(conflicts), CheckStats(2**n, n * 2**n // 2, wall_ms)
-    )
+    return CheckReport(conflicts, CheckStats(2**n, n * 2**n // 2, wall_ms))
 
 
-def _replay_witness(sem: ContractSemantics, conflict: Conflict):
+# (events that must have fired, as universe indices; actions no fired
+# event may perform; actions some fired event must perform)
+_Condition = tuple[frozenset[int], frozenset[str], frozenset[str]]
+
+_TRUE: _Condition = (frozenset(), frozenset(), frozenset())
+
+
+def _path_conditions(contract: Contract, universe: tuple[Event, ...]):
+    """Every obligation and prohibition occurrence with the condition on
+    the fired set under which it is in force: each enclosing box's guard
+    has fired; the prohibition's action and each enclosing `[!a]*`'s
+    action is performed by no fired event; each enclosing `[a]*`'s action
+    is performed by some fired event. The walk keeps its own stack."""
+    index_of = {event: i for i, event in enumerate(universe)}
+    out: list[tuple[Norm, _Condition]] = []
+    stack: list[tuple[Clause, _Condition]] = [(c, _TRUE) for c in contract.clauses]
+    while stack:
+        clause, cond = stack.pop()
+        need, banned, wanted = cond
+        if isinstance(clause, And):
+            stack.append((clause.left, cond))
+            stack.append((clause.right, cond))
+        elif isinstance(clause, Obligation):
+            out.append((Norm("O", clause.pair, clause.action, clause.span), cond))
+        elif isinstance(clause, Prohibition):
+            out.append((Norm("F", clause.pair, clause.action, clause.span),
+                        (need, banned | {clause.action}, wanted)))
+        elif isinstance(clause, Box):
+            guard = index_of[(clause.pair, clause.action)]
+            stack.append((clause.body, (need | {guard}, banned, wanted)))
+        elif isinstance(clause, IterBox):
+            if clause.positive:
+                stack.append((clause.body, (need, banned, wanted | {clause.action})))
+            else:
+                stack.append((clause.body, (need, banned | {clause.action}, wanted)))
+    return out
+
+
+def _replay_witness(sem: ContractSemantics, witness: tuple[Event, ...],
+                    conflicts: list[Conflict]):
     state = sem.initial_state()
-    for event in conflict.witness:
+    for event in witness:
         state = sem.step(state, event)
-    if conflict.obligation not in state.active or conflict.prohibition not in state.active:
-        raise RuntimeError(
-            f"witness replay failed for {conflict.pair} {conflict.action}"
-        )
+    for conflict in conflicts:
+        if conflict.obligation not in state.active or conflict.prohibition not in state.active:
+            raise RuntimeError(
+                f"witness replay failed for {conflict.pair} {conflict.action}"
+            )
 
 
 # -- independent oracle ------------------------------------------------

@@ -51,6 +51,7 @@ __all__ = [
     "event_universe",
     "fired_sets",
     "clashes",
+    "clash_order",
     "initial_state",
     "enumerate_reachable",
     "dump_lts",
@@ -136,32 +137,42 @@ def _event_key(event: Event):
 def fired_sets(universe: tuple[Event, ...]) -> Iterator[tuple[Event, ...]]:
     """Every subset of `universe`, each a tuple in universe order, smallest
     first and, within a size, lexicographic in event indices. This is the
-    canonical order of the subset lattice: the order of `Lts.states` and
-    of `check`'s scan. Firing order never matters, so the tuple is also
-    a run, and the first set showing a clash is a shortest witness."""
+    canonical order of the subset lattice: the order of `Lts.states`.
+    Firing order never matters, so the tuple is also a run, and the first
+    set showing a clash is a shortest witness; `check` reports exactly
+    that set without walking the lattice."""
     for size in range(len(universe) + 1):
         yield from itertools.combinations(universe, size)
 
 
+def clash_order(clash: tuple[Norm, Norm]):
+    """Total order on the clashes within one state: prohibition origin,
+    then the clashing (pair, action), then obligation origin. The (pair,
+    action) tie-break matters only for norms sharing an origin, which
+    parsed contracts never have but hand-built ones may."""
+    ob, forbid = clash
+    return (forbid.origin.line, forbid.origin.col, forbid.pair, forbid.action,
+            ob.origin.line, ob.origin.col)
+
+
 def clashes(state: NormState) -> list[tuple[Norm, Norm]]:
     """The (obligation, prohibition) pairs on one (pair, action) that are
-    both in force in `state`, ordered by prohibition origin, then
-    obligation origin."""
+    both in force in `state`, in `clash_order`."""
     obliged: dict[Event, list[Norm]] = {}
     for norm in state.active:
         if norm.kind == "O":
             obliged.setdefault((norm.pair, norm.action), []).append(norm)
     if not obliged:
         return []
-
-    def by_origin(norm: Norm):
-        return (norm.origin.line, norm.origin.col)
-
-    return [
-        (ob, forbid)
-        for forbid in sorted((n for n in state.active if n.kind == "F"), key=by_origin)
-        for ob in sorted(obliged.get((forbid.pair, forbid.action), ()), key=by_origin)
-    ]
+    return sorted(
+        (
+            (ob, forbid)
+            for forbid in state.active
+            if forbid.kind == "F"
+            for ob in obliged.get((forbid.pair, forbid.action), ())
+        ),
+        key=clash_order,
+    )
 
 
 class ContractSemantics:
@@ -189,16 +200,18 @@ class ContractSemantics:
 
     def state(self, fired: frozenset[Event]) -> NormState:
         """Derive the norm state after exactly `fired` has happened;
-        only boxes whose guard has fired are descended into."""
+        only boxes whose guard has fired are descended into. The walk
+        keeps its own stack, so no clause tree is too deep for it."""
         fired_actions = {action for _pair, action in fired}
         active: list[Norm] = []
         pending: list[tuple[Event, Clause]] = []
         watches: list[tuple[str, Clause, bool]] = []
-
-        def walk(clause: Clause):
+        stack = list(self.contract.clauses)
+        while stack:
+            clause = stack.pop()
             if isinstance(clause, And):
-                walk(clause.left)
-                walk(clause.right)
+                stack.append(clause.left)
+                stack.append(clause.right)
             elif isinstance(clause, Obligation):
                 if (clause.pair, clause.action) not in fired:
                     active.append(Norm("O", clause.pair, clause.action, clause.span))
@@ -209,7 +222,7 @@ class ContractSemantics:
                 pass
             elif isinstance(clause, Box):
                 if (clause.pair, clause.action) in fired:
-                    walk(clause.body)
+                    stack.append(clause.body)
                 else:
                     pending.append(((clause.pair, clause.action), clause.body))
             elif isinstance(clause, IterBox):
@@ -217,10 +230,7 @@ class ContractSemantics:
                 if not tripped:
                     watches.append((clause.action, clause.body, clause.positive))
                 if tripped if clause.positive else not tripped:
-                    walk(clause.body)
-
-        for clause in self.contract.clauses:
-            walk(clause)
+                    stack.append(clause.body)
         return NormState(fired, frozenset(active), frozenset(pending), frozenset(watches))
 
     def enumerate_reachable(self) -> Lts:

@@ -1,10 +1,10 @@
 """Seeded random contract builder shared by the test modules.
 
 Two flavors: `random_contract` draws arbitrary clause trees (any operator,
-boxes, iterated boxes) for parser round-trips and checker/oracle
-equivalence; `random_lowerable` draws conflict-free single-root-box chains
-whose guards all carry matching obligations, the shape the code generator
-accepts without synthesizing placeholder flags.
+boxes, iterated boxes of either polarity) for parser round-trips and
+checker/oracle equivalence; `random_lowerable` draws conflict-free
+single-root-box chains whose guards all carry matching obligations, the
+shape the code generator accepts without synthesizing placeholder flags.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _clause(rng: random.Random, agents: list[str], actions: list[str],
     body = _clause(rng, agents, actions, depth - 1)
     if kind == "box":
         return Box(pair, action, body, _SPAN)
-    return IterBox(pair, action, body, False, True, _SPAN)
+    return IterBox(pair, action, body, rng.random() < 0.5, True, _SPAN)
 
 
 def random_contract(rng: random.Random, max_events: int = 10) -> Contract:

@@ -2,11 +2,27 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rclc.ast import pretty_print
+from rclc.ast import (
+    AgentPair,
+    Box,
+    Contract,
+    Decl,
+    Obligation,
+    Prohibition,
+    Span,
+    pretty_print,
+)
 from rclc.parser import parse_contract
 from rclc.checker import (
     _oracle_active,
@@ -16,7 +32,14 @@ from rclc.checker import (
     report_to_json,
     report_to_text,
 )
-from rclc.semantics import ContractSemantics, dump_lts, enumerate_reachable
+from rclc.semantics import (
+    ContractSemantics,
+    clashes,
+    dump_lts,
+    enumerate_reachable,
+    event_universe,
+    fired_sets,
+)
 
 from contractgen import random_contract
 
@@ -105,6 +128,39 @@ def test_witness_ties_break_by_event_order():
     assert _oracle_first_witnesses(contract) == {
         (conflict.pair, "y"): conflict.witness
     }
+
+
+def test_watch_is_met_by_the_lowest_index_event_with_its_action():
+    # {b,a}[x]* is met by x performed by any pair; {a,b} x comes first in
+    # the event universe, so it is chosen over the watch's own event
+    contract = parsed(
+        "agents a, b; actions x, y; {a,b}O(y); {a,b}P(x); {b,a}[x]*({a,b}F(y));"
+    )
+    (conflict,) = check(contract).conflicts
+    assert [(str(p), a) for p, a in conflict.witness] == [("{a,b}", "x")]
+    # a guard that already performs x meets the watch; nothing is added
+    contract = parsed(
+        "agents a, b; actions x, y; {a,b}O(y); {a,b}P(x);"
+        " {b,a}[x]({a,b}[x]*({a,b}F(y)));"
+    )
+    (conflict,) = check(contract).conflicts
+    assert [(str(p), a) for p, a in conflict.witness] == [("{b,a}", "x")]
+
+
+def test_occurrences_sharing_an_origin_report_the_least_witness():
+    # hand-built clauses share one span, so both prohibitions are one
+    # norm, in force once g0 or g1 fires; g0 comes first in either order
+    span = Span(1, 1, 1, 1)
+    ab = AgentPair("a", "b")
+    guarded = [Box(ab, g, Prohibition(ab, "y", span), span) for g in ("g0", "g1")]
+    for boxes in (guarded, guarded[::-1]):
+        contract = Contract(
+            (Decl("a", span), Decl("b", span)),
+            tuple(Decl(name, span) for name in ("g0", "g1", "y")),
+            (Obligation(ab, "y", span), *boxes),
+        )
+        (conflict,) = check(contract).conflicts
+        assert conflict.witness == ((ab, "g0"),)
 
 
 def test_witness_replays_to_conflicting_state():
@@ -229,3 +285,106 @@ def test_color_toggle_inserts_ansi():
     colored = report_to_text(check(parsed(FIXED)), "p.rcl", color=True)
     assert "\x1b[" not in plain
     assert "\x1b[" in colored
+
+
+def _lattice_check(contract):
+    """The reference for `check`: walk the subset lattice in `fired_sets`
+    order and report each clashing origin pair at the first set showing
+    it, in `clashes` order within a set."""
+    sem = ContractSemantics(contract)
+    seen = set()
+    found = []
+    for fired in fired_sets(sem.universe):
+        for ob, forbid in clashes(sem.state(frozenset(fired))):
+            if (ob, forbid) not in seen:
+                seen.add((ob, forbid))
+                found.append((ob, forbid, fired))
+    n = len(sem.universe)
+    return found, (2**n, n * 2 ** (n - 1))
+
+
+def _merged_contract(rng, parts, max_events):
+    """The clauses of `parts` random contracts under one declaration, for
+    denser contracts than one draw gives; each draw declares a prefix of
+    the same agent and action pools, so the longest covers them all."""
+    while True:
+        drawn = [random_contract(rng, max_events) for _ in range(parts)]
+        contract = Contract(
+            max((c.agents for c in drawn), key=len),
+            max((c.actions for c in drawn), key=len),
+            tuple(clause for c in drawn for clause in c.clauses),
+        )
+        if len(event_universe(contract)) <= max_events:
+            return contract
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 3), reparse=st.booleans())
+def test_check_agrees_with_the_lattice_walk(seed, parts, reparse):
+    # unparsed contracts give every node the same span, so several
+    # occurrences share an origin and ties need the full report order
+    contract = _merged_contract(random.Random(seed), parts, max_events=12)
+    if reparse:
+        contract = parsed(pretty_print(contract))
+    report = check(contract)
+    found, stats = _lattice_check(contract)
+    assert [(c.obligation, c.prohibition, c.witness) for c in report.conflicts] == found
+    assert (report.stats.states, report.stats.transitions) == stats
+
+
+def test_report_order_does_not_depend_on_the_hash_seed():
+    # norms sharing an origin are ordered by (pair, action), not by
+    # where the hash of a frozenset happens to put them
+    script = textwrap.dedent("""
+        from rclc.ast import AgentPair, Contract, Decl, Obligation, Prohibition, Span
+        from rclc.checker import check
+        from rclc.semantics import clashes, initial_state
+
+        span = Span(1, 1, 1, 1)
+        clauses = tuple(
+            kind(AgentPair(x, y), action, span)
+            for x, y in (("a", "b"), ("b", "a"))
+            for action in ("x", "y", "z")
+            for kind in (Obligation, Prohibition)
+        )
+        contract = Contract(
+            tuple(Decl(name, span) for name in ("a", "b")),
+            tuple(Decl(name, span) for name in ("x", "y", "z")),
+            clauses,
+        )
+        for c in check(contract).conflicts:
+            print(c.pair, c.action)
+        for ob, forbid in clashes(initial_state(contract)):
+            print(ob.pair, ob.action)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1", "2", "3")
+    }
+    order = "".join(f"{{{x},{y}}} {a}\n" for x, y in ("ab", "ba") for a in "xyz")
+    assert outputs == {order * 2}
+
+
+def test_two_hundred_events_check_without_the_lattice():
+    # 100 guard boxes, each over an obligation, make 200 events; the one
+    # planted prohibition sits under two more guards
+    clauses = "".join(f"{{a,b}}[g{i}]({{a,b}}O(o{i}));\n" for i in range(100))
+    contract = parsed(
+        "agents a, b;\nactions "
+        + ", ".join(f"g{i}, o{i}" for i in range(100))
+        + ";\n" + clauses + "{a,b}[g98]({a,b}[g99]({a,b}F(o97)));\n"
+    )
+    report = check(contract)
+    (conflict,) = report.conflicts
+    assert conflict.action == "o97"
+    assert conflict.obligation.origin.line == 3 + 97
+    assert conflict.prohibition.origin.line == 3 + 100
+    ab = AgentPair("a", "b")
+    assert conflict.witness == ((ab, "g97"), (ab, "g98"), (ab, "g99"))
+    assert report.stats.states == 2**200
+    assert report.stats.transitions == 200 * 2**199

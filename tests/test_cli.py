@@ -178,6 +178,20 @@ def test_over_deep_nesting_exits_2(tmp_path, capsys):
     )
 
 
+def test_long_conjunction_reports_its_conflicts(tmp_path, capsys):
+    # a 1200-clause conjunction parses into an And chain that deep
+    path = tmp_path / "wide.rcl"
+    path.write_text(
+        "agents a, b;\nactions x;\n"
+        + " & ".join(["{a,b}O(x)"] * 1200) + ";\n{a,b}F(x);\n"
+    )
+    code = main(["check", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("is both obliged and forbidden to x") == 1200
+    assert "1200 conflict(s)" in out
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def broken(contract):
         raise RuntimeError("boom")
