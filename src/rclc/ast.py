@@ -11,6 +11,11 @@ deontic clause is relativized to an ordered pair of agents written
     {x,y} [!a]*(C)    C is in force until a is performed
     {x,y} [a]*(C)     accepted variant: C comes in force once a fires
 
+A conjunction `C1 & C2 & ...` is a tuple of clauses. A guard's body is
+one, and so is `Contract.clauses`, which holds the clauses of every
+top-level statement in order. A tree is therefore only as deep as its
+guard nesting, which the parser caps at `parser.MAX_NESTING`.
+
 Nodes are immutable values; equality is structural and ignores source
 spans, so a pretty-printed and re-parsed contract compares equal.
 """
@@ -30,7 +35,6 @@ __all__ = [
     "Permission",
     "Box",
     "IterBox",
-    "And",
     "Meta",
     "Contract",
     "ValidationIssue",
@@ -109,7 +113,7 @@ class Box(Clause):
 
     pair: AgentPair
     action: str
-    body: Clause
+    body: tuple[Clause, ...]
     span: Span = field(default=_NO_SPAN, compare=False)
 
 
@@ -127,16 +131,9 @@ class IterBox(Clause):
 
     pair: AgentPair
     action: str
-    body: Clause
+    body: tuple[Clause, ...]
     positive: bool = False
     starred: bool = True
-    span: Span = field(default=_NO_SPAN, compare=False)
-
-
-@dataclass(frozen=True)
-class And(Clause):
-    left: Clause
-    right: Clause
     span: Span = field(default=_NO_SPAN, compare=False)
 
 
@@ -200,35 +197,18 @@ class ValidationIssue:
         return f"{self.severity}: {self.message} (at {self.path})"
 
 
-def children(clause: Clause):
-    if isinstance(clause, And):
-        return (clause.left, clause.right)
-    if isinstance(clause, (Box, IterBox)):
-        return (clause.body,)
-    return ()
-
-
-def conjuncts(clause: Clause) -> list[Clause]:
-    """Flatten a conjunction tree into its list of clauses."""
-    if isinstance(clause, And):
-        return conjuncts(clause.left) + conjuncts(clause.right)
-    return [clause]
-
-
 def iter_clauses(contract: Contract):
     """Pre-order traversal of every clause node with its path, such as
-    ``clauses[0].body.left``."""
+    ``clauses[0].body[1]``."""
     stack = [(clause, f"clauses[{i}]") for i, clause in enumerate(contract.clauses)]
     stack.reverse()
     while stack:
         clause, path = stack.pop()
         yield clause, path
-        kids = children(clause)
-        if len(kids) == 2:  # And; right goes on first so left comes off first
-            stack.append((kids[1], path + ".right"))
-            stack.append((kids[0], path + ".left"))
-        elif kids:
-            stack.append((kids[0], path + ".body"))
+        if isinstance(clause, (Box, IterBox)):
+            body = clause.body
+            for i in range(len(body) - 1, -1, -1):  # last on first, first off first
+                stack.append((body[i], f"{path}.body[{i}]"))
 
 
 def validate(contract: Contract) -> list[ValidationIssue]:
@@ -274,8 +254,6 @@ def validate(contract: Contract) -> list[ValidationIssue]:
     used_actions: set[str] = set()
 
     for clause, path in iter_clauses(contract):
-        if isinstance(clause, And):
-            continue
         pair, action = clause.pair, clause.action
         for agent in (pair.performer, pair.counterparty):
             if agent not in agent_set:
@@ -331,6 +309,13 @@ def _validate_meta(contract, agent_set, action_set, issues):
     for agent in list(meta.roles) + list(meta.rolemsgs):
         if agent not in agent_set:
             err(f"annotation refers to undeclared agent '{agent}'", "annotations")
+    # these values become identifiers in the generated contract
+    named = {"role": meta.roles, "state": meta.states, "flag": meta.flags,
+             "func": meta.funcs, "payable": meta.payables}
+    for label, table in named.items():
+        for value in table.values():
+            if not _IDENT_RE.match(value):
+                err(f"{label} annotation value '{value}' is not an identifier", "annotations")
     keyed_tables = {
         "state": meta.states,
         "flag": meta.flags,
@@ -361,6 +346,10 @@ def _quote(text: str) -> str:
     return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _body_text(body: tuple[Clause, ...], indent: int) -> str:
+    return " &\n".join(_clause_text(c, indent) for c in body)
+
+
 def _clause_text(clause: Clause, indent: int = 0) -> str:
     pad = "    " * indent
     if isinstance(clause, Obligation):
@@ -370,15 +359,12 @@ def _clause_text(clause: Clause, indent: int = 0) -> str:
     if isinstance(clause, Permission):
         return f"{pad}{clause.pair} P({clause.action})"
     if isinstance(clause, Box):
-        inner = _clause_text(clause.body, indent + 1)
+        inner = _body_text(clause.body, indent + 1)
         return f"{pad}{clause.pair} [{clause.action}] (\n{inner}\n{pad})"
     if isinstance(clause, IterBox):
         guard = clause.action if clause.positive else "!" + clause.action
-        inner = _clause_text(clause.body, indent + 1)
+        inner = _body_text(clause.body, indent + 1)
         return f"{pad}{clause.pair} [{guard}]* (\n{inner}\n{pad})"
-    if isinstance(clause, And):
-        parts = [_clause_text(c, indent) for c in conjuncts(clause)]
-        return " &\n".join(parts)
     raise TypeError(f"not a clause: {clause!r}")
 
 

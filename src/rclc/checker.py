@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 
 from .ast import (
-    And,
     Box,
     Clause,
     Contract,
@@ -155,22 +154,21 @@ def _path_conditions(contract: Contract, universe: tuple[Event, ...]):
     while stack:
         clause, cond = stack.pop()
         need, banned, wanted = cond
-        if isinstance(clause, And):
-            stack.append((clause.left, cond))
-            stack.append((clause.right, cond))
-        elif isinstance(clause, Obligation):
+        if isinstance(clause, Obligation):
             out.append((Norm("O", clause.pair, clause.action, clause.span), cond))
         elif isinstance(clause, Prohibition):
             out.append((Norm("F", clause.pair, clause.action, clause.span),
                         (need, banned | {clause.action}, wanted)))
         elif isinstance(clause, Box):
             guard = index_of[(clause.pair, clause.action)]
-            stack.append((clause.body, (need | {guard}, banned, wanted)))
+            inner = (need | {guard}, banned, wanted)
+            stack.extend((c, inner) for c in clause.body)
         elif isinstance(clause, IterBox):
             if clause.positive:
-                stack.append((clause.body, (need, banned, wanted | {clause.action})))
+                inner = (need, banned, wanted | {clause.action})
             else:
-                stack.append((clause.body, (need, banned | {clause.action}, wanted)))
+                inner = (need, banned | {clause.action}, wanted)
+            stack.extend((c, inner) for c in clause.body)
     return out
 
 
@@ -235,13 +233,9 @@ def _oracle_universe(contract: Contract) -> set[Event]:
     stack: list[Clause] = list(contract.clauses)
     while stack:
         node = stack.pop()
-        if isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-            continue
         events.add((node.pair, node.action))
         if isinstance(node, (Box, IterBox)):
-            stack.append(node.body)
+            stack.extend(node.body)
     return events
 
 
@@ -252,10 +246,7 @@ def _oracle_active(contract: Contract, fired: frozenset) -> tuple[set, set]:
     stack: list[Clause] = list(contract.clauses)
     while stack:
         node = stack.pop()
-        if isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Obligation):
+        if isinstance(node, Obligation):
             if (node.pair, node.action) not in fired:
                 obliged.add((node.pair, node.action))
         elif isinstance(node, Prohibition):
@@ -265,10 +256,10 @@ def _oracle_active(contract: Contract, fired: frozenset) -> tuple[set, set]:
             pass
         elif isinstance(node, Box):
             if (node.pair, node.action) in fired:
-                stack.append(node.body)
+                stack.extend(node.body)
         elif isinstance(node, IterBox):
             if (node.action in done_actions) == node.positive:
-                stack.append(node.body)
+                stack.extend(node.body)
     return obliged, forbidden
 
 

@@ -55,7 +55,6 @@ from .ast import (
     Obligation,
     Permission,
     Prohibition,
-    conjuncts,
     iter_clauses,
 )
 from .checker import CheckReport, check
@@ -159,8 +158,8 @@ def _is_inline(meta: Meta, pair: AgentPair, action: str) -> bool:
 # Names no generated function or flag may take: Solidity keywords,
 # reserved words, units, types and the globals the emitted code calls,
 # then the members every generated contract declares. lower() refuses
-# role names among these and adds the contract's role fields and only*
-# modifiers.
+# contract and role names among these, names states from them, and adds
+# the contract's name, role fields and only* modifiers for members.
 _RESERVED_NAMES = frozenset(
     """
     abstract address after alias anonymous apply as assembly auto bool break
@@ -226,10 +225,7 @@ def lower(
     # -- sort the top level: one root box, house rules, ignorables ------
     root_box: Box | None = None
     rules: list[tuple[AgentPair, str, AgentPair, str]] = []
-    top: list[Clause] = []
     for clause in contract.clauses:
-        top.extend(conjuncts(clause))
-    for clause in top:
         if isinstance(clause, Box):
             if root_box is not None:
                 raise LowerError(
@@ -238,9 +234,8 @@ def lower(
                 )
             root_box = clause
         elif isinstance(clause, IterBox) and not clause.positive:
-            parts = conjuncts(clause.body)
-            if len(parts) == 1 and isinstance(parts[0], Prohibition):
-                ban = parts[0]
+            if len(clause.body) == 1 and isinstance(clause.body[0], Prohibition):
+                ban = clause.body[0]
                 rules.append((clause.pair, clause.action, ban.pair, ban.action))
             else:
                 raise LowerError(
@@ -261,6 +256,12 @@ def lower(
             "wrap the flow in one outermost guard"
         )
 
+    contract_name = meta.contract_name or "GeneratedContract"
+    if contract_name in _RESERVED_NAMES:
+        raise LowerError(
+            f"cannot lower: contract name '{contract_name}' is reserved in the "
+            "generated contract; choose another contract name"
+        )
     role_of = {a.name: meta.roles.get(a.name, a.name) for a in contract.agents}
     roles = tuple((role_of[a.name], a.name) for a in contract.agents)
     modifiers = set(_modifier_names(roles).values())
@@ -290,13 +291,13 @@ def lower(
             box_by_event.setdefault((part.pair, part.action), part)
 
     def promoted(box: Box) -> bool:
-        immediate = [c for c in conjuncts(box.body) if isinstance(c, Obligation)]
+        immediate = [c for c in box.body if isinstance(c, Obligation)]
         return len(immediate) >= 2
 
     # -- the chain ----------------------------------------------------------
     chain: list[Box] = [root_box]
     while True:
-        parts = conjuncts(chain[-1].body)
+        parts = chain[-1].body
         obs = [p for p in parts if isinstance(p, Obligation)]
         boxes = [p for p in parts if isinstance(p, Box)]
         if (
@@ -311,7 +312,7 @@ def lower(
     chain_events = {(b.pair, b.action) for b in chain}
     chain_ids = {id(b) for b in chain}
 
-    state_namer = _Namer(reserved={"Created", "Finalized"})
+    state_namer = _Namer(_RESERVED_NAMES | {"Created", "Finalized"})
     state_counter = [0]
 
     def state_name(event: Event) -> str:
@@ -328,7 +329,7 @@ def lower(
     # -- name assignment ------------------------------------------------------
     # functions, flags and amount parameters share one namespace in the
     # emitted contract
-    member_namer = _Namer(_RESERVED_NAMES | set(agent_of) | modifiers)
+    member_namer = _Namer(_RESERVED_NAMES | set(agent_of) | modifiers | {contract_name})
     fn_name_of: dict[Event, str] = {}
     flag_of: dict[Event, str] = {}
     advancing: set[Event] = set(chain_events)
@@ -522,12 +523,12 @@ def lower(
         )
 
     def process_cluster(
-        body: Clause,
+        body: tuple[Clause, ...],
         cluster_state: str,
         box_flags: list[str],
         enclosing_fn: str | None,
     ) -> None:
-        for part in conjuncts(body):
+        for part in body:
             if isinstance(part, Obligation):
                 event = (part.pair, part.action)
                 if event in chain_events:
@@ -626,7 +627,7 @@ def lower(
     )
 
     return MachineIR(
-        name=meta.contract_name or "GeneratedContract",
+        name=contract_name,
         roles=roles,
         role_messages=role_messages,
         state_message=meta.statemsg or "wrong state for this action",

@@ -22,9 +22,12 @@ Line comments start with "//". The Unicode aliases "∧" for "&" and "¬"
 for "!" are accepted. Errors render as
 ``<file>:<line>:<col>: error: expected <X>, found <Y>`` and the parser
 resynchronizes at the next ";" so several faults report in one run.
-A clause may sit inside at most MAX_NESTING guards; deeper nesting is
-a parse error, not a stack overflow in this recursive parser or in the
-recursive walks that follow it.
+A conjunction parses into a tuple of clauses: a guard's body, or the
+run of clauses a top-level statement adds to `Contract.clauses`. So a
+clause tree is as deep as its guard nesting, and a clause may sit inside
+at most MAX_NESTING guards; deeper nesting is a parse error, not a stack
+overflow in this recursive parser or in the recursive walks that follow
+it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass, field
 
 from .ast import (
     AgentPair,
-    And,
     Box,
     Clause,
     Contract,
@@ -231,12 +233,12 @@ class _Parser:
             except ParseError as exc:
                 self.errors.append(exc)
                 self.sync()
-        clauses = []
+        clauses: list[Clause] = []
         while not self.at("EOF"):
             try:
-                clause = self.clause_and(0)
+                statement = self.clause_and(0)
                 self.expect("SEMI", "';'")
-                clauses.append(clause)
+                clauses.extend(statement)
             except ParseError as exc:
                 self.errors.append(exc)
                 self.sync()
@@ -369,15 +371,12 @@ class _Parser:
             return Box(pair, action, body, span)
         raise self.fail("'O', 'F', 'P' or '['")
 
-    def clause_and(self, depth: int) -> Clause:
-        clause = self.clause(depth)
+    def clause_and(self, depth: int) -> tuple[Clause, ...]:
+        clauses = [self.clause(depth)]
         while self.at("AMP"):
             self.advance()
-            right = self.clause(depth)
-            span = Span(clause.span.line, clause.span.col,
-                        right.span.end_line, right.span.end_col)
-            clause = And(clause, right, span)
-        return clause
+            clauses.append(self.clause(depth))
+        return tuple(clauses)
 
 
 def parse_contract(text: str, file: str = "<input>") -> ParseResult:

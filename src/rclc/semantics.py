@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .ast import (
     AgentPair,
-    And,
     Box,
     Clause,
     Contract,
@@ -95,9 +94,9 @@ class NormState:
 
     fired: frozenset[Event]
     active: frozenset[Norm]
-    pending_boxes: frozenset[tuple[Event, Clause]]
-    # (watched action, guarded clause, positive?) for every armed watch
-    iter_watch: frozenset[tuple[str, Clause, bool]]
+    pending_boxes: frozenset[tuple[Event, tuple[Clause, ...]]]
+    # (watched action, guarded body, positive?) for every armed watch
+    iter_watch: frozenset[tuple[str, tuple[Clause, ...], bool]]
 
 
 @dataclass(frozen=True)
@@ -121,11 +120,7 @@ class Lts:
 def event_universe(contract: Contract) -> tuple[Event, ...]:
     """Every distinct (pair, action) occurring anywhere: as the subject
     of a deontic operator, a box guard, or an iterated watch."""
-    seen = {
-        (clause.pair, clause.action)
-        for clause, _path in iter_clauses(contract)
-        if not isinstance(clause, And)
-    }
+    seen = {(clause.pair, clause.action) for clause, _path in iter_clauses(contract)}
     return tuple(sorted(seen, key=_event_key))
 
 
@@ -200,19 +195,16 @@ class ContractSemantics:
 
     def state(self, fired: frozenset[Event]) -> NormState:
         """Derive the norm state after exactly `fired` has happened;
-        only boxes whose guard has fired are descended into. The walk
-        keeps its own stack, so no clause tree is too deep for it."""
+        only bodies of boxes whose guard has fired, and of watches in
+        force, are descended into. The walk keeps its own stack."""
         fired_actions = {action for _pair, action in fired}
         active: list[Norm] = []
-        pending: list[tuple[Event, Clause]] = []
-        watches: list[tuple[str, Clause, bool]] = []
+        pending: list[tuple[Event, tuple[Clause, ...]]] = []
+        watches: list[tuple[str, tuple[Clause, ...], bool]] = []
         stack = list(self.contract.clauses)
         while stack:
             clause = stack.pop()
-            if isinstance(clause, And):
-                stack.append(clause.left)
-                stack.append(clause.right)
-            elif isinstance(clause, Obligation):
+            if isinstance(clause, Obligation):
                 if (clause.pair, clause.action) not in fired:
                     active.append(Norm("O", clause.pair, clause.action, clause.span))
             elif isinstance(clause, Prohibition):
@@ -222,7 +214,7 @@ class ContractSemantics:
                 pass
             elif isinstance(clause, Box):
                 if (clause.pair, clause.action) in fired:
-                    stack.append(clause.body)
+                    stack.extend(clause.body)
                 else:
                     pending.append(((clause.pair, clause.action), clause.body))
             elif isinstance(clause, IterBox):
@@ -230,7 +222,7 @@ class ContractSemantics:
                 if not tripped:
                     watches.append((clause.action, clause.body, clause.positive))
                 if tripped if clause.positive else not tripped:
-                    stack.append(clause.body)
+                    stack.extend(clause.body)
         return NormState(fired, frozenset(active), frozenset(pending), frozenset(watches))
 
     def enumerate_reachable(self) -> Lts:

@@ -218,11 +218,12 @@ def parse_script(text: str) -> list[tuple[str, str, int]]:
             value = 0
         elif len(parts) == 3:
             account, function, tail = parts
-            if not tail.startswith("value=") or not tail[6:].isdigit():
+            digits = tail[6:]
+            if not (tail.startswith("value=") and digits.isascii() and digits.isdigit()):
                 raise SimError(
                     f"script line {lineno}: expected value=<n>, found '{tail}'"
                 )
-            value = int(tail[6:])
+            value = int(digits)
         else:
             raise SimError(
                 f"script line {lineno}: expected '<account> <function> "

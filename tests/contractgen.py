@@ -13,7 +13,6 @@ import random
 
 from rclc.ast import (
     AgentPair,
-    And,
     Box,
     Clause,
     Contract,
@@ -24,7 +23,6 @@ from rclc.ast import (
     Permission,
     Prohibition,
     Span,
-    conjuncts,
 )
 from rclc.semantics import event_universe
 
@@ -39,8 +37,8 @@ def _pair(rng: random.Random, agents: list[str]) -> AgentPair:
     return AgentPair(x, y)
 
 
-def _clause(rng: random.Random, agents: list[str], actions: list[str],
-            depth: int) -> Clause:
+def _conjunction(rng: random.Random, agents: list[str], actions: list[str],
+                 depth: int) -> tuple[Clause, ...]:
     choices = ["O", "F", "P"]
     if depth > 0:
         choices += ["box", "iter", "and"]
@@ -48,24 +46,18 @@ def _clause(rng: random.Random, agents: list[str], actions: list[str],
     pair = _pair(rng, agents)
     action = rng.choice(actions)
     if kind == "O":
-        return Obligation(pair, action, _SPAN)
+        return (Obligation(pair, action, _SPAN),)
     if kind == "F":
-        return Prohibition(pair, action, _SPAN)
+        return (Prohibition(pair, action, _SPAN),)
     if kind == "P":
-        return Permission(pair, action, _SPAN)
+        return (Permission(pair, action, _SPAN),)
     if kind == "and":
-        # the parser left-nests "a & b & c", so mirror that shape
-        left = _clause(rng, agents, actions, depth - 1)
-        right = _clause(rng, agents, actions, depth - 1)
-        parts = conjuncts(left) + conjuncts(right)
-        out = parts[0]
-        for part in parts[1:]:
-            out = And(out, part, _SPAN)
-        return out
-    body = _clause(rng, agents, actions, depth - 1)
+        left = _conjunction(rng, agents, actions, depth - 1)
+        return left + _conjunction(rng, agents, actions, depth - 1)
+    body = _conjunction(rng, agents, actions, depth - 1)
     if kind == "box":
-        return Box(pair, action, body, _SPAN)
-    return IterBox(pair, action, body, rng.random() < 0.5, True, _SPAN)
+        return (Box(pair, action, body, _SPAN),)
+    return (IterBox(pair, action, body, rng.random() < 0.5, True, _SPAN),)
 
 
 def random_contract(rng: random.Random, max_events: int = 10) -> Contract:
@@ -73,10 +65,11 @@ def random_contract(rng: random.Random, max_events: int = 10) -> Contract:
     agents = _AGENT_POOL[: rng.randint(2, 4)]
     actions = _ACTION_POOL[: rng.randint(1, 6)]
     while True:
-        n_clauses = rng.randint(1, 8)
+        n_statements = rng.randint(1, 8)
         clauses = tuple(
-            _clause(rng, agents, actions, rng.randint(0, 3))
-            for _ in range(n_clauses)
+            clause
+            for _ in range(n_statements)
+            for clause in _conjunction(rng, agents, actions, rng.randint(0, 3))
         )
         contract = Contract(
             tuple(Decl(a, _SPAN) for a in agents),
@@ -108,14 +101,9 @@ def random_lowerable(rng: random.Random) -> Contract:
         for _ in range(rng.randint(1, max(1, len(free))))
     ]
 
-    body: Clause = Obligation(*tail_events[0], _SPAN)
-    for pair, action in tail_events[1:]:
-        body = And(body, Obligation(pair, action, _SPAN), _SPAN)
-
+    body = tuple(Obligation(pair, action, _SPAN) for pair, action in tail_events)
     for pair, action in reversed(chain[1:]):
-        inner = And(Obligation(pair, action, _SPAN),
-                    Box(pair, action, body, _SPAN), _SPAN)
-        body = inner
+        body = (Obligation(pair, action, _SPAN), Box(pair, action, body, _SPAN))
     root_pair, root_action = chain[0]
     root = Box(root_pair, root_action, body, _SPAN)
 

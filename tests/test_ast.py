@@ -3,7 +3,6 @@
 from rclc.ast import (
     AgentPair,
     Meta,
-    conjuncts,
     iter_clauses,
     pretty_print,
     validate,
@@ -55,6 +54,19 @@ def test_undeclared_agent():
     assert any("undeclared agent 'c'" in m for m in errs)
 
 
+def test_name_valued_annotations_must_be_identifiers():
+    errs = errors_of(
+        'agents a, b; actions x, y; role a = "buyer x"; state {a,b}x = "S 1";'
+        ' flag y = "y-done"; func {a,b}x = "do it"; payable y = "1st";'
+        " message x = \"any text\"; {a,b}[x]({b,a}O(y));"
+    )
+    assert errs == [
+        f"{label} annotation value '{value}' is not an identifier"
+        for label, value in (("role", "buyer x"), ("state", "S 1"), ("flag", "y-done"),
+                             ("func", "do it"), ("payable", "1st"))
+    ]
+
+
 def test_undeclared_action():
     errs = errors_of("agents a, b; actions x; {a,b}O(zz);")
     assert any("undeclared action 'zz'" in m for m in errs)
@@ -104,23 +116,16 @@ def test_meta_lookup_prefers_exact_pair():
     assert meta.lookup(meta.funcs, AgentPair("a", "b"), "y") is None
 
 
-def test_conjuncts_flattens_nested_and():
-    c = parsed("agents a, b; actions x; {a,b}O(x) & {a,b}P(x) & {a,b}F(x);")
-    parts = conjuncts(c.clauses[0])
-    assert len(parts) == 3
-
-
 def test_iter_clauses_reports_paths():
     c = parsed(
         "agents a, b; actions x, y; {a,b}[x]({b,a}O(y) & {b,a}P(x)); {a,b}F(y);"
     )
     entries = [(type(cl).__name__, path) for cl, path in iter_clauses(c)]
-    # pre-order: each node before its children, left before right
+    # pre-order: each box before its body, a body in conjunct order
     assert entries == [
         ("Box", "clauses[0]"),
-        ("And", "clauses[0].body"),
-        ("Obligation", "clauses[0].body.left"),
-        ("Permission", "clauses[0].body.right"),
+        ("Obligation", "clauses[0].body[0]"),
+        ("Permission", "clauses[0].body[1]"),
         ("Prohibition", "clauses[1]"),
     ]
 

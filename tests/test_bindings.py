@@ -1,7 +1,9 @@
-"""The package's public names, and the module bindings the benchmark
-harness (perfbench/run.py) wraps or patches, all still resolve."""
+"""The package's and every module's public names, and the module
+bindings the benchmark harness (perfbench/run.py) wraps or patches, all
+still resolve."""
 
 import importlib
+import pkgutil
 
 import rclc
 
@@ -24,6 +26,20 @@ PATCHED = [
 
 def test_public_names_resolve():
     missing = [name for name in rclc.__all__ if not hasattr(rclc, name)]
+    assert missing == []
+
+
+def test_module_public_names_resolve():
+    modules = [
+        importlib.import_module(f"rclc.{info.name}")
+        for info in pkgutil.iter_modules(rclc.__path__)
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
     assert missing == []
 
 

@@ -152,7 +152,7 @@ def test_occurrences_sharing_an_origin_report_the_least_witness():
     # norm, in force once g0 or g1 fires; g0 comes first in either order
     span = Span(1, 1, 1, 1)
     ab = AgentPair("a", "b")
-    guarded = [Box(ab, g, Prohibition(ab, "y", span), span) for g in ("g0", "g1")]
+    guarded = [Box(ab, g, (Prohibition(ab, "y", span),), span) for g in ("g0", "g1")]
     for boxes in (guarded, guarded[::-1]):
         contract = Contract(
             (Decl("a", span), Decl("b", span)),

@@ -179,7 +179,8 @@ def test_over_deep_nesting_exits_2(tmp_path, capsys):
 
 
 def test_long_conjunction_reports_its_conflicts(tmp_path, capsys):
-    # a 1200-clause conjunction parses into an And chain that deep
+    # a 1200-clause statement puts 1200 clauses side by side in the
+    # contract's tuple; the tree is one level deep
     path = tmp_path / "wide.rcl"
     path.write_text(
         "agents a, b;\nactions x;\n"
@@ -190,6 +191,45 @@ def test_long_conjunction_reports_its_conflicts(tmp_path, capsys):
     assert code == 1
     assert out.count("is both obliged and forbidden to x") == 1200
     assert "1200 conflict(s)" in out
+
+
+def _wide_guard(tmp_path, body, rest=""):
+    path = tmp_path / "wide_guard.rcl"
+    path.write_text(
+        "agents b, s;\nactions go, pay, q;\n{b,s}[q](" + " & ".join(body) + ");\n" + rest
+    )
+    return str(path)
+
+
+def test_long_conjunction_in_a_guard_lowers_dumps_and_reparses(tmp_path, capsys):
+    path = _wide_guard(tmp_path, ["{b,s}O(pay)"] + ["{s,b}P(go)"] * 1199)
+    assert main(["gen", path]) == 0
+    assert capsys.readouterr().out.count("function pay()") == 1
+    assert main(["dump-lts", path]) == 0
+    assert capsys.readouterr().out.startswith("lts states=8 transitions=12 events=3\n")
+    assert main(["dump-ast", path]) == 0
+    out = capsys.readouterr().out
+    result = parse_contract(out)
+    assert result.ok
+    assert len(result.contract.clauses[0].body) == 1200
+
+
+def test_long_conjunction_in_a_guard_reports_a_conflict(tmp_path, capsys):
+    path = _wide_guard(tmp_path, ["{b,s}O(pay)"] * 1200, "{b,s}O(go) & {b,s}F(go);\n")
+    code = main(["check", path])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("is both obliged and forbidden to go") == 1
+    assert "1 conflict(s)" in out
+
+
+def test_dump_ast_writes_each_top_level_clause_as_a_statement(tmp_path, capsys):
+    path = tmp_path / "and.rcl"
+    path.write_text("agents a, b;\nactions x;\n{a,b}O(x) & {a,b}P(x);\n")
+    assert main(["dump-ast", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "agents a, b;\nactions x;\n\n{a,b} O(x);\n{a,b} P(x);\n"
+    )
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
@@ -218,6 +258,31 @@ def test_gen_reserved_role_name_exits_2(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "cannot lower: agent a's role name 'state' is reserved" in captured.err
+
+
+def test_generated_names_must_be_valid_solidity(tmp_path, capsys):
+    src = tmp_path / "names.rcl"
+    src.write_text(
+        'agents b, s;\nactions go, pay;\nrole b = "buyer x";\nstate {b,s}go = while;\n'
+        'func {b,s}pay = "do it";\ncontract if;\n{b,s}[go]({b,s}O(pay));\n'
+    )
+    for command in ("check", "gen", "dump-ast", "dump-lts"):
+        assert main([command, str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "role annotation value 'buyer x' is not an identifier" in captured.err
+        assert "func annotation value 'do it' is not an identifier" in captured.err
+
+    src.write_text("agents b, s;\nactions go, pay;\nstate {b,s}go = while;\n"
+                   "contract if;\n{b,s}[go]({b,s}O(pay));\n")
+    assert main(["gen", str(src)]) == 2
+    assert "contract name 'if' is reserved" in capsys.readouterr().err
+
+    src.write_text(src.read_text().replace("contract if;", "contract Deal;"))
+    assert main(["gen", str(src)]) == 0
+    out = capsys.readouterr().out
+    assert "contract Deal {" in out
+    assert "        while2,\n" in out
 
 
 _NOISE = ["{", "}", "[", "]", "(", ")", ",", ";", "*", "=", "&", "!",
@@ -323,6 +388,15 @@ def test_sim_missing_amount_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "paymentAmount" in err
+
+
+def test_sim_non_ascii_digit_value_exits_2(tmp_path, capsys):
+    script = tmp_path / "script.txt"
+    script.write_text("b buyProduct value=²\n")
+    code = main(["sim", FIXED, "--script", str(script)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "rclc: error: script line 1: expected value=<n>, found 'value=²'\n"
 
 
 def test_sim_custom_binding(tmp_path, capsys):

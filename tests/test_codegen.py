@@ -357,6 +357,29 @@ def test_role_names_must_be_free_and_distinct():
         assert refused.value.report is None
 
 
+def test_state_names_avoid_reserved_words():
+    src = """
+    agents a, b;
+    actions x, y, z;
+    state {a,b}x = while, {b,a}y = Finalized;
+    {a,b}[x]({a,b}O(x) & {b,a}[y]({b,a}O(y) & {a,b}O(z)));
+    """
+    ir = lower(parse(src))
+    assert ir.states == ("Created", "while2", "Finalized2", "Finalized")
+
+
+def test_contract_name_is_reserved():
+    src = "agents a, b;\nactions x, y;\ncontract {};\n{{a,b}}[x]({{b,a}}O(y));"
+    with pytest.raises(LowerError, match="contract name 'if' is reserved") as refused:
+        lower(parse(src.format("if")))
+    assert refused.value.report is None
+    # no member may take the contract's own name
+    ir = lower(parse(src.format("y")))
+    assert ir.name == "y"
+    assert [fn.name for fn in ir.functions] == ["x", "yA"]
+    assert [flag for flag, _ in ir.flags] == ["yDone"]
+
+
 def test_amount_parameters_avoid_function_names():
     src = """
     agents a, b;

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rclc.ast import And, Box, IterBox, Obligation, Permission, Prohibition, pretty_print
+from rclc.ast import Box, IterBox, Obligation, Permission, Prohibition, pretty_print
 from rclc.parser import parse_contract, tokenize
 
 from contractgen import random_contract
@@ -50,7 +50,7 @@ def test_all_clause_forms():
     """
     c = parse_ok(src)
     kinds = [type(cl) for cl in c.clauses]
-    assert kinds == [Prohibition, Permission, Box, IterBox, And]
+    assert kinds == [Prohibition, Permission, Box, IterBox, Obligation, Permission]
     iterbox = c.clauses[3]
     assert not iterbox.positive and iterbox.starred
 
@@ -78,12 +78,16 @@ def test_unstarred_negated_guard_parses():
     assert isinstance(clause, IterBox) and not clause.positive and not clause.starred
 
 
-def test_conjunction_is_left_associative():
-    c = parse_ok("agents a, b; actions x; {a,b}O(x) & {a,b}P(x) & {a,b}F(x);")
-    top = c.clauses[0]
-    assert isinstance(top, And)
-    assert isinstance(top.left, And)
-    assert isinstance(top.right, Prohibition)
+def test_conjunction_parses_into_a_tuple():
+    c = parse_ok(
+        "agents a, b; actions x; {a,b}O(x) & {a,b}P(x) & {a,b}F(x);"
+        " {a,b}[x]({a,b}O(x) & {a,b}P(x));"
+    )
+    # a top-level statement's clauses join the contract's own tuple
+    assert [type(cl) for cl in c.clauses] == [Obligation, Permission, Prohibition, Box]
+    body = c.clauses[3].body
+    assert isinstance(body, tuple)
+    assert [type(cl) for cl in body] == [Obligation, Permission]
 
 
 def test_error_format_and_location():

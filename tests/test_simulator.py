@@ -205,6 +205,11 @@ def test_parse_script_rejects_garbage():
     with pytest.raises(SimError, match="line 1"):
         parse_script("b\n")
     assert parse_script("# only a comment\n\n") == []
+    # "²" and "٣" pass str.isdigit(); int() rejects the first and reads
+    # the second as 3, so only ASCII digits are taken
+    for value in ("²", "٣"):
+        with pytest.raises(SimError, match=f"line 1: expected value=<n>, found 'value={value}'"):
+            parse_script(f"b payProduct value={value}\n")
 
 
 # -- invariants over random scripts --------------------------------------
