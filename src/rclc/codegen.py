@@ -8,6 +8,8 @@ The mapping, in the order it is applied:
              function;
   functions  every obligation becomes one function, role-guarded by its
              performer and state-guarded by the cluster it activates in;
+             an event obliged again under the same state and flags
+             reuses that function, and under other guards is refused;
   flags      sibling obligations in one cluster each set a boolean
              flag; a box guarded by such an event wraps its body behind
              that flag, except that a box holding two or more immediate
@@ -43,7 +45,7 @@ ignores `inline` and emits every function as externally callable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ast import (
     AgentPair,
@@ -136,12 +138,14 @@ class MachineIR:
     finalization_state: str | None
     finalization_flags: tuple[str, ...]
     warnings: tuple[str, ...] = ()
+    _by_name: dict[str, FunctionIR] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # lower() gives every function its own name
+        self._by_name = {fn.name: fn for fn in self.functions}
 
     def function(self, name: str) -> FunctionIR:
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        raise KeyError(name)
+        return self._by_name[name]
 
 
 def _cap(name: str) -> str:
@@ -522,6 +526,9 @@ def lower(
             enclosing_fn=None,
         )
 
+    # event -> (state, box flags) of the function built for it
+    guards_of: dict[Event, tuple[str, tuple[str, ...]]] = {}
+
     def process_cluster(
         body: tuple[Clause, ...],
         cluster_state: str,
@@ -533,6 +540,16 @@ def lower(
                 event = (part.pair, part.action)
                 if event in chain_events:
                     continue  # realized by the chain function itself
+                guards = (cluster_state, tuple(box_flags))
+                if event in guards_of:
+                    if guards_of[event] != guards:
+                        raise LowerError(
+                            f"cannot lower: {part.pair} {part.action} is obliged "
+                            "under two different guards, which would need two "
+                            "functions of one name; oblige it in one place"
+                        )
+                    continue  # the first occurrence's function serves both
+                guards_of[event] = guards
                 emit = EmitEvent(
                     role_of[part.pair.performer],
                     role_of[part.pair.counterparty],

@@ -1,9 +1,16 @@
 """Desk-scale execution of the generated state machine.
 
 A World holds named accounts with integer balances, the contract's own
-balance, the current state, the flag assignment, and two append-only
-logs. Calls are pure: `call` returns a fresh World and the record of
+balance, the current state, the flag assignment, and the log of calls
+made. Calls are pure: `call` returns a fresh World and the record of
 what happened. A reverted call changes nothing but the call log.
+
+The call log is stored as a persistent chain of (previous, record)
+pairs, newest first, which every later World shares, so a call costs
+the same however many calls came before it. `World.call_log` and
+`World.event_log` are tuples built from the chain when first read and
+then kept; the event log is the successful calls' events in call
+order. Equality, hashing and repr read those tuples, never the chain.
 
 Guard evaluation order per call: caller funds, payability, role, state,
 call value, flag preconditions in declaration order. The first failing
@@ -18,9 +25,10 @@ the sum of all balances is constant across any call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
-from .codegen import CallFn, EmitEvent, MachineIR, SetFlag, SetState
+from .codegen import CallFn, EmitEvent, FunctionIR, MachineIR, SetFlag, SetState
 
 __all__ = [
     "SimError",
@@ -53,17 +61,67 @@ class CallRecord:
     events: tuple[EventEntry, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class World:
-    ir: MachineIR = field(compare=False, repr=False)
+    """Built by `deploy` and `call` only. Two Worlds are equal when
+    everything but the IR is: the fields below and both logs."""
+
+    ir: MachineIR
     bindings: tuple[tuple[str, str], ...]  # (role name, account)
     amounts: tuple[tuple[str, int], ...]  # (param, value)
     accounts: tuple[tuple[str, int], ...]  # (account, balance)
     contract_balance: int
     current_state: str
     flag_values: tuple[tuple[str, bool], ...]
-    event_log: tuple[EventEntry, ...] = ()
-    call_log: tuple[CallRecord, ...] = ()
+    # bindings and amounts as dicts, built once by deploy and passed on
+    account_of: dict[str, str]
+    amount_of: dict[str, int]
+    # newest call first: (previous chain, CallRecord), None before any call
+    calls: tuple | None = None
+
+    @cached_property
+    def call_log(self) -> tuple[CallRecord, ...]:
+        records: list[CallRecord] = []
+        node = self.calls
+        while node is not None:
+            node, record = node
+            records.append(record)
+        records.reverse()
+        return tuple(records)
+
+    @cached_property
+    def event_log(self) -> tuple[EventEntry, ...]:
+        # a reverted record carries no events, so this is exactly what
+        # the successful calls emitted, in order
+        return tuple(event for record in self.call_log for event in record.events)
+
+    def _key(self) -> tuple:
+        return (
+            self.bindings,
+            self.amounts,
+            self.accounts,
+            self.contract_balance,
+            self.current_state,
+            self.flag_values,
+            self.event_log,
+            self.call_log,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        names = (
+            "bindings", "amounts", "accounts", "contract_balance",
+            "current_state", "flag_values", "event_log", "call_log",
+        )
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._key()))
+        return f"World({fields})"
 
     def balance(self, account: str) -> int:
         return dict(self.accounts)[account]
@@ -100,14 +158,18 @@ def deploy(
             raise SimError(f"value given for unknown parameter '{param}'")
     if initial_balance < 0:
         raise SimError("initial balance must be non-negative")
+    account_of = {role: bindings[role] for role in role_names}
+    amount_of = {p: int(amounts[p]) for p in ir.params}
     return World(
         ir=ir,
-        bindings=tuple((role, bindings[role]) for role in role_names),
-        amounts=tuple((p, int(amounts[p])) for p in ir.params),
+        bindings=tuple(account_of.items()),
+        amounts=tuple(amount_of.items()),
         accounts=tuple((a, initial_balance) for a in accounts),
         contract_balance=0,
         current_state=ir.states[0],
         flag_values=tuple((f, False) for f, _comment in ir.flags),
+        account_of=account_of,
+        amount_of=amount_of,
     )
 
 
@@ -116,14 +178,45 @@ class _Revert(Exception):
 
 
 class _Draft:
-    """Mutable working copy that a revert simply discards."""
+    """Mutable working copy of one call that a revert simply discards."""
 
-    def __init__(self, world: World):
+    def __init__(self, world: World, caller: str):
+        self.world = world
+        self.caller = caller
         self.accounts = dict(world.accounts)
         self.contract_balance = world.contract_balance
         self.state = world.current_state
         self.flags = dict(world.flag_values)
         self.events: list[EventEntry] = []
+
+    def run(self, fn: FunctionIR, value: int) -> None:
+        world = self.world
+        ir = world.ir
+        # role and state guards mirror the emitted modifiers
+        if self.caller != world.account_of[fn.role_guard]:
+            raise _Revert(dict(ir.role_messages)[fn.agent])
+        if fn.state_guard is not None and self.state != fn.state_guard:
+            raise _Revert(ir.state_message)
+        if fn.value_guard is not None and value != world.amount_of[fn.value_guard]:
+            raise _Revert(fn.value_message)
+        for flag, wanted, message in fn.flag_preconditions:
+            if self.flags[flag] != wanted:
+                raise _Revert(message)
+        for effect in fn.effects:
+            if isinstance(effect, SetState):
+                self.state = effect.state
+            elif isinstance(effect, SetFlag):
+                self.flags[effect.flag] = True
+            elif isinstance(effect, EmitEvent):
+                self.events.append((effect.sender, effect.receiver, effect.message))
+            elif isinstance(effect, CallFn):
+                # internal call: same caller identity, same call value
+                self.run(ir.function(effect.name), value)
+        if fn.finalize and ir.finalization_state is not None:
+            if self.state == ir.finalization_state and all(
+                self.flags[f] for f in ir.finalization_flags
+            ):
+                self.state = "Finalized"
 
 
 def call(
@@ -131,49 +224,15 @@ def call(
 ) -> tuple[World, CallRecord]:
     """Execute one call. Reverts are recorded, not raised; only misuse
     (unknown function or account) raises SimError."""
-    ir = world.ir
     try:
-        fn = ir.function(function)
+        fn = world.ir.function(function)
     except KeyError:
         raise SimError(f"unknown function '{function}'") from None
-    bindings = dict(world.bindings)
-    amounts = dict(world.amounts)
-    accounts = dict(world.accounts)
-    if caller not in accounts:
+    draft = _Draft(world, caller)
+    if caller not in draft.accounts:
         raise SimError(f"unknown account '{caller}'")
     if value < 0:
         raise SimError("call value must be non-negative")
-
-    draft = _Draft(world)
-
-    def run(fn, value: int) -> None:
-        # role and state guards mirror the emitted modifiers
-        if caller != bindings[fn.role_guard]:
-            raise _Revert(dict(ir.role_messages)[fn.agent])
-        if fn.state_guard is not None and draft.state != fn.state_guard:
-            raise _Revert(ir.state_message)
-        if fn.value_guard is not None and value != amounts[fn.value_guard]:
-            raise _Revert(fn.value_message)
-        for flag, wanted, message in fn.flag_preconditions:
-            if draft.flags[flag] != wanted:
-                raise _Revert(message)
-        for effect in fn.effects:
-            if isinstance(effect, SetState):
-                draft.state = effect.state
-            elif isinstance(effect, SetFlag):
-                draft.flags[effect.flag] = True
-            elif isinstance(effect, EmitEvent):
-                draft.events.append(
-                    (effect.sender, effect.receiver, effect.message)
-                )
-            elif isinstance(effect, CallFn):
-                # internal call: same caller identity, same call value
-                run(ir.function(effect.name), value)
-        if fn.finalize and ir.finalization_state is not None:
-            if draft.state == ir.finalization_state and all(
-                draft.flags[f] for f in ir.finalization_flags
-            ):
-                draft.state = "Finalized"
 
     try:
         if fn.private:
@@ -184,24 +243,35 @@ def call(
             raise _Revert(f"{function} is not payable")
         draft.accounts[caller] -= value
         draft.contract_balance += value
-        run(fn, value)
+        draft.run(fn, value)
     except _Revert as r:
         record = CallRecord(caller, function, value, ok=False, revert_message=str(r))
-        return replace(world, call_log=world.call_log + (record,)), record
+        return World(
+            world.ir,
+            world.bindings,
+            world.amounts,
+            world.accounts,
+            world.contract_balance,
+            world.current_state,
+            world.flag_values,
+            world.account_of,
+            world.amount_of,
+            (world.calls, record),
+        ), record
 
-    record = CallRecord(
-        caller, function, value, ok=True, events=tuple(draft.events)
-    )
-    new_world = replace(
-        world,
-        accounts=tuple(draft.accounts.items()),
-        contract_balance=draft.contract_balance,
-        current_state=draft.state,
-        flag_values=tuple(draft.flags.items()),
-        event_log=world.event_log + tuple(draft.events),
-        call_log=world.call_log + (record,),
-    )
-    return new_world, record
+    record = CallRecord(caller, function, value, ok=True, events=tuple(draft.events))
+    return World(
+        world.ir,
+        world.bindings,
+        world.amounts,
+        tuple(draft.accounts.items()),
+        draft.contract_balance,
+        draft.state,
+        tuple(draft.flags.items()),
+        world.account_of,
+        world.amount_of,
+        (world.calls, record),
+    ), record
 
 
 def parse_script(text: str) -> list[tuple[str, str, int]]:

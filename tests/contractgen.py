@@ -5,11 +5,14 @@ boxes, iterated boxes of either polarity) for parser round-trips and
 checker/oracle equivalence; `random_lowerable` draws conflict-free
 single-root-box chains whose guards all carry matching obligations, the
 shape the code generator accepts without synthesizing placeholder flags.
+`repeat_tail_obligations` restates some of a lowerable contract's
+innermost obligations, which must lower to the same machine.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from rclc.ast import (
     AgentPair,
@@ -113,3 +116,17 @@ def random_lowerable(rng: random.Random) -> Contract:
         (root,),
         Meta(),
     )
+
+
+def repeat_tail_obligations(rng: random.Random, contract: Contract) -> Contract:
+    """`contract` (from `random_lowerable`) with 1-3 of its innermost
+    obligations obliged again at the end of the same body: the same
+    events under the same guards, which adds no function."""
+
+    def restate(box: Box) -> Box:
+        if isinstance(box.body[-1], Box):
+            return replace(box, body=box.body[:-1] + (restate(box.body[-1]),))
+        extra = tuple(rng.choice(box.body) for _ in range(rng.randint(1, 3)))
+        return replace(box, body=box.body + extra)
+
+    return replace(contract, clauses=(restate(contract.clauses[0]),))

@@ -260,6 +260,24 @@ def test_gen_reserved_role_name_exits_2(tmp_path, capsys):
     assert "cannot lower: agent a's role name 'state' is reserved" in captured.err
 
 
+def test_repeated_obligation_emits_one_function(tmp_path, capsys):
+    src = tmp_path / "twice.rcl"
+    src.write_text("agents b, s;\nactions go, pay;\n{b,s}[go]({b,s}O(pay) & {b,s}O(pay));\n")
+    assert main(["gen", str(src)]) == 0
+    assert capsys.readouterr().out.count("function pay()") == 1
+    src.write_text(
+        "agents b, s;\nactions go, x, pay;\n"
+        "{b,s}[go]({b,s}O(x) & {b,s}[x]({b,s}O(pay)) & {b,s}O(pay));\n"
+    )
+    script = tmp_path / "script.txt"
+    script.write_text("b go\n")
+    for command in (["gen", str(src)], ["sim", str(src), "--script", str(script)]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot lower: {b,s} pay is obliged under two different guards" in captured.err
+
+
 def test_generated_names_must_be_valid_solidity(tmp_path, capsys):
     src = tmp_path / "names.rcl"
     src.write_text(

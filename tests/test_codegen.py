@@ -2,11 +2,14 @@
 rules, promotion, payability, golden files, determinism."""
 
 import random
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from rclc.codegen import (
+    _RESERVED_NAMES,
     CallFn,
     EmitEvent,
     LowerError,
@@ -18,7 +21,7 @@ from rclc.codegen import (
 from rclc.ast import Obligation, iter_clauses
 from rclc.parser import parse_contract
 
-from contractgen import random_lowerable
+from contractgen import random_lowerable, repeat_tail_obligations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -410,3 +413,81 @@ def test_reemission_after_pretty_print_round_trip():
     assert emit_solidity(lower(reparsed.contract)) == emit_solidity(
         lower(contract)
     )
+
+
+REPEATED = "agents b, s;\nactions go, pay;\n{b,s}[go]({b,s}O(pay) & {b,s}O(pay));\n"
+TWO_GUARDS = (
+    "agents b, s;\nactions go, x, pay;\n"
+    "{b,s}[go]({b,s}O(x) & {b,s}[x]({b,s}O(pay)) & {b,s}O(pay));\n"
+)
+
+
+def test_repeated_obligation_reuses_its_function():
+    ir = lower(parse(REPEATED))
+    assert [fn.name for fn in ir.functions] == ["go", "pay"]
+    text = emit_solidity(ir)
+    assert text.count("function pay()") == 1
+    assert "2. b performed pay toward s." in text
+    assert "3. b performed" not in text
+    once = REPEATED.replace(" & {b,s}O(pay)", "", 1)
+    assert text == emit_solidity(lower(parse(once)))
+    rng = random.Random(5150)
+    for _ in range(100):
+        contract = random_lowerable(rng)
+        repeated = repeat_tail_obligations(rng, contract)
+        assert repeated != contract
+        for fidelity in (False, True):
+            assert emit_solidity(
+                lower(repeated, fidelity_internal_calls=fidelity)
+            ) == emit_solidity(lower(contract, fidelity_internal_calls=fidelity))
+
+
+def test_obligation_under_two_guards_is_refused():
+    mirrored = TWO_GUARDS.replace(
+        "{b,s}[x]({b,s}O(pay)) & {b,s}O(pay)", "{b,s}O(pay) & {b,s}[x]({b,s}O(pay))"
+    )
+    assert mirrored != TWO_GUARDS
+    for src in (TWO_GUARDS, mirrored):
+        with pytest.raises(
+            LowerError,
+            match=r"cannot lower: \{b,s\} pay is obliged under two different guards",
+        ) as refused:
+            lower(parse(src))
+        assert refused.value.report is None
+
+
+_DECLARED = re.compile(
+    r"^contract (\w+) \{$"
+    r"|^    (?:address public|uint public|bool private|ContractState public) (\w+)\b"
+    r"|^    (?:enum|event|modifier|function) (\w+)\b",
+    re.M,
+)
+# declared by every generated contract, and reserved for it
+_FIXED_MEMBERS = {"ContractState", "state", "Notify", "atState", "checkFinalization"}
+
+
+def test_emitted_names_are_declared_once_and_not_reserved():
+    rng = random.Random(31337)
+    inputs = [
+        (load("purchase_fixed.rcl"), False),
+        (load("purchase_conflicted.rcl"), True),
+        (parse(REPEATED), False),
+    ]
+    for _ in range(150):
+        contract = random_lowerable(rng)
+        inputs += [(contract, False), (repeat_tail_obligations(rng, contract), False)]
+    for contract, allow in inputs:
+        for fidelity in (False, True):
+            ir = lower(contract, allow_conflicts=allow, fidelity_internal_calls=fidelity)
+            text = emit_solidity(ir)
+            declared = [
+                next(name for name in m.groups() if name)
+                for m in _DECLARED.finditer(text)
+            ]
+            functions = [fn.name for fn in ir.functions]
+            assert [n for n in declared if n in functions] == functions
+            twice = [n for n, count in Counter(declared).items() if count > 1]
+            assert twice == [], text
+            assert not (set(declared) - _FIXED_MEMBERS) & _RESERVED_NAMES
+            assert len(set(ir.states)) == len(ir.states)
+            assert not set(ir.states) & _RESERVED_NAMES

@@ -3,13 +3,16 @@ conservation, atomicity, monotonicity, and co-simulation against the
 contract's own transition semantics."""
 
 import random
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
 
-from rclc.codegen import lower
+from rclc.codegen import CallFn, EmitEvent, MachineIR, SetFlag, SetState, lower
 from rclc.parser import parse_contract
 from rclc.simulator import (
+    CallRecord,
+    EventEntry,
     SimError,
     call,
     co_simulate,
@@ -330,3 +333,222 @@ def test_random_scripts_never_break_conformity():
             i for i in co_simulate(contract, world) if "rejects" in i
         ]
         assert issues == []
+
+
+# -- the call log against the copying reference ---------------------------
+# `RefWorld` and `reference_call` are the simulator as it was before the
+# call log became a shared chain: each call copies both logs into fresh
+# tuples, which costs time linear in the log. Kept verbatim apart from
+# the names, as the reference the chained `call` must agree with.
+
+@dataclass(frozen=True)
+class RefWorld:
+    ir: MachineIR = field(compare=False, repr=False)
+    bindings: tuple[tuple[str, str], ...]  # (role name, account)
+    amounts: tuple[tuple[str, int], ...]  # (param, value)
+    accounts: tuple[tuple[str, int], ...]  # (account, balance)
+    contract_balance: int
+    current_state: str
+    flag_values: tuple[tuple[str, bool], ...]
+    event_log: tuple[EventEntry, ...] = ()
+    call_log: tuple[CallRecord, ...] = ()
+
+
+class _RefRevert(Exception):
+    pass
+
+
+class _RefDraft:
+    """Mutable working copy that a revert simply discards."""
+
+    def __init__(self, world: RefWorld):
+        self.accounts = dict(world.accounts)
+        self.contract_balance = world.contract_balance
+        self.state = world.current_state
+        self.flags = dict(world.flag_values)
+        self.events: list[EventEntry] = []
+
+
+def reference_call(
+    world: RefWorld, caller: str, function: str, value: int = 0
+) -> tuple[RefWorld, CallRecord]:
+    ir = world.ir
+    try:
+        fn = ir.function(function)
+    except KeyError:
+        raise SimError(f"unknown function '{function}'") from None
+    bindings = dict(world.bindings)
+    amounts = dict(world.amounts)
+    accounts = dict(world.accounts)
+    if caller not in accounts:
+        raise SimError(f"unknown account '{caller}'")
+    if value < 0:
+        raise SimError("call value must be non-negative")
+
+    draft = _RefDraft(world)
+
+    def run(fn, value: int) -> None:
+        # role and state guards mirror the emitted modifiers
+        if caller != bindings[fn.role_guard]:
+            raise _RefRevert(dict(ir.role_messages)[fn.agent])
+        if fn.state_guard is not None and draft.state != fn.state_guard:
+            raise _RefRevert(ir.state_message)
+        if fn.value_guard is not None and value != amounts[fn.value_guard]:
+            raise _RefRevert(fn.value_message)
+        for flag, wanted, message in fn.flag_preconditions:
+            if draft.flags[flag] != wanted:
+                raise _RefRevert(message)
+        for effect in fn.effects:
+            if isinstance(effect, SetState):
+                draft.state = effect.state
+            elif isinstance(effect, SetFlag):
+                draft.flags[effect.flag] = True
+            elif isinstance(effect, EmitEvent):
+                draft.events.append(
+                    (effect.sender, effect.receiver, effect.message)
+                )
+            elif isinstance(effect, CallFn):
+                # internal call: same caller identity, same call value
+                run(ir.function(effect.name), value)
+        if fn.finalize and ir.finalization_state is not None:
+            if draft.state == ir.finalization_state and all(
+                draft.flags[f] for f in ir.finalization_flags
+            ):
+                draft.state = "Finalized"
+
+    try:
+        if fn.private:
+            raise _RefRevert(f"{function} is private")
+        if value > draft.accounts[caller]:
+            raise _RefRevert("insufficient funds")
+        if fn.value_guard is None and value > 0:
+            raise _RefRevert(f"{function} is not payable")
+        draft.accounts[caller] -= value
+        draft.contract_balance += value
+        run(fn, value)
+    except _RefRevert as r:
+        record = CallRecord(caller, function, value, ok=False, revert_message=str(r))
+        return replace(world, call_log=world.call_log + (record,)), record
+
+    record = CallRecord(
+        caller, function, value, ok=True, events=tuple(draft.events)
+    )
+    new_world = replace(
+        world,
+        accounts=tuple(draft.accounts.items()),
+        contract_balance=draft.contract_balance,
+        current_state=draft.state,
+        flag_values=tuple(draft.flags.items()),
+        event_log=world.event_log + tuple(draft.events),
+        call_log=world.call_log + (record,),
+    )
+    return new_world, record
+
+
+def mixed_script(rng, ir, accounts, base, length):
+    """`length` calls: the base script in order, each next call taken
+    with probability 1/2, between random calls that mostly revert, with
+    a few unknown functions and accounts."""
+    functions = [fn.name for fn in ir.functions]
+    values = [0, 0, 0, 10, 100, 7, 10**6]
+    script, pending = [], list(base)
+    while len(script) < length:
+        roll = rng.random()
+        if pending and rng.random() < 0.5:
+            script.append(pending.pop(0))
+        elif roll < 0.02:
+            script.append((rng.choice(accounts + ["mallory"]), "nosuch", 0))
+        elif roll < 0.04:
+            script.append(("mallory", rng.choice(functions), 0))
+        else:
+            script.append(
+                (rng.choice(accounts), rng.choice(functions), rng.choice(values))
+            )
+    return script
+
+
+def assert_same_fold(ir, bindings, amounts, script, trace_every=1):
+    """Fold `script` through `call` and `reference_call` side by side and
+    compare after every step; the traces, which are a function of what
+    is compared before them, only after every `trace_every`-th call and
+    the last."""
+    world = deploy(ir, bindings, amounts)
+    ref = RefWorld(
+        ir, world.bindings, world.amounts, world.accounts,
+        world.contract_balance, world.current_state, world.flag_values,
+    )
+    for step, (account, function, value) in enumerate(script):
+        try:
+            ref, ref_record = reference_call(ref, account, function, value)
+        except SimError as expected:
+            with pytest.raises(SimError, match=f"^{expected}$"):
+                call(world, account, function, value)
+            continue
+        world, record = call(world, account, function, value)
+        assert record == ref_record, step
+        assert world.current_state == ref.current_state
+        assert world.flag_values == ref.flag_values
+        assert world.accounts == ref.accounts
+        assert world.contract_balance == ref.contract_balance
+        assert world.call_log == ref.call_log
+        assert world.event_log == ref.event_log
+        if step % trace_every == 0 or step == len(script) - 1:
+            assert render_trace(world) == render_trace(ref)
+    return world
+
+
+def test_call_agrees_with_the_copying_reference():
+    rng = random.Random(1848)
+    accounts = ["b", "s", "k", "c"]
+    targets = [
+        (fixed_ir(), script_calls("corrected_run.txt")),
+        (conflicted_ir(), script_calls("conflicted_run.txt")),
+        (
+            lower(load("purchase_conflicted.rcl"), allow_conflicts=True,
+                  fidelity_internal_calls=True),
+            script_calls("conflicted_run.txt"),
+        ),
+    ]
+    for ir, base in targets:
+        for _ in range(15):
+            length = rng.randint(1, 60)
+            assert_same_fold(ir, BIND, AMOUNTS, mixed_script(rng, ir, accounts, base, length))
+    for _ in range(40):
+        contract = random_lowerable(rng)
+        ir = lower(contract)
+        bindings = {role: agent for role, agent in ir.roles}
+        base = [(fn.agent, fn.name, 0) for fn in ir.functions]
+        script = mixed_script(rng, ir, list(bindings.values()), base, rng.randint(1, 40))
+        assert_same_fold(ir, bindings, {}, script)
+    ir, base = targets[0]
+    long_script = mixed_script(rng, ir, accounts, base, 3200)
+    world = assert_same_fold(ir, BIND, AMOUNTS, long_script, trace_every=100)
+    assert len(world.call_log) >= 3000 and world.current_state == "Finalized"
+
+
+# -- equality of long runs ----------------------------------------------
+
+def test_long_worlds_compare_by_value_without_recursion():
+    ir = fixed_ir()
+    script = mixed_script(
+        random.Random(8000), ir, ["b", "s", "k", "c"],
+        script_calls("corrected_run.txt"), 8000,
+    )
+    script = [c for c in script if c[0] != "mallory" and c[1] != "nosuch"]
+    assert len(script) > 7500
+    first, _ = run_script(ir, script, BIND, AMOUNTS)
+    second, _ = run_script(ir, script, BIND, AMOUNTS)
+    assert first is not second and first.calls is not second.calls
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert repr(first).startswith("World(bindings=")
+    # the same calls but for the first, which reverts for another reason
+    assert script[0] == ("b", "buyProduct", 0)
+    changed, _ = run_script(ir, [("s", "buyProduct", 0)] + script, BIND, AMOUNTS)
+    other, _ = run_script(ir, [("k", "buyProduct", 0)] + script, BIND, AMOUNTS)
+    assert changed.call_log[0] != other.call_log[0]
+    assert changed.call_log[1:] == other.call_log[1:]
+    assert changed.event_log == other.event_log
+    assert changed != other
+    assert changed != first
