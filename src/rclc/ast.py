@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "Span",
@@ -45,9 +46,10 @@ __all__ = [
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open source range, 1-based lines and columns."""
+class Span(NamedTuple):
+    """Half-open source range, 1-based lines and columns. A tuple, so a
+    token costs no dataclass set-up; it compares equal to a plain tuple
+    of the same four numbers."""
 
     line: int
     col: int

@@ -15,7 +15,6 @@ exists to keep `check` honest.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
 
@@ -270,6 +269,8 @@ def _span_at(origin, file: str) -> str:
 
 
 def report_to_json(report: CheckReport, file: str = "<input>") -> str:
+    import json
+
     payload = {
         "conflicts": [
             {

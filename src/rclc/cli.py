@@ -5,6 +5,11 @@ succeeded), 1 means conflicts were found, 2 means the input could not
 be processed at all (parse, validation, or I/O errors, bad flags,
 over-deep nesting) or an internal error stopped the run.
 Set RCLC_COLOR=1 to colorize the text conflict report.
+
+A command loads only its stages: `gen` imports codegen, `sim` codegen and
+the simulator, and the others neither. The stage functions a command
+calls are names of this module all the same, bound on first use, so a
+test or tracer that replaces `rclc.cli.lower` reaches the command.
 """
 
 from __future__ import annotations
@@ -12,16 +17,32 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 
 from .ast import Contract, pretty_print, validate
 from .checker import check, report_to_json, report_to_text
-from .codegen import LowerError, emit_solidity, lower
 from .parser import parse_contract
 from .semantics import dump_lts, enumerate_reachable, lts_to_dot
-from .simulator import SimError, parse_script, render_trace, run_script
 
 __all__ = ["main"]
+
+# names from codegen and the simulator; the package imports their module
+_STAGES = {"LowerError", "emit_solidity", "lower", "SimError", "parse_script",
+           "render_trace", "run_script"}
+
+
+def __getattr__(name: str):
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Bind stage names a command is about to call; a name already bound,
+    by an earlier command or from outside, is kept."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 class _Bail(Exception):
@@ -108,6 +129,7 @@ def _lower_or_bail(contract: Contract, args):
 
 
 def _cmd_gen(args) -> int:
+    _bind("LowerError", "lower", "emit_solidity")
     contract = _load(args.input)
     ir = _lower_or_bail(contract, args)
     _write_out(emit_solidity(ir), args.output)
@@ -128,13 +150,15 @@ def _parse_pairs(entries, what: str, value_parser):
 
 
 def _cmd_sim(args) -> int:
+    _bind("LowerError", "lower", "SimError", "parse_script", "run_script",
+          "render_trace")
     contract = _load(args.input)
     ir = _lower_or_bail(contract, args)
     bindings = {role: agent for role, agent in ir.roles}
     bindings.update(_parse_pairs(args.bind, "binding", str))
     amounts = _parse_pairs(args.amount, "amount", int)
-    script = parse_script(_read(args.script))
     try:
+        script = parse_script(_read(args.script))
         world, _records = run_script(
             ir, script, bindings, amounts, initial_balance=args.balance
         )
@@ -152,7 +176,10 @@ def _cmd_dump_ast(args) -> int:
 
 def _cmd_dump_lts(args) -> int:
     contract = _load(args.input)
-    lts = enumerate_reachable(contract)
+    try:
+        lts = enumerate_reachable(contract)
+    except ValueError as exc:  # over MAX_LTS_EVENTS; the contract is valid
+        raise _fail(str(exc)) from None
     if args.dot:
         sys.stdout.write(lts_to_dot(lts))
     else:
@@ -224,10 +251,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _Bail as bail:
         return bail.code
-    except SimError as exc:
-        print(f"rclc: error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # a defect, never "conflicts found"
+        import traceback
+
         traceback.print_exc()
         print(f"rclc: internal error: {exc!r}", file=sys.stderr)
         return 2

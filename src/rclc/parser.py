@@ -19,7 +19,9 @@ require repeat rolemsg valuemsg statemsg inline. They are contextual,
 not reserved, so an action may reuse them.
 
 Line comments start with "//". The Unicode aliases "∧" for "&" and "¬"
-for "!" are accepted. Errors render as
+for "!" are accepted. `tokenize` is one compiled regex alternation run
+by `re.finditer`; a `Token`, like its `Span`, is a named tuple, so a
+token costs two tuple allocations. Errors render as
 ``<file>:<line>:<col>: error: expected <X>, found <Y>`` and the parser
 resynchronizes at the next ";" so several faults report in one run.
 A conjunction parses into a tuple of clauses: a guard's body, or the
@@ -32,7 +34,9 @@ it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ast import (
     AgentPair,
@@ -65,8 +69,11 @@ _PUNCT = {
     ";": "SEMI",
     "*": "STAR",
     "=": "EQUALS",
+    "&": "AMP",
+    "∧": "AMP",
+    "!": "BANG",
+    "¬": "BANG",
 }
-_ALIASES = {"&": "AMP", "∧": "AMP", "!": "BANG", "¬": "BANG"}
 _KEYWORDS = {"agents", "actions", "O", "F", "P"}
 
 _ANNOTATIONS = {
@@ -74,9 +81,26 @@ _ANNOTATIONS = {
     "require", "repeat", "rolemsg", "valuemsg", "statemsg", "inline",
 }
 
+# One alternation, tried in order at each offset. A string runs to its
+# closing quote or, unterminated, to the end of its line; inside it a
+# backslash escapes '"', '\\' or 'n' and is otherwise an ordinary character.
+_TOKEN_RE = re.compile(
+    r"(?P<WORD>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<PUNCT>[{}\[\](),;*=&∧!¬])"
+    r"|(?P<SKIP>[ \t\r]+|//[^\n]*)"
+    r"|(?P<NEWLINE>\n)"
+    r'|(?P<STRING>"(?P<BODY>(?:\\["\\n]|[^"\n])*)(?P<CLOSE>"?))'
+    r"|(?P<ERROR>.)"
+)
+_ESCAPE_RE = re.compile(r'\\(["\\n])')
 
-@dataclass(frozen=True)
-class Token:
+
+def _unescape(match: re.Match) -> str:
+    char = match.group(1)
+    return "\n" if char == "n" else char
+
+
+class Token(NamedTuple):
     kind: str  # punctuation name, "IDENT", "STRING", keyword, "ERROR", "EOF"
     text: str
     span: Span
@@ -107,71 +131,38 @@ class ParseResult:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Scan into tokens; bytes outside the alphabet become ERROR tokens."""
+    """Scan into tokens; bytes outside the alphabet become ERROR tokens.
+    No token spans a line, so a column is the offset from its line's
+    start."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    append = tokens.append
+    new = tuple.__new__  # bypasses the tuples' Python-level __new__
+    line, base = 1, -1  # base: offset just before the current line
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            base = match.start()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in _PUNCT or ch in _ALIASES:
-            kind = _PUNCT.get(ch) or _ALIASES[ch]
-            tokens.append(Token(kind, ch, Span(line, col, line, col + 1)))
-            i += 1
-            col += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            chars = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\n":
-                    break
-                i += 1
-                col += 1
-                if c == '"':
-                    closed = True
-                    break
-                if c == "\\" and i < n and text[i] in ('"', "\\", "n"):
-                    esc = text[i]
-                    i += 1
-                    col += 1
-                    chars.append("\n" if esc == "n" else esc)
-                else:
-                    chars.append(c)
-            span = Span(start_line, start_col, line, col)
-            if closed:
-                tokens.append(Token("STRING", "".join(chars), span))
-            else:
-                tokens.append(Token("ERROR", "unterminated string", span))
-        elif ch.isalpha() and ch.isascii():
-            start_col = col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_") and text[j].isascii():
-                j += 1
-            word = text[i:j]
-            span = Span(line, start_col, line, start_col + len(word))
-            kind = word if word in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, span))
-            col += len(word)
-            i = j
+        start, end = match.span()
+        span = new(Span, (line, start - base, line, end - base))
+        lexeme = match.group()
+        if kind == "WORD":
+            append(new(Token, (lexeme if lexeme in _KEYWORDS else "IDENT", lexeme, span)))
+        elif kind == "PUNCT":
+            append(new(Token, (_PUNCT[lexeme], lexeme, span)))
+        elif kind == "STRING":
+            if not match.group("CLOSE"):
+                append(Token("ERROR", "unterminated string", span))
+                continue
+            body = match.group("BODY")
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(_unescape, body)
+            append(Token("STRING", body, span))
         else:
-            tokens.append(Token("ERROR", ch, Span(line, col, line, col + 1)))
-            i += 1
-            col += 1
+            append(Token("ERROR", lexeme, span))
     return tokens
 
 

@@ -17,7 +17,12 @@ finite. The norm state is a pure function of that set:
 
 Because activity depends only on the fired set, firing order can never
 matter, which makes the reachable system the subset lattice of the
-event universe.
+event universe. `enumerate_reachable` lists that lattice for at most
+MAX_LTS_EVENTS events.
+
+Deriving a state hashes no guarded body: the norms in force form a set,
+but the boxes still pending and the watches still armed are tuples in
+walk order, and `dump_lts` shows each distinct one once.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .ast import (
     Contract,
     IterBox,
     Obligation,
-    Permission,
     Prohibition,
     Span,
     iter_clauses,
@@ -48,6 +52,7 @@ __all__ = [
     "StepError",
     "ContractSemantics",
     "event_universe",
+    "MAX_LTS_EVENTS",
     "fired_sets",
     "clashes",
     "clash_order",
@@ -58,6 +63,9 @@ __all__ = [
 ]
 
 Event = tuple[AgentPair, str]
+
+# 2^16 states admit both fixtures
+MAX_LTS_EVENTS = 16
 
 
 class StepError(Exception):
@@ -94,9 +102,11 @@ class NormState:
 
     fired: frozenset[Event]
     active: frozenset[Norm]
-    pending_boxes: frozenset[tuple[Event, tuple[Clause, ...]]]
-    # (watched action, guarded body, positive?) for every armed watch
-    iter_watch: frozenset[tuple[str, tuple[Clause, ...], bool]]
+    # (guard event, guarded body) for every box not yet triggered, and
+    # (watched action, guarded body, positive?) for every armed watch, both
+    # in walk order; a box or watch written twice verbatim appears twice
+    pending_boxes: tuple[tuple[Event, tuple[Clause, ...]], ...]
+    iter_watch: tuple[tuple[str, tuple[Clause, ...], bool], ...]
 
 
 @dataclass(frozen=True)
@@ -196,7 +206,9 @@ class ContractSemantics:
     def state(self, fired: frozenset[Event]) -> NormState:
         """Derive the norm state after exactly `fired` has happened;
         only bodies of boxes whose guard has fired, and of watches in
-        force, are descended into. The walk keeps its own stack."""
+        force, are descended into. The walk keeps its own stack. Pending
+        boxes and armed watches are kept in walk order and never hashed:
+        a guarded body is a whole subtree."""
         fired_actions = {action for _pair, action in fired}
         active: list[Norm] = []
         pending: list[tuple[Event, tuple[Clause, ...]]] = []
@@ -204,32 +216,37 @@ class ContractSemantics:
         stack = list(self.contract.clauses)
         while stack:
             clause = stack.pop()
-            if isinstance(clause, Obligation):
+            kind = type(clause)
+            if kind is Obligation:
                 if (clause.pair, clause.action) not in fired:
                     active.append(Norm("O", clause.pair, clause.action, clause.span))
-            elif isinstance(clause, Prohibition):
+            elif kind is Prohibition:
                 if clause.action not in fired_actions:
                     active.append(Norm("F", clause.pair, clause.action, clause.span))
-            elif isinstance(clause, Permission):
-                pass
-            elif isinstance(clause, Box):
+            elif kind is Box:
                 if (clause.pair, clause.action) in fired:
                     stack.extend(clause.body)
                 else:
                     pending.append(((clause.pair, clause.action), clause.body))
-            elif isinstance(clause, IterBox):
+            elif kind is IterBox:
                 tripped = clause.action in fired_actions
                 if not tripped:
                     watches.append((clause.action, clause.body, clause.positive))
                 if tripped if clause.positive else not tripped:
                     stack.extend(clause.body)
-        return NormState(fired, frozenset(active), frozenset(pending), frozenset(watches))
+        return NormState(fired, frozenset(active), tuple(pending), tuple(watches))
 
     def enumerate_reachable(self) -> Lts:
         """The subset lattice in `fired_sets` order, each fired set derived
         once; any unfired event is enabled in any state, so every state
-        has one edge per unfired event, in universe order."""
+        has one edge per unfired event, in universe order. More than
+        MAX_LTS_EVENTS events raise ValueError before any state is built."""
         universe = self.universe
+        if len(universe) > MAX_LTS_EVENTS:
+            raise ValueError(
+                f"the transition system of {len(universe)} events has 2^{len(universe)} "
+                f"states; listing it is limited to {MAX_LTS_EVENTS} events"
+            )
         index_of = {frozenset(fired): i for i, fired in enumerate(fired_sets(universe))}
         states = tuple(self.state(fired) for fired in index_of)
         edges = tuple(
@@ -271,10 +288,11 @@ def dump_lts(lts: Lts) -> str:
         out.append(f"state {i} fired={{{fired}}}")
         for norm in sorted(state.active, key=_norm_sort_key):
             out.append(f"  {norm}")
-        for event, _body in sorted(state.pending_boxes, key=lambda p: _event_key(p[0])):
+        # one line per distinct box or watch, as in a set of them
+        for event, _body in sorted(set(state.pending_boxes), key=lambda p: _event_key(p[0])):
             out.append(f"  box {format_event(event)}")
         for action, _body, positive in sorted(
-            state.iter_watch, key=lambda w: (w[0], w[2])
+            set(state.iter_watch), key=lambda w: (w[0], w[2])
         ):
             out.append(f"  watch [{action}]*" if positive else f"  watch [!{action}]*")
     out.append("transitions")

@@ -2,9 +2,10 @@
 
 Two flavors: `random_contract` draws arbitrary clause trees (any operator,
 boxes, iterated boxes of either polarity) for parser round-trips and
-checker/oracle equivalence; `random_lowerable` draws conflict-free
-single-root-box chains whose guards all carry matching obligations, the
-shape the code generator accepts without synthesizing placeholder flags.
+checker/oracle equivalence, and `merged_contract` joins several draws into
+a denser one; `random_lowerable` draws conflict-free single-root-box chains
+whose guards all carry matching obligations, the shape the code generator
+accepts without synthesizing placeholder flags.
 `repeat_tail_obligations` restates some of a lowerable contract's
 innermost obligations, which must lower to the same machine.
 """
@@ -79,6 +80,21 @@ def random_contract(rng: random.Random, max_events: int = 10) -> Contract:
             tuple(Decl(a, _SPAN) for a in actions),
             clauses,
             Meta(),
+        )
+        if len(event_universe(contract)) <= max_events:
+            return contract
+
+
+def merged_contract(rng: random.Random, parts: int, max_events: int) -> Contract:
+    """The clauses of `parts` random contracts under one declaration, for
+    denser contracts than one draw gives; each draw declares a prefix of
+    the same agent and action pools, so the longest covers them all."""
+    while True:
+        drawn = [random_contract(rng, max_events) for _ in range(parts)]
+        contract = Contract(
+            max((c.agents for c in drawn), key=len),
+            max((c.actions for c in drawn), key=len),
+            tuple(clause for c in drawn for clause in c.clauses),
         )
         if len(event_universe(contract)) <= max_events:
             return contract

@@ -1,15 +1,25 @@
 """The package's and every module's public names, and the module
 bindings the benchmark harness (perfbench/run.py) wraps or patches, all
-still resolve."""
+still resolve; the CLI calls through those bindings and loads only the
+stages a command runs."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import rclc
+import rclc.cli
 import rclc.simulator
 from rclc.codegen import lower
 from rclc.parser import parse_contract
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 # (module, attribute) pairs perfbench/run.py patches with its tracer
 PATCHED = [
@@ -47,6 +57,19 @@ def test_module_public_names_resolve():
     assert missing == []
 
 
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rclc.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rclc.cli.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from rclc import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(rclc.__all__)
+
+
 def test_benchmark_bindings_resolve():
     missing = [
         f"{module}.{name}"
@@ -56,15 +79,64 @@ def test_benchmark_bindings_resolve():
     assert missing == []
 
 
+def test_gen_and_sim_call_the_cli_bindings(monkeypatch, capsys):
+    calls = []
+
+    def spy(name):
+        original = getattr(rclc.cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rclc.cli, name, counted)
+
+    for name in ("lower", "emit_solidity", "run_script", "render_trace"):
+        spy(name)
+    fixed = str(FIXTURES / "purchase_fixed.rcl")
+    assert rclc.cli.main(["gen", fixed]) == 0
+    assert calls == ["lower", "emit_solidity"]
+    script = str(FIXTURES / "scripts" / "corrected_run.txt")
+    sim = ["sim", fixed, "--script", script,
+           "--amount", "paymentAmount=100", "--amount", "shippingCosts=10"]
+    assert rclc.cli.main(sim) == 0
+    assert calls == ["lower", "emit_solidity", "lower", "run_script", "render_trace"]
+    capsys.readouterr()
+
+
+def _stages_loaded(tmp_path, *argv):
+    """The rclc modules in `sys.modules` when a `python -m rclc.cli` run
+    exits, as written by an exit hook that a sitecustomize installs."""
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        "atexit.register(lambda: open('loaded.txt', 'w').write(\n"
+        "    ' '.join(name for name in sys.modules if name.startswith('rclc'))))\n"
+    )
+    path = f"{tmp_path}{os.pathsep}{ROOT / 'src'}"
+    run = subprocess.run(
+        [sys.executable, "-m", "rclc.cli", *argv, str(FIXTURES / "purchase_fixed.rcl")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    return set((tmp_path / "loaded.txt").read_text().split())
+
+
+def test_commands_load_only_their_stages(tmp_path):
+    checked = _stages_loaded(tmp_path, "check")
+    assert "rclc.checker" in checked
+    assert not checked & {"rclc.codegen", "rclc.simulator"}
+    generated = _stages_loaded(tmp_path, "gen")
+    assert "rclc.codegen" in generated
+    assert "rclc.simulator" not in generated
+
 
 def test_run_script_calls_the_module_binding_once_per_line(monkeypatch):
     # perfbench counts simulator calls by patching rclc.simulator.call, so
     # run_script must look the binding up there on every call
-    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
-    contract = parse_contract((fixtures / "purchase_fixed.rcl").read_text()).contract
+    contract = parse_contract((FIXTURES / "purchase_fixed.rcl").read_text()).contract
     ir = lower(contract)
     script = rclc.simulator.parse_script(
-        (fixtures / "scripts" / "corrected_run.txt").read_text()
+        (FIXTURES / "scripts" / "corrected_run.txt").read_text()
     )
     script = script + [("s", "buyProduct", 0)] * 5  # reverts count too
     seen = []

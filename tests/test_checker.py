@@ -37,11 +37,10 @@ from rclc.semantics import (
     clashes,
     dump_lts,
     enumerate_reachable,
-    event_universe,
     fired_sets,
 )
 
-from contractgen import random_contract
+from contractgen import merged_contract, random_contract
 
 CONFLICTED = open("fixtures/purchase_conflicted.rcl").read()
 FIXED = open("fixtures/purchase_fixed.rcl").read()
@@ -303,27 +302,12 @@ def _lattice_check(contract):
     return found, (2**n, n * 2 ** (n - 1))
 
 
-def _merged_contract(rng, parts, max_events):
-    """The clauses of `parts` random contracts under one declaration, for
-    denser contracts than one draw gives; each draw declares a prefix of
-    the same agent and action pools, so the longest covers them all."""
-    while True:
-        drawn = [random_contract(rng, max_events) for _ in range(parts)]
-        contract = Contract(
-            max((c.agents for c in drawn), key=len),
-            max((c.actions for c in drawn), key=len),
-            tuple(clause for c in drawn for clause in c.clauses),
-        )
-        if len(event_universe(contract)) <= max_events:
-            return contract
-
-
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 3), reparse=st.booleans())
 def test_check_agrees_with_the_lattice_walk(seed, parts, reparse):
     # unparsed contracts give every node the same span, so several
     # occurrences share an origin and ties need the full report order
-    contract = _merged_contract(random.Random(seed), parts, max_events=12)
+    contract = merged_contract(random.Random(seed), parts, max_events=12)
     if reparse:
         contract = parsed(pretty_print(contract))
     report = check(contract)

@@ -16,6 +16,7 @@ import rclc.codegen
 from rclc.checker import check
 from rclc.cli import main
 from rclc.parser import MAX_NESTING, ParseResult, parse_contract
+from rclc.semantics import MAX_LTS_EVENTS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -101,6 +102,43 @@ def test_dump_lts_output_is_pinned(capsys):
         assert main(["dump-lts", path] + (["--dot"] if dot else [])) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (path, dot)
+
+
+def test_dump_lts_lists_a_repeated_box_and_watch_once(tmp_path, capsys):
+    # a box and a watch written twice verbatim are one line each, as when
+    # the state kept them in frozensets
+    path = tmp_path / "repeated.rcl"
+    path.write_text(
+        "agents a, b;\nactions x, y;\n{a,b}[x]({a,b}O(y));\n{a,b}[x]({a,b}O(y));\n"
+        "{a,b}[!y]*({a,b}O(x)) & {a,b}[!y]*({a,b}O(x));\n"
+    )
+    digests = {
+        False: "06311e0bdaa7fd2a90b5c71871ed6afbe3dbcba2f2f19f38360303f045ef6f88",
+        True: "06cf9f496439ab9bd41630330c035502d3e94be81e99641156e5d1e3df3849c0",
+    }
+    for dot, digest in digests.items():
+        assert main(["dump-lts", str(path)] + (["--dot"] if dot else [])) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, dot
+
+
+def test_dump_lts_refuses_more_events_than_the_limit(tmp_path, capsys):
+    # 2^17 states; refused before any is built
+    events = MAX_LTS_EVENTS + 1
+    path = tmp_path / "chain.rcl"
+    path.write_text(
+        "agents a, b;\nactions " + ", ".join(f"x{i}" for i in range(events)) + ";\n"
+        + "".join(f"{{a,b}}[x{i}](" for i in range(events - 1))
+        + f"{{a,b}}O(x{events - 1})" + ")" * (events - 1) + ";\n"
+    )
+    assert main(["dump-lts", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"rclc: error: the transition system of {events} events has 2^{events} states; "
+        f"listing it is limited to {MAX_LTS_EVENTS} events\n"
+    )
+    assert main(["check", str(path)]) == 0
 
 
 def test_gen_writes_golden(tmp_path, capsys):

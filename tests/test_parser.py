@@ -1,15 +1,21 @@
 """Parser tests: round-trip oracle, error rendering, recovery, fuzz."""
 
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rclc.parser
 from rclc.ast import Box, IterBox, Obligation, Permission, Prohibition, pretty_print
 from rclc.parser import parse_contract, tokenize
 
 from contractgen import random_contract
+from reference import reference_tokenize
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def parse_ok(src: str):
@@ -214,3 +220,55 @@ def test_fuzz_never_crashes(src):
 def test_round_trip_property(seed):
     contract = random_contract(random.Random(seed))
     assert parse_ok(pretty_print(contract)) == contract
+
+
+def _stream(tokens):
+    return [
+        (t.kind, t.text, (t.span.line, t.span.col, t.span.end_line, t.span.end_col))
+        for t in tokens
+    ]
+
+
+def _agrees_with_the_reference_scanner(text):
+    assert _stream(tokenize(text)) == _stream(reference_tokenize(text))
+    fast = parse_contract(text, file="f.rcl")
+    with mock.patch.object(rclc.parser, "tokenize", reference_tokenize):
+        slow = parse_contract(text, file="f.rcl")
+    assert [str(e) for e in fast.errors] == [str(e) for e in slow.errors]
+    assert fast.contract == slow.contract
+
+
+# pieces of text the scanner treats differently: every punctuation mark
+# and alias, string quotes and escapes, blanks and line ends, comment
+# starts, keywords, identifiers, and characters outside the alphabet
+_PIECES = [
+    *"{}[](),;*=&!∧¬\"\\/", "\t", "\r", "\n", " ", "//", "_", "0", "7",
+    "é", "一", "\U0002c540", "\x0b", "\\n", '\\"', "\\\\",
+    "agents", "actions", "O", "F", "P", "a", "b", "x", "x_1", "role", "message",
+    "statemsg", "agents a, b;\n", "actions x, y;\n", "{a,b}O(x);", "{a,b}[!y]*(",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=60).map("".join))
+def test_tokenize_matches_the_reference_scanner(text):
+    _agrees_with_the_reference_scanner(text)
+
+
+def test_tokenize_matches_the_reference_scanner_on_the_fixtures():
+    for name in ("purchase_fixed.rcl", "purchase_conflicted.rcl"):
+        _agrees_with_the_reference_scanner((FIXTURES / name).read_text())
+    deep = "{a,b}[x](" * 1200 + "{a,b}O(x)" + ")" * 1200
+    _agrees_with_the_reference_scanner(f"agents a, b;\nactions x;\n{deep};\n")
+
+
+def test_tokens_and_spans_are_tuples():
+    (token,) = tokenize('"a\\"b"')
+    assert token == ("STRING", 'a"b', (1, 1, 1, 7))
+    assert repr(token) == (
+        "Token(kind='STRING', text='a\"b', "
+        "span=Span(line=1, col=1, end_line=1, end_col=7))"
+    )
+    assert str(token.span) == "1:1"
+    with pytest.raises(AttributeError):
+        token.span.line = 2

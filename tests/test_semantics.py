@@ -1,6 +1,8 @@
 """State derivation, stepping, reachability, and the set-state property."""
 
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -18,7 +20,8 @@ from rclc.semantics import (
     lts_to_dot,
 )
 
-from contractgen import random_contract
+from contractgen import merged_contract, random_contract
+from reference import reference_dump_lts, reference_state
 
 FIXTURE = open("fixtures/purchase_conflicted.rcl").read()
 
@@ -117,7 +120,7 @@ def test_negative_watch_retires_body():
     assert len(s0.iter_watch) == 1
     s1 = sem.step(s0, (pair("a", "b"), "y"))
     assert s1.active == frozenset()
-    assert s1.iter_watch == frozenset()
+    assert s1.iter_watch == ()
 
 
 def test_positive_watch_activates_body():
@@ -257,3 +260,25 @@ def test_semantics_rejects_invalid_contract():
     assert result.ok
     with pytest.raises(ValueError):
         ContractSemantics(result.contract)
+
+
+def test_state_matches_the_reference_derivation():
+    # every fired set of contracts of up to 10 events; a frozenset of
+    # pending boxes or watches collapses the ones written twice verbatim,
+    # as in the doubled contracts
+    rng = random.Random(20261018)
+    contracts = [random_contract(rng) for _ in range(15)]
+    contracts += [merged_contract(rng, parts, max_events=10) for parts in (2, 3) * 8]
+    contracts += [replace(c, clauses=c.clauses * 2) for c in contracts[::4]]
+    contracts += [parsed(pretty_print(c)) for c in contracts[::3]]
+    for contract in contracts:
+        fast = enumerate_reachable(contract)
+        with mock.patch.object(ContractSemantics, "state", reference_state):
+            slow = enumerate_reachable(contract)
+        for new, old in zip(fast.states, slow.states, strict=True):
+            assert new.fired == old.fired
+            assert new.active == old.active
+            assert set(new.pending_boxes) == old.pending_boxes
+            assert set(new.iter_watch) == old.iter_watch
+        assert dump_lts(fast) == reference_dump_lts(slow)
+        assert lts_to_dot(fast) == lts_to_dot(slow)
