@@ -1,34 +1,44 @@
 """Lowering to a state-machine IR and Solidity emission.
 
-The mapping, in the order it is applied:
+`lower` runs in phases, each reading only what the ones before it built:
 
+  sort       the top level holds one root box; a negated watch guarding
+             one prohibition is a house rule; standing bans and
+             permissions produce no code;
   chain      the maximal run of singly-nested boxes from the root
              becomes the state enum (Created, one state per link,
              Finalized at the end); each link is a state-advancing
              function;
-  functions  every obligation becomes one function, role-guarded by its
-             performer and state-guarded by the cluster it activates in;
-             an event obliged again under the same state and flags
-             reuses that function, and under other guards is refused;
-  flags      sibling obligations in one cluster each set a boolean
-             flag; a box guarded by such an event wraps its body behind
-             that flag, except that a box holding two or more immediate
-             obligations promotes its guard event to a state-advancing
-             function opening a new cluster; obligations no box ever
-             waits on are terminal, and a synthesized checkFinalization
-             advances to Finalized once the last cluster is reached and
-             every terminal flag is set;
-  rules      a house rule `{x,y}[!a]*({u,v}F(b))` becomes a flag
-             precondition on the function performing ({u,v}, b): the
-             flag of ({x,y}, a) must already be set (a placeholder flag
-             no function ever sets is synthesized, with a warning, when
-             no obligation matches);
-  payable    an action whose name contains "pay", performed by the
-             buyer role or toward the bank role, is payable and guarded
-             against its amount parameter; the `payable` annotation
-             overrides the heuristic;
-  messages   every function emits a Notify event, numbered in emission
-             order unless the message table provides the text.
+  flow walk  one pre-order walk from the innermost chain body records
+             each obligation, box and nested watch it reaches with the
+             box enclosing it; it enters boxes and stops at a nested
+             watch, which is dropped with a warning together with
+             everything under it;
+  names      from that record, in a fixed order: each obliged event gets
+             one function and, unless promoted, a boolean flag; an event
+             whose first box holds two or more immediate obligations is
+             promoted to a state-advancing function opening a new
+             cluster, with a state of its own; a house rule
+             `{x,y}[!a]*({u,v}F(b))` becomes a flag precondition on the
+             function performing ({u,v}, b): the flag of ({x,y}, a) must
+             already be set (a placeholder flag no function ever sets is
+             synthesized, with a warning, when no obligation matches);
+  functions  the chain links, then each obligation's first site: a
+             function role-guarded by its performer and state-guarded by
+             the cluster it activates in; a box that does not open a
+             cluster wraps its body behind its event's flag (a
+             placeholder, with a warning, when nothing obliges the
+             event); an event obliged again under the same state and
+             flags reuses its function, and under other guards is
+             refused; obligations no box waits on are terminal, and a
+             synthesized checkFinalization advances to Finalized once
+             the last cluster is reached and every terminal flag is set.
+
+An action whose name contains "pay", performed by the buyer role or
+toward the bank role, is payable and guarded against its amount
+parameter; the `payable` annotation overrides the heuristic. Every
+function emits a Notify event, numbered in emission order unless the
+message table provides the text.
 
 Requires in a function body keep a fixed order: value guard, enclosing
 box flags outermost first, house-rule flags, and the function's own
@@ -39,8 +49,10 @@ emission, finalization check.
 `inline {x,y} a;` annotation turns that function private, strips its
 guards down to the role check, and makes its enclosing guard's function
 call it directly. The role check then sees the outer caller's identity,
-so the pair can never complete; a warning says so. The default mode
-ignores `inline` and emits every function as externally callable.
+so the pair can never complete; a warning says so. An inline function
+with no enclosing guard function is built as in the default mode, with
+a warning. The default mode ignores `inline` and emits every function
+as externally callable.
 """
 
 from __future__ import annotations
@@ -57,7 +69,6 @@ from .ast import (
     Obligation,
     Permission,
     Prohibition,
-    iter_clauses,
 )
 from .checker import CheckReport, check
 from .semantics import Event
@@ -107,7 +118,7 @@ class CallFn:
     name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionIR:
     name: str
     agent: str  # performer agent id
@@ -206,6 +217,77 @@ class _Namer:
         return f"{base}{n}"
 
 
+def _sort_top_level(contract: Contract) -> tuple[Box, list[tuple[Event, Event]]]:
+    """The one root box and the house rules, as (watched, banned) events.
+    Standing bans and permissions produce no code; anything else is
+    refused."""
+    root_box: Box | None = None
+    rules: list[tuple[Event, Event]] = []
+    for clause in contract.clauses:
+        if isinstance(clause, Box):
+            if root_box is not None:
+                raise LowerError(
+                    "cannot lower: more than one top-level box; restructure "
+                    "the contract so a single outermost guard wraps the flow"
+                )
+            root_box = clause
+        elif isinstance(clause, IterBox) and not clause.positive:
+            if len(clause.body) == 1 and isinstance(clause.body[0], Prohibition):
+                ban = clause.body[0]
+                rules.append(((clause.pair, clause.action), (ban.pair, ban.action)))
+            else:
+                raise LowerError(
+                    "cannot lower: a negated watch must guard exactly one "
+                    "prohibition to act as a house rule"
+                )
+        elif not isinstance(clause, (Prohibition, Permission)):
+            raise LowerError(
+                f"cannot lower: unsupported top-level "
+                f"{type(clause).__name__.lower()} clause; restructure the "
+                "contract so a single outermost guard wraps the flow"
+            )
+    if root_box is None:
+        raise LowerError(
+            "cannot lower: the contract needs a single top-level box chain; "
+            "wrap the flow in one outermost guard"
+        )
+    return root_box, rules
+
+
+def _chain(root_box: Box) -> list[Box]:
+    """The root box and each box whose parent's body is exactly that box
+    beside an obligation on the box's own guard event."""
+    chain = [root_box]
+    while len(body := chain[-1].body) == 2:
+        ob, box = body if isinstance(body[0], Obligation) else body[::-1]
+        if not (
+            isinstance(ob, Obligation)
+            and isinstance(box, Box)
+            and (ob.pair, ob.action) == (box.pair, box.action)
+        ):
+            break
+        chain.append(box)
+    return chain
+
+
+def _flow(body: tuple[Clause, ...]) -> list[tuple[Clause, int]]:
+    """The flow below the chain in pre-order: each obligation, box and
+    nested watch the walk reaches, with the index of the box whose body
+    holds it (-1 for `body` itself). The walk enters boxes and stops at
+    nested watches, which have no state-machine counterpart."""
+    sites: list[tuple[Clause, int]] = []
+
+    def walk(body: tuple[Clause, ...], parent: int) -> None:
+        for part in body:
+            if isinstance(part, (Obligation, Box, IterBox)):
+                sites.append((part, parent))
+                if isinstance(part, Box):
+                    walk(part.body, len(sites) - 1)
+
+    walk(body, -1)
+    return sites
+
+
 def lower(
     contract: Contract,
     allow_conflicts: bool = False,
@@ -225,41 +307,7 @@ def lower(
 
     meta = contract.meta
     warnings: list[str] = []
-
-    # -- sort the top level: one root box, house rules, ignorables ------
-    root_box: Box | None = None
-    rules: list[tuple[AgentPair, str, AgentPair, str]] = []
-    for clause in contract.clauses:
-        if isinstance(clause, Box):
-            if root_box is not None:
-                raise LowerError(
-                    "cannot lower: more than one top-level box; restructure "
-                    "the contract so a single outermost guard wraps the flow"
-                )
-            root_box = clause
-        elif isinstance(clause, IterBox) and not clause.positive:
-            if len(clause.body) == 1 and isinstance(clause.body[0], Prohibition):
-                ban = clause.body[0]
-                rules.append((clause.pair, clause.action, ban.pair, ban.action))
-            else:
-                raise LowerError(
-                    "cannot lower: a negated watch must guard exactly one "
-                    "prohibition to act as a house rule"
-                )
-        elif isinstance(clause, (Prohibition, Permission)):
-            continue  # standing bans and permissions produce no code
-        else:
-            raise LowerError(
-                f"cannot lower: unsupported top-level "
-                f"{type(clause).__name__.lower()} clause; restructure the "
-                "contract so a single outermost guard wraps the flow"
-            )
-    if root_box is None:
-        raise LowerError(
-            "cannot lower: the contract needs a single top-level box chain; "
-            "wrap the flow in one outermost guard"
-        )
-
+    root_box, rules = _sort_top_level(contract)
     contract_name = meta.contract_name or "GeneratedContract"
     if contract_name in _RESERVED_NAMES:
         raise LowerError(
@@ -283,126 +331,104 @@ def lower(
             )
         agent_of[role] = agent
 
-    # -- global indexes --------------------------------------------------
-    # Every obligation and box lies under root_box: the sort above refuses
-    # any other top-level clause that could hold one.
-    box_by_event: dict[Event, Box] = {}
-    obligations: list[Obligation] = []
-    for part, _path in iter_clauses(contract):
-        if isinstance(part, Obligation):
-            obligations.append(part)
-        elif isinstance(part, Box):
-            box_by_event.setdefault((part.pair, part.action), part)
+    chain = _chain(root_box)
+    links = [(link.pair, link.action) for link in chain]
+    sites = _flow(chain[-1].body)
+    first_box: dict[Event, Box] = {}
+    for node, _parent in sites:
+        if isinstance(node, Box):
+            first_box.setdefault((node.pair, node.action), node)
 
-    def promoted(box: Box) -> bool:
-        immediate = [c for c in box.body if isinstance(c, Obligation)]
-        return len(immediate) >= 2
-
-    # -- the chain ----------------------------------------------------------
-    chain: list[Box] = [root_box]
-    while True:
-        parts = chain[-1].body
-        obs = [p for p in parts if isinstance(p, Obligation)]
-        boxes = [p for p in parts if isinstance(p, Box)]
-        if (
-            len(parts) == 2
-            and len(obs) == 1
-            and len(boxes) == 1
-            and (obs[0].pair, obs[0].action) == (boxes[0].pair, boxes[0].action)
-        ):
-            chain.append(boxes[0])
-        else:
-            break
-    chain_events = {(b.pair, b.action) for b in chain}
-    chain_ids = {id(b) for b in chain}
-
-    state_namer = _Namer(_RESERVED_NAMES | {"Created", "Finalized"})
-    state_counter = [0]
-
-    def state_name(event: Event) -> str:
-        given = meta.lookup(meta.states, event[0], event[1])
-        if given:
-            return state_namer.claim(given)
-        state_counter[0] += 1
-        return state_namer.claim(f"S{state_counter[0]}")
-
-    states: list[str] = ["Created"]
-    for link in chain:
-        states.append(state_name((link.pair, link.action)))
-
-    # -- name assignment ------------------------------------------------------
+    # -- names, claimed in a fixed order ---------------------------------------
     # functions, flags and amount parameters share one namespace in the
     # emitted contract
     member_namer = _Namer(_RESERVED_NAMES | set(agent_of) | modifiers | {contract_name})
-    fn_name_of: dict[Event, str] = {}
-    flag_of: dict[Event, str] = {}
-    advancing: set[Event] = set(chain_events)
 
-    def fn_candidates(pair: AgentPair, action: str) -> tuple[str, ...]:
-        given = meta.lookup(meta.funcs, pair, action)
-        return (
-            given or "",
+    def fn_name(pair: AgentPair, action: str) -> str:
+        return member_namer.claim(
+            meta.lookup(meta.funcs, pair, action) or "",
             action,
             action + _cap(role_of[pair.counterparty]),
             action + _cap(role_of[pair.performer]) + _cap(role_of[pair.counterparty]),
         )
 
-    for link in chain:
-        fn_name_of[(link.pair, link.action)] = member_namer.claim(
-            *fn_candidates(link.pair, link.action)
-        )
-    for ob in obligations:
-        event = (ob.pair, ob.action)
-        if event in fn_name_of:
-            continue  # a chain guard doubles as this obligation's function
-        fn_name_of[event] = member_namer.claim(*fn_candidates(ob.pair, ob.action))
-        box = box_by_event.get(event)
-        if box is not None and promoted(box):
-            advancing.add(event)
+    fn_name_of = {event: fn_name(*event) for event in links}
+    flag_of: dict[Event, str] = {}
+    flags: list[tuple[str, str]] = []  # (flag, declaration comment)
+    promoted: list[Event] = []
+    for node, _parent in sites:
+        event = (node.pair, node.action)
+        if not isinstance(node, Obligation) or event in fn_name_of:
+            continue  # a chain link or an earlier site names this function
+        fn_name_of[event] = fn_name(*event)
+        box = first_box.get(event)
+        if box is not None and sum(isinstance(c, Obligation) for c in box.body) >= 2:
+            promoted.append(event)
         else:
-            given = meta.lookup(meta.flags, ob.pair, ob.action)
             flag_of[event] = member_namer.claim(
-                given or "",
-                f"{ob.action}Done",
-                f"{ob.action}Done{_cap(role_of[ob.pair.counterparty])}",
+                meta.lookup(meta.flags, *event) or "",
+                f"{node.action}Done",
+                f"{node.action}Done{_cap(role_of[node.pair.counterparty])}",
             )
+            flags.append((flag_of[event], f"// {node.pair} O({node.action})"))
+    chain_events = set(links)
+    advancing = chain_events.union(promoted)
 
-    flag_order: list[Event] = [
-        e
-        for e in dict.fromkeys((ob.pair, ob.action) for ob in obligations)
-        if e in flag_of
-    ]
+    state_namer = _Namer(_RESERVED_NAMES | {"Created", "Finalized"})
+    states = ["Created"]
+    unnamed = 0
+    for pair, action in links + promoted:
+        given = meta.lookup(meta.states, pair, action)
+        unnamed += not given
+        states.append(state_namer.claim(given or f"S{unnamed}"))
+    promo_state_of = dict(zip(promoted, states[len(chain) + 1:]))
+    states.append("Finalized")
 
-    # -- house-rule preconditions, placeholder flags ----------------------------
+    def placeholder(event: Event, comment: str, given: str = "") -> str:
+        """Declare a flag for `event` that no function sets."""
+        flag = flag_of[event] = member_namer.claim(given, f"{event[1]}Done")
+        flags.append((flag, f"// {event[0]} {comment} (no setter)"))
+        return flag
+
     rule_flags_of: dict[Event, list[str]] = {}
-    phantom_flags: list[tuple[str, str]] = []
-    for watch_pair, watch_action, target_pair, target_action in rules:
-        target = (target_pair, target_action)
+    for watch, target in rules:
         if target not in fn_name_of:
             warnings.append(
-                f"house rule bans {target_pair} {target_action}, which no "
+                f"house rule bans {target[0]} {target[1]}, which no "
                 "obligation or guard performs; rule dropped"
             )
             continue
-        source = (watch_pair, watch_action)
-        flag = flag_of.get(source)
+        flag = flag_of.get(watch)
         if flag is None:
-            given = meta.lookup(meta.flags, watch_pair, watch_action)
-            flag = member_namer.claim(given or "", f"{watch_action}Done")
-            flag_of[source] = flag
-            phantom_flags.append(
-                (flag, f"// {watch_pair} [!{watch_action}]* (no setter)")
-            )
+            given = meta.lookup(meta.flags, *watch) or ""
+            flag = placeholder(watch, f"[!{watch[1]}]*", given)
             warnings.append(
-                f"house rule watches {watch_pair} {watch_action}, which no "
+                f"house rule watches {watch[0]} {watch[1]}, which no "
                 f"obligation performs; flag {flag} can never be set"
             )
         rule_flags_of.setdefault(target, []).append(flag)
 
-    # -- message and payability helpers ------------------------------------------
+    # fidelity mode: the guard function that calls each inline function,
+    # None when no guard function encloses its first site
+    caller_of: dict[Event, str | None] = {}
+    calls_of: dict[str, list[CallFn]] = {}
+    if fidelity_internal_calls:
+        for event in links:
+            if _is_inline(meta, *event):
+                caller_of[event] = None
+        for node, parent in sites:
+            if isinstance(node, Obligation) and _is_inline(meta, node.pair, node.action):
+                guard = sites[parent][0] if parent >= 0 else None
+                caller_of.setdefault(
+                    (node.pair, node.action),
+                    guard and fn_name_of.get((guard.pair, guard.action)),
+                )
+        for event, caller in caller_of.items():
+            if caller is not None:
+                calls_of.setdefault(caller, []).append(CallFn(fn_name_of[event]))
+
     bank_agents = {a for a, r in role_of.items() if r == "bank"}
     buyer_agents = {a for a, r in role_of.items() if r == "buyer"}
-
     param_of: dict[str, str] = {}  # wanted name -> claimed member name
 
     def payable_param(pair: AgentPair, action: str) -> str | None:
@@ -417,42 +443,27 @@ def lower(
             param_of[wanted] = member_namer.claim(wanted)
         return param_of[wanted]
 
+    # -- functions: the chain links, then each obligation's first site ------
     functions: list[FunctionIR] = []
-    params: list[str] = []
-    promo_state_of: dict[Event, str] = {}
-    inline_links: list[tuple[str, str]] = []  # (caller fn, callee fn)
     terminal_flags: list[str] = []
 
-    def message_for(pair: AgentPair, action: str) -> str:
-        given = meta.lookup(meta.messages, pair, action)
-        if given:
-            return given
-        return (
-            f"{len(functions) + 1}. {role_of[pair.performer]} performed "
-            f"{action} toward {role_of[pair.counterparty]}."
-        )
-
     def build(
-        pair: AgentPair,
-        action: str,
-        state_guard: str | None,
-        box_flags: list[str],
-        effects: list[object],
+        event: Event,
+        state_guard: str,
+        box_flags: tuple[str, ...],
+        change: SetState | SetFlag,
         comment: str,
-        repeat_flag: str | None,
-        finalize: bool,
-        enclosing_fn: str | None,
+        repeat_flag: str | None = None,
+        finalize: bool = False,
     ) -> None:
-        event = (pair, action)
-        requires: list[tuple[str, bool, str]] = []
-        seen = set()
-        for flag in box_flags + rule_flags_of.get(event, []):
-            if flag in seen:
-                continue
-            seen.add(flag)
-            requires.append(
-                (flag, True, meta.requires.get(flag, f"{flag} required"))
-            )
+        pair, action = event
+        name = fn_name_of[event]
+        param = payable_param(pair, action)
+        rule_flags = rule_flags_of.get(event, [])
+        requires = [
+            (flag, True, meta.requires.get(flag, f"{flag} required"))
+            for flag in dict.fromkeys(box_flags + tuple(rule_flags))
+        ]
         if repeat_flag is not None:
             requires.append(
                 (
@@ -461,180 +472,101 @@ def lower(
                     meta.repeats.get(repeat_flag, f"{repeat_flag} already set"),
                 )
             )
-        param = payable_param(pair, action)
-        if param and param not in params:
-            params.append(param)
-        comments = [comment]
-        if rule_flags_of.get(event):
-            comments.append(
-                f"// house rule guard: {', '.join(rule_flags_of[event])}"
+        comments = (comment,)
+        if rule_flags:
+            comments += (f"// house rule guard: {', '.join(rule_flags)}",)
+        caller = caller_of.get(event)
+        if caller is not None:
+            warnings.append(
+                f"fidelity: {name} is private and called from {caller}; its "
+                "role guard sees the outer caller, so the call always reverts"
             )
-        fn = FunctionIR(
-            name=fn_name_of[event],
-            agent=pair.performer,
-            role_guard=role_of[pair.performer],
-            state_guard=state_guard,
-            value_guard=param,
-            value_message=(
-                (meta.lookup(meta.valuemsgs, pair, action)
-                 or f"wrong value for {param}")
-                if param
-                else None
-            ),
-            flag_preconditions=tuple(requires),
-            effects=tuple(effects),
-            event=event,
-            finalize=finalize,
-            comments=tuple(comments),
+        elif event in caller_of:
+            warnings.append(
+                f"fidelity: inline {name} has no enclosing guard function to "
+                "call it from; annotation ignored"
+            )
+        message = meta.lookup(meta.messages, pair, action) or (
+            f"{len(functions) + 1}. {role_of[pair.performer]} performed "
+            f"{action} toward {role_of[pair.counterparty]}."
         )
-        if fidelity_internal_calls and _is_inline(meta, pair, action):
-            fn.private = True
-            fn.state_guard = None
-            fn.flag_preconditions = ()
-            if enclosing_fn:
-                inline_links.append((enclosing_fn, fn.name))
-                warnings.append(
-                    f"fidelity: {fn.name} is private and called from "
-                    f"{enclosing_fn}; its role guard sees the outer caller, "
-                    "so the call always reverts"
-                )
-            else:
-                fn.private = False
-                warnings.append(
-                    f"fidelity: inline {fn.name} has no enclosing guard "
-                    "function to call it from; annotation ignored"
-                )
-        functions.append(fn)
+        functions.append(
+            FunctionIR(
+                name=name,
+                agent=pair.performer,
+                role_guard=role_of[pair.performer],
+                # a private callee keeps only its role guard
+                state_guard=None if caller is not None else state_guard,
+                value_guard=param,
+                value_message=(
+                    (meta.lookup(meta.valuemsgs, pair, action)
+                     or f"wrong value for {param}")
+                    if param
+                    else None
+                ),
+                flag_preconditions=() if caller is not None else tuple(requires),
+                effects=(
+                    change,
+                    EmitEvent(role_of[pair.performer], role_of[pair.counterparty], message),
+                    *calls_of.get(name, ()),
+                ),
+                event=event,
+                finalize=finalize,
+                private=caller is not None,
+                comments=comments,
+            )
+        )
 
     for i, link in enumerate(chain):
-        build(
-            link.pair,
-            link.action,
-            states[i],
-            [],
-            [
-                SetState(states[i + 1]),
-                EmitEvent(
-                    role_of[link.pair.performer],
-                    role_of[link.pair.counterparty],
-                    message_for(link.pair, link.action),
-                ),
-            ],
-            f"// {link.pair} [{link.action}]",
-            repeat_flag=None,
-            finalize=False,
-            enclosing_fn=None,
-        )
+        build(links[i], states[i], (), SetState(states[i + 1]), f"// {link.pair} [{link.action}]")
 
-    # event -> (state, box flags) of the function built for it
+    # site index -> (state, box flags) the body of that box runs under
+    under = {-1: (states[len(chain)], ())}
     guards_of: dict[Event, tuple[str, tuple[str, ...]]] = {}
-
-    def process_cluster(
-        body: tuple[Clause, ...],
-        cluster_state: str,
-        box_flags: list[str],
-        enclosing_fn: str | None,
-    ) -> None:
-        for part in body:
-            if isinstance(part, Obligation):
-                event = (part.pair, part.action)
-                if event in chain_events:
-                    continue  # realized by the chain function itself
-                guards = (cluster_state, tuple(box_flags))
-                if event in guards_of:
-                    if guards_of[event] != guards:
-                        raise LowerError(
-                            f"cannot lower: {part.pair} {part.action} is obliged "
-                            "under two different guards, which would need two "
-                            "functions of one name; oblige it in one place"
-                        )
-                    continue  # the first occurrence's function serves both
-                guards_of[event] = guards
-                emit = EmitEvent(
-                    role_of[part.pair.performer],
-                    role_of[part.pair.counterparty],
-                    message_for(part.pair, part.action),
-                )
-                if event in advancing:
-                    new_state = state_name(event)
-                    states.append(new_state)
-                    promo_state_of[event] = new_state
-                    build(
-                        part.pair, part.action, cluster_state, box_flags,
-                        [SetState(new_state), emit],
-                        f"// {part.pair} O({part.action})",
-                        repeat_flag=None, finalize=False,
-                        enclosing_fn=enclosing_fn,
-                    )
-                else:
-                    flag = flag_of[event]
-                    terminal = box_by_event.get(event) is None
-                    if terminal:
-                        terminal_flags.append(flag)
-                    build(
-                        part.pair, part.action, cluster_state, box_flags,
-                        [SetFlag(flag), emit],
-                        f"// {part.pair} O({part.action})",
-                        repeat_flag=flag, finalize=terminal,
-                        enclosing_fn=enclosing_fn,
-                    )
-            elif isinstance(part, Box):
-                if id(part) in chain_ids:
-                    continue
-                event = (part.pair, part.action)
-                if event in advancing:
-                    # the guard's own function opened a fresh cluster
-                    process_cluster(
-                        part.body,
-                        promo_state_of.get(event, cluster_state),
-                        [],
-                        fn_name_of.get(event),
-                    )
-                else:
-                    flag = flag_of.get(event)
-                    if flag is None:
-                        flag = member_namer.claim(f"{part.action}Done")
-                        flag_of[event] = flag
-                        phantom_flags.append(
-                            (flag, f"// {part.pair} [{part.action}] (no setter)")
-                        )
-                        warnings.append(
-                            f"guard {part.pair} {part.action} matches no "
-                            "obligation; functions behind it can never run"
-                        )
-                    process_cluster(
-                        part.body,
-                        cluster_state,
-                        box_flags + [flag],
-                        fn_name_of.get(event),
-                    )
-            elif isinstance(part, IterBox):
+    for i, (node, parent) in enumerate(sites):
+        state, box_flags = under[parent]
+        event = (node.pair, node.action)
+        if isinstance(node, IterBox):
+            warnings.append(
+                f"nested watch on {node.pair} {node.action} has no "
+                "state-machine counterpart; dropped"
+            )
+        elif isinstance(node, Box):
+            if event in advancing:
+                # a fresh cluster without box flags, in the state the
+                # guard's promoted function advances to if already built
+                under[i] = (promo_state_of[event] if event in guards_of else state, ())
+                continue
+            flag = flag_of.get(event)
+            if flag is None:
+                flag = placeholder(event, f"[{node.action}]")
                 warnings.append(
-                    f"nested watch on {part.pair} {part.action} has no "
-                    "state-machine counterpart; dropped"
+                    f"guard {node.pair} {node.action} matches no "
+                    "obligation; functions behind it can never run"
                 )
-            # permissions and prohibitions lower to nothing here
+            under[i] = (state, box_flags + (flag,))
+        elif event not in chain_events:  # realized by the chain link itself
+            if event in guards_of:
+                if guards_of[event] != (state, box_flags):
+                    raise LowerError(
+                        f"cannot lower: {node.pair} {node.action} is obliged "
+                        "under two different guards, which would need two "
+                        "functions of one name; oblige it in one place"
+                    )
+                continue  # the first occurrence's function serves both
+            guards_of[event] = (state, box_flags)
+            comment = f"// {node.pair} O({node.action})"
+            if event in advancing:
+                build(event, state, box_flags, SetState(promo_state_of[event]), comment)
+            else:
+                terminal = event not in first_box
+                if terminal:
+                    terminal_flags.append(flag_of[event])
+                build(event, state, box_flags, SetFlag(flag_of[event]), comment,
+                      flag_of[event], terminal)
 
-    process_cluster(chain[-1].body, states[len(chain)], [], None)
-    states.append("Finalized")
-
-    for caller_name, callee_name in inline_links:
-        for fn in functions:
-            if fn.name == caller_name:
-                fn.effects = fn.effects + (CallFn(callee_name),)
-
-    flag_decls: list[tuple[str, str]] = []
-    for event in flag_order:
-        flag_decls.append((flag_of[event], f"// {event[0]} O({event[1]})"))
-    flag_decls.extend(phantom_flags)
-
-    finalization_state: str | None = states[-2] if len(states) > 1 else None
     if not terminal_flags:
-        finalization_state = None
-        warnings.append(
-            "no terminal obligations; the Finalized state is unreachable"
-        )
-
+        warnings.append("no terminal obligations; the Finalized state is unreachable")
     role_messages = tuple(
         (
             agent,
@@ -642,17 +574,16 @@ def lower(
         )
         for _role, agent in roles
     )
-
     return MachineIR(
         name=contract_name,
         roles=roles,
         role_messages=role_messages,
         state_message=meta.statemsg or "wrong state for this action",
         states=tuple(states),
-        flags=tuple(flag_decls),
-        params=tuple(params),
+        flags=tuple(flags),
+        params=tuple(param_of.values()),
         functions=tuple(functions),
-        finalization_state=finalization_state,
+        finalization_state=states[-2] if terminal_flags else None,
         finalization_flags=tuple(dict.fromkeys(terminal_flags)),
         warnings=tuple(warnings),
     )
@@ -661,7 +592,8 @@ def lower(
 # -- emission ----------------------------------------------------------------
 
 def _modifier_names(roles: tuple[tuple[str, str], ...]) -> dict[str, str]:
-    """Modifier per agent: only<Initial>, spelled out on collisions."""
+    """Modifier per agent: only<Initial>, spelled out on collisions, with a
+    numeric suffix for agents that differ only in the case of the initial."""
     by_initial: dict[str, list[str]] = {}
     for _role, agent in roles:
         by_initial.setdefault(agent[0].upper(), []).append(agent)
@@ -670,8 +602,9 @@ def _modifier_names(roles: tuple[tuple[str, str], ...]) -> dict[str, str]:
         if len(agents) == 1:
             names[agents[0]] = f"only{initial}"
         else:
+            namer = _Namer()
             for agent in agents:
-                names[agent] = f"only{_cap(agent)}"
+                names[agent] = namer.claim(f"only{_cap(agent)}")
     return names
 
 

@@ -5,7 +5,8 @@ boxes, iterated boxes of either polarity) for parser round-trips and
 checker/oracle equivalence, and `merged_contract` joins several draws into
 a denser one; `random_lowerable` draws conflict-free single-root-box chains
 whose guards all carry matching obligations, the shape the code generator
-accepts without synthesizing placeholder flags.
+accepts without synthesizing placeholder flags, and `random_flow` draws
+the nested flows, house rules and annotations it handles below the chain.
 `repeat_tail_obligations` restates some of a lowerable contract's
 innermost obligations, which must lower to the same machine.
 """
@@ -27,6 +28,7 @@ from rclc.ast import (
     Permission,
     Prohibition,
     Span,
+    iter_clauses,
 )
 from rclc.semantics import event_universe
 
@@ -146,3 +148,80 @@ def repeat_tail_obligations(rng: random.Random, contract: Contract) -> Contract:
         return replace(box, body=box.body + extra)
 
     return replace(contract, clauses=(restate(contract.clauses[0]),))
+
+
+_FLOW_ACTIONS = _ACTION_POOL + ["act7", "act8", "pay1", "pay2"]
+
+
+def random_flow(rng: random.Random) -> Contract:
+    """Contract with each shape the code generator tells apart below its
+    state chain; lower it with allow_conflicts, as a house rule may ban
+    an obliged event.
+
+    One root box chain 1-2 deep whose innermost body nests guards up to
+    two levels: obligations on fresh events, then guards on one of them
+    (promoted when the guard's body holds two or more obligations,
+    flagged otherwise), on an event obliged elsewhere, or now and then on
+    an event nothing obliges. About 30% of the bodies are shuffled, so a
+    guard may precede its obligation. Beside the root sit 0-2 house rules,
+    each of which may watch or ban an event nothing obliges. The header
+    may give two agents the buyer and bank roles, pay for obligations by
+    annotation and mark events inline.
+    """
+    agents = _AGENT_POOL[: rng.randint(2, 4)]
+    fresh = [
+        (AgentPair(x, y), action)
+        for x in agents
+        for y in agents
+        if x != y
+        for action in _FLOW_ACTIONS
+    ]
+    rng.shuffle(fresh)
+    chain = [fresh.pop() for _ in range(rng.randint(1, 2))]
+    obliged = chain[1:]
+
+    def body(depth: int) -> tuple[Clause, ...]:
+        events = [fresh.pop() for _ in range(rng.randint(1, 3))]
+        obliged.extend(events)
+        parts: list[Clause] = [Obligation(pair, action, _SPAN) for pair, action in events]
+        for _ in range(rng.randint(0, depth)):
+            roll = rng.random()
+            if roll < 0.75:
+                pair, action = rng.choice(events)
+            elif roll < 0.9:
+                pair, action = rng.choice(obliged)
+            else:
+                pair, action = fresh.pop()
+            parts.append(Box(pair, action, body(depth - 1), _SPAN))
+        if rng.random() < 0.3:
+            rng.shuffle(parts)
+        return tuple(parts)
+
+    inner = body(2)
+    for pair, action in reversed(chain[1:]):
+        inner = (Obligation(pair, action, _SPAN), Box(pair, action, inner, _SPAN))
+    clauses: list[Clause] = [Box(*chain[0], inner, _SPAN)]
+    for _ in range(rng.randint(0, 2)):
+        watch, target = (
+            fresh.pop() if fresh and rng.random() < 0.2 else rng.choice(obliged)
+            for _ in range(2)
+        )
+        ban = Prohibition(*target, _SPAN)
+        clauses.append(IterBox(*watch, (ban,), False, True, _SPAN))
+
+    meta = Meta()
+    if rng.random() < 0.5:
+        buyer, bank = rng.sample(agents, 2)
+        meta.roles.update({buyer: "buyer", bank: "bank"})
+    for i, (pair, action) in enumerate(rng.sample(obliged, min(len(obliged), rng.randint(0, 2)))):
+        meta.payables[(pair.performer, pair.counterparty, action)] = f"amount{i}"
+    for pair, action in rng.sample(chain + obliged, rng.randint(0, 2)):
+        meta.inline.append((pair.performer, pair.counterparty, action))
+
+    used = {clause.action for clause, _path in iter_clauses(Contract((), (), tuple(clauses)))}
+    return Contract(
+        tuple(Decl(a, _SPAN) for a in agents),
+        tuple(Decl(a, _SPAN) for a in _FLOW_ACTIONS if a in used),
+        tuple(clauses),
+        meta,
+    )

@@ -1,6 +1,8 @@
 """Lowering and emission tests: chain extraction, flag wiring, house
 rules, promotion, payability, golden files, determinism."""
 
+import hashlib
+import importlib.util
 import random
 import re
 from collections import Counter
@@ -20,8 +22,9 @@ from rclc.codegen import (
 )
 from rclc.ast import Obligation, iter_clauses
 from rclc.parser import parse_contract
+from rclc.simulator import run_script
 
-from contractgen import random_lowerable, repeat_tail_obligations
+from contractgen import random_flow, random_lowerable, repeat_tail_obligations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -299,6 +302,112 @@ def test_default_mode_ignores_inline():
     )
 
 
+WATCH_FLAG = (
+    "agents a, b;\nactions go, x, y;\n"
+    "{a,b}[go]({a,b}O(go) & {a,b}[!y]*({a,b}O(x)));\n"
+)
+WATCH_PROMOTION = (
+    "agents a, b;\nactions go, x, y, z, w;\n"
+    "{a,b}[go]({a,b}O(go) & {a,b}O(x) & {a,b}[!y]*({a,b}[x]({a,b}O(z) & {a,b}O(w))));\n"
+)
+INLINE_NO_GUARD = "agents a, b;\nactions go, x;\ninline {a,b} go;\n{a,b}[go]({b,a}O(x));\n"
+_DROPPED_WATCH = "nested watch on {a,b} y has no state-machine counterpart; dropped"
+_NO_TERMINAL = "no terminal obligations; the Finalized state is unreachable"
+
+# (source, fidelity mode, warnings, sha256 of the emitted Solidity)
+WARNING_PATHS = [
+    pytest.param(
+        "agents a, b;\nactions x, y, z;\n{a,b}[x]({b,a}O(y));\n{a,b}[!x]*({b,a}F(z));\n",
+        False,
+        ("house rule bans {b,a} z, which no obligation or guard performs; rule dropped",),
+        "4785cff2b0d2522cc9c6990bc19b34b500b9134637d70b6923ddb0d8f7b9150e",
+        id="rule-dropped",
+    ),
+    pytest.param(
+        "agents a, b;\nactions x, y, z;\n{a,b}[x]({b,a}O(y));\n{a,b}[!z]*({b,a}F(y));\n",
+        False,
+        ("house rule watches {a,b} z, which no obligation performs; flag zDone can "
+         "never be set",),
+        "73884bf3959cb1ce021339b5ed4fd14dc4458f09ec4da1139f194c09c95703c3",
+        id="rule-flag-never-set",
+    ),
+    pytest.param(
+        "agents a, b;\nactions go, x, z, w;\n{a,b}[go]({a,b}O(x) & {b,a}[z]({a,b}O(w)));\n",
+        False,
+        ("guard {b,a} z matches no obligation; functions behind it can never run",),
+        "0ff6791bcc2dc073e614160e537ec4371f4e573b685cd04b56e40d55d2e66f60",
+        id="guard-matches-no-obligation",
+    ),
+    # nothing under a nested watch is lowered: no xDone is declared
+    pytest.param(
+        WATCH_FLAG,
+        False,
+        (_DROPPED_WATCH, _NO_TERMINAL),
+        "78623aa2bb0bfbf1c19bae368b3512dc840141d07fec30f8d263f81b3e809fef",
+        id="nested-watch-flag",
+    ),
+    # the box under the watch promotes nothing: x is terminal
+    pytest.param(
+        WATCH_PROMOTION,
+        False,
+        (_DROPPED_WATCH,),
+        "d2974f041e452cb7653c2776502150db4deae9207c8916d9986f614f38036d52",
+        id="nested-watch-promotion",
+    ),
+    # built exactly as in the default mode
+    pytest.param(
+        INLINE_NO_GUARD,
+        True,
+        ("fidelity: inline go has no enclosing guard function to call it from; "
+         "annotation ignored",),
+        "ecd80f3317c1bf6fcab95613f5382fb065046285ae82184e84af39d0c8b6b7e0",
+        id="inline-without-guard",
+    ),
+    pytest.param(
+        "agents a, b;\nactions go, x, v, y;\ninline {b,a} y;\n"
+        "{a,b}[go]({a,b}O(x) & {a,b}O(v) & {a,b}[x]({b,a}O(y)));\n",
+        True,
+        ("fidelity: y is private and called from x; its role guard sees the outer "
+         "caller, so the call always reverts",),
+        "87bf98d2a440fd86eed78bc243c8ca01f3fac8c58f4f4cf4946824cb1b710913",
+        id="inline-called",
+    ),
+    pytest.param(
+        "agents a, b;\nactions go, x;\n{a,b}[go]({a,b}O(go) & {b,a}P(x));\n",
+        False,
+        (_NO_TERMINAL,),
+        "78623aa2bb0bfbf1c19bae368b3512dc840141d07fec30f8d263f81b3e809fef",
+        id="no-terminal-obligations",
+    ),
+]
+
+
+@pytest.mark.parametrize("src, fidelity, warnings, digest", WARNING_PATHS)
+def test_every_warning_path(src, fidelity, warnings, digest):
+    ir = lower(parse(src), allow_conflicts=True, fidelity_internal_calls=fidelity)
+    assert ir.warnings == warnings
+    text = emit_solidity(ir)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
+
+
+def test_nested_watch_drops_its_whole_subtree():
+    ir = lower(parse(WATCH_PROMOTION))
+    assert ir.states == ("Created", "S1", "Finalized")
+    assert [flag for flag, _ in ir.flags] == ["xDone"]
+    x = ir.function("x")
+    assert x.effects[0] == SetFlag("xDone") and x.finalize
+    assert ir.finalization_state == "S1"
+    assert ir.finalization_flags == ("xDone",)
+
+
+def test_inline_without_enclosing_guard_is_built_as_in_default_mode():
+    contract = parse(INLINE_NO_GUARD)
+    fidelity = lower(contract, fidelity_internal_calls=True)
+    assert emit_solidity(fidelity) == emit_solidity(lower(contract))
+    assert fidelity.function("go").state_guard == "Created"
+    assert not fidelity.function("go").private
+
+
 def test_random_lowerable_contracts_lower_cleanly():
     rng = random.Random(20260819)
     for _ in range(40):
@@ -464,6 +573,8 @@ _DECLARED = re.compile(
 )
 # declared by every generated contract, and reserved for it
 _FIXED_MEMBERS = {"ContractState", "state", "Notify", "atState", "checkFinalization"}
+# agents whose names differ only in the case of their initial
+CASE_ONLY_AGENTS = "agents a, A;\nactions go, x;\n{a,A}[go]({A,a}O(x));\n"
 
 
 def test_emitted_names_are_declared_once_and_not_reserved():
@@ -472,6 +583,9 @@ def test_emitted_names_are_declared_once_and_not_reserved():
         (load("purchase_fixed.rcl"), False),
         (load("purchase_conflicted.rcl"), True),
         (parse(REPEATED), False),
+        (parse(WATCH_FLAG), False),
+        (parse(WATCH_PROMOTION), False),
+        (parse(CASE_ONLY_AGENTS), False),
     ]
     for _ in range(150):
         contract = random_lowerable(rng)
@@ -491,3 +605,98 @@ def test_emitted_names_are_declared_once_and_not_reserved():
             assert not (set(declared) - _FIXED_MEMBERS) & _RESERVED_NAMES
             assert len(set(ir.states)) == len(ir.states)
             assert not set(ir.states) & _RESERVED_NAMES
+            # every flag is set or read inside some function
+            bodies = "\n".join(
+                line for line in text.splitlines() if line.startswith("        ")
+            )
+            for flag in re.findall(r"^    bool private (\w+)", text, re.M):
+                assert re.search(rf"\b{flag}\b", bodies), (flag, text)
+
+
+def test_modifiers_of_agents_differing_in_case_are_distinct():
+    ir = lower(parse(CASE_ONLY_AGENTS))
+    text = emit_solidity(ir)
+    assert "modifier onlyA() {" in text and "modifier onlyA2() {" in text
+    assert "function x() external onlyA2 atState(ContractState.S1)" in text
+    # the role-name check sees the suffixed name
+    with pytest.raises(LowerError, match="agent a's role name 'onlyA2' is reserved"):
+        lower(parse(CASE_ONLY_AGENTS.replace("x;\n", "x;\nrole a = onlyA2;\n")))
+
+
+def _solidity_reader():
+    """perfbench's reference interpreter of the emitted Solidity, loaded
+    from its file, plus one form it skips: the role modifier of a private
+    function, which Solidity runs against the outer caller when another
+    function calls it."""
+    spec = importlib.util.spec_from_file_location(
+        "solref", FIXTURES.parent / "perfbench" / "solref.py"
+    )
+    solref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(solref)
+    sender_is = "msg.sender == "
+
+    class Reader(solref.Fixture):
+        def __init__(self, sol, bindings, amounts):
+            super().__init__(sol, bindings, amounts)
+            for private, _payable, modifiers, body in self.functions.values():
+                if private:
+                    body[:0] = [
+                        f'require({sender_is}{self.roles[m][0]}, "{self.roles[m][1]}");'
+                        for m in modifiers
+                        if m in self.roles
+                    ]
+
+        def _call(self, machine, caller, function, value, balance):
+            self.caller = caller
+            return super()._call(machine, caller, function, value, balance)
+
+        def _term(self, term, env):
+            if term.startswith(sender_is):
+                return self.caller == self.bindings[term[len(sender_is):]]
+            return super()._term(term, env)
+
+    return Reader
+
+
+def _random_script(rng, ir, amounts, calls):
+    accounts = [agent for _role, agent in ir.roles]
+    script = []
+    for _ in range(calls):
+        fn = rng.choice(ir.functions)
+        caller = fn.agent if rng.random() < 0.7 else rng.choice(accounts)
+        value = 0
+        if fn.value_guard and rng.random() < 0.8:
+            value = amounts[fn.value_guard]
+        elif rng.random() < 0.1:
+            value = rng.choice([1, 1000])
+        script.append((caller, fn.name, value))
+    return script
+
+
+def test_simulator_agrees_with_a_reading_of_the_emitted_solidity():
+    reader = _solidity_reader()
+    rng = random.Random(8086)
+    contracts = [load("purchase_fixed.rcl"), load("purchase_conflicted.rcl")]
+    contracts += [random_lowerable(rng) for _ in range(100)]
+    contracts += [random_flow(rng) for _ in range(100)]
+    for contract in contracts:
+        for fidelity in (False, True):
+            ir = lower(contract, allow_conflicts=True, fidelity_internal_calls=fidelity)
+            bindings = {role: agent for role, agent in ir.roles}
+            amounts = {param: 10 * (i + 1) for i, param in enumerate(ir.params)}
+            script = _random_script(rng, ir, amounts, 40)
+            world, records = run_script(ir, script, bindings, amounts, 100)
+            reference = reader(emit_solidity(ir), bindings, amounts)
+            machine = reference.start()
+            balances = dict.fromkeys(bindings.values(), 100)
+            for (caller, function, value), record in zip(script, records):
+                machine, outcome = reference.call(
+                    machine, caller, function, value, balances[caller]
+                )
+                if outcome[0]:
+                    balances[caller] -= value
+                assert outcome == (record.ok, record.revert_message), (
+                    emit_solidity(ir), script, records
+                )
+            flags = frozenset(flag for flag, value in world.flag_values if value)
+            assert machine == (world.current_state, flags)
