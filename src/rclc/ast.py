@@ -63,9 +63,10 @@ class Span(NamedTuple):
 _NO_SPAN = Span(0, 0, 0, 0)
 
 
-@dataclass(frozen=True, order=True)
-class AgentPair:
-    """Ordered pair: who owes the conduct and to whom it is owed."""
+class AgentPair(NamedTuple):
+    """Ordered pair: who owes the conduct and to whom it is owed. A
+    tuple, so events hash and compare in C; it compares equal to a plain
+    (performer, counterparty) tuple and sorts like one."""
 
     performer: str
     counterparty: str

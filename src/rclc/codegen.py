@@ -8,7 +8,7 @@
   chain      the maximal run of singly-nested boxes from the root
              becomes the state enum (Created, one state per link,
              Finalized at the end); each link is a state-advancing
-             function;
+             function, so two links guarding one event are refused;
   flow walk  one pre-order walk from the innermost chain body records
              each obligation, box and nested watch it reaches with the
              box enclosing it; it enters boxes and stops at a nested
@@ -352,7 +352,15 @@ def lower(
             action + _cap(role_of[pair.performer]) + _cap(role_of[pair.counterparty]),
         )
 
-    fn_name_of = {event: fn_name(*event) for event in links}
+    fn_name_of: dict[Event, str] = {}
+    for pair, action in links:
+        if (pair, action) in fn_name_of:
+            raise LowerError(
+                f"cannot lower: {pair} {action} guards two links of the box "
+                "chain, which would need two functions of one name; guard it "
+                "in one place"
+            )
+        fn_name_of[pair, action] = fn_name(pair, action)
     flag_of: dict[Event, str] = {}
     flags: list[tuple[str, str]] = []  # (flag, declaration comment)
     promoted: list[Event] = []

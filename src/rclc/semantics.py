@@ -20,7 +20,14 @@ matter, which makes the reachable system the subset lattice of the
 event universe. `enumerate_reachable` lists that lattice for at most
 MAX_LTS_EVENTS events.
 
-Deriving a state hashes no guarded body: the norms in force form a set,
+Each `ContractSemantics` lays its clause tree out once as a flat table:
+one row per obligation, prohibition, box and watch, in the order a walk
+popping the last clause first reaches them, each row holding a kind, the
+key it tests (an event index or an action), its prebuilt payload (the
+`Norm`, the pending box or the armed watch) and, for a guard, the index
+just past its body. Deriving a state is one forward pass over that
+table that jumps over the body of every guard not in force; it builds
+no `Norm` and hashes no guarded body. The norms in force form a set,
 but the boxes still pending and the watches still armed are tuples in
 walk order, and `dump_lts` shows each distinct one once.
 """
@@ -30,6 +37,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     AgentPair,
@@ -77,11 +85,11 @@ def format_event(event: Event) -> str:
     return f"{pair} {action}"
 
 
-@dataclass(frozen=True)
-class Norm:
+class Norm(NamedTuple):
     """An obligation or prohibition in force, tagged with the source
     span of the clause it came from (distinct occurrences stay
-    distinct)."""
+    distinct). A tuple, so a set of norms hashes in C; it compares equal
+    to a plain tuple of its four fields."""
 
     kind: str  # "O" | "F"
     pair: AgentPair
@@ -180,6 +188,50 @@ def clashes(state: NormState) -> list[tuple[Norm, Norm]]:
     )
 
 
+# Row kinds of the clause table: `_UNTIL` is a `[!a]*` watch, `_ONCE` an
+# `[a]*` one.
+_OBLIGED, _FORBIDDEN, _BOX, _UNTIL, _ONCE = range(5)
+
+_Row = tuple[int, object, object, int]
+
+
+def _clause_table(clauses: tuple[Clause, ...], index_of: dict[Event, int]) -> tuple[_Row, ...]:
+    """Lay the clause tree out as (kind, key, payload, end) rows, in the
+    order a walk that pops the last clause first and descends into every
+    guard reaches them. The key is the event index for an obligation or
+    box and the action for a prohibition or watch; the payload is the
+    `Norm`, the pending `(event, body)` entry or the armed `(action,
+    body, positive)` entry; `end` is the index just past a guard's body,
+    0 for other rows. Permissions get no row. The walk keeps its own
+    stack, on which an int closes the guard row at that index."""
+    table: list[_Row] = []
+    stack: list = list(clauses)
+    while stack:
+        clause = stack.pop()
+        kind = type(clause)
+        if kind is int:
+            code, key, payload, _end = table[clause]
+            table[clause] = (code, key, payload, len(table))
+        elif kind is Obligation:
+            event = (clause.pair, clause.action)
+            norm = Norm("O", clause.pair, clause.action, clause.span)
+            table.append((_OBLIGED, index_of[event], norm, 0))
+        elif kind is Prohibition:
+            norm = Norm("F", clause.pair, clause.action, clause.span)
+            table.append((_FORBIDDEN, clause.action, norm, 0))
+        elif kind is Box:
+            event = (clause.pair, clause.action)
+            stack.append(len(table))
+            table.append((_BOX, index_of[event], (event, clause.body), 0))
+            stack.extend(clause.body)
+        elif kind is IterBox:
+            stack.append(len(table))
+            watch = (clause.action, clause.body, clause.positive)
+            table.append((_ONCE if clause.positive else _UNTIL, clause.action, watch, 0))
+            stack.extend(clause.body)
+    return tuple(table)
+
+
 class ContractSemantics:
     """State derivation and stepping for one contract."""
 
@@ -191,49 +243,54 @@ class ContractSemantics:
             )
         self.contract = contract
         self.universe = event_universe(contract)
-        self._known = frozenset(self.universe)
+        self._index_of = {event: i for i, event in enumerate(self.universe)}
+        self._table = _clause_table(contract.clauses, self._index_of)
 
     def initial_state(self) -> NormState:
         return self.state(frozenset())
 
     def step(self, state: NormState, event: Event) -> NormState:
-        if event not in self._known:
+        if event not in self._index_of:
             raise StepError(f"event {format_event(event)} does not resolve")
         if event in state.fired:
             raise StepError(f"event {format_event(event)} already fired")
         return self.state(state.fired | {event})
 
     def state(self, fired: frozenset[Event]) -> NormState:
-        """Derive the norm state after exactly `fired` has happened;
-        only bodies of boxes whose guard has fired, and of watches in
-        force, are descended into. The walk keeps its own stack. Pending
-        boxes and armed watches are kept in walk order and never hashed:
-        a guarded body is a whole subtree."""
+        """Derive the norm state after exactly `fired` has happened, in
+        one forward pass over the clause table: a box whose guard has not
+        fired, or a watch not in force, skips the rows of its body. Only
+        prebuilt norms, pending boxes and armed watches are collected;
+        the last two keep walk order and are never hashed, since a
+        guarded body is a whole subtree."""
+        # an event outside the universe maps to None, which no row holds
+        fired_events = set(map(self._index_of.get, fired))
         fired_actions = {action for _pair, action in fired}
         active: list[Norm] = []
         pending: list[tuple[Event, tuple[Clause, ...]]] = []
         watches: list[tuple[str, tuple[Clause, ...], bool]] = []
-        stack = list(self.contract.clauses)
-        while stack:
-            clause = stack.pop()
-            kind = type(clause)
-            if kind is Obligation:
-                if (clause.pair, clause.action) not in fired:
-                    active.append(Norm("O", clause.pair, clause.action, clause.span))
-            elif kind is Prohibition:
-                if clause.action not in fired_actions:
-                    active.append(Norm("F", clause.pair, clause.action, clause.span))
-            elif kind is Box:
-                if (clause.pair, clause.action) in fired:
-                    stack.extend(clause.body)
-                else:
-                    pending.append(((clause.pair, clause.action), clause.body))
-            elif kind is IterBox:
-                tripped = clause.action in fired_actions
-                if not tripped:
-                    watches.append((clause.action, clause.body, clause.positive))
-                if tripped if clause.positive else not tripped:
-                    stack.extend(clause.body)
+        table = self._table
+        i, n = 0, len(table)
+        while i < n:
+            kind, key, payload, end = table[i]
+            i += 1
+            if kind == _OBLIGED:
+                if key not in fired_events:
+                    active.append(payload)
+            elif kind == _FORBIDDEN:
+                if key not in fired_actions:
+                    active.append(payload)
+            elif kind == _BOX:
+                if key not in fired_events:
+                    pending.append(payload)
+                    i = end
+            elif key in fired_actions:  # a tripped watch: only [a]* holds
+                if kind == _UNTIL:
+                    i = end
+            else:  # an armed watch: only [!a]* holds
+                watches.append(payload)
+                if kind == _ONCE:
+                    i = end
         return NormState(fired, frozenset(active), tuple(pending), tuple(watches))
 
     def enumerate_reachable(self) -> Lts:

@@ -2,11 +2,14 @@
 
 `reference_tokenize` is the character-at-a-time scanner over frozen
 dataclass tokens and spans. `reference_state` derives a norm state with
-pending boxes and armed watches as frozensets; it takes the place of
+pending boxes and armed watches as frozensets, and
+`reference_stack_state` derives it by walking the clause tree with its
+own stack, building each `Norm` afresh, with pending boxes and armed
+watches as tuples in walk order. Either takes the place of
 `ContractSemantics.state` (patch it onto the class), so
 `enumerate_reachable` builds the reference lattice with it.
-`reference_dump_lts` prints such frozenset states. All three are kept
-as they were, apart from their names.
+`reference_dump_lts` prints frozenset states. All four are kept as they
+were, apart from their names.
 """
 
 from __future__ import annotations
@@ -160,6 +163,40 @@ def reference_state(self, fired: frozenset[Event]) -> NormState:
             if tripped if clause.positive else not tripped:
                 stack.extend(clause.body)
     return NormState(fired, frozenset(active), frozenset(pending), frozenset(watches))
+
+
+def reference_stack_state(self, fired: frozenset[Event]) -> NormState:
+    """Derive the norm state after exactly `fired` has happened;
+    only bodies of boxes whose guard has fired, and of watches in
+    force, are descended into. The walk keeps its own stack. Pending
+    boxes and armed watches are kept in walk order and never hashed:
+    a guarded body is a whole subtree."""
+    fired_actions = {action for _pair, action in fired}
+    active: list[Norm] = []
+    pending: list[tuple[Event, tuple[Clause, ...]]] = []
+    watches: list[tuple[str, tuple[Clause, ...], bool]] = []
+    stack = list(self.contract.clauses)
+    while stack:
+        clause = stack.pop()
+        kind = type(clause)
+        if kind is Obligation:
+            if (clause.pair, clause.action) not in fired:
+                active.append(Norm("O", clause.pair, clause.action, clause.span))
+        elif kind is Prohibition:
+            if clause.action not in fired_actions:
+                active.append(Norm("F", clause.pair, clause.action, clause.span))
+        elif kind is Box:
+            if (clause.pair, clause.action) in fired:
+                stack.extend(clause.body)
+            else:
+                pending.append(((clause.pair, clause.action), clause.body))
+        elif kind is IterBox:
+            tripped = clause.action in fired_actions
+            if not tripped:
+                watches.append((clause.action, clause.body, clause.positive))
+            if tripped if clause.positive else not tripped:
+                stack.extend(clause.body)
+    return NormState(fired, frozenset(active), tuple(pending), tuple(watches))
 
 
 def reference_dump_lts(lts: Lts) -> str:

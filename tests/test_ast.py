@@ -116,6 +116,14 @@ def test_meta_lookup_prefers_exact_pair():
     assert meta.lookup(meta.funcs, AgentPair("a", "b"), "y") is None
 
 
+def test_agent_pair_prints_sorts_and_compares_as_a_tuple():
+    pairs = [AgentPair("b", "a"), AgentPair("a", "c"), AgentPair("a", "b")]
+    assert [str(p) for p in sorted(pairs)] == ["{a,b}", "{a,c}", "{b,a}"]
+    assert AgentPair("a", "b") == ("a", "b")
+    assert hash(AgentPair("a", "b")) == hash(("a", "b"))
+    assert (AgentPair("a", "b"), "x") in {(("a", "b"), "x")}
+
+
 def test_iter_clauses_reports_paths():
     c = parsed(
         "agents a, b; actions x, y; {a,b}[x]({b,a}O(y) & {b,a}P(x)); {a,b}F(y);"

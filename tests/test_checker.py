@@ -1,5 +1,6 @@
 """Conflict search versus the exhaustive oracle, plus report rendering."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -284,6 +286,22 @@ def test_color_toggle_inserts_ansi():
     colored = report_to_text(check(parsed(FIXED)), "p.rcl", color=True)
     assert "\x1b[" not in plain
     assert "\x1b[" in colored
+
+
+@pytest.mark.parametrize("source, name, json_sha, text_sha", [
+    (CONFLICTED, "purchase_conflicted.rcl",
+     "dc3e0d1fdf2132ff6e11627d0ab3fb52af5b51450ffffee312e9c4e8cb411fb8",
+     "e6f2768cb2a5c63102d242c264e4c84fafa2618f886c82eedde4e4b8f18a815a"),
+    (FIXED, "purchase_fixed.rcl",
+     "12d262ceb7343edcd22478bece8653c64ca030ab3f876eac0945d24caa72e4aa",
+     "fc57c93ef25238a96268546e58d6722131c57e28544c74115ffad32dea250f8b"),
+])
+def test_fixture_reports_are_pinned(source, name, json_sha, text_sha):
+    # both renderings, wall time zeroed, byte for byte
+    report = check(parsed(source))
+    report = replace(report, stats=replace(report.stats, wall_ms=0.0))
+    assert hashlib.sha256(report_to_json(report, name).encode()).hexdigest() == json_sha
+    assert hashlib.sha256(report_to_text(report, name).encode()).hexdigest() == text_sha
 
 
 def _lattice_check(contract):

@@ -316,6 +316,19 @@ def test_repeated_obligation_emits_one_function(tmp_path, capsys):
         assert "cannot lower: {b,s} pay is obliged under two different guards" in captured.err
 
 
+def test_chain_links_on_one_event_are_refused(tmp_path, capsys):
+    # the second link would declare a second function of the first's name
+    src = tmp_path / "relink.rcl"
+    src.write_text("agents a, b;\nactions x, y;\n{a,b}[x]({a,b}O(x) & {a,b}[x]({b,a}O(y)));\n")
+    script = tmp_path / "script.txt"
+    script.write_text("a x\n")
+    for command in (["gen", str(src)], ["sim", str(src), "--script", str(script)]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot lower: {a,b} x guards two links of the box chain" in captured.err
+
+
 def test_generated_names_must_be_valid_solidity(tmp_path, capsys):
     src = tmp_path / "names.rcl"
     src.write_text(

@@ -6,10 +6,12 @@ from unittest import mock
 
 import pytest
 
-from rclc.ast import AgentPair, pretty_print
+from rclc.ast import AgentPair, Box, Contract, Decl, Obligation, Prohibition, Span, pretty_print
+from rclc.checker import check
 from rclc.parser import parse_contract
 from rclc.semantics import (
     ContractSemantics,
+    Norm,
     StepError,
     clashes,
     dump_lts,
@@ -21,7 +23,7 @@ from rclc.semantics import (
 )
 
 from contractgen import merged_contract, random_contract
-from reference import reference_dump_lts, reference_state
+from reference import reference_dump_lts, reference_stack_state, reference_state
 
 FIXTURE = open("fixtures/purchase_conflicted.rcl").read()
 
@@ -262,23 +264,81 @@ def test_semantics_rejects_invalid_contract():
         ContractSemantics(result.contract)
 
 
+WRITTEN_TWICE = """agents a, b, c; actions x, y, z;
+{a,b}P(x) & {a,b}[x]({b,a}O(y) & {a,b}P(y)) & {a,b}[x]({b,a}O(y) & {a,b}P(y));
+{a,b}[!y]*({c,a}F(z) & {a,b}[z]*({b,c}O(x) & {a,c}P(z)) & {a,b}[z]*({b,c}O(x) & {a,c}P(z)));
+{b,c}[z]*({a,b}F(x) & {b,a}[!x]*({c,b}O(z) & {a,b}[x]({b,a}O(y) & {a,b}P(y))));
+{a,b}[x]({b,a}O(y) & {a,b}P(y));
+"""
+
+
 def test_state_matches_the_reference_derivation():
     # every fired set of contracts of up to 10 events; a frozenset of
     # pending boxes or watches collapses the ones written twice verbatim,
-    # as in the doubled contracts
+    # as in the doubled contracts, while the stack walk keeps walk order
     rng = random.Random(20261018)
     contracts = [random_contract(rng) for _ in range(15)]
     contracts += [merged_contract(rng, parts, max_events=10) for parts in (2, 3) * 8]
     contracts += [replace(c, clauses=c.clauses * 2) for c in contracts[::4]]
     contracts += [parsed(pretty_print(c)) for c in contracts[::3]]
+    contracts += [parsed(WRITTEN_TWICE), parsed(FIXTURE)]
     for contract in contracts:
         fast = enumerate_reachable(contract)
         with mock.patch.object(ContractSemantics, "state", reference_state):
             slow = enumerate_reachable(contract)
-        for new, old in zip(fast.states, slow.states, strict=True):
+        with mock.patch.object(ContractSemantics, "state", reference_stack_state):
+            walked = enumerate_reachable(contract)
+        for new, old, walk in zip(fast.states, slow.states, walked.states, strict=True):
             assert new.fired == old.fired
             assert new.active == old.active
             assert set(new.pending_boxes) == old.pending_boxes
             assert set(new.iter_watch) == old.iter_watch
+            assert type(new.pending_boxes) is type(new.iter_watch) is tuple
+            assert new.fired == walk.fired
+            assert new.active == walk.active
+            assert new.pending_boxes == walk.pending_boxes
+            assert new.iter_watch == walk.iter_watch
         assert dump_lts(fast) == reference_dump_lts(slow)
         assert lts_to_dot(fast) == lts_to_dot(slow)
+
+
+def test_derivations_share_prebuilt_norms():
+    # a norm is built once per contract, not once per derived state
+    sem = ContractSemantics(parsed(WRITTEN_TWICE))
+    first = sem.initial_state()
+    second = sem.state(frozenset({(pair("a", "b"), "x")}))
+    by_value = {norm: norm for norm in first.active}
+    shared = [norm for norm in second.active if norm in by_value]
+    assert shared
+    assert all(by_value[norm] is norm for norm in shared)
+
+
+def test_deep_box_chain_derives_steps_and_checks():
+    # deeper than the recursion limit: every walk keeps its own stack
+    ab = pair("a", "b")
+    actions = ("x", "y", "z")
+    body = (Obligation(ab, "x", Span(3001, 1, 3001, 9)),)
+    for depth in reversed(range(3000)):
+        body = (Box(ab, actions[depth % 3], body, Span(depth + 1, 1, depth + 1, 6)),)
+    clauses = body + (
+        Obligation(ab, "y", Span(3002, 1, 3002, 9)),
+        Prohibition(ab, "y", Span(3003, 1, 3003, 9)),
+    )
+    contract = Contract((Decl("a"), Decl("b")), tuple(map(Decl, actions)), clauses)
+    sem = ContractSemantics(contract)
+    start = sem.state(frozenset())
+    assert [event for event, _body in start.pending_boxes] == [(ab, "x")]
+    state = start
+    for event in sem.universe:
+        state = sem.step(state, event)
+    assert state.fired == frozenset(sem.universe)
+    assert state.active == frozenset() and state.pending_boxes == ()
+    report = check(contract)
+    assert [(c.action, c.witness) for c in report.conflicts] == [("y", ())]
+
+
+def test_norm_prints_and_compares_as_a_tuple():
+    norm = Norm("F", pair("a", "b"), "x", Span(2, 3, 2, 12))
+    assert str(norm) == "F {a,b} x"
+    assert norm == ("F", ("a", "b"), "x", (2, 3, 2, 12))
+    assert hash(norm) == hash(("F", ("a", "b"), "x", (2, 3, 2, 12)))
