@@ -37,6 +37,7 @@ __all__ = [
     "Box",
     "IterBox",
     "Meta",
+    "ANNOTATIONS",
     "Contract",
     "ValidationIssue",
     "validate",
@@ -175,6 +176,24 @@ class Meta:
         return table.get((None, None, action))
 
 
+# Each `keyword name = value;` annotation, in pretty_print order: its
+# `Meta` table, what its name is ("agent", "flag", or "event", which may
+# carry a pair and is stored as a `Key`), and whether its value is text
+# rather than an identifier of the generated contract.
+ANNOTATIONS: dict[str, tuple[str, str, bool]] = {
+    "role": ("roles", "agent", False),
+    "rolemsg": ("rolemsgs", "agent", True),
+    "require": ("requires", "flag", True),
+    "repeat": ("repeats", "flag", True),
+    "state": ("states", "event", False),
+    "flag": ("flags", "event", False),
+    "func": ("funcs", "event", False),
+    "payable": ("payables", "event", False),
+    "message": ("messages", "event", True),
+    "valuemsg": ("valuemsgs", "event", True),
+}
+
+
 @dataclass
 class Contract:
     agents: tuple[Decl, ...]
@@ -305,35 +324,27 @@ def validate(contract: Contract) -> list[ValidationIssue]:
 
 def _validate_meta(contract, agent_set, action_set, issues):
     meta = contract.meta
-
-    def err(message, path):
-        issues.append(ValidationIssue("error", message, path))
-
-    for agent in list(meta.roles) + list(meta.rolemsgs):
-        if agent not in agent_set:
-            err(f"annotation refers to undeclared agent '{agent}'", "annotations")
-    # these values become identifiers in the generated contract
-    named = {"role": meta.roles, "state": meta.states, "flag": meta.flags,
-             "func": meta.funcs, "payable": meta.payables}
-    for label, table in named.items():
-        for value in table.values():
-            if not _IDENT_RE.match(value):
-                err(f"{label} annotation value '{value}' is not an identifier", "annotations")
-    keyed_tables = {
-        "state": meta.states,
-        "flag": meta.flags,
-        "func": meta.funcs,
-        "payable": meta.payables,
-        "message": meta.messages,
-        "valuemsg": meta.valuemsgs,
-    }
-    for label, table in keyed_tables.items():
-        for performer, counterparty, action in table:
-            if action not in action_set:
-                err(f"{label} annotation refers to undeclared action '{action}'", "annotations")
-            for agent in (performer, counterparty):
-                if agent is not None and agent not in agent_set:
-                    err(f"{label} annotation refers to undeclared agent '{agent}'", "annotations")
+    # undeclared agents, then values that are not identifiers, then
+    # undeclared names in event keys
+    found: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for keyword, (table, names, text) in ANNOTATIONS.items():
+        for key, value in getattr(meta, table).items():
+            if names == "agent" and key not in agent_set:
+                found[0].append(f"annotation refers to undeclared agent '{key}'")
+            if not text and not _IDENT_RE.match(value):
+                found[1].append(f"{keyword} annotation value '{value}' is not an identifier")
+            if names == "event":
+                performer, counterparty, action = key
+                if action not in action_set:
+                    found[2].append(
+                        f"{keyword} annotation refers to undeclared action '{action}'")
+                for agent in (performer, counterparty):
+                    if agent is not None and agent not in agent_set:
+                        found[2].append(
+                            f"{keyword} annotation refers to undeclared agent '{agent}'")
+    issues.extend(
+        ValidationIssue("error", message, "annotations") for group in found for message in group
+    )
 
 
 # -- canonical rendering ------------------------------------------------
@@ -381,28 +392,10 @@ def pretty_print(contract: Contract) -> str:
     meta = contract.meta
     if meta.contract_name:
         out.append(f"contract {meta.contract_name};")
-    simple = (
-        ("role", meta.roles),
-        ("rolemsg", meta.rolemsgs),
-        ("require", meta.requires),
-        ("repeat", meta.repeats),
-    )
-    keyed = (
-        ("state", meta.states),
-        ("flag", meta.flags),
-        ("func", meta.funcs),
-        ("payable", meta.payables),
-        ("message", meta.messages),
-        ("valuemsg", meta.valuemsgs),
-    )
-    for keyword, table in simple:
-        for name, value in table.items():
-            rendered = _quote(value) if keyword in ("rolemsg", "require", "repeat") else value
-            out.append(f"{keyword} {name} = {rendered};")
-    for keyword, table in keyed:
-        for key, value in table.items():
-            rendered = _quote(value) if keyword in ("message", "valuemsg") else value
-            out.append(f"{keyword} {_fmt_key(key)} = {rendered};")
+    for keyword, (table, names, text) in ANNOTATIONS.items():
+        for key, value in getattr(meta, table).items():
+            name = _fmt_key(key) if names == "event" else key
+            out.append(f"{keyword} {name} = {_quote(value) if text else value};")
     if meta.statemsg is not None:
         out.append(f"statemsg = {_quote(meta.statemsg)};")
     for key in meta.inline:

@@ -3,13 +3,14 @@
 A conflict is an obligation and a prohibition on the same (pair,
 action) active in the same reachable state. The norm state depends only
 on the fired set, so each O/F occurrence is in force exactly under a
-conjunction of literals on that set, its path condition. `check` derives
-every condition in one walk of the clause tree, decides each O/F pair
-by whether the two conditions hold together, and builds the shortest
-witness directly, so no state of the 2^n subset lattice is visited.
-`brute_force_oracle` answers the same question by exhaustive enumeration
-with its own tiny interpreter; it shares nothing with the check and
-exists to keep `check` honest.
+conjunction of literals on that set, its path condition. `check` reads
+every condition from `ContractSemantics.conditions`, one pass over the
+clause table that also derives states, decides each O/F pair by whether
+the two conditions hold together, and builds the shortest witness
+directly, so no state of the 2^n subset lattice is visited and no clause
+tree is walked. `brute_force_oracle` answers the same question by
+exhaustive enumeration with its own walk and tiny interpreter; it shares
+nothing with the check and exists to keep `check` honest.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .ast import (
     Permission,
     Prohibition,
 )
-from .semantics import ContractSemantics, Event, Norm, clash_order, format_event
+from .semantics import Condition, ContractSemantics, Event, Norm, clash_order, format_event
 
 __all__ = [
     "Conflict",
@@ -89,9 +90,9 @@ def check(contract: Contract) -> CheckReport:
     for i, (_pair, action) in enumerate(universe):
         first_with.setdefault(action, i)
 
-    obliged: dict[Event, list[tuple[Norm, _Condition]]] = {}
-    forbidden: list[tuple[Norm, _Condition]] = []
-    for norm, cond in _path_conditions(contract, universe):
+    obliged: dict[Event, list[tuple[Norm, Condition]]] = {}
+    forbidden: list[tuple[Norm, Condition]] = []
+    for norm, cond in sem.conditions():
         if norm.kind == "O":
             obliged.setdefault((norm.pair, norm.action), []).append((norm, cond))
         else:
@@ -132,43 +133,6 @@ def check(contract: Contract) -> CheckReport:
     n = len(universe)
     wall_ms = (time.perf_counter() - begin) * 1000.0
     return CheckReport(conflicts, CheckStats(2**n, n * 2**n // 2, wall_ms))
-
-
-# (events that must have fired, as universe indices; actions no fired
-# event may perform; actions some fired event must perform)
-_Condition = tuple[frozenset[int], frozenset[str], frozenset[str]]
-
-_TRUE: _Condition = (frozenset(), frozenset(), frozenset())
-
-
-def _path_conditions(contract: Contract, universe: tuple[Event, ...]):
-    """Every obligation and prohibition occurrence with the condition on
-    the fired set under which it is in force: each enclosing box's guard
-    has fired; the prohibition's action and each enclosing `[!a]*`'s
-    action is performed by no fired event; each enclosing `[a]*`'s action
-    is performed by some fired event. The walk keeps its own stack."""
-    index_of = {event: i for i, event in enumerate(universe)}
-    out: list[tuple[Norm, _Condition]] = []
-    stack: list[tuple[Clause, _Condition]] = [(c, _TRUE) for c in contract.clauses]
-    while stack:
-        clause, cond = stack.pop()
-        need, banned, wanted = cond
-        if isinstance(clause, Obligation):
-            out.append((Norm("O", clause.pair, clause.action, clause.span), cond))
-        elif isinstance(clause, Prohibition):
-            out.append((Norm("F", clause.pair, clause.action, clause.span),
-                        (need, banned | {clause.action}, wanted)))
-        elif isinstance(clause, Box):
-            guard = index_of[(clause.pair, clause.action)]
-            inner = (need | {guard}, banned, wanted)
-            stack.extend((c, inner) for c in clause.body)
-        elif isinstance(clause, IterBox):
-            if clause.positive:
-                inner = (need, banned, wanted | {clause.action})
-            else:
-                inner = (need, banned | {clause.action}, wanted)
-            stack.extend((c, inner) for c in clause.body)
-    return out
 
 
 def _replay_witness(sem: ContractSemantics, witness: tuple[Event, ...],

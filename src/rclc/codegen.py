@@ -542,8 +542,9 @@ def lower(
         elif isinstance(node, Box):
             if event in advancing:
                 # a fresh cluster without box flags, in the state the
-                # guard's promoted function advances to if already built
-                under[i] = (promo_state_of[event] if event in guards_of else state, ())
+                # guard's promoted function advances to, wherever in the
+                # body that function is built
+                under[i] = (promo_state_of.get(event, state), ())
                 continue
             flag = flag_of.get(event)
             if flag is None:

@@ -5,18 +5,20 @@ Grammar (terminals quoted, `*` and `?` as usual):
     contract    = header annotation* (clause_and ";")+
     header      = "agents" idlist ";" "actions" idlist ";"
     idlist      = IDENT ("," IDENT)*
-    annotation  = KEYWORD entry ("," entry)* ";"
-    entry       = pair? IDENT ("=" (IDENT | STRING))?
-                | "=" STRING                         (keyless, e.g. statemsg)
+    annotation  = KEYWORD entry ("," entry)* ";" | "inline" key ("," key)* ";"
+                | "contract" IDENT ";" | "statemsg" "=" STRING ";"
+    entry       = (IDENT | key) "=" (IDENT | STRING)   (key: event names only)
+    key         = pair? IDENT
     clause      = pair form
     pair        = "{" IDENT "," IDENT "}"
     form        = ("O" | "F" | "P") "(" IDENT ")"
                 | "[" "!"? IDENT "]" "*"? "(" clause_and ")"
     clause_and  = clause ("&" clause)*
 
-Annotation keywords: contract role state flag func payable message
-require repeat rolemsg valuemsg statemsg inline. They are contextual,
-not reserved, so an action may reuse them.
+Annotation keywords: contract, statemsg, inline and each KEYWORD of
+`ast.ANNOTATIONS`, the schema saying which `Meta` table an entry fills
+and whether its name is an event, an agent or a flag. They are
+contextual, not reserved, so an action may reuse them.
 
 Line comments start with "//". The Unicode aliases "∧" for "&" and "¬"
 for "!" are accepted. `tokenize` is one compiled regex alternation run
@@ -39,12 +41,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .ast import (
+    ANNOTATIONS,
     AgentPair,
     Box,
     Clause,
     Contract,
     Decl,
     IterBox,
+    Key,
     Meta,
     Obligation,
     Permission,
@@ -76,10 +80,7 @@ _PUNCT = {
 }
 _KEYWORDS = {"agents", "actions", "O", "F", "P"}
 
-_ANNOTATIONS = {
-    "contract", "role", "state", "flag", "func", "payable", "message",
-    "require", "repeat", "rolemsg", "valuemsg", "statemsg", "inline",
-}
+_ANNOTATIONS = {*ANNOTATIONS, "contract", "statemsg", "inline"}
 
 # One alternation, tried in order at each offset. A string runs to its
 # closing quote or, unterminated, to the end of its line; inside it a
@@ -257,59 +258,32 @@ class _Parser:
         keyword = self.advance().text
         if keyword == "contract":
             meta.contract_name = self.ident("contract name").text
-            self.expect("SEMI", "';'")
-            return
-        if keyword == "statemsg":
+        elif keyword == "statemsg":
             self.expect("EQUALS", "'='")
             meta.statemsg = self.expect("STRING", "string").text
-            self.expect("SEMI", "';'")
-            return
-        while True:
+        else:
             self.annotation_entry(keyword, meta)
-            if self.at("COMMA"):
+            while self.at("COMMA"):
                 self.advance()
-                continue
-            break
+                self.annotation_entry(keyword, meta)
         self.expect("SEMI", "';'")
 
     def annotation_entry(self, keyword: str, meta: Meta):
-        pair = None
-        if self.at("LBRACE"):
-            pair = self.pair()
-        name = self.ident("name").text
-        value = None
-        if self.at("EQUALS"):
-            self.advance()
-            if self.at("STRING"):
-                value = self.advance().text
-            else:
-                value = self.ident("value").text
-        key = (pair.performer, pair.counterparty, name) if pair else (None, None, name)
+        """An inline key, or `name = value` into the keyword's `Meta`
+        table; only an event-named keyword takes a pair before its name."""
         if keyword == "inline":
-            meta.inline.append(key)
+            meta.inline.append(self.event_key())
             return
-        if value is None:
-            raise self.fail("'='")
-        if keyword == "role":
-            meta.roles[name] = value
-        elif keyword == "rolemsg":
-            meta.rolemsgs[name] = value
-        elif keyword == "require":
-            meta.requires[name] = value
-        elif keyword == "repeat":
-            meta.repeats[name] = value
-        elif keyword == "state":
-            meta.states[key] = value
-        elif keyword == "flag":
-            meta.flags[key] = value
-        elif keyword == "func":
-            meta.funcs[key] = value
-        elif keyword == "payable":
-            meta.payables[key] = value
-        elif keyword == "message":
-            meta.messages[key] = value
-        elif keyword == "valuemsg":
-            meta.valuemsgs[key] = value
+        table, names, _text = ANNOTATIONS[keyword]
+        key = self.event_key() if names == "event" else self.ident("name").text
+        self.expect("EQUALS", "'='")
+        value = self.advance().text if self.at("STRING") else self.ident("value").text
+        getattr(meta, table)[key] = value
+
+    def event_key(self) -> Key:
+        pair = self.pair() if self.at("LBRACE") else None
+        name = self.ident("name").text
+        return (pair.performer, pair.counterparty, name) if pair else (None, None, name)
 
     def pair(self) -> AgentPair:
         self.expect("LBRACE", "'{'")

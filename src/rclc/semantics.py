@@ -25,11 +25,13 @@ one row per obligation, prohibition, box and watch, in the order a walk
 popping the last clause first reaches them, each row holding a kind, the
 key it tests (an event index or an action), its prebuilt payload (the
 `Norm`, the pending box or the armed watch) and, for a guard, the index
-just past its body. Deriving a state is one forward pass over that
-table that jumps over the body of every guard not in force; it builds
-no `Norm` and hashes no guarded body. The norms in force form a set,
-but the boxes still pending and the watches still armed are tuples in
-walk order, and `dump_lts` shows each distinct one once.
+just past its body; the same walk collects the event universe.
+Deriving a state is one forward pass over that table that jumps over
+the body of every guard not in force; it builds no `Norm` and hashes no
+guarded body. The norms in force form a set, but the boxes still
+pending and the watches still armed are tuples in walk order, and
+`dump_lts` shows each distinct one once. `conditions` is a forward
+pass that enters every guard: the conflict check's path conditions.
 """
 
 from __future__ import annotations
@@ -48,12 +50,12 @@ from .ast import (
     Obligation,
     Prohibition,
     Span,
-    iter_clauses,
     validate,
 )
 
 __all__ = [
     "Event",
+    "Condition",
     "Norm",
     "NormState",
     "Lts",
@@ -138,8 +140,7 @@ class Lts:
 def event_universe(contract: Contract) -> tuple[Event, ...]:
     """Every distinct (pair, action) occurring anywhere: as the subject
     of a deontic operator, a box guard, or an iterated watch."""
-    seen = {(clause.pair, clause.action) for clause, _path in iter_clauses(contract)}
-    return tuple(sorted(seen, key=_event_key))
+    return _clause_table(contract.clauses)[0]
 
 
 def _event_key(event: Event):
@@ -194,17 +195,24 @@ _OBLIGED, _FORBIDDEN, _BOX, _UNTIL, _ONCE = range(5)
 
 _Row = tuple[int, object, object, int]
 
+# A path condition: (events that must have fired, as universe indices;
+# actions no fired event may perform; actions some fired event must perform)
+Condition = tuple[frozenset[int], frozenset[str], frozenset[str]]
 
-def _clause_table(clauses: tuple[Clause, ...], index_of: dict[Event, int]) -> tuple[_Row, ...]:
-    """Lay the clause tree out as (kind, key, payload, end) rows, in the
-    order a walk that pops the last clause first and descends into every
-    guard reaches them. The key is the event index for an obligation or
-    box and the action for a prohibition or watch; the payload is the
-    `Norm`, the pending `(event, body)` entry or the armed `(action,
-    body, positive)` entry; `end` is the index just past a guard's body,
-    0 for other rows. Permissions get no row. The walk keeps its own
-    stack, on which an int closes the guard row at that index."""
+
+def _clause_table(clauses: tuple[Clause, ...]):
+    """The sorted event universe, its index map and the clause tree laid
+    out as (kind, key, payload, end) rows, in the order a walk that pops
+    the last clause first and descends into every guard reaches them.
+    The key is the event index for an obligation or box (the event until
+    the walk ends) and the action for a prohibition or watch; the payload
+    is the `Norm`, the pending `(event, body)` entry or the armed
+    `(action, body, positive)` entry; `end` is the index just past a
+    guard's body, 0 for other rows. Permissions get no row. The walk
+    keeps its own stack, on which an int closes the guard row at that
+    index."""
     table: list[_Row] = []
+    seen: set[Event] = set()
     stack: list = list(clauses)
     while stack:
         clause = stack.pop()
@@ -212,28 +220,34 @@ def _clause_table(clauses: tuple[Clause, ...], index_of: dict[Event, int]) -> tu
         if kind is int:
             code, key, payload, _end = table[clause]
             table[clause] = (code, key, payload, len(table))
-        elif kind is Obligation:
-            event = (clause.pair, clause.action)
+            continue
+        event = (clause.pair, clause.action)
+        seen.add(event)
+        if kind is Obligation:
             norm = Norm("O", clause.pair, clause.action, clause.span)
-            table.append((_OBLIGED, index_of[event], norm, 0))
+            table.append((_OBLIGED, event, norm, 0))
         elif kind is Prohibition:
             norm = Norm("F", clause.pair, clause.action, clause.span)
             table.append((_FORBIDDEN, clause.action, norm, 0))
         elif kind is Box:
-            event = (clause.pair, clause.action)
             stack.append(len(table))
-            table.append((_BOX, index_of[event], (event, clause.body), 0))
+            table.append((_BOX, event, (event, clause.body), 0))
             stack.extend(clause.body)
         elif kind is IterBox:
             stack.append(len(table))
             watch = (clause.action, clause.body, clause.positive)
             table.append((_ONCE if clause.positive else _UNTIL, clause.action, watch, 0))
             stack.extend(clause.body)
-    return tuple(table)
+    universe = tuple(sorted(seen, key=_event_key))
+    index_of = {event: i for i, event in enumerate(universe)}
+    for i, (code, key, payload, end) in enumerate(table):
+        if code == _OBLIGED or code == _BOX:
+            table[i] = (code, index_of[key], payload, end)
+    return universe, index_of, tuple(table)
 
 
 class ContractSemantics:
-    """State derivation and stepping for one contract."""
+    """State derivation, stepping and path conditions for one contract."""
 
     def __init__(self, contract: Contract):
         problems = [i for i in validate(contract) if i.severity == "error"]
@@ -242,9 +256,7 @@ class ContractSemantics:
                 "contract does not validate: " + "; ".join(i.message for i in problems)
             )
         self.contract = contract
-        self.universe = event_universe(contract)
-        self._index_of = {event: i for i, event in enumerate(self.universe)}
-        self._table = _clause_table(contract.clauses, self._index_of)
+        self.universe, self._index_of, self._table = _clause_table(contract.clauses)
 
     def initial_state(self) -> NormState:
         return self.state(frozenset())
@@ -292,6 +304,32 @@ class ContractSemantics:
                 if kind == _ONCE:
                     i = end
         return NormState(fired, frozenset(active), tuple(pending), tuple(watches))
+
+    def conditions(self) -> Iterator[tuple[Norm, Condition]]:
+        """Every obligation and prohibition occurrence, in table order, with
+        the condition on the fired set under which it is in force: each
+        enclosing box's guard has fired; the prohibition's action and each
+        enclosing `[!a]*`'s action is performed by no fired event; each
+        enclosing `[a]*`'s action is performed by some fired event. Each
+        open guard stacks the condition outside it until its `end`."""
+        cond: Condition = (frozenset(), frozenset(), frozenset())
+        outer: list[tuple[int, Condition]] = []
+        for i, (kind, key, payload, end) in enumerate(self._table):
+            while outer and outer[-1][0] == i:
+                cond = outer.pop()[1]
+            need, banned, wanted = cond
+            if kind == _OBLIGED:
+                yield payload, cond
+            elif kind == _FORBIDDEN:
+                yield payload, (need, banned | {key}, wanted)
+            else:
+                outer.append((end, cond))
+                if kind == _BOX:
+                    cond = (need | {key}, banned, wanted)
+                elif kind == _UNTIL:
+                    cond = (need, banned | {key}, wanted)
+                else:
+                    cond = (need, banned, wanted | {key})
 
     def enumerate_reachable(self) -> Lts:
         """The subset lattice in `fired_sets` order, each fired set derived

@@ -8,15 +8,28 @@ own stack, building each `Norm` afresh, with pending boxes and armed
 watches as tuples in walk order. Either takes the place of
 `ContractSemantics.state` (patch it onto the class), so
 `enumerate_reachable` builds the reference lattice with it.
-`reference_dump_lts` prints frozenset states. All four are kept as they
-were, apart from their names.
+`reference_dump_lts` prints frozenset states.
+`reference_event_universe` collects the universe through `iter_clauses`,
+and `reference_path_conditions` walks the clause tree with its own stack
+to pair each obligation and prohibition with its path condition, which
+`ContractSemantics.conditions` now reads off the clause table. All six
+are kept as they were, apart from their names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from rclc.ast import Box, Clause, IterBox, Obligation, Permission, Prohibition
+from rclc.ast import (
+    Box,
+    Clause,
+    Contract,
+    IterBox,
+    Obligation,
+    Permission,
+    Prohibition,
+    iter_clauses,
+)
 from rclc.semantics import (
     Event,
     Lts,
@@ -224,3 +237,47 @@ def reference_dump_lts(lts: Lts) -> str:
     for src, event, dst in lts.transitions:
         out.append(f"  {src} e{index_of[event]} {dst}")
     return "\n".join(out) + "\n"
+
+
+def reference_event_universe(contract: Contract) -> tuple[Event, ...]:
+    """Every distinct (pair, action) occurring anywhere: as the subject
+    of a deontic operator, a box guard, or an iterated watch."""
+    seen = {(clause.pair, clause.action) for clause, _path in iter_clauses(contract)}
+    return tuple(sorted(seen, key=_event_key))
+
+
+# (events that must have fired, as universe indices; actions no fired
+# event may perform; actions some fired event must perform)
+_Condition = tuple[frozenset[int], frozenset[str], frozenset[str]]
+
+_TRUE: _Condition = (frozenset(), frozenset(), frozenset())
+
+
+def reference_path_conditions(contract: Contract, universe: tuple[Event, ...]):
+    """Every obligation and prohibition occurrence with the condition on
+    the fired set under which it is in force: each enclosing box's guard
+    has fired; the prohibition's action and each enclosing `[!a]*`'s
+    action is performed by no fired event; each enclosing `[a]*`'s action
+    is performed by some fired event. The walk keeps its own stack."""
+    index_of = {event: i for i, event in enumerate(universe)}
+    out: list[tuple[Norm, _Condition]] = []
+    stack: list[tuple[Clause, _Condition]] = [(c, _TRUE) for c in contract.clauses]
+    while stack:
+        clause, cond = stack.pop()
+        need, banned, wanted = cond
+        if isinstance(clause, Obligation):
+            out.append((Norm("O", clause.pair, clause.action, clause.span), cond))
+        elif isinstance(clause, Prohibition):
+            out.append((Norm("F", clause.pair, clause.action, clause.span),
+                        (need, banned | {clause.action}, wanted)))
+        elif isinstance(clause, Box):
+            guard = index_of[(clause.pair, clause.action)]
+            inner = (need | {guard}, banned, wanted)
+            stack.extend((c, inner) for c in clause.body)
+        elif isinstance(clause, IterBox):
+            if clause.positive:
+                inner = (need, banned, wanted | {clause.action})
+            else:
+                inner = (need, banned | {clause.action}, wanted)
+            stack.extend((c, inner) for c in clause.body)
+    return out

@@ -107,6 +107,37 @@ def test_annotation_refers_to_undeclared_name():
     assert any("'q'" in m for m in errs)
 
 
+def test_annotation_errors_keep_their_wording_and_order():
+    # undeclared agents, then non-identifier values, then bad event keys,
+    # each group in schema order
+    errs = errors_of("""agents a, b; actions x;
+        state {a,q}y = "1st", x = S;
+        role q = buyer, a = "9lives";
+        rolemsg r = "m";
+        message {a,b}z = "m";
+        valuemsg {p,b}x = "v";
+        payable w = "no way";
+        flag x = done, {a,b}x = "bad flag";
+        func {z,a}v = fx;
+        require zz = "free text";
+        {a,b}O(x);""")
+    assert errs == [
+        "annotation refers to undeclared agent 'q'",
+        "annotation refers to undeclared agent 'r'",
+        "role annotation value '9lives' is not an identifier",
+        "state annotation value '1st' is not an identifier",
+        "flag annotation value 'bad flag' is not an identifier",
+        "payable annotation value 'no way' is not an identifier",
+        "state annotation refers to undeclared action 'y'",
+        "state annotation refers to undeclared agent 'q'",
+        "func annotation refers to undeclared action 'v'",
+        "func annotation refers to undeclared agent 'z'",
+        "payable annotation refers to undeclared action 'w'",
+        "message annotation refers to undeclared action 'z'",
+        "valuemsg annotation refers to undeclared agent 'p'",
+    ]
+
+
 def test_meta_lookup_prefers_exact_pair():
     meta = Meta()
     meta.funcs[(None, None, "x")] = "generic"

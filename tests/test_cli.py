@@ -58,6 +58,15 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "bad.rcl:3:6" in err
 
 
+def test_annotation_pair_on_an_agent_name_exits_2(tmp_path, capsys):
+    bad = tmp_path / "pairrole.rcl"
+    bad.write_text("agents a, b;\nactions x;\nrole {a,b} a = buyer;\n{a,b}O(x);\n")
+    code = main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:3:6: error: expected name, found '{{'" in err
+
+
 def test_validation_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "selfpair.rcl"
     bad.write_text("agents a, b;\nactions x;\n{a,a}O(x);\n")

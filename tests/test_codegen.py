@@ -22,7 +22,7 @@ from rclc.codegen import (
 )
 from rclc.ast import Obligation, iter_clauses
 from rclc.parser import parse_contract
-from rclc.simulator import run_script
+from rclc.simulator import co_simulate, run_script
 
 from contractgen import random_flow, random_lowerable, repeat_tail_obligations
 
@@ -195,6 +195,28 @@ def test_promotion_opens_new_cluster():
             flag not in ("productSent", "shippingPaymentNotified")
             for flag, _w, _m in fn.flag_preconditions
         )
+
+
+def test_promoted_box_is_lowered_in_its_promoted_state():
+    # the box on x may come before or after O(x) in the body; either way
+    # z and w run after x has moved the machine on to S2
+    orders = (
+        "{a,b}[x]({a,b}O(z) & {a,b}O(w)) & {a,b}O(x) & {a,b}O(v)",
+        "{a,b}O(x) & {a,b}O(v) & {a,b}[x]({a,b}O(z) & {a,b}O(w))",
+    )
+    seen = []
+    for body in orders:
+        contract = parse(f"agents a, b; actions go, x, z, w, v; {{a,b}}[go]({body});")
+        ir = lower(contract)
+        seen.append({fn.name: (fn.state_guard, fn.flag_preconditions) for fn in ir.functions})
+        assert seen[-1]["z"][0] == seen[-1]["w"][0] == "S2"
+        bindings = {role: agent for role, agent in ir.roles}
+        script = [("a", name, 0) for name in ("go", "v", "x", "z", "w")]
+        world, records = run_script(ir, script, bindings, {})
+        assert all(record.ok for record in records)
+        assert world.current_state == "Finalized"
+        assert co_simulate(contract, world) == []
+    assert seen[0] == seen[1]
 
 
 def test_payable_resolution():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rclc.parser
-from rclc.ast import Box, IterBox, Obligation, Permission, Prohibition, pretty_print
+from rclc.ast import ANNOTATIONS, Box, IterBox, Obligation, Permission, Prohibition, pretty_print
 from rclc.parser import parse_contract, tokenize
 
 from contractgen import random_contract
@@ -122,8 +122,7 @@ def test_unterminated_string():
     assert not result.ok
 
 
-def test_annotations_full_set():
-    src = """
+FULL_SET = """
     agents b, s;
     actions pay, ship;
     contract Deal;
@@ -141,7 +140,10 @@ def test_annotations_full_set():
     inline {s,b}ship;
     {b,s}[pay]({s,b}O(ship));
     """
-    c = parse_ok(src)
+
+
+def test_annotations_full_set():
+    c = parse_ok(FULL_SET)
     meta = c.meta
     assert meta.contract_name == "Deal"
     assert meta.roles == {"b": "buyer", "s": "seller"}
@@ -164,19 +166,68 @@ def test_annotation_string_escapes():
     assert c.meta.messages[("a", "b", "x")] == 'say "hi" \\ ok'
 
 
+def test_pretty_print_emits_annotations_in_schema_order():
+    assert pretty_print(parse_ok(FULL_SET)) == """agents b, s;
+actions pay, ship;
+contract Deal;
+role b = buyer;
+role s = seller;
+rolemsg b = "buyer only";
+require shipped = "not shipped";
+repeat shipped = "already shipped";
+state {b,s} pay = Paid;
+flag {s,b} ship = shipped;
+func {s,b} ship = shipGoods;
+payable {b,s} pay = amount;
+message {b,s} pay = "paid";
+valuemsg {b,s} pay = "wrong amount";
+statemsg = "bad state";
+inline {s,b} ship;
+
+{b,s} [pay] (
+    {s,b} O(ship)
+);
+"""
+
+
 def test_annotation_round_trip():
+    # every keyword, event keys with and without a pair, and escapes
     src = """
     agents b, s;
     actions pay, ship;
     contract Deal;
-    role b = buyer;
-    state {b,s}pay = Paid;
-    message {b,s}pay = "paid \\"in full\\"";
-    inline {s,b}ship;
+    role b = buyer, s = seller;
+    rolemsg b = "buyer only", s = "seller \\ only";
+    require shipped = "not shipped";
+    repeat shipped = "already shipped";
+    state {b,s}pay = Paid, ship = Shipped;
+    flag {s,b}ship = shipped;
+    func ship = shipGoods;
+    payable {b,s}pay = amount;
+    message {b,s}pay = "paid \\"in full\\"", ship = "shipped";
+    valuemsg pay = "wrong amount";
+    statemsg = "bad \\"state\\"";
+    inline {s,b}ship, pay;
     {b,s}[pay]({s,b}O(ship));
     """
+    keywords = {line.split()[0] for line in src.splitlines()[3:-2]}
+    assert keywords == {*ANNOTATIONS, "contract", "statemsg", "inline"}
     c = parse_ok(src)
     assert parse_ok(pretty_print(c)) == c
+
+
+@pytest.mark.parametrize("src, message", [
+    ("role {a,b} a = buyer;", "f.rcl:2:6: error: expected name, found '{'"),
+    ("rolemsg {a,b} a = \"m\";", "f.rcl:2:9: error: expected name, found '{'"),
+    ("require {a,b} xDone = \"m\";", "f.rcl:2:9: error: expected name, found '{'"),
+    ("repeat {a,b} xDone = \"m\";", "f.rcl:2:8: error: expected name, found '{'"),
+    ("inline x = foo;", "f.rcl:2:10: error: expected ';', found '='"),
+    ("inline {a,b} x = foo;", "f.rcl:2:16: error: expected ';', found '='"),
+])
+def test_annotation_parts_that_would_be_dropped_are_errors(src, message):
+    # only an event-named keyword takes a pair, and inline takes no value
+    result = parse_contract(f"agents a, b; actions x;\n{src}\n{{a,b}}O(x);", file="f.rcl")
+    assert [str(e) for e in result.errors] == [message]
 
 
 def test_keywords_are_contextual():

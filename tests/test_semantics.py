@@ -22,8 +22,14 @@ from rclc.semantics import (
     lts_to_dot,
 )
 
-from contractgen import merged_contract, random_contract
-from reference import reference_dump_lts, reference_stack_state, reference_state
+from contractgen import merged_contract, random_contract, random_flow, random_lowerable
+from reference import (
+    reference_dump_lts,
+    reference_event_universe,
+    reference_path_conditions,
+    reference_stack_state,
+    reference_state,
+)
 
 FIXTURE = open("fixtures/purchase_conflicted.rcl").read()
 
@@ -313,8 +319,9 @@ def test_derivations_share_prebuilt_norms():
     assert all(by_value[norm] is norm for norm in shared)
 
 
-def test_deep_box_chain_derives_steps_and_checks():
-    # deeper than the recursion limit: every walk keeps its own stack
+def deep_box_chain():
+    """3000 nested boxes over 3 actions, deeper than the recursion limit,
+    beside a clashing obligation and prohibition."""
     ab = pair("a", "b")
     actions = ("x", "y", "z")
     body = (Obligation(ab, "x", Span(3001, 1, 3001, 9)),)
@@ -324,7 +331,31 @@ def test_deep_box_chain_derives_steps_and_checks():
         Obligation(ab, "y", Span(3002, 1, 3002, 9)),
         Prohibition(ab, "y", Span(3003, 1, 3003, 9)),
     )
-    contract = Contract((Decl("a"), Decl("b")), tuple(map(Decl, actions)), clauses)
+    return Contract((Decl("a"), Decl("b")), tuple(map(Decl, actions)), clauses)
+
+
+def test_conditions_and_universe_match_the_reference_walks():
+    # the clause table's one walk against the two walks it replaced
+    rng = random.Random(20261019)
+    contracts = [random_contract(rng) for _ in range(40)]
+    contracts += [merged_contract(rng, parts, max_events=12) for parts in (2, 3) * 10]
+    contracts += [random_lowerable(rng) for _ in range(20)]
+    contracts += [random_flow(rng) for _ in range(20)]
+    contracts += [parsed(pretty_print(c)) for c in contracts[::2]]
+    contracts += [parsed(open(f"fixtures/{name}.rcl").read())
+                  for name in ("purchase_conflicted", "purchase_fixed")]
+    contracts += [parsed(WRITTEN_TWICE), deep_box_chain()]
+    for contract in contracts:
+        sem = ContractSemantics(contract)
+        universe = reference_event_universe(contract)
+        assert sem.universe == event_universe(contract) == universe
+        assert list(sem.conditions()) == reference_path_conditions(contract, universe)
+
+
+def test_deep_box_chain_derives_steps_and_checks():
+    # deeper than the recursion limit: every walk keeps its own stack
+    ab = pair("a", "b")
+    contract = deep_box_chain()
     sem = ContractSemantics(contract)
     start = sem.state(frozenset())
     assert [event for event, _body in start.pending_boxes] == [(ab, "x")]
