@@ -58,11 +58,23 @@ def _fail(message: str) -> _Bail:
 
 
 def _read(path: str) -> str:
+    """The file's text: UTF-8 after an optional byte-order mark, with
+    CRLF and CR line ends read as LF, as text mode reads them."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise _fail(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _fail(
+            f"cannot read {path}: not valid UTF-8"
+            f" (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None
+    # what the "utf-8-sig" codec reads, with offsets into the file itself
+    text = text.removeprefix("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load(path: str) -> Contract:

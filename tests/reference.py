@@ -1,7 +1,9 @@
 """The slow paths the fast ones replaced, kept as test references.
 
 `reference_tokenize` is the character-at-a-time scanner over frozen
-dataclass tokens and spans. `reference_state` derives a norm state with
+dataclass tokens and spans, and `reference_parse_contract` the recursive
+descent over its token list, one `Token` per step, that the index-based
+parser replaced. `reference_state` derives a norm state with
 pending boxes and armed watches as frozensets, and
 `reference_stack_state` derives it by walking the clause tree with its
 own stack, building each `Norm` afresh, with pending boxes and armed
@@ -12,7 +14,7 @@ watches as tuples in walk order. Either takes the place of
 `reference_event_universe` collects the universe through `iter_clauses`,
 and `reference_path_conditions` walks the clause tree with its own stack
 to pair each obligation and prohibition with its path condition, which
-`ContractSemantics.conditions` now reads off the clause table. All six
+`ContractSemantics.conditions` now reads off the clause table. All seven
 are kept as they were, apart from their names.
 """
 
@@ -21,15 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from rclc.ast import (
+    ANNOTATIONS,
+    AgentPair,
     Box,
     Clause,
     Contract,
+    Decl,
     IterBox,
+    Key,
+    Meta,
     Obligation,
     Permission,
     Prohibition,
     iter_clauses,
 )
+from rclc.parser import MAX_NESTING, ParseError, ParseResult
 from rclc.semantics import (
     Event,
     Lts,
@@ -54,6 +62,8 @@ _PUNCT = {
 }
 _ALIASES = {"&": "AMP", "∧": "AMP", "!": "BANG", "¬": "BANG"}
 _KEYWORDS = {"agents", "actions", "O", "F", "P"}
+
+_ANNOTATIONS = {*ANNOTATIONS, "contract", "statemsg", "inline"}
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,198 @@ def reference_tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
     return tokens
+
+
+def _describe(token: Token) -> str:
+    if token.kind == "EOF":
+        return "end of input"
+    return f"'{token.text}'"
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[Token], file: str):
+        eof_span = tokens[-1].span if tokens else Span(1, 1, 1, 1)
+        self.tokens = tokens + [Token("EOF", "", eof_span)]
+        self.pos = 0
+        self.file = file
+        self.errors: list[ParseError] = []
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def at(self, kind: str) -> bool:
+        return self.peek().kind == kind
+
+    def fail(self, expected: str) -> ParseError:
+        tok = self.peek()
+        return ParseError(tok.span, expected, _describe(tok), self.file)
+
+    def expect(self, kind: str, expected: str) -> Token:
+        if self.at(kind):
+            return self.advance()
+        raise self.fail(expected)
+
+    def ident(self, what: str) -> Token:
+        if self.at("IDENT"):
+            return self.advance()
+        raise self.fail(what)
+
+    def sync(self):
+        """Skip to just past the next ';' (or to EOF)."""
+        while not self.at("EOF"):
+            if self.advance().kind == "SEMI":
+                return
+
+    # -- grammar ---------------------------------------------------------
+
+    def contract(self) -> Contract | None:
+        agents = self.decl_list("agents")
+        actions = self.decl_list("actions")
+        meta = Meta()
+        while self.at("IDENT") and self.peek().text in _ANNOTATIONS:
+            try:
+                self.annotation(meta)
+            except ParseError as exc:
+                self.errors.append(exc)
+                self.sync()
+        clauses: list[Clause] = []
+        while not self.at("EOF"):
+            try:
+                statement = self.clause_and(0)
+                self.expect("SEMI", "';'")
+                clauses.extend(statement)
+            except ParseError as exc:
+                self.errors.append(exc)
+                self.sync()
+        if self.errors:
+            return None
+        return Contract(tuple(agents), tuple(actions), tuple(clauses), meta)
+
+    def decl_list(self, keyword: str) -> list[Decl]:
+        decls: list[Decl] = []
+        try:
+            self.expect(keyword, f"'{keyword}'")
+            tok = self.ident(f"{keyword[:-1]} name")
+            decls.append(Decl(tok.text, tok.span))
+            while self.at("COMMA"):
+                self.advance()
+                tok = self.ident(f"{keyword[:-1]} name")
+                decls.append(Decl(tok.text, tok.span))
+            self.expect("SEMI", "';'")
+        except ParseError as exc:
+            self.errors.append(exc)
+            self.sync()
+        return decls
+
+    def annotation(self, meta: Meta):
+        keyword = self.advance().text
+        if keyword == "contract":
+            meta.contract_name = self.ident("contract name").text
+        elif keyword == "statemsg":
+            self.expect("EQUALS", "'='")
+            meta.statemsg = self.expect("STRING", "string").text
+        else:
+            self.annotation_entry(keyword, meta)
+            while self.at("COMMA"):
+                self.advance()
+                self.annotation_entry(keyword, meta)
+        self.expect("SEMI", "';'")
+
+    def annotation_entry(self, keyword: str, meta: Meta):
+        """An inline key, or `name = value` into the keyword's `Meta`
+        table; only an event-named keyword takes a pair before its name."""
+        if keyword == "inline":
+            meta.inline.append(self.event_key())
+            return
+        table, names, _text = ANNOTATIONS[keyword]
+        key = self.event_key() if names == "event" else self.ident("name").text
+        self.expect("EQUALS", "'='")
+        value = self.advance().text if self.at("STRING") else self.ident("value").text
+        getattr(meta, table)[key] = value
+
+    def event_key(self) -> Key:
+        pair = self.pair() if self.at("LBRACE") else None
+        name = self.ident("name").text
+        return (pair.performer, pair.counterparty, name) if pair else (None, None, name)
+
+    def pair(self) -> AgentPair:
+        self.expect("LBRACE", "'{'")
+        performer = self.ident("agent name").text
+        self.expect("COMMA", "','")
+        counterparty = self.ident("agent name").text
+        self.expect("RBRACE", "'}'")
+        return AgentPair(performer, counterparty)
+
+    def clause(self, depth: int) -> Clause:
+        """Parse one clause enclosed by `depth` guards."""
+        start = self.peek().span
+        if depth > MAX_NESTING:
+            raise ParseError(
+                start,
+                f"a clause inside at most {MAX_NESTING} guards",
+                f"one inside {depth}",
+                self.file,
+            )
+        pair = self.pair()
+        tok = self.peek()
+        if tok.kind in ("O", "F", "P"):
+            self.advance()
+            self.expect("LPAREN", "'('")
+            action = self.ident("action name").text
+            end = self.expect("RPAREN", "')'").span
+            span = Span(start.line, start.col, end.end_line, end.end_col)
+            node = {"O": Obligation, "F": Prohibition, "P": Permission}[tok.kind]
+            return node(pair, action, span)
+        if tok.kind == "LBRACK":
+            self.advance()
+            negated = False
+            if self.at("BANG"):
+                self.advance()
+                negated = True
+            action = self.ident("action name").text
+            self.expect("RBRACK", "']'")
+            starred = False
+            if self.at("STAR"):
+                self.advance()
+                starred = True
+            self.expect("LPAREN", "'('")
+            body = self.clause_and(depth + 1)
+            end = self.expect("RPAREN", "')'").span
+            span = Span(start.line, start.col, end.end_line, end.end_col)
+            if negated:
+                return IterBox(pair, action, body, False, starred, span)
+            if starred:
+                return IterBox(pair, action, body, True, True, span)
+            return Box(pair, action, body, span)
+        raise self.fail("'O', 'F', 'P' or '['")
+
+    def clause_and(self, depth: int) -> tuple[Clause, ...]:
+        clauses = [self.clause(depth)]
+        while self.at("AMP"):
+            self.advance()
+            clauses.append(self.clause(depth))
+        return tuple(clauses)
+
+
+def reference_parse_contract(text: str, file: str = "<input>") -> ParseResult:
+    """Parse source text; on any fault the result carries every error
+    found (resynchronizing at ';') and no contract."""
+    tokens = reference_tokenize(text)
+    bad = [t for t in tokens if t.kind == "ERROR"]
+    if bad:
+        errors = [
+            ParseError(t.span, "a token", f"'{t.text}'", file) for t in bad
+        ]
+        return ParseResult(None, errors)
+    parser = _ReferenceParser(tokens, file)
+    contract = parser.contract()
+    return ParseResult(contract, parser.errors)
 
 
 def reference_state(self, fired: frozenset[Event]) -> NormState:

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -46,6 +47,55 @@ def test_check_missing_file_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cannot read" in err
+
+
+def test_undecodable_contract_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin.rcl"
+    bad.write_bytes(b"agents a, b;\n\xff\n")
+    code = main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"rclc: error: cannot read {bad}: not valid UTF-8 (byte 0xff at offset 13)\n"
+
+
+def test_undecodable_script_exits_2(tmp_path, capsys):
+    script = tmp_path / "script.txt"
+    script.write_bytes("b buyProduct value=100\n".encode() + b"s sendProduct \xe9\n")
+    code = main(["sim", FIXED, "--script", str(script)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        f"rclc: error: cannot read {script}: not valid UTF-8 (byte 0xe9 at offset 37)\n"
+    )
+
+
+def _without_wall_time(text):
+    return re.sub(r"[0-9.]+ ms$|\"wall_ms\": [0-9.]+", "", text, flags=re.M)
+
+
+def test_byte_order_mark_is_read_past(tmp_path, capsys):
+    # a BOM copy reads like the plain file: same report, columns and exit code
+    for plain in (FIXED, CONFLICTED):
+        marked = tmp_path / Path(plain).name
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        for fmt in ("json", "text"):
+            want = main(["check", plain, "--format", fmt])
+            want_out = capsys.readouterr().out.replace(plain, str(marked))
+            got = main(["check", str(marked), "--format", fmt])
+            got_out = capsys.readouterr().out
+            assert (got, _without_wall_time(got_out)) == (want, _without_wall_time(want_out))
+    assert ":82:17: conflict:" in got_out
+    marked.write_bytes(b"\xef\xbb\xbfagents a b;\nactions x;\n{a,b}O(x);\n")
+    assert main(["check", str(marked)]) == 2
+    assert capsys.readouterr().err == f"{marked}:1:10: error: expected ';', found 'b'\n"
+    script = tmp_path / "script.txt"
+    script.write_bytes(b"\xef\xbb\xbf" + (SCRIPTS / "corrected_run.txt").read_bytes())
+    sim = ["sim", FIXED, "--amount", "paymentAmount=100", "--amount", "shippingCosts=10",
+           "--script"]
+    assert main(sim + [str(SCRIPTS / "corrected_run.txt")]) == 0
+    want_trace = capsys.readouterr().out
+    assert main(sim + [str(script)]) == 0
+    assert capsys.readouterr().out == want_trace
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

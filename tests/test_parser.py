@@ -2,18 +2,25 @@
 
 import random
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rclc.parser
-from rclc.ast import ANNOTATIONS, Box, IterBox, Obligation, Permission, Prohibition, pretty_print
+from rclc.ast import (
+    ANNOTATIONS,
+    Box,
+    IterBox,
+    Obligation,
+    Permission,
+    Prohibition,
+    iter_clauses,
+    pretty_print,
+)
 from rclc.parser import parse_contract, tokenize
 
 from contractgen import random_contract
-from reference import reference_tokenize
+from reference import reference_parse_contract, reference_tokenize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -273,20 +280,43 @@ def test_round_trip_property(seed):
     assert parse_ok(pretty_print(contract)) == contract
 
 
+def _span(span):
+    return (span.line, span.col, span.end_line, span.end_col)
+
+
 def _stream(tokens):
-    return [
-        (t.kind, t.text, (t.span.line, t.span.col, t.span.end_line, t.span.end_col))
-        for t in tokens
+    return [(t.kind, t.text, _span(t.span)) for t in tokens]
+
+
+def _outcome(result):
+    """All a parse result says: each error with its whole span, and the
+    contract with its `Meta`, every `Decl` span and every clause span in
+    pre-order, which contract equality leaves out."""
+    errors = [(str(e), e.expected, e.found, _span(e.span)) for e in result.errors]
+    contract = result.contract
+    if contract is None:
+        return errors, None
+    decls = [(d.name, _span(d.span)) for d in (*contract.agents, *contract.actions)]
+    clauses = [
+        (path, type(clause).__name__, _span(clause.span))
+        for clause, path in iter_clauses(contract)
     ]
+    return errors, (contract, contract.meta, decls, clauses)
 
 
-def _agrees_with_the_reference_scanner(text):
-    assert _stream(tokenize(text)) == _stream(reference_tokenize(text))
-    fast = parse_contract(text, file="f.rcl")
-    with mock.patch.object(rclc.parser, "tokenize", reference_tokenize):
-        slow = parse_contract(text, file="f.rcl")
-    assert [str(e) for e in fast.errors] == [str(e) for e in slow.errors]
-    assert fast.contract == slow.contract
+def _variants(text):
+    """The text as written, with comment lines between its lines, with
+    CRLF line ends, and with both."""
+    commented = "// comment\n" + text.replace("\n", "\n// comment\n")
+    return [text, commented, text.replace("\n", "\r\n"), commented.replace("\n", "\r\n")]
+
+
+def _agrees_with_the_reference(text):
+    for variant in _variants(text):
+        assert _stream(tokenize(variant)) == _stream(reference_tokenize(variant))
+        fast = parse_contract(variant, file="f.rcl")
+        slow = reference_parse_contract(variant, file="f.rcl")
+        assert _outcome(fast) == _outcome(slow)
 
 
 # pieces of text the scanner treats differently: every punctuation mark
@@ -303,14 +333,34 @@ _PIECES = [
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=60).map("".join))
 def test_tokenize_matches_the_reference_scanner(text):
-    _agrees_with_the_reference_scanner(text)
+    _agrees_with_the_reference(text)
 
 
 def test_tokenize_matches_the_reference_scanner_on_the_fixtures():
     for name in ("purchase_fixed.rcl", "purchase_conflicted.rcl"):
-        _agrees_with_the_reference_scanner((FIXTURES / name).read_text())
+        _agrees_with_the_reference((FIXTURES / name).read_text())
     deep = "{a,b}[x](" * 1200 + "{a,b}O(x)" + ")" * 1200
-    _agrees_with_the_reference_scanner(f"agents a, b;\nactions x;\n{deep};\n")
+    _agrees_with_the_reference(f"agents a, b;\nactions x;\n{deep};\n")
+
+
+def test_parse_matches_the_reference_parser_on_random_contracts():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        _agrees_with_the_reference(pretty_print(random_contract(rng)))
+    _agrees_with_the_reference(FULL_SET)
+
+
+def test_end_of_input_errors_keep_their_positions():
+    # the end of input sits on the last token, or at 1:1 with no tokens
+    assert [str(e) for e in parse_contract("", file="f.rcl").errors] == [
+        "f.rcl:1:1: error: expected 'agents', found end of input",
+        "f.rcl:1:1: error: expected 'actions', found end of input",
+    ]
+    result = parse_contract("agents a, b;\r\nactions x;\r\n{a,b}O(x)", file="f.rcl")
+    assert [str(e) for e in result.errors] == [
+        "f.rcl:3:9: error: expected ';', found end of input",
+    ]
+    assert _span(result.errors[0].span) == (3, 9, 3, 10)
 
 
 def test_tokens_and_spans_are_tuples():
