@@ -13,8 +13,8 @@ _EXPORTS = {
     "checker": ["CheckReport", "Conflict", "brute_force_oracle", "check"],
     "codegen": ["FunctionIR", "LowerError", "MachineIR", "emit_solidity", "lower"],
     "parser": ["ParseError", "ParseResult", "parse_contract"],
-    "semantics": ["ContractSemantics", "Lts", "Norm", "NormState", "StepError", "dump_lts",
-                  "enumerate_reachable", "event_universe", "initial_state"],
+    "semantics": ["ContractSemantics", "InvalidContract", "Lts", "Norm", "NormState",
+                  "StepError", "dump_lts", "event_universe"],
     "simulator": ["CallRecord", "SimError", "World", "call", "co_simulate", "deploy",
                   "parse_script", "render_trace", "run_script"],
 }

@@ -75,7 +75,7 @@ class CheckReport:
         return not self.conflicts
 
 
-def check(contract: Contract) -> CheckReport:
+def check(contract: Contract | ContractSemantics) -> CheckReport:
     """Report each obligation/prohibition origin pair that clashes in some
     reachable state, with its witness: the first fired set in
     `semantics.fired_sets` order (smallest, then by event index) at which
@@ -84,7 +84,7 @@ def check(contract: Contract) -> CheckReport:
     the stepper before being reported, not trusted from the construction.
     """
     begin = time.perf_counter()
-    sem = ContractSemantics(contract)
+    sem = ContractSemantics.of(contract)
     universe = sem.universe
     first_with: dict[str, int] = {}
     for i, (_pair, action) in enumerate(universe):

@@ -6,7 +6,9 @@ be processed at all (parse, validation, or I/O errors, bad flags,
 over-deep nesting) or an internal error stopped the run.
 Set RCLC_COLOR=1 to colorize the text conflict report.
 
-A command loads only its stages: `gen` imports codegen, `sim` codegen and
+A command validates its input once, into the `ContractSemantics` it works
+from, and prints each issue as `path[:line:col]: severity: message`.
+It loads only its stages: `gen` imports codegen, `sim` codegen and
 the simulator, and the others neither. The stage functions a command
 calls are names of this module all the same, bound on first use, so a
 test or tracer that replaces `rclc.cli.lower` reaches the command.
@@ -18,10 +20,11 @@ import argparse
 import os
 import sys
 
-from .ast import Contract, pretty_print, validate
+# unused here since ContractSemantics validates, but perfbench patches it
+from .ast import pretty_print, validate  # noqa: F401
 from .checker import check, report_to_json, report_to_text
 from .parser import parse_contract
-from .semantics import dump_lts, enumerate_reachable, lts_to_dot
+from .semantics import ContractSemantics, InvalidContract, dump_lts, lts_to_dot
 
 __all__ = ["main"]
 
@@ -77,23 +80,24 @@ def _read(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load(path: str) -> Contract:
+def _load(path: str) -> ContractSemantics:
     result = parse_contract(_read(path), file=path)
     if not result.ok:
         for error in result.errors:
             print(error, file=sys.stderr)
         raise _Bail(2)
-    contract = result.contract
-    issues = validate(contract)
-    for issue in issues:
-        print(f"{path}: {issue.severity}: {issue.message}", file=sys.stderr)
-    if any(i.severity == "error" for i in issues):
+    try:
+        sem = ContractSemantics(result.contract)
+    except InvalidContract as exc:
+        sem, issues = None, exc.issues
+    else:
+        issues = sem.warnings
+    for issue in issues:  # a span is set on a clause or declaration issue
+        where = f"{path}:{issue.span}" if issue.span.line else path
+        print(f"{where}: {issue.severity}: {issue.message}", file=sys.stderr)
+    if sem is None:
         raise _Bail(2)
-    return contract
-
-
-def _color_enabled() -> bool:
-    return os.environ.get("RCLC_COLOR") == "1"
+    return sem
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -108,23 +112,21 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _cmd_check(args) -> int:
-    contract = _load(args.input)
-    report = check(contract)
+    report = check(_load(args.input))
     if args.format == "json":
         sys.stdout.write(report_to_json(report, file=args.input))
     else:
-        sys.stdout.write(
-            report_to_text(report, file=args.input, color=_color_enabled())
-        )
+        color = os.environ.get("RCLC_COLOR") == "1"
+        sys.stdout.write(report_to_text(report, file=args.input, color=color))
     return 1 if report.conflicts else 0
 
 
-def _lower_or_bail(contract: Contract, args):
+def _lower_or_bail(sem: ContractSemantics, args):
     try:
         ir = lower(
-            contract,
+            sem,
             allow_conflicts=args.allow_conflicts,
-            fidelity_internal_calls=getattr(args, "fidelity_internal_calls", False),
+            fidelity_internal_calls=args.fidelity_internal_calls,
         )
     except LowerError as exc:
         if exc.report is None:
@@ -142,38 +144,39 @@ def _lower_or_bail(contract: Contract, args):
 
 def _cmd_gen(args) -> int:
     _bind("LowerError", "lower", "emit_solidity")
-    contract = _load(args.input)
-    ir = _lower_or_bail(contract, args)
+    ir = _lower_or_bail(_load(args.input), args)
     _write_out(emit_solidity(ir), args.output)
     return 0
 
 
-def _parse_pairs(entries, what: str, value_parser):
+def _parse_pairs(entries, what: str, value_parser=None):
     table = {}
     for entry in entries or []:
         key, sep, value = entry.partition("=")
         if not sep or not key:
             raise _fail(f"bad {what} '{entry}': expected <name>=<value>")
-        try:
-            table[key] = value_parser(value)
-        except ValueError:
-            raise _fail(f"bad {what} '{entry}': value must be an integer") from None
+        table[key] = value_parser(value, f"{what} '{entry}'") if value_parser else value
     return table
+
+
+def _natural(value: str, what: str) -> int:
+    # ASCII digits only, as a script's value=<n>; int() takes '-1', '１' and '1_0'
+    if not (value.isascii() and value.isdigit()):
+        raise _fail(f"bad {what}: value must be an integer in ASCII digits")
+    return int(value)
 
 
 def _cmd_sim(args) -> int:
     _bind("LowerError", "lower", "SimError", "parse_script", "run_script",
           "render_trace")
-    contract = _load(args.input)
-    ir = _lower_or_bail(contract, args)
+    ir = _lower_or_bail(_load(args.input), args)
     bindings = {role: agent for role, agent in ir.roles}
-    bindings.update(_parse_pairs(args.bind, "binding", str))
-    amounts = _parse_pairs(args.amount, "amount", int)
+    bindings.update(_parse_pairs(args.bind, "binding"))
+    amounts = _parse_pairs(args.amount, "amount", _natural)
+    balance = _natural(args.balance, f"balance '{args.balance}'")
     try:
         script = parse_script(_read(args.script))
-        world, _records = run_script(
-            ir, script, bindings, amounts, initial_balance=args.balance
-        )
+        world, _records = run_script(ir, script, bindings, amounts, initial_balance=balance)
     except SimError as exc:
         raise _fail(str(exc)) from None
     sys.stdout.write(render_trace(world))
@@ -181,21 +184,17 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_dump_ast(args) -> int:
-    contract = _load(args.input)
-    sys.stdout.write(pretty_print(contract))
+    sys.stdout.write(pretty_print(_load(args.input).contract))
     return 0
 
 
 def _cmd_dump_lts(args) -> int:
-    contract = _load(args.input)
+    sem = _load(args.input)
     try:
-        lts = enumerate_reachable(contract)
+        lts = sem.enumerate_reachable()
     except ValueError as exc:  # over MAX_LTS_EVENTS; the contract is valid
         raise _fail(str(exc)) from None
-    if args.dot:
-        sys.stdout.write(lts_to_dot(lts))
-    else:
-        sys.stdout.write(dump_lts(lts))
+    sys.stdout.write(lts_to_dot(lts) if args.dot else dump_lts(lts))
     return 0
 
 
@@ -209,24 +208,20 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="detect obligation/prohibition conflicts")
-    p_check.add_argument("input")
+    def command(name, fn, help):
+        """A subcommand reading one contract file, run by `fn`."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("input")
+        p.set_defaults(fn=fn)
+        return p
+
+    p_check = command("check", _cmd_check, "detect obligation/prohibition conflicts")
     p_check.add_argument("--format", choices=["text", "json"], default="text")
-    p_check.set_defaults(fn=_cmd_check)
 
-    p_gen = sub.add_parser("gen", help="lower to a state machine and emit Solidity")
-    p_gen.add_argument("input")
+    p_gen = command("gen", _cmd_gen, "lower to a state machine and emit Solidity")
     p_gen.add_argument("-o", "--output", default=None)
-    p_gen.add_argument("--allow-conflicts", action="store_true")
-    p_gen.add_argument(
-        "--fidelity-internal-calls",
-        action="store_true",
-        help="honor inline annotations, reproducing private internal calls",
-    )
-    p_gen.set_defaults(fn=_cmd_gen)
 
-    p_sim = sub.add_parser("sim", help="run a call script against the state machine")
-    p_sim.add_argument("input")
+    p_sim = command("sim", _cmd_sim, "run a call script against the state machine")
     p_sim.add_argument("--script", required=True, help="call script file")
     p_sim.add_argument(
         "--bind",
@@ -240,19 +235,15 @@ def _parser() -> argparse.ArgumentParser:
         metavar="PARAM=N",
         help="set an amount parameter",
     )
-    p_sim.add_argument("--balance", type=int, default=1000)
-    p_sim.add_argument("--allow-conflicts", action="store_true")
-    p_sim.add_argument("--fidelity-internal-calls", action="store_true")
-    p_sim.set_defaults(fn=_cmd_sim)
+    p_sim.add_argument("--balance", default="1000", help="each account's initial balance")
+    for p in (p_gen, p_sim):
+        p.add_argument("--allow-conflicts", action="store_true")
+        p.add_argument("--fidelity-internal-calls", action="store_true",
+                       help="honor inline annotations, reproducing private internal calls")
 
-    p_ast = sub.add_parser("dump-ast", help="print the canonical source form")
-    p_ast.add_argument("input")
-    p_ast.set_defaults(fn=_cmd_dump_ast)
-
-    p_lts = sub.add_parser("dump-lts", help="print the reachable transition system")
-    p_lts.add_argument("input")
+    command("dump-ast", _cmd_dump_ast, "print the canonical source form")
+    p_lts = command("dump-lts", _cmd_dump_lts, "print the reachable transition system")
     p_lts.add_argument("--dot", action="store_true", help="emit Graphviz dot")
-    p_lts.set_defaults(fn=_cmd_dump_lts)
 
     return parser
 

@@ -71,7 +71,7 @@ from .ast import (
     Prohibition,
 )
 from .checker import CheckReport, check
-from .semantics import Event
+from .semantics import ContractSemantics, Event
 
 __all__ = [
     "LowerError",
@@ -289,14 +289,15 @@ def _flow(body: tuple[Clause, ...]) -> list[tuple[Clause, int]]:
 
 
 def lower(
-    contract: Contract,
+    contract: Contract | ContractSemantics,
     allow_conflicts: bool = False,
     fidelity_internal_calls: bool = False,
 ) -> MachineIR:
     """Lower a conflict-free contract to a state machine (see the module
     docstring for the mapping). Conflicted input is rejected, with the
     report attached to the LowerError, unless `allow_conflicts` is set."""
-    report = check(contract)  # validates the contract as a side effect
+    sem = ContractSemantics.of(contract)
+    report = check(sem)
     if report.conflicts and not allow_conflicts:
         where = ", ".join(f"{c.pair} {c.action}" for c in report.conflicts)
         raise LowerError(
@@ -305,6 +306,7 @@ def lower(
             report,
         )
 
+    contract = sem.contract
     meta = contract.meta
     warnings: list[str] = []
     root_box, rules = _sort_top_level(contract)

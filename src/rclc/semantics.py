@@ -17,8 +17,8 @@ finite. The norm state is a pure function of that set:
 
 Because activity depends only on the fired set, firing order can never
 matter, which makes the reachable system the subset lattice of the
-event universe. `enumerate_reachable` lists that lattice for at most
-MAX_LTS_EVENTS events.
+event universe. `ContractSemantics.enumerate_reachable` lists that
+lattice for at most MAX_LTS_EVENTS events.
 
 Each `ContractSemantics` lays its clause tree out once as a flat table:
 one row per obligation, prohibition, box and watch, in the order a walk
@@ -60,14 +60,13 @@ __all__ = [
     "NormState",
     "Lts",
     "StepError",
+    "InvalidContract",
     "ContractSemantics",
     "event_universe",
     "MAX_LTS_EVENTS",
     "fired_sets",
     "clashes",
     "clash_order",
-    "initial_state",
-    "enumerate_reachable",
     "dump_lts",
     "lts_to_dot",
 ]
@@ -80,6 +79,15 @@ MAX_LTS_EVENTS = 16
 
 class StepError(Exception):
     """An event replayed or not resolvable against the contract."""
+
+
+class InvalidContract(ValueError):
+    """`validate` found errors; `issues` is all it reported, in its order."""
+
+    def __init__(self, issues: list):
+        errors = "; ".join(i.message for i in issues if i.severity == "error")
+        super().__init__(f"contract does not validate: {errors}")
+        self.issues = issues
 
 
 def format_event(event: Event) -> str:
@@ -137,9 +145,11 @@ class Lts:
         return self.states[0]
 
 
-def event_universe(contract: Contract) -> tuple[Event, ...]:
+def event_universe(contract: Contract | ContractSemantics) -> tuple[Event, ...]:
     """Every distinct (pair, action) occurring anywhere: as the subject
     of a deontic operator, a box guard, or an iterated watch."""
+    if isinstance(contract, ContractSemantics):
+        return contract.universe
     return _clause_table(contract.clauses)[0]
 
 
@@ -247,16 +257,21 @@ def _clause_table(clauses: tuple[Clause, ...]):
 
 
 class ContractSemantics:
-    """State derivation, stepping and path conditions for one contract."""
+    """One analysed contract, validated once: its warnings, states, steps
+    and path conditions. `check`, `lower` and `co_simulate` share it."""
 
     def __init__(self, contract: Contract):
-        problems = [i for i in validate(contract) if i.severity == "error"]
-        if problems:
-            raise ValueError(
-                "contract does not validate: " + "; ".join(i.message for i in problems)
-            )
+        issues = validate(contract)
+        if any(i.severity == "error" for i in issues):
+            raise InvalidContract(issues)
         self.contract = contract
+        self.warnings = tuple(issues)
         self.universe, self._index_of, self._table = _clause_table(contract.clauses)
+
+    @classmethod
+    def of(cls, contract: Contract | ContractSemantics) -> ContractSemantics:
+        """`contract` if it is already analysed, else its analysis."""
+        return contract if isinstance(contract, cls) else cls(contract)
 
     def initial_state(self) -> NormState:
         return self.state(frozenset())
@@ -351,16 +366,6 @@ class ContractSemantics:
             if event not in state.fired
         )
         return Lts(states, edges, universe)
-
-
-# Convenience wrappers over a per-contract ContractSemantics.
-
-def initial_state(contract: Contract) -> NormState:
-    return ContractSemantics(contract).initial_state()
-
-
-def enumerate_reachable(contract: Contract) -> Lts:
-    return ContractSemantics(contract).enumerate_reachable()
 
 
 def _norm_sort_key(norm: Norm):

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .codegen import CallFn, EmitEvent, FunctionIR, MachineIR, SetFlag, SetState
+from .semantics import ContractSemantics, StepError
 
 __all__ = [
     "SimError",
@@ -139,7 +140,7 @@ def deploy(
     """Create a fresh World in the Created state.
 
     Every role must be bound to its own account and every amount
-    parameter given a value; leftovers in either map are rejected."""
+    parameter given a non-negative value; leftovers in either map are rejected."""
     role_names = [role for role, _agent in ir.roles]
     for role in role_names:
         if role not in bindings:
@@ -153,6 +154,8 @@ def deploy(
     for param in ir.params:
         if param not in amounts:
             raise SimError(f"no value given for amount parameter '{param}'")
+        if amounts[param] < 0:
+            raise SimError(f"amount parameter '{param}' must be non-negative")
     for param in amounts:
         if param not in ir.params:
             raise SimError(f"value given for unknown parameter '{param}'")
@@ -347,16 +350,14 @@ def render_trace(world: World) -> str:
 
 
 def co_simulate(contract, world: World) -> list[str]:
-    """Replay the world's successful calls against the contract's own
-    transition semantics and compare endpoints.
+    """Replay the world's successful calls against the transition semantics
+    of `contract`, or of its `ContractSemantics`, and compare endpoints.
 
     Returns a list of discrepancies (empty means the run conforms):
     every successful call must map to an accepted transition, and the
     machine must sit in Finalized exactly when no obligation is left
     active."""
-    from .semantics import ContractSemantics, StepError
-
-    sem = ContractSemantics(contract)
+    sem = ContractSemantics.of(contract)
     state = sem.initial_state()
     issues: list[str] = []
     for record in world.call_log:

@@ -38,7 +38,6 @@ from rclc.semantics import (
     ContractSemantics,
     clashes,
     dump_lts,
-    enumerate_reachable,
     fired_sets,
 )
 
@@ -239,7 +238,7 @@ def test_empty_report_means_no_collision_in_dump():
         contract = parsed(pretty_print(random_contract(rng, max_events=7)))
         if check(contract).conflicts:
             continue
-        text = dump_lts(enumerate_reachable(contract))
+        text = dump_lts(ContractSemantics(contract).enumerate_reachable())
         for block in text.split("state ")[1:]:
             lines = block.splitlines()
             obliged = {l.strip()[2:] for l in lines if l.strip().startswith("O ")}
@@ -340,7 +339,7 @@ def test_report_order_does_not_depend_on_the_hash_seed():
     script = textwrap.dedent("""
         from rclc.ast import AgentPair, Contract, Decl, Obligation, Prohibition, Span
         from rclc.checker import check
-        from rclc.semantics import clashes, initial_state
+        from rclc.semantics import ContractSemantics, clashes
 
         span = Span(1, 1, 1, 1)
         clauses = tuple(
@@ -356,7 +355,7 @@ def test_report_order_does_not_depend_on_the_hash_seed():
         )
         for c in check(contract).conflicts:
             print(c.pair, c.action)
-        for ob, forbid in clashes(initial_state(contract)):
+        for ob, forbid in clashes(ContractSemantics(contract).initial_state()):
             print(ob.pair, ob.action)
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")

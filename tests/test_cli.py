@@ -9,6 +9,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +125,60 @@ def test_validation_error_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in err
+
+
+WARNED = """agents a, b;
+actions x, y, z;
+{a,b}O(x);
+{a,b}[y]*({a,b}O(x));
+{a,b}[!x]({b,a}F(y));
+"""
+
+MIXED = """agents a, b, a;
+actions x, y, z;
+role c = buyer;
+{a,b}O(x);
+{a,c}[y]*({a,a}O(w));
+"""
+
+
+def test_validation_warnings_print_their_positions(tmp_path, capsys):
+    path = tmp_path / "warned.rcl"
+    path.write_text(WARNED)
+    want = (
+        f"{path}:4:1: warning: positive iterated guard on 'y': body activates when the "
+        "action fires and then stays in force\n"
+        f"{path}:5:1: warning: negated guard on 'x' written without '*'; treated as the "
+        "iterated form\n"
+        f"{path}: warning: action 'z' declared but never used\n"
+        f"{path}:4:1: warning: action 'y' is watched here but is never the subject of any "
+        "box or obligation, so the guard can never be discharged\n"
+    )
+    for command in ("check", "dump-ast", "dump-lts"):
+        assert main([command, str(path)]) == 0, command
+        assert capsys.readouterr().err == want, command
+
+
+def test_validation_errors_and_warnings_print_in_order_with_positions(tmp_path, capsys):
+    path = tmp_path / "mixed.rcl"
+    path.write_text(MIXED)
+    want = (
+        f"{path}:1:14: error: duplicate agent 'a'\n"
+        f"{path}:5:1: error: undeclared agent 'c'\n"
+        f"{path}:5:1: warning: positive iterated guard on 'y': body activates when the "
+        "action fires and then stays in force\n"
+        f"{path}:5:11: error: pair relates agent 'a' to itself\n"
+        f"{path}:5:11: error: undeclared action 'w'\n"
+        f"{path}: warning: action 'z' declared but never used\n"
+        f"{path}:5:1: warning: action 'y' is watched here but is never the subject of any "
+        "box or obligation, so the guard can never be discharged\n"
+        f"{path}: error: annotation refers to undeclared agent 'c'\n"
+    )
+    for command in ("check", "gen", "dump-ast", "dump-lts"):
+        assert main([command, str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err == want, command
+        assert captured.out == "", command
 
 
 def test_check_json_schema(capsys):
@@ -525,6 +580,37 @@ def test_sim_non_ascii_digit_value_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "rclc: error: script line 1: expected value=<n>, found 'value=²'\n"
+
+
+# values `int` takes but no uint amount or balance can have
+_NOT_ASCII_DIGITS = {"negative": "-100", "full-width": "１００", "underscore": "1_00",
+                     "space": " 100"}
+
+
+@pytest.mark.parametrize("value", _NOT_ASCII_DIGITS.values(), ids=_NOT_ASCII_DIGITS.keys())
+@pytest.mark.parametrize("option", ["amount", "balance"])
+def test_sim_value_not_in_ascii_digits_exits_2(option, value, capsys):
+    if option == "amount":
+        values, shown = ["--amount", f"paymentAmount={value}"], f"paymentAmount={value}"
+    else:
+        values, shown = ["--amount", "paymentAmount=100", "--balance", value], value
+    code = main(["sim", FIXED, "--script", str(SCRIPTS / "corrected_run.txt"),
+                 "--amount", "shippingCosts=10", *values])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"rclc: error: bad {option} '{shown}': "
+                            "value must be an integer in ASCII digits\n")
+
+
+def test_sim_balance_sets_every_account(capsys):
+    code = main(["sim", FIXED, "--script", str(SCRIPTS / "corrected_run.txt"),
+                 "--amount", "paymentAmount=100", "--amount", "shippingCosts=10",
+                 "--balance", "500"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "final state: Finalized" in out
+    assert "  c = 500\n" in out
 
 
 def test_sim_custom_binding(tmp_path, capsys):

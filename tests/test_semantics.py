@@ -15,10 +15,8 @@ from rclc.semantics import (
     StepError,
     clashes,
     dump_lts,
-    enumerate_reachable,
     event_universe,
     fired_sets,
-    initial_state,
     lts_to_dot,
 )
 
@@ -49,13 +47,14 @@ def norm_keys(norms):
 
 
 def test_initial_state_bare_obligation():
-    state = initial_state(parsed("agents a, b; actions x; {a,b}O(x);"))
+    state = ContractSemantics(parsed("agents a, b; actions x; {a,b}O(x);")).initial_state()
     assert norm_keys(state.active) == {("O", "a", "b", "x")}
     assert not state.pending_boxes
 
 
 def test_initial_state_guarded_obligation():
-    state = initial_state(parsed("agents a, b; actions x, y; {a,b}[x]({a,b}O(y));"))
+    sem = ContractSemantics(parsed("agents a, b; actions x, y; {a,b}[x]({a,b}O(y));"))
+    state = sem.initial_state()
     assert state.active == frozenset()
     assert len(state.pending_boxes) == 1
     (event, _body), = state.pending_boxes
@@ -63,7 +62,7 @@ def test_initial_state_guarded_obligation():
 
 
 def test_initial_state_purchase_fixture():
-    state = initial_state(parsed(FIXTURE))
+    state = ContractSemantics(parsed(FIXTURE)).initial_state()
     # the three house rules are in force from the start
     assert norm_keys(state.active) == {
         ("F", "k", "s", "payProduct"),
@@ -146,7 +145,7 @@ def test_event_universe_counts_every_position():
 
 
 def test_enumerate_two_state_lts():
-    lts = enumerate_reachable(parsed("agents a, b; actions x; {a,b}O(x);"))
+    lts = ContractSemantics(parsed("agents a, b; actions x; {a,b}O(x);")).enumerate_reachable()
     assert len(lts.states) == 2
     assert len(lts.transitions) == 1
     assert lts.initial.fired == frozenset()
@@ -163,9 +162,9 @@ def test_fired_sets_order_by_size_then_event_index():
 
 
 def test_enumerate_visits_subset_lattice():
-    lts = enumerate_reachable(
+    lts = ContractSemantics(
         parsed("agents a, b; actions x, y; {a,b}O(x); {b,a}F(y);")
-    )
+    ).enumerate_reachable()
     assert len(lts.states) == 2 ** 2
     assert len(lts.transitions) == 2 * 2 ** 1
     assert [s.fired for s in lts.states] == [
@@ -174,9 +173,9 @@ def test_enumerate_visits_subset_lattice():
 
 
 def test_transitions_grow_fired_by_one():
-    lts = enumerate_reachable(
+    lts = ContractSemantics(
         parsed("agents a, b; actions x, y; {a,b}[x]({b,a}O(y));")
-    )
+    ).enumerate_reachable()
     for src, event, dst in lts.transitions:
         fired_src = lts.states[src].fired
         fired_dst = lts.states[dst].fired
@@ -218,16 +217,16 @@ def test_confluence_of_enabled_pairs():
 
 def test_state_steps_under_any_semantics_of_its_contract():
     contract = parsed("agents a, b; actions x; {a,b}O(x);")
-    state = initial_state(contract)
+    state = ContractSemantics(contract).initial_state()
     after = ContractSemantics(contract).step(state, (pair("a", "b"), "x"))
     assert after.active == frozenset()
 
 
 def test_dump_is_deterministic_and_complete():
     contract = parsed("agents a, b; actions x, y; {a,b}[x]({b,a}O(y)); {a,b}F(x);")
-    lts = enumerate_reachable(contract)
+    lts = ContractSemantics(contract).enumerate_reachable()
     text = dump_lts(lts)
-    assert text == dump_lts(enumerate_reachable(contract))
+    assert text == dump_lts(ContractSemantics(contract).enumerate_reachable())
     assert text.startswith("lts states=4 transitions=4 events=2")
     assert "F {a,b} x" in text
     assert "box {a,b} x" in text
@@ -235,7 +234,7 @@ def test_dump_is_deterministic_and_complete():
 
 
 def test_dot_output_shape():
-    lts = enumerate_reachable(parsed("agents a, b; actions x; {a,b}O(x);"))
+    lts = ContractSemantics(parsed("agents a, b; actions x; {a,b}O(x);")).enumerate_reachable()
     dot = lts_to_dot(lts)
     assert dot.startswith("digraph")
     assert "s0 -> s1" in dot
@@ -249,7 +248,7 @@ def test_clashes_order_by_prohibition_then_obligation_origin():
     )
     found = [
         ((ob.origin.line, ob.origin.col), (forbid.origin.line, forbid.origin.col))
-        for ob, forbid in clashes(initial_state(contract))
+        for ob, forbid in clashes(ContractSemantics(contract).initial_state())
     ]
     assert found == [
         ((2, 1), (2, 12)), ((3, 12), (2, 12)),
@@ -259,7 +258,8 @@ def test_clashes_order_by_prohibition_then_obligation_origin():
 
 
 def test_conflicting_state_is_highlighted_in_dot():
-    lts = enumerate_reachable(parsed("agents a, b; actions x; {a,b}O(x); {a,b}F(x);"))
+    sem = ContractSemantics(parsed("agents a, b; actions x; {a,b}O(x); {a,b}F(x);"))
+    lts = sem.enumerate_reachable()
     assert "fillcolor" in lts_to_dot(lts)
 
 
@@ -289,11 +289,11 @@ def test_state_matches_the_reference_derivation():
     contracts += [parsed(pretty_print(c)) for c in contracts[::3]]
     contracts += [parsed(WRITTEN_TWICE), parsed(FIXTURE)]
     for contract in contracts:
-        fast = enumerate_reachable(contract)
+        fast = ContractSemantics(contract).enumerate_reachable()
         with mock.patch.object(ContractSemantics, "state", reference_state):
-            slow = enumerate_reachable(contract)
+            slow = ContractSemantics(contract).enumerate_reachable()
         with mock.patch.object(ContractSemantics, "state", reference_stack_state):
-            walked = enumerate_reachable(contract)
+            walked = ContractSemantics(contract).enumerate_reachable()
         for new, old, walk in zip(fast.states, slow.states, walked.states, strict=True):
             assert new.fired == old.fired
             assert new.active == old.active

@@ -76,6 +76,14 @@ def test_deploy_rejects_missing_amount():
         deploy(fixed_ir(), BIND, {"paymentAmount": 100})
 
 
+def test_deploy_rejects_a_negative_amount():
+    # a uint amount is never negative; the corrected run would otherwise
+    # get past buyProduct with paymentAmount=-100
+    with pytest.raises(SimError, match="amount parameter 'paymentAmount' must be non-negative"):
+        deploy(fixed_ir(), BIND, dict(AMOUNTS, paymentAmount=-100))
+    assert deploy(fixed_ir(), BIND, dict(AMOUNTS, paymentAmount=0)).amount_of["paymentAmount"] == 0
+
+
 def test_deploy_rejects_unknown_extras():
     with pytest.raises(SimError, match="unknown role"):
         deploy(fixed_ir(), dict(BIND, auditor="z"), AMOUNTS)
