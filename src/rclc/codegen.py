@@ -150,13 +150,19 @@ class MachineIR:
     finalization_flags: tuple[str, ...]
     warnings: tuple[str, ...] = ()
     _by_name: dict[str, FunctionIR] = field(init=False, repr=False, compare=False)
+    _role_message: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # lower() gives every function its own name
         self._by_name = {fn.name: fn for fn in self.functions}
+        self._role_message = dict(self.role_messages)
 
     def function(self, name: str) -> FunctionIR:
         return self._by_name[name]
+
+    def role_message(self, agent: str) -> str:
+        """The message of the modifier that guards `agent`'s functions."""
+        return self._role_message[agent]
 
 
 def _cap(name: str) -> str:
@@ -627,7 +633,6 @@ def emit_solidity(ir: MachineIR) -> str:
     """Render the IR as Solidity text. The output is deterministic:
     LF line endings, four-space indents, one trailing newline."""
     mods = _modifier_names(ir.roles)
-    role_messages = dict(ir.role_messages)
     out: list[str] = []
     w = out.append
 
@@ -658,7 +663,7 @@ def emit_solidity(ir: MachineIR) -> str:
     w("")
     for role, agent in ir.roles:
         w(f"    modifier {mods[agent]}() {{")
-        w(f'        require(msg.sender == {role}, "{_esc(role_messages[agent])}");')
+        w(f'        require(msg.sender == {role}, "{_esc(ir.role_message(agent))}");')
         w("        _;")
         w("    }")
     w("")

@@ -12,11 +12,16 @@ the same however many calls came before it. `World.call_log` and
 then kept; the event log is the successful calls' events in call
 order. Equality, hashing and repr read those tuples, never the chain.
 
-Guard evaluation order per call: caller funds, payability, role, state,
-call value, flag preconditions in declaration order. The first failing
-guard reverts with its message. Internal calls (fidelity mode) run with
-the original caller's identity, so a role-guarded callee inspects the
-outer caller; any revert inside unwinds the whole call.
+Guard evaluation order per call: private, caller funds, payability,
+role, state, call value, flag preconditions in declaration order. The
+first failing guard reverts with its message. `call` checks them
+against the World itself, so a reverted call builds nothing but its
+record and a World that shares every field of its parent except the
+log. Only a call that passes its guards gets a mutable working copy.
+Internal calls (fidelity mode) check the callee's role, state, value
+and flag guards, through the same function, against that copy; they
+run with the original caller's identity, so a role-guarded callee
+inspects the outer caller, and any revert inside unwinds the whole call.
 
 Money only flows in: a payable call moves the call value from the
 caller to the contract balance, and no generated function pays out, so
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .codegen import CallFn, EmitEvent, FunctionIR, MachineIR, SetFlag, SetState
 from .semantics import ContractSemantics, StepError
@@ -52,8 +58,7 @@ class SimError(Exception):
     normal, recorded outcome."""
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     caller: str
     function: str
     value: int
@@ -77,6 +82,10 @@ class World:
     # bindings and amounts as dicts, built once by deploy and passed on
     account_of: dict[str, str]
     amount_of: dict[str, int]
+    # accounts and flag_values as dicts, never mutated: a revert passes
+    # them on, a successful call brings its own
+    balance_of: dict[str, int]
+    flag_of: dict[str, bool]
     # newest call first: (previous chain, CallRecord), None before any call
     calls: tuple | None = None
 
@@ -125,10 +134,10 @@ class World:
         return f"World({fields})"
 
     def balance(self, account: str) -> int:
-        return dict(self.accounts)[account]
+        return self.balance_of[account]
 
     def flag(self, name: str) -> bool:
-        return dict(self.flag_values)[name]
+        return self.flag_of[name]
 
 
 def deploy(
@@ -139,8 +148,9 @@ def deploy(
 ) -> World:
     """Create a fresh World in the Created state.
 
-    Every role must be bound to its own account and every amount
-    parameter given a non-negative value; leftovers in either map are rejected."""
+    Every role must be bound to its own account, one a script line can
+    name, and every amount parameter given a non-negative value;
+    leftovers in either map are rejected."""
     role_names = [role for role, _agent in ir.roles]
     for role in role_names:
         if role not in bindings:
@@ -149,6 +159,12 @@ def deploy(
         if role not in role_names:
             raise SimError(f"binding for unknown role '{role}'")
     accounts = [bindings[role] for role in role_names]
+    for role, account in zip(role_names, accounts):
+        # a script line splits on whitespace and ends at '#'
+        if not account or "#" in account or any(c.isspace() for c in account):
+            raise SimError(
+                f"role '{role}' is bound to {account!r}, which no script line can name"
+            )
     if len(set(accounts)) != len(accounts):
         raise SimError("two roles share one account; bind distinct accounts")
     for param in ir.params:
@@ -163,16 +179,20 @@ def deploy(
         raise SimError("initial balance must be non-negative")
     account_of = {role: bindings[role] for role in role_names}
     amount_of = {p: int(amounts[p]) for p in ir.params}
+    balance_of = dict.fromkeys(accounts, initial_balance)
+    flag_of = {f: False for f, _comment in ir.flags}
     return World(
         ir=ir,
         bindings=tuple(account_of.items()),
         amounts=tuple(amount_of.items()),
-        accounts=tuple((a, initial_balance) for a in accounts),
+        accounts=tuple(balance_of.items()),
         contract_balance=0,
         current_state=ir.states[0],
-        flag_values=tuple((f, False) for f, _comment in ir.flags),
+        flag_values=tuple(flag_of.items()),
         account_of=account_of,
         amount_of=amount_of,
+        balance_of=balance_of,
+        flag_of=flag_of,
     )
 
 
@@ -180,31 +200,41 @@ class _Revert(Exception):
     pass
 
 
-class _Draft:
-    """Mutable working copy of one call that a revert simply discards."""
+def _refusal(world: World, fn: FunctionIR, caller: str, value: int, state: str,
+             flags: dict[str, bool]) -> str | None:
+    """The message of the first of `fn`'s role, state, call value and flag
+    guards that fails in `state` under `flags`, or None when all pass.
+    The role and state guards mirror the emitted modifiers."""
+    if caller != world.account_of[fn.role_guard]:
+        return world.ir.role_message(fn.agent)
+    if fn.state_guard is not None and state != fn.state_guard:
+        return world.ir.state_message
+    if fn.value_guard is not None and value != world.amount_of[fn.value_guard]:
+        return fn.value_message
+    for flag, wanted, message in fn.flag_preconditions:
+        if flags[flag] != wanted:
+            return message
+    return None
 
-    def __init__(self, world: World, caller: str):
+
+class _Draft:
+    """Mutable working copy of one call that passed its guards, with the
+    call value already moved; a revert in an internal call discards it."""
+
+    def __init__(self, world: World, caller: str, value: int):
         self.world = world
         self.caller = caller
-        self.accounts = dict(world.accounts)
-        self.contract_balance = world.contract_balance
+        self.value = value
+        self.accounts = dict(world.balance_of)
+        self.accounts[caller] -= value
+        self.contract_balance = world.contract_balance + value
         self.state = world.current_state
-        self.flags = dict(world.flag_values)
+        self.flags = dict(world.flag_of)
         self.events: list[EventEntry] = []
 
-    def run(self, fn: FunctionIR, value: int) -> None:
-        world = self.world
-        ir = world.ir
-        # role and state guards mirror the emitted modifiers
-        if self.caller != world.account_of[fn.role_guard]:
-            raise _Revert(dict(ir.role_messages)[fn.agent])
-        if fn.state_guard is not None and self.state != fn.state_guard:
-            raise _Revert(ir.state_message)
-        if fn.value_guard is not None and value != world.amount_of[fn.value_guard]:
-            raise _Revert(fn.value_message)
-        for flag, wanted, message in fn.flag_preconditions:
-            if self.flags[flag] != wanted:
-                raise _Revert(message)
+    def run(self, fn: FunctionIR) -> None:
+        """Apply the effects of `fn`, whose guards have passed."""
+        ir = self.world.ir
         for effect in fn.effects:
             if isinstance(effect, SetState):
                 self.state = effect.state
@@ -214,7 +244,12 @@ class _Draft:
                 self.events.append((effect.sender, effect.receiver, effect.message))
             elif isinstance(effect, CallFn):
                 # internal call: same caller identity, same call value
-                self.run(ir.function(effect.name), value)
+                callee = ir.function(effect.name)
+                message = _refusal(self.world, callee, self.caller, self.value,
+                                   self.state, self.flags)
+                if message is not None:
+                    raise _Revert(message)
+                self.run(callee)
         if fn.finalize and ir.finalization_state is not None:
             if self.state == ir.finalization_state and all(
                 self.flags[f] for f in ir.finalization_flags
@@ -222,59 +257,66 @@ class _Draft:
                 self.state = "Finalized"
 
 
+def _reverted(world: World, record: CallRecord) -> World:
+    """`world` with `record` on its log and every other field shared. The
+    logs `world` may have cached lack the record, so they are left behind."""
+    fields = world.__dict__.copy()
+    fields.pop("call_log", None)
+    fields.pop("event_log", None)
+    fields["calls"] = (world.calls, record)
+    child = object.__new__(World)
+    object.__setattr__(child, "__dict__", fields)
+    return child
+
+
 def call(
     world: World, caller: str, function: str, value: int = 0
 ) -> tuple[World, CallRecord]:
     """Execute one call. Reverts are recorded, not raised; only misuse
-    (unknown function or account) raises SimError."""
+    (unknown function or account, negative value) raises SimError."""
     try:
         fn = world.ir.function(function)
     except KeyError:
         raise SimError(f"unknown function '{function}'") from None
-    draft = _Draft(world, caller)
-    if caller not in draft.accounts:
+    balance = world.balance_of.get(caller)
+    if balance is None:
         raise SimError(f"unknown account '{caller}'")
     if value < 0:
         raise SimError("call value must be non-negative")
 
-    try:
-        if fn.private:
-            raise _Revert(f"{function} is private")
-        if value > draft.accounts[caller]:
-            raise _Revert("insufficient funds")
-        if fn.value_guard is None and value > 0:
-            raise _Revert(f"{function} is not payable")
-        draft.accounts[caller] -= value
-        draft.contract_balance += value
-        draft.run(fn, value)
-    except _Revert as r:
-        record = CallRecord(caller, function, value, ok=False, revert_message=str(r))
-        return World(
-            world.ir,
-            world.bindings,
-            world.amounts,
-            world.accounts,
-            world.contract_balance,
-            world.current_state,
-            world.flag_values,
-            world.account_of,
-            world.amount_of,
-            (world.calls, record),
-        ), record
-
-    record = CallRecord(caller, function, value, ok=True, events=tuple(draft.events))
-    return World(
-        world.ir,
-        world.bindings,
-        world.amounts,
-        tuple(draft.accounts.items()),
-        draft.contract_balance,
-        draft.state,
-        tuple(draft.flags.items()),
-        world.account_of,
-        world.amount_of,
-        (world.calls, record),
-    ), record
+    # the transaction's own guards, which an internal call does not face
+    if fn.private:
+        message = f"{function} is private"
+    elif value > balance:
+        message = "insufficient funds"
+    elif fn.value_guard is None and value > 0:
+        message = f"{function} is not payable"
+    else:
+        message = _refusal(world, fn, caller, value, world.current_state, world.flag_of)
+    if message is None:
+        draft = _Draft(world, caller, value)
+        try:
+            draft.run(fn)
+        except _Revert as r:
+            message = str(r)
+        else:
+            record = CallRecord(caller, function, value, True, None, tuple(draft.events))
+            return World(
+                world.ir,
+                world.bindings,
+                world.amounts,
+                tuple(draft.accounts.items()),
+                draft.contract_balance,
+                draft.state,
+                tuple(draft.flags.items()),
+                world.account_of,
+                world.amount_of,
+                draft.accounts,
+                draft.flags,
+                (world.calls, record),
+            ), record
+    record = CallRecord(caller, function, value, False, message)
+    return _reverted(world, record), record
 
 
 def parse_script(text: str) -> list[tuple[str, str, int]]:

@@ -635,6 +635,20 @@ def test_sim_custom_binding(tmp_path, capsys):
     assert "call alice buyProduct -> OK" in out
 
 
+def test_sim_empty_binding_exits_2(capsys):
+    # no script line can name the empty account, so deploy refuses it
+    # before the first call rather than at it
+    code = main(["sim", FIXED, "--script", str(SCRIPTS / "corrected_run.txt"),
+                 "--bind", "buyer=", "--amount", "paymentAmount=100",
+                 "--amount", "shippingCosts=10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "rclc: error: role 'buyer' is bound to '', which no script line can name\n"
+    )
+
+
 def test_sim_bad_amount_syntax_exits_2(capsys):
     code = main(
         [

@@ -3,7 +3,7 @@ conservation, atomicity, monotonicity, and co-simulation against the
 contract's own transition semantics."""
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from rclc.simulator import (
     CallRecord,
     EventEntry,
     SimError,
+    World,
     call,
     co_simulate,
     deploy,
@@ -22,7 +23,8 @@ from rclc.simulator import (
     run_script,
 )
 
-from contractgen import random_lowerable
+import rclc.simulator
+from contractgen import random_flow, random_lowerable
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -82,6 +84,17 @@ def test_deploy_rejects_a_negative_amount():
     with pytest.raises(SimError, match="amount parameter 'paymentAmount' must be non-negative"):
         deploy(fixed_ir(), BIND, dict(AMOUNTS, paymentAmount=-100))
     assert deploy(fixed_ir(), BIND, dict(AMOUNTS, paymentAmount=0)).amount_of["paymentAmount"] == 0
+
+
+@pytest.mark.parametrize("account", ["", "a b", "\tb", "b#2", "#"])
+def test_deploy_rejects_an_account_no_script_line_can_name(account):
+    # a script line splits on whitespace and ends at '#', so no line
+    # could ever call as this account
+    with pytest.raises(SimError) as raised:
+        deploy(fixed_ir(), dict(BIND, seller=account), AMOUNTS)
+    assert str(raised.value) == (
+        f"role 'seller' is bound to {account!r}, which no script line can name"
+    )
 
 
 def test_deploy_rejects_unknown_extras():
@@ -528,10 +541,71 @@ def test_call_agrees_with_the_copying_reference():
         base = [(fn.agent, fn.name, 0) for fn in ir.functions]
         script = mixed_script(rng, ir, list(bindings.values()), base, rng.randint(1, 40))
         assert_same_fold(ir, bindings, {}, script)
+    # nested flows, payable annotations and, in fidelity mode, internal
+    # calls whose callee reverts after the caller's effects have run
+    for _ in range(40):
+        contract = random_flow(rng)
+        for fidelity in (False, True):
+            ir = lower(contract, allow_conflicts=True, fidelity_internal_calls=fidelity)
+            bindings = {role: agent for role, agent in ir.roles}
+            amounts = {param: 10 for param in ir.params}
+            base = [(fn.agent, fn.name, amounts.get(fn.value_guard, 0))
+                    for fn in ir.functions if not fn.private]
+            script = mixed_script(rng, ir, list(bindings.values()), base, rng.randint(40, 80))
+            assert_same_fold(ir, bindings, amounts, script)
     ir, base = targets[0]
     long_script = mixed_script(rng, ir, accounts, base, 3200)
     world = assert_same_fold(ir, BIND, AMOUNTS, long_script, trace_every=100)
     assert len(world.call_log) >= 3000 and world.current_state == "Finalized"
+
+
+def test_a_revert_world_is_a_fresh_value(monkeypatch):
+    ir = fixed_ir()
+    script = mixed_script(
+        random.Random(77), ir, ["b", "s", "k", "c"], script_calls("corrected_run.txt"), 200,
+    )
+    script = [c for c in script if c[0] != "mallory" and c[1] != "nosuch"]
+    world = deploy(ir, BIND, AMOUNTS)
+    outcomes = set()
+    for account, function, value in script:
+        # cache the parent's logs first: the child must not inherit them
+        call_log, event_log = world.call_log, world.event_log
+        child, record = call(world, account, function, value)
+        assert child.call_log == call_log + (record,)
+        assert child.event_log == event_log + record.events
+        assert world.call_log is call_log and world.event_log is event_log
+        for name in [f.name for f in fields(World)] + ["call_log", "x"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(child, name, None)
+        outcomes.add(record.ok)
+        world = child
+    assert outcomes == {True, False}
+    assert world.current_state == "Finalized"
+
+    # run_script folds through the module binding, which the benchmark's
+    # tracer patches to count calls and reverts
+    seen = []
+    original = rclc.simulator.call
+
+    def counting(world, caller, function, value=0):
+        seen.append((caller, function, value))
+        return original(world, caller, function, value)
+
+    monkeypatch.setattr(rclc.simulator, "call", counting)
+    final, records = run_script(ir, script, BIND, AMOUNTS)
+    assert seen == script
+    assert len(records) == len(script)
+    assert final == world
+
+
+def test_call_record_is_a_named_tuple():
+    record = CallRecord("b", "buyProduct", 0, ok=False, revert_message="no")
+    assert record == ("b", "buyProduct", 0, False, "no", ())
+    assert record.events == () and record._replace(ok=True).ok
+    assert repr(record) == (
+        "CallRecord(caller='b', function='buyProduct', value=0, ok=False, "
+        "revert_message='no', events=())"
+    )
 
 
 # -- equality of long runs ----------------------------------------------
