@@ -18,17 +18,27 @@ guard nesting, which the parser caps at `parser.MAX_NESTING`.
 
 Nodes are immutable values; equality is structural and ignores source
 spans, so a pretty-printed and re-parsed contract compares equal.
+
+The node, report and IR classes of the package are slotted classes on
+one small base, `Value`: equal when of the same class with equal
+compared fields (`_key`, an `operator.attrgetter`), hashed on those
+fields, and printed like a dataclass over `_fields`. `Frozen` adds a
+`__setattr__` and `__delattr__` that raise `AttributeError`, so its
+`__init__` writes through `object.__setattr__`. Neither imports
+`dataclasses`, which would cost every command's start.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 __all__ = [
     "Span",
     "AgentPair",
+    "Value",
+    "Frozen",
     "Decl",
     "Clause",
     "Obligation",
@@ -76,52 +86,104 @@ class AgentPair(NamedTuple):
         return "{%s,%s}" % (self.performer, self.counterparty)
 
 
-@dataclass(frozen=True)
-class Decl:
+class Value:
+    """Base of the slotted value classes. A subclass lists its fields in
+    constructor order in `_fields`, which the repr prints. `_key`, an
+    `operator.attrgetter`, reads the compared ones: all of `_fields`
+    unless the class names fewer. A mutable value is unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_fields" in vars(cls) and "_key" not in vars(cls):
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Frozen(Value):
+    """An immutable, hashable `Value`."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+_set = object.__setattr__  # writes a field of a Frozen value
+
+
+class Decl(Frozen):
     """A declared agent or action name."""
 
-    name: str
-    span: Span = field(default=_NO_SPAN, compare=False)
+    __slots__ = _fields = ("name", "span")
+    _key = attrgetter("name")
+
+    def __init__(self, name: str, span: Span = _NO_SPAN):
+        _set(self, "name", name)
+        _set(self, "span", span)
 
 
-class Clause:
+class Clause(Frozen):
     """Base class for clause nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Obligation(Clause):
-    pair: AgentPair
-    action: str
-    span: Span = field(default=_NO_SPAN, compare=False)
+class _Leaf(Clause):
+    __slots__ = _fields = ("pair", "action", "span")
+    _key = attrgetter("pair", "action")
+
+    def __init__(self, pair: AgentPair, action: str, span: Span = _NO_SPAN):
+        _set(self, "pair", pair)
+        _set(self, "action", action)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Prohibition(Clause):
-    pair: AgentPair
-    action: str
-    span: Span = field(default=_NO_SPAN, compare=False)
+class Obligation(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Permission(Clause):
-    pair: AgentPair
-    action: str
-    span: Span = field(default=_NO_SPAN, compare=False)
+class Prohibition(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Permission(_Leaf):
+    __slots__ = ()
+
+
 class Box(Clause):
     """``{x,y}[a](body)``: body comes in force once the guard event fires."""
 
-    pair: AgentPair
-    action: str
-    body: tuple[Clause, ...]
-    span: Span = field(default=_NO_SPAN, compare=False)
+    __slots__ = _fields = ("pair", "action", "body", "span")
+    _key = attrgetter("pair", "action", "body")
+
+    def __init__(self, pair: AgentPair, action: str, body: tuple[Clause, ...],
+                 span: Span = _NO_SPAN):
+        _set(self, "pair", pair)
+        _set(self, "action", action)
+        _set(self, "body", body)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class IterBox(Clause):
     """Iterated guard ``{x,y}[!a]*(body)`` or the positive ``{x,y}[a]*(body)``.
 
@@ -133,12 +195,17 @@ class IterBox(Clause):
     validate().
     """
 
-    pair: AgentPair
-    action: str
-    body: tuple[Clause, ...]
-    positive: bool = False
-    starred: bool = True
-    span: Span = field(default=_NO_SPAN, compare=False)
+    __slots__ = _fields = ("pair", "action", "body", "positive", "starred", "span")
+    _key = attrgetter("pair", "action", "body", "positive", "starred")
+
+    def __init__(self, pair: AgentPair, action: str, body: tuple[Clause, ...],
+                 positive: bool = False, starred: bool = True, span: Span = _NO_SPAN):
+        _set(self, "pair", pair)
+        _set(self, "action", action)
+        _set(self, "body", body)
+        _set(self, "positive", positive)
+        _set(self, "starred", starred)
+        _set(self, "span", span)
 
 
 # Annotation tables are keyed by (performer, counterparty, action); the
@@ -146,26 +213,38 @@ class IterBox(Clause):
 Key = tuple  # (str | None, str | None, str)
 
 
-@dataclass
-class Meta:
+class Meta(Value):
     """Header annotations used by code generation and reporting.
 
     All tables are optional; generation falls back to derived defaults.
+    Each table left out is a fresh, empty one.
     """
 
-    contract_name: str | None = None
-    roles: dict[str, str] = field(default_factory=dict)
-    states: dict[Key, str] = field(default_factory=dict)
-    flags: dict[Key, str] = field(default_factory=dict)
-    funcs: dict[Key, str] = field(default_factory=dict)
-    payables: dict[Key, str] = field(default_factory=dict)
-    messages: dict[Key, str] = field(default_factory=dict)
-    requires: dict[str, str] = field(default_factory=dict)
-    repeats: dict[str, str] = field(default_factory=dict)
-    rolemsgs: dict[str, str] = field(default_factory=dict)
-    valuemsgs: dict[Key, str] = field(default_factory=dict)
-    statemsg: str | None = None
-    inline: list[Key] = field(default_factory=list)
+    __slots__ = _fields = (
+        "contract_name", "roles", "states", "flags", "funcs", "payables", "messages",
+        "requires", "repeats", "rolemsgs", "valuemsgs", "statemsg", "inline",
+    )
+
+    def __init__(self, contract_name: str | None = None, roles: dict[str, str] | None = None,
+                 states: dict[Key, str] | None = None, flags: dict[Key, str] | None = None,
+                 funcs: dict[Key, str] | None = None, payables: dict[Key, str] | None = None,
+                 messages: dict[Key, str] | None = None, requires: dict[str, str] | None = None,
+                 repeats: dict[str, str] | None = None, rolemsgs: dict[str, str] | None = None,
+                 valuemsgs: dict[Key, str] | None = None, statemsg: str | None = None,
+                 inline: list[Key] | None = None):
+        self.contract_name = contract_name
+        self.roles = {} if roles is None else roles
+        self.states = {} if states is None else states
+        self.flags = {} if flags is None else flags
+        self.funcs = {} if funcs is None else funcs
+        self.payables = {} if payables is None else payables
+        self.messages = {} if messages is None else messages
+        self.requires = {} if requires is None else requires
+        self.repeats = {} if repeats is None else repeats
+        self.rolemsgs = {} if rolemsgs is None else rolemsgs
+        self.valuemsgs = {} if valuemsgs is None else valuemsgs
+        self.statemsg = statemsg
+        self.inline = [] if inline is None else inline
 
     def lookup(self, table: dict, pair: AgentPair | None, action: str):
         """Exact (pair, action) entry first, bare action entry second."""
@@ -194,12 +273,15 @@ ANNOTATIONS: dict[str, tuple[str, str, bool]] = {
 }
 
 
-@dataclass
-class Contract:
-    agents: tuple[Decl, ...]
-    actions: tuple[Decl, ...]
-    clauses: tuple[Clause, ...]
-    meta: Meta = field(default_factory=Meta)
+class Contract(Value):
+    __slots__ = _fields = ("agents", "actions", "clauses", "meta")
+
+    def __init__(self, agents: tuple[Decl, ...], actions: tuple[Decl, ...],
+                 clauses: tuple[Clause, ...], meta: Meta | None = None):
+        self.agents = agents
+        self.actions = actions
+        self.clauses = clauses
+        self.meta = Meta() if meta is None else meta
 
     def agent_names(self) -> list[str]:
         return [a.name for a in self.agents]
@@ -208,29 +290,61 @@ class Contract:
         return [a.name for a in self.actions]
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    severity: str  # "error" | "warning"
-    message: str
-    path: str
-    span: Span = field(default=_NO_SPAN, compare=False)
+class ValidationIssue(Frozen):
+    __slots__ = _fields = ("severity", "message", "path", "span")
+    _key = attrgetter("severity", "message", "path")
+
+    def __init__(self, severity: str, message: str, path: str, span: Span = _NO_SPAN):
+        _set(self, "severity", severity)  # "error" | "warning"
+        _set(self, "message", message)
+        _set(self, "path", path)
+        _set(self, "span", span)
 
     def __str__(self):
         return f"{self.severity}: {self.message} (at {self.path})"
 
 
-def iter_clauses(contract: Contract):
-    """Pre-order traversal of every clause node with its path, such as
-    ``clauses[0].body[1]``."""
-    stack = [(clause, f"clauses[{i}]") for i, clause in enumerate(contract.clauses)]
+def _walk(contract: Contract, place):
+    """Pre-order traversal of every clause node with its place:
+    ``place(None, i)`` for the i-th top-level clause, ``place(p, i)`` for
+    the i-th clause of the body of the guard at place ``p``."""
+    stack = [(clause, place(None, i)) for i, clause in enumerate(contract.clauses)]
     stack.reverse()
     while stack:
-        clause, path = stack.pop()
-        yield clause, path
+        clause, at = stack.pop()
+        yield clause, at
         if isinstance(clause, (Box, IterBox)):
             body = clause.body
             for i in range(len(body) - 1, -1, -1):  # last on first, first off first
-                stack.append((body[i], f"{path}.body[{i}]"))
+                stack.append((body[i], place(at, i)))
+
+
+def _step(path: str | None, i: int) -> str:
+    """The path of the i-th clause under `path`, None for the top level."""
+    return f"clauses[{i}]" if path is None else f"{path}.body[{i}]"
+
+
+def _link(parent, i):
+    """A place as a linked (parent, i) pair, for `_path` to spell out."""
+    return parent, i
+
+
+def _path(link) -> str:
+    """A linked place spelled out as `iter_clauses` spells its path."""
+    steps = []
+    while link is not None:
+        link, i = link
+        steps.append(i)
+    path = None
+    for i in reversed(steps):
+        path = _step(path, i)
+    return path
+
+
+def iter_clauses(contract: Contract):
+    """Pre-order traversal of every clause node with its path, such as
+    ``clauses[0].body[1]``."""
+    return _walk(contract, _step)
 
 
 def validate(contract: Contract) -> list[ValidationIssue]:
@@ -272,49 +386,50 @@ def validate(contract: Contract) -> list[ValidationIssue]:
 
     obligated: set[str] = set()
     boxed: set[str] = set()
-    watched: list[tuple[str, str, Span]] = []
+    watched: list[tuple[str, tuple, Span]] = []
     used_actions: set[str] = set()
 
-    for clause, path in iter_clauses(contract):
+    # a clause's path is spelled out only for an issue on it
+    for clause, place in _walk(contract, _link):
         pair, action = clause.pair, clause.action
-        for agent in (pair.performer, pair.counterparty):
+        for agent in pair:
             if agent not in agent_set:
-                err(f"undeclared agent '{agent}'", path, clause.span)
+                err(f"undeclared agent '{agent}'", _path(place), clause.span)
         if pair.performer == pair.counterparty:
-            err(f"pair relates agent '{pair.performer}' to itself", path, clause.span)
+            err(f"pair relates agent '{pair.performer}' to itself", _path(place), clause.span)
         if action not in action_set:
-            err(f"undeclared action '{action}'", path, clause.span)
+            err(f"undeclared action '{action}'", _path(place), clause.span)
         used_actions.add(action)
         if isinstance(clause, Obligation):
             obligated.add(action)
         elif isinstance(clause, Box):
             boxed.add(action)
         elif isinstance(clause, IterBox):
-            watched.append((action, path, clause.span))
+            watched.append((action, place, clause.span))
             if clause.positive:
                 warn(
                     f"positive iterated guard on '{action}': body activates when "
                     "the action fires and then stays in force",
-                    path,
+                    _path(place),
                     clause.span,
                 )
             if not clause.starred:
                 warn(
                     f"negated guard on '{action}' written without '*'; "
                     "treated as the iterated form",
-                    path,
+                    _path(place),
                     clause.span,
                 )
 
     for name in actions:
         if name not in used_actions:
             warn(f"action '{name}' declared but never used", "actions")
-    for action, path, span in watched:
+    for action, place, span in watched:
         if action in action_set and action not in obligated and action not in boxed:
             warn(
                 f"action '{action}' is watched here but is never the subject of "
                 "any box or obligation, so the guard can never be discharged",
-                path,
+                _path(place),
                 span,
             )
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 
 from .ast import (
     Box,
     Clause,
     Contract,
+    Frozen,
     IterBox,
     Obligation,
     Permission,
@@ -42,12 +42,16 @@ __all__ = [
 
 ORACLE_EVENT_BOUND = 12
 
+_set = object.__setattr__  # writes a field of a Frozen value
 
-@dataclass(frozen=True)
-class Conflict:
-    obligation: Norm
-    prohibition: Norm
-    witness: tuple[Event, ...]
+
+class Conflict(Frozen):
+    __slots__ = _fields = ("obligation", "prohibition", "witness")
+
+    def __init__(self, obligation: Norm, prohibition: Norm, witness: tuple[Event, ...]):
+        _set(self, "obligation", obligation)
+        _set(self, "prohibition", prohibition)
+        _set(self, "witness", witness)
 
     @property
     def pair(self):
@@ -58,17 +62,21 @@ class Conflict:
         return self.obligation.action
 
 
-@dataclass(frozen=True)
-class CheckStats:
-    states: int
-    transitions: int
-    wall_ms: float
+class CheckStats(Frozen):
+    __slots__ = _fields = ("states", "transitions", "wall_ms")
+
+    def __init__(self, states: int, transitions: int, wall_ms: float):
+        _set(self, "states", states)
+        _set(self, "transitions", transitions)
+        _set(self, "wall_ms", wall_ms)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    conflicts: tuple[Conflict, ...]
-    stats: CheckStats
+class CheckReport(Frozen):
+    __slots__ = _fields = ("conflicts", "stats")
+
+    def __init__(self, conflicts: tuple[Conflict, ...], stats: CheckStats):
+        _set(self, "conflicts", conflicts)
+        _set(self, "stats", stats)
 
     @property
     def ok(self) -> bool:

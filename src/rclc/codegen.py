@@ -57,18 +57,18 @@ as externally callable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .ast import (
     AgentPair,
     Box,
     Clause,
     Contract,
+    Frozen,
     IterBox,
     Meta,
     Obligation,
     Permission,
     Prohibition,
+    Value,
 )
 from .checker import CheckReport, check
 from .semantics import ContractSemantics, Event
@@ -96,66 +96,95 @@ class LowerError(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class SetState:
-    state: str
+_set = object.__setattr__  # writes a field of a Frozen value
 
 
-@dataclass(frozen=True)
-class SetFlag:
-    flag: str
+class SetState(Frozen):
+    __slots__ = _fields = ("state",)
+
+    def __init__(self, state: str):
+        _set(self, "state", state)
 
 
-@dataclass(frozen=True)
-class EmitEvent:
-    sender: str  # role name, resolves to an address field
-    receiver: str
-    message: str
+class SetFlag(Frozen):
+    __slots__ = _fields = ("flag",)
+
+    def __init__(self, flag: str):
+        _set(self, "flag", flag)
 
 
-@dataclass(frozen=True)
-class CallFn:
-    name: str
+class EmitEvent(Frozen):
+    __slots__ = _fields = ("sender", "receiver", "message")
+
+    def __init__(self, sender: str, receiver: str, message: str):
+        _set(self, "sender", sender)  # role name, resolves to an address field
+        _set(self, "receiver", receiver)
+        _set(self, "message", message)
 
 
-@dataclass(frozen=True)
-class FunctionIR:
-    name: str
-    agent: str  # performer agent id
-    role_guard: str  # role name (address field)
-    state_guard: str | None
-    value_guard: str | None  # amount param the call value must equal
-    value_message: str | None
-    # (flag, required value, failure message); a (f, False, m) entry is
-    # the function's own repeat guard
-    flag_preconditions: tuple[tuple[str, bool, str], ...]
-    effects: tuple[object, ...]
-    event: Event | None  # the (pair, action) a successful call performs
-    finalize: bool = False
-    private: bool = False
-    comments: tuple[str, ...] = ()
+class CallFn(Frozen):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass
-class MachineIR:
-    name: str
-    roles: tuple[tuple[str, str], ...]  # (role name, agent id), agent order
-    role_messages: tuple[tuple[str, str], ...]  # (agent id, modifier message)
-    state_message: str
-    states: tuple[str, ...]  # Created ... Finalized
-    flags: tuple[tuple[str, str], ...]  # (flag name, declaration comment)
-    params: tuple[str, ...]  # amount parameter names
-    functions: tuple[FunctionIR, ...]
-    finalization_state: str | None
-    finalization_flags: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
-    _by_name: dict[str, FunctionIR] = field(init=False, repr=False, compare=False)
-    _role_message: dict[str, str] = field(init=False, repr=False, compare=False)
+class FunctionIR(Frozen):
+    __slots__ = _fields = (
+        "name", "agent", "role_guard", "state_guard", "value_guard", "value_message",
+        "flag_preconditions", "effects", "event", "finalize", "private", "comments",
+    )
 
-    def __post_init__(self):
+    def __init__(self, name: str, agent: str, role_guard: str, state_guard: str | None,
+                 value_guard: str | None, value_message: str | None,
+                 flag_preconditions: tuple[tuple[str, bool, str], ...],
+                 effects: tuple[object, ...], event: Event | None, finalize: bool = False,
+                 private: bool = False, comments: tuple[str, ...] = ()):
+        _set(self, "name", name)
+        _set(self, "agent", agent)  # performer agent id
+        _set(self, "role_guard", role_guard)  # role name (address field)
+        _set(self, "state_guard", state_guard)
+        _set(self, "value_guard", value_guard)  # amount param the call value must equal
+        _set(self, "value_message", value_message)
+        # (flag, required value, failure message); a (f, False, m) entry is
+        # the function's own repeat guard
+        _set(self, "flag_preconditions", flag_preconditions)
+        _set(self, "effects", effects)
+        _set(self, "event", event)  # the (pair, action) a successful call performs
+        _set(self, "finalize", finalize)
+        _set(self, "private", private)
+        _set(self, "comments", comments)
+
+
+class MachineIR(Value):
+    """The lowered machine; equality ignores its private lookup maps."""
+
+    _fields = (
+        "name", "roles", "role_messages", "state_message", "states", "flags", "params",
+        "functions", "finalization_state", "finalization_flags", "warnings",
+    )
+    __slots__ = _fields + ("_by_name", "_role_message")
+
+    def __init__(self, name: str, roles: tuple[tuple[str, str], ...],
+                 role_messages: tuple[tuple[str, str], ...], state_message: str,
+                 states: tuple[str, ...], flags: tuple[tuple[str, str], ...],
+                 params: tuple[str, ...], functions: tuple[FunctionIR, ...],
+                 finalization_state: str | None, finalization_flags: tuple[str, ...],
+                 warnings: tuple[str, ...] = ()):
+        self.name = name
+        self.roles = roles  # (role name, agent id), agent order
+        self.role_messages = role_messages  # (agent id, modifier message)
+        self.state_message = state_message
+        self.states = states  # Created ... Finalized
+        self.flags = flags  # (flag name, declaration comment)
+        self.params = params  # amount parameter names
+        self.functions = functions
+        self.finalization_state = finalization_state
+        self.finalization_flags = finalization_flags
+        self.warnings = warnings
         # lower() gives every function its own name
-        self._by_name = {fn.name: fn for fn in self.functions}
-        self._role_message = dict(self.role_messages)
+        self._by_name = {fn.name: fn for fn in functions}
+        self._role_message = dict(role_messages)
 
     def function(self, name: str) -> FunctionIR:
         return self._by_name[name]

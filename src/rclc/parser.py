@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import compress, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .ast import (
@@ -56,6 +56,7 @@ from .ast import (
     Clause,
     Contract,
     Decl,
+    Frozen,
     IterBox,
     Key,
     Meta,
@@ -63,6 +64,7 @@ from .ast import (
     Permission,
     Prohibition,
     Span,
+    Value,
 )
 
 __all__ = [
@@ -116,6 +118,7 @@ _TOKEN_RE = re.compile(
 _ESCAPE_RE = re.compile(r'\\(["\\n])')
 
 _new = tuple.__new__  # bypasses the named tuples' Python-level __new__
+_set = object.__setattr__  # writes a field of a Frozen value
 
 
 def _unescape(match: re.Match) -> str:
@@ -147,12 +150,17 @@ class Token(NamedTuple):
     span: Span
 
 
-@dataclass(frozen=True)
-class ParseError(Exception):
-    span: Span
-    expected: str
-    found: str
-    file: str = field(default="<input>", compare=False)
+class ParseError(Frozen, Exception):
+    """A parse fault; equality ignores the file it was found in."""
+
+    __slots__ = _fields = ("span", "expected", "found", "file")
+    _key = attrgetter("span", "expected", "found")
+
+    def __init__(self, span: Span, expected: str, found: str, file: str = "<input>"):
+        _set(self, "span", span)
+        _set(self, "expected", expected)
+        _set(self, "found", found)
+        _set(self, "file", file)
 
     def __str__(self):
         return (
@@ -161,10 +169,12 @@ class ParseError(Exception):
         )
 
 
-@dataclass
-class ParseResult:
-    contract: Contract | None
-    errors: list[ParseError]
+class ParseResult(Value):
+    __slots__ = _fields = ("contract", "errors")
+
+    def __init__(self, contract: Contract | None, errors: list[ParseError]):
+        self.contract = contract
+        self.errors = errors
 
     @property
     def ok(self) -> bool:

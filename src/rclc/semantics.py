@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ast import (
@@ -46,6 +45,7 @@ from .ast import (
     Box,
     Clause,
     Contract,
+    Frozen,
     IterBox,
     Obligation,
     Prohibition,
@@ -75,6 +75,8 @@ Event = tuple[AgentPair, str]
 
 # 2^16 states admit both fixtures
 MAX_LTS_EVENTS = 16
+
+_set = object.__setattr__  # writes a field of a Frozen value
 
 
 class StepError(Exception):
@@ -110,25 +112,28 @@ class Norm(NamedTuple):
         return f"{self.kind} {self.pair} {self.action}"
 
 
-@dataclass(frozen=True)
-class NormState:
+class NormState(Frozen):
     """Snapshot of the contract after some set of events has fired.
 
     Everything except `fired` is derived; two states over the same
     contract are equal iff their fired sets are.
     """
 
-    fired: frozenset[Event]
-    active: frozenset[Norm]
-    # (guard event, guarded body) for every box not yet triggered, and
-    # (watched action, guarded body, positive?) for every armed watch, both
-    # in walk order; a box or watch written twice verbatim appears twice
-    pending_boxes: tuple[tuple[Event, tuple[Clause, ...]], ...]
-    iter_watch: tuple[tuple[str, tuple[Clause, ...], bool], ...]
+    __slots__ = _fields = ("fired", "active", "pending_boxes", "iter_watch")
+
+    def __init__(self, fired: frozenset[Event], active: frozenset[Norm],
+                 pending_boxes: tuple[tuple[Event, tuple[Clause, ...]], ...],
+                 iter_watch: tuple[tuple[str, tuple[Clause, ...], bool], ...]):
+        _set(self, "fired", fired)
+        _set(self, "active", active)
+        # (guard event, guarded body) for every box not yet triggered, and
+        # (watched action, guarded body, positive?) for every armed watch, both
+        # in walk order; a box or watch written twice verbatim appears twice
+        _set(self, "pending_boxes", pending_boxes)
+        _set(self, "iter_watch", iter_watch)
 
 
-@dataclass(frozen=True)
-class Lts:
+class Lts(Frozen):
     """Reachability-closed transition system, canonically ordered.
 
     states[0] is the initial state; states follow `fired_sets`, i.e.
@@ -136,9 +141,13 @@ class Lts:
     event index).
     """
 
-    states: tuple[NormState, ...]
-    transitions: tuple[tuple[int, Event, int], ...]
-    universe: tuple[Event, ...]
+    __slots__ = _fields = ("states", "transitions", "universe")
+
+    def __init__(self, states: tuple[NormState, ...],
+                 transitions: tuple[tuple[int, Event, int], ...], universe: tuple[Event, ...]):
+        _set(self, "states", states)
+        _set(self, "transitions", transitions)
+        _set(self, "universe", universe)
 
     @property
     def initial(self) -> NormState:

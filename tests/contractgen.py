@@ -14,7 +14,6 @@ innermost obligations, which must lower to the same machine.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from rclc.ast import (
     AgentPair,
@@ -143,11 +142,12 @@ def repeat_tail_obligations(rng: random.Random, contract: Contract) -> Contract:
 
     def restate(box: Box) -> Box:
         if isinstance(box.body[-1], Box):
-            return replace(box, body=box.body[:-1] + (restate(box.body[-1]),))
+            return Box(box.pair, box.action, box.body[:-1] + (restate(box.body[-1]),), box.span)
         extra = tuple(rng.choice(box.body) for _ in range(rng.randint(1, 3)))
-        return replace(box, body=box.body + extra)
+        return Box(box.pair, box.action, box.body + extra, box.span)
 
-    return replace(contract, clauses=(restate(contract.clauses[0]),))
+    clauses = (restate(contract.clauses[0]),)
+    return Contract(contract.agents, contract.actions, clauses, contract.meta)
 
 
 _FLOW_ACTIONS = _ACTION_POOL + ["act7", "act8", "pay1", "pay2"]

@@ -14,12 +14,15 @@ watches as tuples in walk order. Either takes the place of
 `reference_event_universe` collects the universe through `iter_clauses`,
 and `reference_path_conditions` walks the clause tree with its own stack
 to pair each obligation and prohibition with its path condition, which
-`ContractSemantics.conditions` now reads off the clause table. All seven
-are kept as they were, apart from their names.
+`ContractSemantics.conditions` now reads off the clause table.
+`reference_validate` walks `reference_iter_clauses`, which spells out
+every clause's path, where `validate` spells one out only for an issue.
+All nine are kept as they were, apart from their names.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from rclc.ast import (
@@ -35,8 +38,10 @@ from rclc.ast import (
     Obligation,
     Permission,
     Prohibition,
+    ValidationIssue,
     iter_clauses,
 )
+from rclc.ast import Span as NodeSpan
 from rclc.parser import MAX_NESTING, ParseError, ParseResult
 from rclc.semantics import (
     Event,
@@ -483,3 +488,138 @@ def reference_path_conditions(contract: Contract, universe: tuple[Event, ...]):
                 inner = (need, banned | {clause.action}, wanted)
             stack.extend((c, inner) for c in clause.body)
     return out
+
+
+# `validate` as it was when it walked `iter_clauses`, formatting the path
+# of every clause node whether or not an issue named it
+
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NO_SPAN = NodeSpan(0, 0, 0, 0)
+
+
+def reference_iter_clauses(contract: Contract):
+    """Pre-order traversal of every clause node with its path, such as
+    ``clauses[0].body[1]``."""
+    stack = [(clause, f"clauses[{i}]") for i, clause in enumerate(contract.clauses)]
+    stack.reverse()
+    while stack:
+        clause, path = stack.pop()
+        yield clause, path
+        if isinstance(clause, (Box, IterBox)):
+            body = clause.body
+            for i in range(len(body) - 1, -1, -1):  # last on first, first off first
+                stack.append((body[i], f"{path}.body[{i}]"))
+
+
+def reference_validate(contract: Contract) -> list[ValidationIssue]:
+    """Check name tables and clause references; never raises.
+
+    Errors make the contract unusable downstream, warnings do not.
+    """
+    issues: list[ValidationIssue] = []
+
+    def err(message, path, span=_NO_SPAN):
+        issues.append(ValidationIssue("error", message, path, span))
+
+    def warn(message, path, span=_NO_SPAN):
+        issues.append(ValidationIssue("warning", message, path, span))
+
+    agents = contract.agent_names()
+    actions = contract.action_names()
+
+    if len(agents) < 2:
+        err("a contract needs at least two agents", "agents")
+    if not actions:
+        err("a contract needs at least one action", "actions")
+    if not contract.clauses:
+        err("a contract needs at least one clause", "clauses")
+
+    for kind, decls in (("agent", contract.agents), ("action", contract.actions)):
+        seen: dict[str, Decl] = {}
+        for d in decls:
+            if not _IDENT_RE.match(d.name):
+                err(f"invalid {kind} identifier '{d.name}'", kind + "s", d.span)
+            if d.name in seen:
+                err(f"duplicate {kind} '{d.name}'", kind + "s", d.span)
+            seen[d.name] = d
+    agent_set = set(agents)
+    action_set = set(actions)
+    if agent_set & action_set:
+        shared = ", ".join(sorted(agent_set & action_set))
+        err(f"names used as both agent and action: {shared}", "actions")
+
+    obligated: set[str] = set()
+    boxed: set[str] = set()
+    watched: list[tuple[str, str, Span]] = []
+    used_actions: set[str] = set()
+
+    for clause, path in reference_iter_clauses(contract):
+        pair, action = clause.pair, clause.action
+        for agent in (pair.performer, pair.counterparty):
+            if agent not in agent_set:
+                err(f"undeclared agent '{agent}'", path, clause.span)
+        if pair.performer == pair.counterparty:
+            err(f"pair relates agent '{pair.performer}' to itself", path, clause.span)
+        if action not in action_set:
+            err(f"undeclared action '{action}'", path, clause.span)
+        used_actions.add(action)
+        if isinstance(clause, Obligation):
+            obligated.add(action)
+        elif isinstance(clause, Box):
+            boxed.add(action)
+        elif isinstance(clause, IterBox):
+            watched.append((action, path, clause.span))
+            if clause.positive:
+                warn(
+                    f"positive iterated guard on '{action}': body activates when "
+                    "the action fires and then stays in force",
+                    path,
+                    clause.span,
+                )
+            if not clause.starred:
+                warn(
+                    f"negated guard on '{action}' written without '*'; "
+                    "treated as the iterated form",
+                    path,
+                    clause.span,
+                )
+
+    for name in actions:
+        if name not in used_actions:
+            warn(f"action '{name}' declared but never used", "actions")
+    for action, path, span in watched:
+        if action in action_set and action not in obligated and action not in boxed:
+            warn(
+                f"action '{action}' is watched here but is never the subject of "
+                "any box or obligation, so the guard can never be discharged",
+                path,
+                span,
+            )
+
+    _reference_validate_meta(contract, agent_set, action_set, issues)
+    return issues
+
+
+def _reference_validate_meta(contract, agent_set, action_set, issues):
+    meta = contract.meta
+    # undeclared agents, then values that are not identifiers, then
+    # undeclared names in event keys
+    found: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for keyword, (table, names, text) in ANNOTATIONS.items():
+        for key, value in getattr(meta, table).items():
+            if names == "agent" and key not in agent_set:
+                found[0].append(f"annotation refers to undeclared agent '{key}'")
+            if not text and not _IDENT_RE.match(value):
+                found[1].append(f"{keyword} annotation value '{value}' is not an identifier")
+            if names == "event":
+                performer, counterparty, action = key
+                if action not in action_set:
+                    found[2].append(
+                        f"{keyword} annotation refers to undeclared action '{action}'")
+                for agent in (performer, counterparty):
+                    if agent is not None and agent not in agent_set:
+                        found[2].append(
+                            f"{keyword} annotation refers to undeclared agent '{agent}'")
+    issues.extend(
+        ValidationIssue("error", message, "annotations") for group in found for message in group
+    )

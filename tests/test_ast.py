@@ -1,13 +1,25 @@
 """AST validation and helper coverage."""
 
+import random
+
 from rclc.ast import (
     AgentPair,
+    Box,
+    Contract,
+    Decl,
+    IterBox,
     Meta,
+    Obligation,
+    Prohibition,
+    Span,
     iter_clauses,
     pretty_print,
     validate,
 )
 from rclc.parser import parse_contract
+
+from contractgen import merged_contract, random_contract, random_flow
+from reference import reference_iter_clauses, reference_validate
 
 
 def parsed(src):
@@ -175,3 +187,78 @@ def test_pretty_print_idempotent():
     once = pretty_print(c)
     twice = pretty_print(parsed(once))
     assert once == twice
+
+
+def _spoiled(rng, contract):
+    """`contract` with some of the faults validate reports: names left
+    undeclared, declared twice or not identifiers, self-pairs, unstarred
+    and positive watches deep in the tree, and bad annotations."""
+    agents, actions = list(contract.agents), list(contract.actions)
+    if rng.random() < 0.4:
+        del agents[rng.randrange(len(agents))]
+    if rng.random() < 0.4:
+        del actions[rng.randrange(len(actions))]
+    if rng.random() < 0.3:  # not an identifier, an agent's name, a duplicate
+        actions.append(rng.choice([Decl("9x", Span(2, 1, 2, 3)), *agents[:1], *actions[:1]]))
+    if rng.random() < 0.2:
+        actions.append(Decl("spare", Span(2, 5, 2, 10)))
+    names = [d.name for d in contract.agents] + ["ghost"]
+    self_pair = AgentPair(*[rng.choice(names)] * 2)
+    spoilers = [
+        Obligation(self_pair, "act1", Span(5, 1, 5, 12)),
+        IterBox(AgentPair("a", "b"), "act2", (), False, False, Span(6, 1, 6, 9)),
+        IterBox(AgentPair("b", "a"), "act3", (), True, True, Span(7, 1, 7, 9)),
+        Prohibition(AgentPair("a", "ghost"), "nowhere", Span(8, 1, 8, 20)),
+    ]
+    clauses = list(contract.clauses)
+    for spoiler in rng.sample(spoilers, rng.randint(0, len(spoilers))):
+        where = rng.randrange(len(clauses))
+        host = clauses[where]
+        if isinstance(host, (Box, IterBox)) and rng.random() < 0.7:
+            body = host.body[:1] + (spoiler,) + host.body[1:]
+            if isinstance(host, Box):
+                clauses[where] = Box(host.pair, host.action, body, host.span)
+            else:
+                clauses[where] = IterBox(host.pair, host.action, body, host.positive,
+                                         host.starred, host.span)
+        else:
+            clauses.insert(where, spoiler)
+    meta = Meta()
+    if rng.random() < 0.5:
+        meta.roles.update({"ghost": "buyer", names[0]: "not an id"})
+        meta.states[(None, None, "nowhere")] = "S1"
+        meta.funcs[("ghost", names[0], "act1")] = "f"
+        meta.messages[(None, None, "act2")] = "any text"
+    return Contract(tuple(agents), tuple(actions), tuple(clauses), meta)
+
+
+def _deep(depth):
+    """A chain of `depth` nested boxes ending in an undeclared action."""
+    body = (Obligation(AgentPair("a", "b"), "zz", Span(9, 1, 9, 9)),)
+    for i in range(depth):
+        body = (Box(AgentPair("a", "b"), "x", body, Span(i + 1, 1, i + 1, 2)),
+                IterBox(AgentPair("b", "a"), "y", (), i % 2 == 0, i % 3 == 0))
+    return Contract((Decl("a"), Decl("b")), (Decl("x"), Decl("y")), body)
+
+
+def test_validate_matches_the_reference():
+    # issues, their messages, paths, spans and order, and every path
+    # iter_clauses reports, against the walk that spelled out every path
+    rng = random.Random(20261018)
+    contracts = [random_contract(rng) for _ in range(80)]
+    contracts += [merged_contract(rng, parts, max_events=12) for parts in (2, 3) * 15]
+    contracts += [random_flow(rng) for _ in range(50)]
+    contracts += [_spoiled(rng, c) for c in contracts]
+    contracts += [_deep(depth) for depth in (1, 2, 7, 150)]
+    contracts += [parsed(src) for src in (
+        "agents a, a; actions a, b_; {a,a}[!a]({c,a}O(b));",
+        "agents a, b; actions x, y, z; {a,b}[!z]*({b,a}F(x) & {a,b}[x]*({a,b}[!x]({b,b}O(y))));",
+    )]
+    kinds = set()
+    for contract in contracts:
+        got = [(i.severity, i.message, i.path, i.span) for i in validate(contract)]
+        want = [(i.severity, i.message, i.path, i.span) for i in reference_validate(contract)]
+        assert got == want
+        assert list(iter_clauses(contract)) == list(reference_iter_clauses(contract))
+        kinds.update(message.split("'")[0] for _severity, message, _path, _span in got)
+    assert len(kinds) >= 16, sorted(kinds)

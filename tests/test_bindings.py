@@ -130,6 +130,27 @@ def test_commands_load_only_their_stages(tmp_path):
     assert "rclc.simulator" not in generated
 
 
+def test_check_and_gen_import_no_dataclass_machinery():
+    # `dataclasses` pulls in `inspect` and execs generated methods per
+    # class; a module the interpreter's own start loaded does not count
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rclc.cli, rclc.codegen\n"
+        "codes = [rclc.cli.main([command, sys.argv[1]]) for command in ('check', 'gen')]\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+        "sys.exit(codes != [0, 0])\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", child, str(FIXTURES / "purchase_fixed.rcl")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stderr.split())
+    assert {"rclc.checker", "rclc.codegen"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_run_script_calls_the_module_binding_once_per_line(monkeypatch):
     # perfbench counts simulator calls by patching rclc.simulator.call, so
     # run_script must look the binding up there on every call

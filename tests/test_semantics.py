@@ -1,7 +1,6 @@
 """State derivation, stepping, reachability, and the set-state property."""
 
 import random
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -285,7 +284,7 @@ def test_state_matches_the_reference_derivation():
     rng = random.Random(20261018)
     contracts = [random_contract(rng) for _ in range(15)]
     contracts += [merged_contract(rng, parts, max_events=10) for parts in (2, 3) * 8]
-    contracts += [replace(c, clauses=c.clauses * 2) for c in contracts[::4]]
+    contracts += [Contract(c.agents, c.actions, c.clauses * 2, c.meta) for c in contracts[::4]]
     contracts += [parsed(pretty_print(c)) for c in contracts[::3]]
     contracts += [parsed(WRITTEN_TWICE), parsed(FIXTURE)]
     for contract in contracts:
