@@ -19,13 +19,15 @@ guard nesting, which the parser caps at `parser.MAX_NESTING`.
 Nodes are immutable values; equality is structural and ignores source
 spans, so a pretty-printed and re-parsed contract compares equal.
 
-The node, report and IR classes of the package are slotted classes on
-one small base, `Value`: equal when of the same class with equal
-compared fields (`_key`, an `operator.attrgetter`), hashed on those
-fields, and printed like a dataclass over `_fields`. `Frozen` adds a
-`__setattr__` and `__delattr__` that raise `AttributeError`, so its
-`__init__` writes through `object.__setattr__`. Neither imports
-`dataclasses`, which would cost every command's start.
+The value classes of the package (nodes, reports, IR and the
+simulator's `World`) sit on one small base, `Value`: equal when of the
+same class with equal compared fields (`_key`, an
+`operator.attrgetter`), hashed on those fields, and printed like a
+dataclass over `_fields`. `Frozen` adds a `__setattr__` and
+`__delattr__` that raise `AttributeError`, so its `__init__` writes
+through `object.__setattr__`. All are slotted but `World`, which keeps
+an instance dict to cache its logs in. Neither base uses the dataclass
+machinery, whose import would cost every command's start.
 """
 
 from __future__ import annotations

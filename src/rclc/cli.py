@@ -20,7 +20,8 @@ import argparse
 import os
 import sys
 
-# unused here since ContractSemantics validates, but perfbench patches it
+# validate is unused here since ContractSemantics validates, but
+# perfbench patches it
 from .ast import pretty_print, validate  # noqa: F401
 from .checker import check, report_to_json, report_to_text
 from .parser import parse_contract

@@ -5,19 +5,21 @@ balance, the current state, the flag assignment, and the log of calls
 made. Calls are pure: `call` returns a fresh World and the record of
 what happened. A reverted call changes nothing but the call log.
 
-The call log is stored as a persistent chain of (previous, record)
-pairs, newest first, which every later World shares, so a call costs
-the same however many calls came before it. `World.call_log` and
-`World.event_log` are tuples built from the chain when first read and
-then kept; the event log is the successful calls' events in call
-order. Equality, hashing and repr read those tuples, never the chain.
+Every World, whether deployed, after a successful call or after a
+revert, comes from the one constructor. The call log is stored as a
+persistent chain of (previous, record) pairs, newest first, which every
+later World shares, so a call costs the same however many calls came
+before it. `World.call_log` and `World.event_log` are tuples built from
+the chain when first read and then kept; the event log is the
+successful calls' events in call order. Equality, hashing, repr, pickle
+and copy read those tuples, never the chain.
 
 Guard evaluation order per call: private, caller funds, payability,
 role, state, call value, flag preconditions in declaration order. The
 first failing guard reverts with its message. `call` checks them
 against the World itself, so a reverted call builds nothing but its
-record and a World that shares every field of its parent except the
-log. Only a call that passes its guards gets a mutable working copy.
+record and a World that passes on its parent's balances, state and
+flags. Only a call that passes its guards gets a mutable working copy.
 Internal calls (fidelity mode) check the callee's role, state, value
 and flag guards, through the same function, against that copy; they
 run with the original caller's identity, so a role-guarded callee
@@ -30,10 +32,11 @@ the sum of all balances is constant across any call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
+from .ast import Frozen
 from .codegen import CallFn, EmitEvent, FunctionIR, MachineIR, SetFlag, SetState
 from .semantics import ContractSemantics, StepError
 
@@ -52,6 +55,9 @@ __all__ = [
 EventEntry = tuple  # (sender role, receiver role, message)
 
 
+_set = object.__setattr__  # writes a field of a Frozen value
+
+
 class SimError(Exception):
     """Misuse of the simulator itself: unknown functions or accounts,
     bad bindings, malformed scripts. Distinct from a revert, which is a
@@ -67,27 +73,45 @@ class CallRecord(NamedTuple):
     events: tuple[EventEntry, ...] = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class World:
+class World(Frozen):
     """Built by `deploy` and `call` only. Two Worlds are equal when
-    everything but the IR is: the fields below and both logs."""
+    everything but the IR is: the `_shown` views and both logs.
 
-    ir: MachineIR
-    bindings: tuple[tuple[str, str], ...]  # (role name, account)
-    amounts: tuple[tuple[str, int], ...]  # (param, value)
-    accounts: tuple[tuple[str, int], ...]  # (account, balance)
-    contract_balance: int
-    current_state: str
-    flag_values: tuple[tuple[str, bool], ...]
-    # bindings and amounts as dicts, built once by deploy and passed on
-    account_of: dict[str, str]
-    amount_of: dict[str, int]
-    # accounts and flag_values as dicts, never mutated: a revert passes
-    # them on, a successful call brings its own
-    balance_of: dict[str, int]
-    flag_of: dict[str, bool]
-    # newest call first: (previous chain, CallRecord), None before any call
-    calls: tuple | None = None
+    Each datum is held once, in a dict that is never mutated, so a World
+    shares it with its parent wherever a call leaves it unchanged:
+    role -> account, parameter -> amount, account -> balance and
+    flag -> value. `bindings`, `amounts`, `accounts` and `flag_values`
+    are read-only tuple views of those dicts. `calls` is the log's
+    chain, newest first.
+
+    Unlike the other `Frozen` values, a World has no slots but an
+    instance dict, set whole by `__init__`: `call_log` and `event_log`
+    are cached there when first read, and one dict write per call costs
+    less than one slot write per field."""
+
+    _fields = (
+        "ir", "account_of", "amount_of", "balance_of", "contract_balance",
+        "current_state", "flag_of", "calls",
+    )
+    _shown = (
+        "bindings", "amounts", "accounts", "contract_balance",
+        "current_state", "flag_values", "event_log", "call_log",
+    )
+    _key = attrgetter(*_shown)
+
+    def __init__(self, ir: MachineIR, account_of: dict[str, str], amount_of: dict[str, int],
+                 balance_of: dict[str, int], contract_balance: int, current_state: str,
+                 flag_of: dict[str, bool], calls: tuple | None = None):
+        _set(self, "__dict__", {
+            "ir": ir, "account_of": account_of, "amount_of": amount_of,
+            "balance_of": balance_of, "contract_balance": contract_balance,
+            "current_state": current_state, "flag_of": flag_of, "calls": calls,
+        })
+
+    bindings = property(lambda self: tuple(self.account_of.items()))
+    amounts = property(lambda self: tuple(self.amount_of.items()))
+    accounts = property(lambda self: tuple(self.balance_of.items()))
+    flag_values = property(lambda self: tuple(self.flag_of.items()))
 
     @cached_property
     def call_log(self) -> tuple[CallRecord, ...]:
@@ -105,39 +129,29 @@ class World:
         # the successful calls emitted, in order
         return tuple(event for record in self.call_log for event in record.events)
 
-    def _key(self) -> tuple:
-        return (
-            self.bindings,
-            self.amounts,
-            self.accounts,
-            self.contract_balance,
-            self.current_state,
-            self.flag_values,
-            self.event_log,
-            self.call_log,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
-        names = (
-            "bindings", "amounts", "accounts", "contract_balance",
-            "current_state", "flag_values", "event_log", "call_log",
-        )
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._key()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._shown, self._key(self)))
         return f"World({fields})"
+
+    def __reduce__(self):
+        # the flat log, not the chain, whose nesting would exhaust the
+        # recursion limit of pickle and deepcopy on a long run
+        fields = [getattr(self, name) for name in self._fields[:-1]]
+        return _rebuild, (self.call_log, *fields)
 
     def balance(self, account: str) -> int:
         return self.balance_of[account]
 
     def flag(self, name: str) -> bool:
         return self.flag_of[name]
+
+
+def _rebuild(call_log: tuple[CallRecord, ...], *fields) -> World:
+    """The World that `World.__reduce__` took apart."""
+    calls = None
+    for record in call_log:
+        calls = (calls, record)
+    return World(*fields, calls)
 
 
 def deploy(
@@ -181,19 +195,7 @@ def deploy(
     amount_of = {p: int(amounts[p]) for p in ir.params}
     balance_of = dict.fromkeys(accounts, initial_balance)
     flag_of = {f: False for f, _comment in ir.flags}
-    return World(
-        ir=ir,
-        bindings=tuple(account_of.items()),
-        amounts=tuple(amount_of.items()),
-        accounts=tuple(balance_of.items()),
-        contract_balance=0,
-        current_state=ir.states[0],
-        flag_values=tuple(flag_of.items()),
-        account_of=account_of,
-        amount_of=amount_of,
-        balance_of=balance_of,
-        flag_of=flag_of,
-    )
+    return World(ir, account_of, amount_of, balance_of, 0, ir.states[0], flag_of)
 
 
 class _Revert(Exception):
@@ -257,18 +259,6 @@ class _Draft:
                 self.state = "Finalized"
 
 
-def _reverted(world: World, record: CallRecord) -> World:
-    """`world` with `record` on its log and every other field shared. The
-    logs `world` may have cached lack the record, so they are left behind."""
-    fields = world.__dict__.copy()
-    fields.pop("call_log", None)
-    fields.pop("event_log", None)
-    fields["calls"] = (world.calls, record)
-    child = object.__new__(World)
-    object.__setattr__(child, "__dict__", fields)
-    return child
-
-
 def call(
     world: World, caller: str, function: str, value: int = 0
 ) -> tuple[World, CallRecord]:
@@ -302,21 +292,15 @@ def call(
         else:
             record = CallRecord(caller, function, value, True, None, tuple(draft.events))
             return World(
-                world.ir,
-                world.bindings,
-                world.amounts,
-                tuple(draft.accounts.items()),
-                draft.contract_balance,
-                draft.state,
-                tuple(draft.flags.items()),
-                world.account_of,
-                world.amount_of,
-                draft.accounts,
-                draft.flags,
-                (world.calls, record),
+                world.ir, world.account_of, world.amount_of, draft.accounts,
+                draft.contract_balance, draft.state, draft.flags, (world.calls, record),
             ), record
+    # a revert passes its parent's state on; the fresh World caches no log
     record = CallRecord(caller, function, value, False, message)
-    return _reverted(world, record), record
+    return World(
+        world.ir, world.account_of, world.amount_of, world.balance_of,
+        world.contract_balance, world.current_state, world.flag_of, (world.calls, record),
+    ), record
 
 
 def parse_script(text: str) -> list[tuple[str, str, int]]:

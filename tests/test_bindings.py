@@ -4,6 +4,7 @@ still resolve; the CLI calls through those bindings and loads only the
 stages a command runs."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -130,24 +131,33 @@ def test_commands_load_only_their_stages(tmp_path):
     assert "rclc.simulator" not in generated
 
 
-def test_check_and_gen_import_no_dataclass_machinery():
+def test_no_command_imports_dataclass_machinery():
     # `dataclasses` pulls in `inspect` and execs generated methods per
     # class; a module the interpreter's own start loaded does not count
+    fixed = str(FIXTURES / "purchase_fixed.rcl")
+    commands = [
+        ["check", fixed],
+        ["gen", fixed],
+        ["sim", fixed, "--script", str(FIXTURES / "scripts" / "corrected_run.txt"),
+         "--amount", "paymentAmount=100", "--amount", "shippingCosts=10"],
+        ["dump-ast", fixed],
+        ["dump-lts", fixed],
+    ]
     child = (
-        "import sys\n"
+        "import json, sys\n"
         "before = set(sys.modules)\n"
-        "import rclc.cli, rclc.codegen\n"
-        "codes = [rclc.cli.main([command, sys.argv[1]]) for command in ('check', 'gen')]\n"
+        "import rclc.cli, rclc.codegen, rclc.simulator\n"
+        "codes = [rclc.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
         "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
-        "sys.exit(codes != [0, 0])\n"
+        "sys.exit(codes != [0] * len(codes))\n"
     )
     run = subprocess.run(
-        [sys.executable, "-c", child, str(FIXTURES / "purchase_fixed.rcl")],
+        [sys.executable, "-c", child, json.dumps(commands)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr
     loaded = set(run.stderr.split())
-    assert {"rclc.checker", "rclc.codegen"} <= loaded
+    assert {"rclc.checker", "rclc.codegen", "rclc.simulator"} <= loaded
     assert not loaded & {"dataclasses", "inspect"}
 
 

@@ -2,8 +2,10 @@
 conservation, atomicity, monotonicity, and co-simulation against the
 contract's own transition semantics."""
 
+import copy
+import pickle
 import random
-from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
@@ -574,9 +576,12 @@ def test_a_revert_world_is_a_fresh_value(monkeypatch):
         assert child.call_log == call_log + (record,)
         assert child.event_log == event_log + record.events
         assert world.call_log is call_log and world.event_log is event_log
-        for name in [f.name for f in fields(World)] + ["call_log", "x"]:
-            with pytest.raises(FrozenInstanceError):
+        views = ("bindings", "amounts", "accounts", "flag_values")
+        for name in World._fields + views + ("call_log", "event_log", "x"):
+            with pytest.raises(AttributeError):
                 setattr(child, name, None)
+            with pytest.raises(AttributeError):
+                delattr(child, name)
         outcomes.add(record.ok)
         world = child
     assert outcomes == {True, False}
@@ -634,3 +639,24 @@ def test_long_worlds_compare_by_value_without_recursion():
     assert changed.event_log == other.event_log
     assert changed != other
     assert changed != first
+
+
+def test_long_worlds_pickle_and_copy_without_recursion():
+    # the chained log is passed flat, so an 8000-call World round-trips
+    # at the default recursion limit
+    ir = fixed_ir()
+    script = mixed_script(
+        random.Random(8001), ir, ["b", "s", "k", "c"],
+        script_calls("corrected_run.txt"), 8000,
+    )
+    script = [c for c in script if c[0] != "mallory" and c[1] != "nosuch"]
+    world, _ = run_script(ir, script, BIND, AMOUNTS)
+    assert len(world.call_log) > 7500 and world.current_state == "Finalized"
+    for clone in (
+        pickle.loads(pickle.dumps(world)), copy.copy(world), copy.deepcopy(world),
+    ):
+        assert clone is not world and clone == world
+        assert hash(clone) == hash(world) and repr(clone) == repr(world)
+        assert render_trace(clone) == render_trace(world)
+        # the clone runs on like the original
+        assert call(clone, "b", "buyProduct") == call(world, "b", "buyProduct")
