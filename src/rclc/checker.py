@@ -7,10 +7,13 @@ conjunction of literals on that set, its path condition. `check` reads
 every condition from `ContractSemantics.conditions`, one pass over the
 clause table that also derives states, decides each O/F pair by whether
 the two conditions hold together, and builds the shortest witness
-directly, so no state of the 2^n subset lattice is visited and no clause
-tree is walked. `brute_force_oracle` answers the same question by
-exhaustive enumeration with its own walk and tiny interpreter; it shares
-nothing with the check and exists to keep `check` honest.
+directly, so no clause tree is walked and of the 2^n subset lattice only
+the witnesses' own states are visited: each distinct witness goes once
+through `ContractSemantics.replay`, which checks every event as `step`
+does and derives the one state they reach. `brute_force_oracle` answers
+the same question by exhaustive enumeration with its own walk and tiny
+interpreter; it shares nothing with the check and exists to keep `check`
+honest.
 """
 
 from __future__ import annotations
@@ -88,8 +91,10 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
     reachable state, with its witness: the first fired set in
     `semantics.fired_sets` order (smallest, then by event index) at which
     the clash shows. Reports follow (witness, `clash_order`), the order a
-    walk of the lattice would find them in. Witnesses are re-run through
-    the stepper before being reported, not trusted from the construction.
+    walk of the lattice would find them in. A witness is not trusted from
+    the construction: each distinct one is replayed once, with the
+    stepper's checks on every event, and the state it reaches must hold
+    both norms of every conflict it witnesses.
     """
     begin = time.perf_counter()
     sem = ContractSemantics.of(contract)
@@ -145,11 +150,9 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
 
 def _replay_witness(sem: ContractSemantics, witness: tuple[Event, ...],
                     conflicts: list[Conflict]):
-    state = sem.initial_state()
-    for event in witness:
-        state = sem.step(state, event)
+    active = sem.replay(witness).active
     for conflict in conflicts:
-        if conflict.obligation not in state.active or conflict.prohibition not in state.active:
+        if conflict.obligation not in active or conflict.prohibition not in active:
             raise RuntimeError(
                 f"witness replay failed for {conflict.pair} {conflict.action}"
             )

@@ -32,12 +32,14 @@ guarded body. The norms in force form a set, but the boxes still
 pending and the watches still armed are tuples in walk order, and
 `dump_lts` shows each distinct one once. `conditions` is a forward
 pass that enters every guard: the conflict check's path conditions.
+`replay` checks a whole event sequence as `step` checks one event and
+derives the state it reaches once: the check's witness replay.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .ast import (
@@ -285,12 +287,27 @@ class ContractSemantics:
     def initial_state(self) -> NormState:
         return self.state(frozenset())
 
-    def step(self, state: NormState, event: Event) -> NormState:
+    def _admit(self, fired: frozenset[Event] | set[Event], event: Event):
+        """Raise StepError unless `event` may fire after `fired`: it
+        resolves against the contract and has not fired yet."""
         if event not in self._index_of:
             raise StepError(f"event {format_event(event)} does not resolve")
-        if event in state.fired:
+        if event in fired:
             raise StepError(f"event {format_event(event)} already fired")
+
+    def step(self, state: NormState, event: Event) -> NormState:
+        self._admit(state.fired, event)
         return self.state(state.fired | {event})
+
+    def replay(self, events: Iterable[Event]) -> NormState:
+        """The state a fold of `step` over `events` from the initial
+        state reaches, with the same checks on every event in order, but
+        derived once: a state depends only on its fired set."""
+        fired: set[Event] = set()
+        for event in events:
+            self._admit(fired, event)
+            fired.add(event)
+        return self.state(frozenset(fired))
 
     def state(self, fired: frozenset[Event]) -> NormState:
         """Derive the norm state after exactly `fired` has happened, in

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from rclc.checker import (
 )
 from rclc.semantics import (
     ContractSemantics,
+    NormState,
     clashes,
     dump_lts,
     fired_sets,
@@ -173,6 +175,57 @@ def test_witness_replays_to_conflicting_state():
         state = sem.step(state, event)
     assert conflict.obligation in state.active
     assert conflict.prohibition in state.active
+
+
+def dense_conflicts(n):
+    """n obligations and n prohibitions on one (pair, action), each behind
+    its own guard box: n * n conflicts, each with its own witness."""
+    guards = [f"g{i}" for i in range(n)] + [f"h{i}" for i in range(n)]
+    return parsed(
+        "agents a, b;\nactions x, " + ", ".join(guards) + ";\n"
+        + "".join(f"{{a,b}}[g{i}]({{a,b}}O(x));\n" for i in range(n))
+        + "".join(f"{{a,b}}[h{i}]({{a,b}}F(x));\n" for i in range(n))
+    )
+
+
+def test_check_derives_one_state_per_distinct_witness():
+    # the replay never steps: each distinct witness costs one derivation
+    real_state = ContractSemantics.state
+    derived = []
+
+    def counted(self, fired):
+        derived.append(fired)
+        return real_state(self, fired)
+
+    def no_step(self, state, event):
+        raise AssertionError("check called step")
+
+    for contract, n_witnesses in ((parsed(CONFLICTED), 1), (dense_conflicts(10), 100)):
+        derived.clear()
+        with mock.patch.object(ContractSemantics, "state", counted), \
+                mock.patch.object(ContractSemantics, "step", no_step):
+            report = check(contract)
+        witnesses = {frozenset(c.witness) for c in report.conflicts}
+        assert len(witnesses) == n_witnesses
+        assert len(derived) == len(witnesses)
+        assert set(derived) == witnesses
+
+
+def test_a_replay_that_loses_the_prohibition_fails_the_check():
+    # the replayed state, not the construction, decides: a replay whose
+    # state lacks the clashing prohibition must stop the report
+    real_replay = ContractSemantics.replay
+
+    def without_prohibitions(self, events):
+        state = real_replay(self, events)
+        active = frozenset(norm for norm in state.active if norm.kind != "F")
+        return NormState(state.fired, active, state.pending_boxes, state.iter_watch)
+
+    contract = parsed(CONFLICTED)
+    with mock.patch.object(ContractSemantics, "replay", without_prohibitions):
+        with pytest.raises(RuntimeError, match="^witness replay failed for "):
+            check(contract)
+    assert check(contract).conflicts
 
 
 def test_oracle_refuses_large_universe():

@@ -11,6 +11,7 @@ from rclc.parser import parse_contract
 from rclc.semantics import (
     ContractSemantics,
     Norm,
+    NormState,
     StepError,
     clashes,
     dump_lts,
@@ -372,3 +373,55 @@ def test_norm_prints_and_compares_as_a_tuple():
     assert str(norm) == "F {a,b} x"
     assert norm == ("F", ("a", "b"), "x", (2, 3, 2, 12))
     assert hash(norm) == hash(("F", ("a", "b"), "x", (2, 3, 2, 12)))
+
+
+def _fold_steps(sem, events):
+    state = sem.initial_state()
+    for event in events:
+        state = sem.step(state, event)
+    return state
+
+
+def _step_error(run):
+    with pytest.raises(StepError) as caught:
+        run()
+    return str(caught.value)
+
+
+def test_replay_equals_a_fold_of_step():
+    # one derivation for the whole sequence, every field equal to the
+    # state the stepper reaches and to the stack walk, walk order included;
+    # a sequence the stepper refuses is refused with the stepper's message
+    rng = random.Random(20261020)
+    contracts = [random_contract(rng) for _ in range(25)]
+    contracts += [merged_contract(rng, parts, max_events=10) for parts in (2, 3) * 4]
+    contracts += [random_lowerable(rng) for _ in range(10)]
+    contracts += [random_flow(rng) for _ in range(10)]
+    contracts += [parsed(open(f"fixtures/{name}.rcl").read())
+                  for name in ("purchase_conflicted", "purchase_fixed")]
+    contracts += [parsed(WRITTEN_TWICE)]
+    unheard = (pair("nobody", "nowhere"), "nothing")
+    for contract in contracts:
+        sem = ContractSemantics(contract)
+        for _ in range(6):
+            events = rng.sample(sem.universe, rng.randint(0, len(sem.universe)))
+            folded = _fold_steps(sem, events)
+            replayed = sem.replay(events)
+            walked = reference_stack_state(sem, frozenset(events))
+            for field in NormState._fields:
+                assert getattr(replayed, field) == getattr(folded, field)
+                assert getattr(replayed, field) == getattr(walked, field)
+            assert sem.replay(iter(events)) == replayed
+            at = rng.randint(0, len(events))
+            refused = [events[:at] + [unheard] + events[at:]]
+            if events:
+                refused.append(events[:at] + [rng.choice(events)] + events[at:])
+            for bad in refused:
+                message = _step_error(lambda: sem.replay(bad))
+                assert message == _step_error(lambda: _fold_steps(sem, bad))
+        assert _step_error(lambda: sem.replay([unheard])) == (
+            "event {nobody,nowhere} nothing does not resolve")
+        if sem.universe:
+            twice = [sem.universe[0]] * 2
+            assert _step_error(lambda: sem.replay(twice)).endswith(" already fired")
+
