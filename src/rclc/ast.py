@@ -19,15 +19,17 @@ guard nesting, which the parser caps at `parser.MAX_NESTING`.
 Nodes are immutable values; equality is structural and ignores source
 spans, so a pretty-printed and re-parsed contract compares equal.
 
-The value classes of the package (nodes, reports, IR and the
-simulator's `World`) sit on one small base, `Value`: equal when of the
-same class with equal compared fields (`_key`, an
-`operator.attrgetter`), hashed on those fields, and printed like a
-dataclass over `_fields`. `Frozen` adds a `__setattr__` and
-`__delattr__` that raise `AttributeError`, so its `__init__` writes
-through `object.__setattr__`. All are slotted but `World`, which keeps
-an instance dict to cache its logs in. Neither base uses the dataclass
-machinery, whose import would cost every command's start.
+`validate` walks the tree once on its own stack and spells a clause's
+path, such as `clauses[0].body[1]`, only for an issue on it.
+
+The value classes of the package (nodes, reports, IR and `World`) sit
+on one base, `Value`: equal when of the same class with equal compared
+fields (`_key`), hashed on those, and printed like a dataclass.
+`Frozen` adds a `__setattr__` and `__delattr__` that raise
+`AttributeError`, so its `__init__` writes through `object.__setattr__`.
+All are slotted but `World`, which keeps an instance dict to cache its
+logs in. Neither uses the dataclass machinery, whose import would cost
+every command's start.
 """
 
 from __future__ import annotations
@@ -306,47 +308,28 @@ class ValidationIssue(Frozen):
         return f"{self.severity}: {self.message} (at {self.path})"
 
 
-def _walk(contract: Contract, place):
-    """Pre-order traversal of every clause node with its place:
-    ``place(None, i)`` for the i-th top-level clause, ``place(p, i)`` for
-    the i-th clause of the body of the guard at place ``p``."""
-    stack = [(clause, place(None, i)) for i, clause in enumerate(contract.clauses)]
-    stack.reverse()
-    while stack:
-        clause, at = stack.pop()
-        yield clause, at
-        if isinstance(clause, (Box, IterBox)):
-            body = clause.body
-            for i in range(len(body) - 1, -1, -1):  # last on first, first off first
-                stack.append((body[i], place(at, i)))
-
-
-def _step(path: str | None, i: int) -> str:
-    """The path of the i-th clause under `path`, None for the top level."""
-    return f"clauses[{i}]" if path is None else f"{path}.body[{i}]"
-
-
-def _link(parent, i):
-    """A place as a linked (parent, i) pair, for `_path` to spell out."""
-    return parent, i
-
-
-def _path(link) -> str:
-    """A linked place spelled out as `iter_clauses` spells its path."""
+def _path(place) -> str:
+    """A place, a (parent place, i) link, spelled out as `iter_clauses`
+    spells its path."""
     steps = []
-    while link is not None:
-        link, i = link
+    while place is not None:
+        place, i = place
         steps.append(i)
-    path = None
-    for i in reversed(steps):
-        path = _step(path, i)
-    return path
+    return f"clauses[{steps.pop()}]" + "".join(f".body[{i}]" for i in reversed(steps))
 
 
 def iter_clauses(contract: Contract):
     """Pre-order traversal of every clause node with its path, such as
     ``clauses[0].body[1]``."""
-    return _walk(contract, _step)
+    stack = [(clause, f"clauses[{i}]") for i, clause in enumerate(contract.clauses)]
+    stack.reverse()
+    while stack:
+        clause, path = stack.pop()
+        yield clause, path
+        if isinstance(clause, (Box, IterBox)):
+            body = clause.body
+            for i in range(len(body) - 1, -1, -1):  # last on first, first off first
+                stack.append((body[i], f"{path}.body[{i}]"))
 
 
 def validate(contract: Contract) -> list[ValidationIssue]:
@@ -391,49 +374,53 @@ def validate(contract: Contract) -> list[ValidationIssue]:
     watched: list[tuple[str, tuple, Span]] = []
     used_actions: set[str] = set()
 
-    # a clause's path is spelled out only for an issue on it
-    for clause, place in _walk(contract, _link):
-        pair, action = clause.pair, clause.action
-        for agent in pair:
-            if agent not in agent_set:
-                err(f"undeclared agent '{agent}'", _path(place), clause.span)
-        if pair.performer == pair.counterparty:
-            err(f"pair relates agent '{pair.performer}' to itself", _path(place), clause.span)
-        if action not in action_set:
-            err(f"undeclared action '{action}'", _path(place), clause.span)
+    # pre-order, each clause with its place: (None, i) for the i-th
+    # top-level clause, (p, i) for the i-th of the body of the guard at p
+    stack = [(clause, (None, i)) for i, clause in enumerate(contract.clauses)]
+    stack.reverse()
+    while stack:
+        clause, place = stack.pop()
+        kind = type(clause)
+        pair = clause.pair
+        action = clause.action
+        performer, counterparty = pair
+        if not (performer in agent_set and counterparty in agent_set
+                and performer != counterparty and action in action_set):
+            path = _path(place)
+            for agent in pair:
+                if agent not in agent_set:
+                    err(f"undeclared agent '{agent}'", path, clause.span)
+            if performer == counterparty:
+                err(f"pair relates agent '{performer}' to itself", path, clause.span)
+            if action not in action_set:
+                err(f"undeclared action '{action}'", path, clause.span)
         used_actions.add(action)
-        if isinstance(clause, Obligation):
+        if kind is Obligation:
             obligated.add(action)
-        elif isinstance(clause, Box):
+            continue
+        if kind is Box:
             boxed.add(action)
-        elif isinstance(clause, IterBox):
+        elif kind is IterBox:
             watched.append((action, place, clause.span))
             if clause.positive:
-                warn(
-                    f"positive iterated guard on '{action}': body activates when "
-                    "the action fires and then stays in force",
-                    _path(place),
-                    clause.span,
-                )
+                warn(f"positive iterated guard on '{action}': body activates when the "
+                     "action fires and then stays in force", _path(place), clause.span)
             if not clause.starred:
-                warn(
-                    f"negated guard on '{action}' written without '*'; "
-                    "treated as the iterated form",
-                    _path(place),
-                    clause.span,
-                )
+                warn(f"negated guard on '{action}' written without '*'; treated as the "
+                     "iterated form", _path(place), clause.span)
+        else:
+            continue
+        body = clause.body
+        for i in range(len(body) - 1, -1, -1):  # last on first, first off first
+            stack.append((body[i], (place, i)))
 
     for name in actions:
         if name not in used_actions:
             warn(f"action '{name}' declared but never used", "actions")
     for action, place, span in watched:
         if action in action_set and action not in obligated and action not in boxed:
-            warn(
-                f"action '{action}' is watched here but is never the subject of "
-                "any box or obligation, so the guard can never be discharged",
-                _path(place),
-                span,
-            )
+            warn(f"action '{action}' is watched here but is never the subject of any box "
+                 "or obligation, so the guard can never be discharged", _path(place), span)
 
     _validate_meta(contract, agent_set, action_set, issues)
     return issues
@@ -442,8 +429,9 @@ def validate(contract: Contract) -> list[ValidationIssue]:
 def _validate_meta(contract, agent_set, action_set, issues):
     meta = contract.meta
     # undeclared agents, then values that are not identifiers, then
-    # undeclared names in event keys
+    # undeclared names in event keys, `inline` keys last
     found: tuple[list[str], list[str], list[str]] = ([], [], [])
+    events = []
     for keyword, (table, names, text) in ANNOTATIONS.items():
         for key, value in getattr(meta, table).items():
             if names == "agent" and key not in agent_set:
@@ -451,14 +439,15 @@ def _validate_meta(contract, agent_set, action_set, issues):
             if not text and not _IDENT_RE.match(value):
                 found[1].append(f"{keyword} annotation value '{value}' is not an identifier")
             if names == "event":
-                performer, counterparty, action = key
-                if action not in action_set:
-                    found[2].append(
-                        f"{keyword} annotation refers to undeclared action '{action}'")
-                for agent in (performer, counterparty):
-                    if agent is not None and agent not in agent_set:
-                        found[2].append(
-                            f"{keyword} annotation refers to undeclared agent '{agent}'")
+                events.append((keyword, key))
+    for key in meta.inline:
+        events.append(("inline", key))
+    for keyword, (performer, counterparty, action) in events:
+        if action not in action_set:
+            found[2].append(f"{keyword} annotation refers to undeclared action '{action}'")
+        for agent in (performer, counterparty):
+            if agent is not None and agent not in agent_set:
+                found[2].append(f"{keyword} annotation refers to undeclared agent '{agent}'")
     issues.extend(
         ValidationIssue("error", message, "annotations") for group in found for message in group
     )

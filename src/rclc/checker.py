@@ -1,19 +1,17 @@
 """Conflict search by path conditions.
 
 A conflict is an obligation and a prohibition on the same (pair,
-action) active in the same reachable state. The norm state depends only
+action) active in the same reachable state. A norm state depends only
 on the fired set, so each O/F occurrence is in force exactly under a
-conjunction of literals on that set, its path condition. `check` reads
-every condition from `ContractSemantics.conditions`, one pass over the
-clause table that also derives states, decides each O/F pair by whether
-the two conditions hold together, and builds the shortest witness
-directly, so no clause tree is walked and of the 2^n subset lattice only
-the witnesses' own states are visited: each distinct witness goes once
-through `ContractSemantics.replay`, which checks every event as `step`
-does and derives the one state they reach. `brute_force_oracle` answers
-the same question by exhaustive enumeration with its own walk and tiny
-interpreter; it shares nothing with the check and exists to keep `check`
-honest.
+conjunction of literals on that set, its path condition, as
+`ContractSemantics.conditions` reads it off the clause table. `check`
+tests each O/F pair's two conditions together, builds the shortest
+witness directly, sorts the clashes once by witness rank and
+`clash_order`, and replays each distinct witness once: of the 2^n
+subset lattice only the witnesses' states are visited.
+`brute_force_oracle` answers the same question by exhaustive
+enumeration with its own walk and interpreter; it shares nothing with
+`check` and keeps it honest.
 """
 
 from __future__ import annotations
@@ -91,16 +89,17 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
     reachable state, with its witness: the first fired set in
     `semantics.fired_sets` order (smallest, then by event index) at which
     the clash shows. Reports follow (witness, `clash_order`), the order a
-    walk of the lattice would find them in. A witness is not trusted from
-    the construction: each distinct one is replayed once, with the
-    stepper's checks on every event, and the state it reaches must hold
-    both norms of every conflict it witnesses.
+    walk of the lattice would find them in. A witness is not trusted as
+    built: each distinct one is replayed once, with the stepper's checks
+    on every event, and the state it reaches must hold both norms of
+    every conflict it witnesses.
     """
     begin = time.perf_counter()
     sem = ContractSemantics.of(contract)
     universe = sem.universe
+    action_at = [action for _pair, action in universe]
     first_with: dict[str, int] = {}
-    for i, (_pair, action) in enumerate(universe):
+    for i, action in enumerate(action_at):
         first_with.setdefault(action, i)
 
     obliged: dict[Event, list[tuple[Norm, Condition]]] = {}
@@ -121,19 +120,22 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
             banned = f_banned | o_banned
             wanted = f_wanted | o_wanted
             need = f_need | o_need
-            done = {universe[i][1] for i in need}
-            if banned & wanted or banned & done:
+            done = set(map(action_at.__getitem__, need))
+            if not (banned.isdisjoint(wanted) and banned.isdisjoint(done)):
                 continue
             # each watched action not yet performed costs one event, and
             # the lowest-index one is the least choice
-            witness = tuple(sorted(need.union(first_with[a] for a in wanted - done)))
+            witness = tuple(sorted(need.union(map(first_with.__getitem__, wanted - done))))
             rank = (len(witness), witness)
             if (ob, forbid) not in least or rank < least[ob, forbid]:
                 least[ob, forbid] = rank
 
+    # parsed clashes never tie on rank and `clash_order`
     conflicts = tuple(
-        Conflict(ob, forbid, tuple(universe[i] for i in least[ob, forbid][1]))
-        for ob, forbid in sorted(least, key=lambda clash: (least[clash], clash_order(clash)))
+        Conflict(ob, forbid, tuple(map(universe.__getitem__, indices)))
+        for (_size, indices), _order, (ob, forbid) in sorted(
+            (rank, clash_order(clash), clash) for clash, rank in least.items()
+        )
     )
     sharing: dict[tuple[Event, ...], list[Conflict]] = {}
     for conflict in conflicts:

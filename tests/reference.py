@@ -17,7 +17,9 @@ to pair each obligation and prohibition with its path condition, which
 `ContractSemantics.conditions` now reads off the clause table.
 `reference_validate` walks `reference_iter_clauses`, which spells out
 every clause's path, where `validate` spells one out only for an issue.
-All nine are kept as they were, apart from their names.
+All nine are kept as they were, apart from their names and one change
+made in both on purpose: `reference_validate` checks the names in
+`inline` keys as `validate` now does.
 """
 
 from __future__ import annotations
@@ -603,8 +605,17 @@ def reference_validate(contract: Contract) -> list[ValidationIssue]:
 def _reference_validate_meta(contract, agent_set, action_set, issues):
     meta = contract.meta
     # undeclared agents, then values that are not identifiers, then
-    # undeclared names in event keys
+    # undeclared names in event keys, `inline` keys last
     found: tuple[list[str], list[str], list[str]] = ([], [], [])
+
+    def check_event_key(keyword, key):
+        performer, counterparty, action = key
+        if action not in action_set:
+            found[2].append(f"{keyword} annotation refers to undeclared action '{action}'")
+        for agent in (performer, counterparty):
+            if agent is not None and agent not in agent_set:
+                found[2].append(f"{keyword} annotation refers to undeclared agent '{agent}'")
+
     for keyword, (table, names, text) in ANNOTATIONS.items():
         for key, value in getattr(meta, table).items():
             if names == "agent" and key not in agent_set:
@@ -612,14 +623,9 @@ def _reference_validate_meta(contract, agent_set, action_set, issues):
             if not text and not _IDENT_RE.match(value):
                 found[1].append(f"{keyword} annotation value '{value}' is not an identifier")
             if names == "event":
-                performer, counterparty, action = key
-                if action not in action_set:
-                    found[2].append(
-                        f"{keyword} annotation refers to undeclared action '{action}'")
-                for agent in (performer, counterparty):
-                    if agent is not None and agent not in agent_set:
-                        found[2].append(
-                            f"{keyword} annotation refers to undeclared agent '{agent}'")
+                check_event_key(keyword, key)
+    for key in meta.inline:
+        check_event_key("inline", key)
     issues.extend(
         ValidationIssue("error", message, "annotations") for group in found for message in group
     )

@@ -229,6 +229,7 @@ def _spoiled(rng, contract):
         meta.states[(None, None, "nowhere")] = "S1"
         meta.funcs[("ghost", names[0], "act1")] = "f"
         meta.messages[(None, None, "act2")] = "any text"
+        meta.inline += [(names[0], "ghost", "nowhere"), (None, None, "act1")]
     return Contract(tuple(agents), tuple(actions), tuple(clauses), meta)
 
 
@@ -239,6 +240,26 @@ def _deep(depth):
         body = (Box(AgentPair("a", "b"), "x", body, Span(i + 1, 1, i + 1, 2)),
                 IterBox(AgentPair("b", "a"), "y", (), i % 2 == 0, i % 3 == 0))
     return Contract((Decl("a"), Decl("b")), (Decl("x"), Decl("y")), body)
+
+
+def _faults(contract):
+    """Each clause fault `validate` tests with one combined check, with
+    whether it sits at the top level or under a guard."""
+    agents, actions = set(contract.agent_names()), set(contract.action_names())
+    for clause, path in iter_clauses(contract):
+        where = "nested" if ".body" in path else "top"
+        performer, counterparty = clause.pair
+        if performer in agents and counterparty not in agents:
+            yield "only the counterparty undeclared", where
+        if performer not in agents and counterparty in agents:
+            yield "only the performer undeclared", where
+        if performer == counterparty and performer in agents:
+            yield "a self pair of a declared agent", where
+        if isinstance(clause, IterBox) and clause.action not in actions:
+            if not clause.starred:
+                yield "an undeclared action on an unstarred watch", where
+            if clause.positive:
+                yield "an undeclared action on a positive watch", where
 
 
 def test_validate_matches_the_reference():
@@ -255,10 +276,15 @@ def test_validate_matches_the_reference():
         "agents a, b; actions x, y, z; {a,b}[!z]*({b,a}F(x) & {a,b}[x]*({a,b}[!x]({b,b}O(y))));",
     )]
     kinds = set()
+    faults = set()
     for contract in contracts:
         got = [(i.severity, i.message, i.path, i.span) for i in validate(contract)]
         want = [(i.severity, i.message, i.path, i.span) for i in reference_validate(contract)]
         assert got == want
         assert list(iter_clauses(contract)) == list(reference_iter_clauses(contract))
         kinds.update(message.split("'")[0] for _severity, message, _path, _span in got)
+        faults.update(_faults(contract))
     assert len(kinds) >= 16, sorted(kinds)
+    # each part of the combined clause check fails alone somewhere, at the
+    # top level and under a guard
+    assert len(faults) == 10, sorted(faults)

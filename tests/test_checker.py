@@ -166,6 +166,18 @@ def test_occurrences_sharing_an_origin_report_the_least_witness():
         assert conflict.witness == ((ab, "g0"),)
 
 
+def test_clashes_sharing_a_witness_follow_clash_order():
+    # four clashes at the initial state, by prohibition origin, then
+    # obligation origin; obligation first would give (2, 3), (4, 3), ...
+    contract = parsed(
+        "agents a, b; actions x;\n{a,b}F(x);\n{a,b}O(x);\n{a,b}F(x);\n{a,b}O(x);\n"
+    )
+    report = check(contract)
+    assert [(c.prohibition.origin.line, c.obligation.origin.line)
+            for c in report.conflicts] == [(2, 3), (2, 5), (4, 3), (4, 5)]
+    assert all(c.witness == () for c in report.conflicts)
+
+
 def test_witness_replays_to_conflicting_state():
     contract = parsed(CONFLICTED)
     conflict = check(contract).conflicts[0]

@@ -181,6 +181,23 @@ def test_validation_errors_and_warnings_print_in_order_with_positions(tmp_path, 
         assert captured.out == "", command
 
 
+def test_inline_annotation_with_undeclared_names_exits_2(tmp_path, capsys):
+    # `inline` names an action like `state` or `flag` does, so the same
+    # undeclared names are the same validation errors
+    path = tmp_path / "inline.rcl"
+    path.write_text("agents a, b;\nactions go, pay;\ninline {a,zz} nothing;\n"
+                    "{a,b}[go]({a,b}O(pay));\n")
+    want = (
+        f"{path}: error: inline annotation refers to undeclared action 'nothing'\n"
+        f"{path}: error: inline annotation refers to undeclared agent 'zz'\n"
+    )
+    for argv in (["check", str(path)], ["gen", str(path), "--fidelity-internal-calls"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == want, argv
+        assert captured.out == "", argv
+
+
 def test_check_json_schema(capsys):
     code = main(["check", CONFLICTED, "--format", "json"])
     out = capsys.readouterr().out
