@@ -15,7 +15,7 @@ _EXPORTS = {
     "parser": ["ParseError", "ParseResult", "parse_contract"],
     "semantics": ["ContractSemantics", "InvalidContract", "Lts", "Norm", "NormState",
                   "StepError", "dump_lts", "event_universe"],
-    "simulator": ["CallRecord", "SimError", "World", "call", "co_simulate", "deploy",
+    "simulator": ["CallRecord", "MAX_VALUE", "SimError", "World", "call", "co_simulate", "deploy",
                   "parse_script", "render_trace", "run_script"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

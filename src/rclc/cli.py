@@ -30,7 +30,7 @@ from .semantics import ContractSemantics, InvalidContract, dump_lts, lts_to_dot
 __all__ = ["main"]
 
 # names from codegen and the simulator; the package imports their module
-_STAGES = {"LowerError", "emit_solidity", "lower", "SimError", "parse_script",
+_STAGES = {"LowerError", "emit_solidity", "lower", "MAX_VALUE", "SimError", "parse_script",
            "render_trace", "run_script"}
 
 
@@ -164,11 +164,16 @@ def _natural(value: str, what: str) -> int:
     # ASCII digits only, as a script's value=<n>; int() takes '-1', '１' and '1_0'
     if not (value.isascii() and value.isdigit()):
         raise _fail(f"bad {what}: value must be an integer in ASCII digits")
-    return int(value)
+    digits = value.lstrip("0") or "0"
+    # MAX_VALUE has 78 digits, and int() refuses more than 4300
+    number = int(digits) if len(digits) <= 78 else MAX_VALUE + 1
+    if number > MAX_VALUE:
+        raise _fail(f"bad {what}: value must be at most 2**256 - 1")
+    return number
 
 
 def _cmd_sim(args) -> int:
-    _bind("LowerError", "lower", "SimError", "parse_script", "run_script",
+    _bind("LowerError", "lower", "MAX_VALUE", "SimError", "parse_script", "run_script",
           "render_trace")
     ir = _lower_or_bail(_load(args.input), args)
     bindings = {role: agent for role, agent in ir.roles}

@@ -5,25 +5,35 @@ balance, the current state, the flag assignment, and the log of calls
 made. Calls are pure: `call` returns a fresh World and the record of
 what happened. A reverted call changes nothing but the call log.
 
-Every World, whether deployed, after a successful call or after a
-revert, comes from the one constructor. The call log is stored as a
-persistent chain of (previous, record) pairs, newest first, which every
-later World shares, so a call costs the same however many calls came
-before it. `World.call_log` and `World.event_log` are tuples built from
-the chain when first read and then kept; the event log is the
-successful calls' events in call order. Equality, hashing, repr, pickle
-and copy read those tuples, never the chain.
+A World is two parts: a snapshot of everything a call reads or changes
+(the IR, the role bindings, the amounts, the balances, the state and
+the flags) and the call log. Every World, whether deployed, after a
+successful call or after a revert, comes from the one constructor. The
+call log is stored as a persistent chain of (previous, record) pairs,
+newest first, which every later World shares, so a call costs the same
+however many calls came before it. `World.call_log` and
+`World.event_log` are tuples built from the chain when first read and
+then kept; the event log is the successful calls' events in call order.
+Equality, hashing, repr, pickle and copy read those tuples, never the
+chain.
+
+Only a successful call builds a new snapshot. A revert builds its World
+from its parent's snapshot and one new chain node, and its record goes
+into the snapshot's refusals, keyed by (caller, function, value): the
+outcome of a call depends on nothing else, so the same triple against
+the same snapshot reuses the record without checking a guard again.
+Misuse raises before anything is stored, and a new snapshot starts with
+no refusals.
 
 Guard evaluation order per call: private, caller funds, payability,
 role, state, call value, flag preconditions in declaration order. The
 first failing guard reverts with its message. `call` checks them
-against the World itself, so a reverted call builds nothing but its
-record and a World that passes on its parent's balances, state and
-flags. Only a call that passes its guards gets a mutable working copy.
-Internal calls (fidelity mode) check the callee's role, state, value
-and flag guards, through the same function, against that copy; they
-run with the original caller's identity, so a role-guarded callee
-inspects the outer caller, and any revert inside unwinds the whole call.
+against the snapshot itself; only a call that passes its guards gets a
+mutable working copy. Internal calls (fidelity mode) check the callee's
+role, state, value and flag guards, through the same function, against
+that copy; they run with the original caller's identity, so a
+role-guarded callee inspects the outer caller, and any revert inside
+unwinds the whole call.
 
 Money only flows in: a payable call moves the call value from the
 caller to the contract balance, and no generated function pays out, so
@@ -41,6 +51,7 @@ from .codegen import CallFn, EmitEvent, FunctionIR, MachineIR, SetFlag, SetState
 from .semantics import ContractSemantics, StepError
 
 __all__ = [
+    "MAX_VALUE",
     "SimError",
     "CallRecord",
     "World",
@@ -54,6 +65,10 @@ __all__ = [
 
 EventEntry = tuple  # (sender role, receiver role, message)
 
+# The largest amount, balance or call value a script or the CLI accepts:
+# the generated contract takes each as a uint256. Every balance, and so
+# every sum of them, then stays far below the digit limit of int -> str.
+MAX_VALUE = 2**256 - 1
 
 _set = object.__setattr__  # writes a field of a Frozen value
 
@@ -73,40 +88,67 @@ class CallRecord(NamedTuple):
     events: tuple[EventEntry, ...] = ()
 
 
+class _Snapshot:
+    """What a call reads or changes, shared by every World a revert
+    leaves it to. Each datum is held once, in a dict that is never
+    mutated, so a successful call shares it with its parent wherever it
+    leaves it unchanged: role -> account, parameter -> amount, account ->
+    balance and flag -> value. `refusals`, the one dict that grows, maps
+    (caller, function, value) to the record of the call that reverted
+    against this snapshot."""
+
+    __slots__ = ("ir", "account_of", "amount_of", "balance_of", "contract_balance",
+                 "current_state", "flag_of", "refusals")
+
+    def __init__(self, ir: MachineIR, account_of: dict[str, str], amount_of: dict[str, int],
+                 balance_of: dict[str, int], contract_balance: int, current_state: str,
+                 flag_of: dict[str, bool]):
+        self.ir = ir
+        self.account_of = account_of
+        self.amount_of = amount_of
+        self.balance_of = balance_of
+        self.contract_balance = contract_balance
+        self.current_state = current_state
+        self.flag_of = flag_of
+        self.refusals: dict[tuple[str, str, int], CallRecord] = {}
+
+
+def _from_snapshot(name: str) -> property:
+    return property(attrgetter(f"_snapshot.{name}"))
+
+
 class World(Frozen):
     """Built by `deploy` and `call` only. Two Worlds are equal when
     everything but the IR is: the `_shown` views and both logs.
 
-    Each datum is held once, in a dict that is never mutated, so a World
-    shares it with its parent wherever a call leaves it unchanged:
-    role -> account, parameter -> amount, account -> balance and
-    flag -> value. `bindings`, `amounts`, `accounts` and `flag_values`
-    are read-only tuple views of those dicts. `calls` is the log's
-    chain, newest first.
+    A World is its snapshot and `calls`, the log's chain, newest first.
+    `ir`, `account_of`, `amount_of`, `balance_of`, `contract_balance`,
+    `current_state` and `flag_of` read the snapshot; `bindings`,
+    `amounts`, `accounts` and `flag_values` are read-only tuple views of
+    its dicts.
 
-    Unlike the other `Frozen` values, a World has no slots but an
-    instance dict, set whole by `__init__`: `call_log` and `event_log`
-    are cached there when first read, and one dict write per call costs
-    less than one slot write per field."""
+    Unlike the other `Frozen` values, a World also has an instance
+    dict: `call_log` and `event_log` are cached there when first read."""
 
-    _fields = (
-        "ir", "account_of", "amount_of", "balance_of", "contract_balance",
-        "current_state", "flag_of", "calls",
-    )
+    __slots__ = ("_snapshot", "calls", "__dict__")
+    _fields = ("_snapshot", "calls")
     _shown = (
         "bindings", "amounts", "accounts", "contract_balance",
         "current_state", "flag_values", "event_log", "call_log",
     )
     _key = attrgetter(*_shown)
 
-    def __init__(self, ir: MachineIR, account_of: dict[str, str], amount_of: dict[str, int],
-                 balance_of: dict[str, int], contract_balance: int, current_state: str,
-                 flag_of: dict[str, bool], calls: tuple | None = None):
-        _set(self, "__dict__", {
-            "ir": ir, "account_of": account_of, "amount_of": amount_of,
-            "balance_of": balance_of, "contract_balance": contract_balance,
-            "current_state": current_state, "flag_of": flag_of, "calls": calls,
-        })
+    def __init__(self, snapshot: _Snapshot, calls: tuple | None = None):
+        _set(self, "_snapshot", snapshot)
+        _set(self, "calls", calls)
+
+    ir = _from_snapshot("ir")
+    account_of = _from_snapshot("account_of")
+    amount_of = _from_snapshot("amount_of")
+    balance_of = _from_snapshot("balance_of")
+    contract_balance = _from_snapshot("contract_balance")
+    current_state = _from_snapshot("current_state")
+    flag_of = _from_snapshot("flag_of")
 
     bindings = property(lambda self: tuple(self.account_of.items()))
     amounts = property(lambda self: tuple(self.amount_of.items()))
@@ -135,15 +177,18 @@ class World(Frozen):
 
     def __reduce__(self):
         # the flat log, not the chain, whose nesting would exhaust the
-        # recursion limit of pickle and deepcopy on a long run
-        fields = [getattr(self, name) for name in self._fields[:-1]]
+        # recursion limit of pickle and deepcopy on a long run; the
+        # refusals are not kept, since a call decides them again
+        s = self._snapshot
+        fields = (s.ir, s.account_of, s.amount_of, s.balance_of, s.contract_balance,
+                  s.current_state, s.flag_of)
         return _rebuild, (self.call_log, *fields)
 
     def balance(self, account: str) -> int:
-        return self.balance_of[account]
+        return self._snapshot.balance_of[account]
 
     def flag(self, name: str) -> bool:
-        return self.flag_of[name]
+        return self._snapshot.flag_of[name]
 
 
 def _rebuild(call_log: tuple[CallRecord, ...], *fields) -> World:
@@ -151,7 +196,7 @@ def _rebuild(call_log: tuple[CallRecord, ...], *fields) -> World:
     calls = None
     for record in call_log:
         calls = (calls, record)
-    return World(*fields, calls)
+    return World(_Snapshot(*fields), calls)
 
 
 def deploy(
@@ -195,23 +240,23 @@ def deploy(
     amount_of = {p: int(amounts[p]) for p in ir.params}
     balance_of = dict.fromkeys(accounts, initial_balance)
     flag_of = {f: False for f, _comment in ir.flags}
-    return World(ir, account_of, amount_of, balance_of, 0, ir.states[0], flag_of)
+    return World(_Snapshot(ir, account_of, amount_of, balance_of, 0, ir.states[0], flag_of))
 
 
 class _Revert(Exception):
     pass
 
 
-def _refusal(world: World, fn: FunctionIR, caller: str, value: int, state: str,
+def _refusal(snapshot: _Snapshot, fn: FunctionIR, caller: str, value: int, state: str,
              flags: dict[str, bool]) -> str | None:
     """The message of the first of `fn`'s role, state, call value and flag
     guards that fails in `state` under `flags`, or None when all pass.
     The role and state guards mirror the emitted modifiers."""
-    if caller != world.account_of[fn.role_guard]:
-        return world.ir.role_message(fn.agent)
+    if caller != snapshot.account_of[fn.role_guard]:
+        return snapshot.ir.role_message(fn.agent)
     if fn.state_guard is not None and state != fn.state_guard:
-        return world.ir.state_message
-    if fn.value_guard is not None and value != world.amount_of[fn.value_guard]:
+        return snapshot.ir.state_message
+    if fn.value_guard is not None and value != snapshot.amount_of[fn.value_guard]:
         return fn.value_message
     for flag, wanted, message in fn.flag_preconditions:
         if flags[flag] != wanted:
@@ -223,20 +268,20 @@ class _Draft:
     """Mutable working copy of one call that passed its guards, with the
     call value already moved; a revert in an internal call discards it."""
 
-    def __init__(self, world: World, caller: str, value: int):
-        self.world = world
+    def __init__(self, snapshot: _Snapshot, caller: str, value: int):
+        self.snapshot = snapshot
         self.caller = caller
         self.value = value
-        self.accounts = dict(world.balance_of)
+        self.accounts = dict(snapshot.balance_of)
         self.accounts[caller] -= value
-        self.contract_balance = world.contract_balance + value
-        self.state = world.current_state
-        self.flags = dict(world.flag_of)
+        self.contract_balance = snapshot.contract_balance + value
+        self.state = snapshot.current_state
+        self.flags = dict(snapshot.flag_of)
         self.events: list[EventEntry] = []
 
     def run(self, fn: FunctionIR) -> None:
         """Apply the effects of `fn`, whose guards have passed."""
-        ir = self.world.ir
+        ir = self.snapshot.ir
         for effect in fn.effects:
             if isinstance(effect, SetState):
                 self.state = effect.state
@@ -247,7 +292,7 @@ class _Draft:
             elif isinstance(effect, CallFn):
                 # internal call: same caller identity, same call value
                 callee = ir.function(effect.name)
-                message = _refusal(self.world, callee, self.caller, self.value,
+                message = _refusal(self.snapshot, callee, self.caller, self.value,
                                    self.state, self.flags)
                 if message is not None:
                     raise _Revert(message)
@@ -264,11 +309,18 @@ def call(
 ) -> tuple[World, CallRecord]:
     """Execute one call. Reverts are recorded, not raised; only misuse
     (unknown function or account, negative value) raises SimError."""
+    snapshot = world._snapshot
+    key = (caller, function, value)
+    record = snapshot.refusals.get(key)
+    # an int key only: True == 1 and 1.0 == 1, but their records differ
+    if record is not None and value.__class__ is int:
+        return World(snapshot, (world.calls, record)), record
+    ir = snapshot.ir
     try:
-        fn = world.ir.function(function)
+        fn = ir.function(function)
     except KeyError:
         raise SimError(f"unknown function '{function}'") from None
-    balance = world.balance_of.get(caller)
+    balance = snapshot.balance_of.get(caller)
     if balance is None:
         raise SimError(f"unknown account '{caller}'")
     if value < 0:
@@ -282,36 +334,37 @@ def call(
     elif fn.value_guard is None and value > 0:
         message = f"{function} is not payable"
     else:
-        message = _refusal(world, fn, caller, value, world.current_state, world.flag_of)
+        message = _refusal(snapshot, fn, caller, value, snapshot.current_state,
+                           snapshot.flag_of)
     if message is None:
-        draft = _Draft(world, caller, value)
+        draft = _Draft(snapshot, caller, value)
         try:
             draft.run(fn)
         except _Revert as r:
             message = str(r)
         else:
             record = CallRecord(caller, function, value, True, None, tuple(draft.events))
-            return World(
-                world.ir, world.account_of, world.amount_of, draft.accounts,
-                draft.contract_balance, draft.state, draft.flags, (world.calls, record),
-            ), record
-    # a revert passes its parent's state on; the fresh World caches no log
+            return World(_Snapshot(
+                ir, snapshot.account_of, snapshot.amount_of, draft.accounts,
+                draft.contract_balance, draft.state, draft.flags,
+            ), (world.calls, record)), record
     record = CallRecord(caller, function, value, False, message)
-    return World(
-        world.ir, world.account_of, world.amount_of, world.balance_of,
-        world.contract_balance, world.current_state, world.flag_of, (world.calls, record),
-    ), record
+    if value.__class__ is int:
+        snapshot.refusals[key] = record
+    # a revert passes its parent's snapshot on; the fresh World caches no log
+    return World(snapshot, (world.calls, record)), record
 
 
 def parse_script(text: str) -> list[tuple[str, str, int]]:
-    """One call per line: `<account> <function> [value=<n>]`. Blank
-    lines and `#` comments are skipped."""
+    """One call per line: `<account> <function> [value=<n>]`, with n at
+    most MAX_VALUE. Blank lines and `#` comments are skipped."""
     calls: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) == 2:
             account, function = parts
             value = 0
@@ -322,11 +375,15 @@ def parse_script(text: str) -> list[tuple[str, str, int]]:
                 raise SimError(
                     f"script line {lineno}: expected value=<n>, found '{tail}'"
                 )
-            value = int(digits)
+            digits = digits.lstrip("0") or "0"
+            # MAX_VALUE has 78 digits, and int() refuses more than 4300
+            value = int(digits) if len(digits) <= 78 else MAX_VALUE + 1
+            if value > MAX_VALUE:
+                raise SimError(f"script line {lineno}: value=<n> must be at most 2**256 - 1")
         else:
             raise SimError(
                 f"script line {lineno}: expected '<account> <function> "
-                f"[value=<n>]', found '{line}'"
+                f"[value=<n>]', found '{line.strip()}'"
             )
         calls.append((account, function, value))
     return calls
@@ -353,16 +410,23 @@ def render_trace(world: World) -> str:
     """Deterministic text trace of a finished run: one line per call
     with its events indented, then the final state, flags, balances."""
     out: list[str] = []
+    lines: dict[CallRecord, str] = {}  # a record's lines, rendered once
     for record in world.call_log:
-        head = f"call {record.caller} {record.function}"
-        if record.value:
-            head += f" value={record.value}"
-        if record.ok:
-            out.append(f"{head} -> OK")
-            for sender, receiver, message in record.events:
-                out.append(f"  event {sender} -> {receiver}: {message}")
-        else:
-            out.append(f'{head} -> REVERT "{record.revert_message}"')
+        line = lines.get(record)
+        if line is None:
+            caller, function, value, ok, message, events = record
+            head = f"call {caller} {function}"
+            if value:
+                head += f" value={value}"
+            if ok:
+                line = "\n".join([f"{head} -> OK", *(
+                    f"  event {sender} -> {receiver}: {text}"
+                    for sender, receiver, text in events
+                )])
+            else:
+                line = f'{head} -> REVERT "{message}"'
+            lines[record] = line
+        out.append(line)
     out.append("")
     out.append(f"final state: {world.current_state}")
     out.append("flags:")

@@ -17,9 +17,12 @@ to pair each obligation and prohibition with its path condition, which
 `ContractSemantics.conditions` now reads off the clause table.
 `reference_validate` walks `reference_iter_clauses`, which spells out
 every clause's path, where `validate` spells one out only for an issue.
-All nine are kept as they were, apart from their names and one change
-made in both on purpose: `reference_validate` checks the names in
-`inline` keys as `validate` now does.
+`reference_parse_script` strips every line and splits it on `#`, and
+`reference_render_trace` formats every call record afresh, where
+`parse_script` and `render_trace` skip what a line or a repeated record
+does not need. All eleven are kept as they were, apart from their names
+and one change made in both on purpose: `reference_validate` checks the
+names in `inline` keys as `validate` now does.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from rclc.semantics import (
     _norm_sort_key,
     format_event,
 )
+from rclc.simulator import SimError, World
 
 _PUNCT = {
     "{": "LBRACE",
@@ -629,3 +633,58 @@ def _reference_validate_meta(contract, agent_set, action_set, issues):
     issues.extend(
         ValidationIssue("error", message, "annotations") for group in found for message in group
     )
+
+
+def reference_parse_script(text: str) -> list[tuple[str, str, int]]:
+    """One call per line: `<account> <function> [value=<n>]`. Blank
+    lines and `#` comments are skipped."""
+    calls: list[tuple[str, str, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) == 2:
+            account, function = parts
+            value = 0
+        elif len(parts) == 3:
+            account, function, tail = parts
+            digits = tail[6:]
+            if not (tail.startswith("value=") and digits.isascii() and digits.isdigit()):
+                raise SimError(
+                    f"script line {lineno}: expected value=<n>, found '{tail}'"
+                )
+            value = int(digits)
+        else:
+            raise SimError(
+                f"script line {lineno}: expected '<account> <function> "
+                f"[value=<n>]', found '{line}'"
+            )
+        calls.append((account, function, value))
+    return calls
+
+
+def reference_render_trace(world: World) -> str:
+    """Deterministic text trace of a finished run: one line per call
+    with its events indented, then the final state, flags, balances."""
+    out: list[str] = []
+    for record in world.call_log:
+        head = f"call {record.caller} {record.function}"
+        if record.value:
+            head += f" value={record.value}"
+        if record.ok:
+            out.append(f"{head} -> OK")
+            for sender, receiver, message in record.events:
+                out.append(f"  event {sender} -> {receiver}: {message}")
+        else:
+            out.append(f'{head} -> REVERT "{record.revert_message}"')
+    out.append("")
+    out.append(f"final state: {world.current_state}")
+    out.append("flags:")
+    for flag, value in world.flag_values:
+        out.append(f"  {flag} = {'true' if value else 'false'}")
+    out.append("balances:")
+    for account, balance in world.accounts:
+        out.append(f"  {account} = {balance}")
+    out.append(f"  contract = {world.contract_balance}")
+    return "\n".join(out) + "\n"

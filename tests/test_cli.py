@@ -620,6 +620,39 @@ def test_sim_value_not_in_ascii_digits_exits_2(option, value, capsys):
                             "value must be an integer in ASCII digits\n")
 
 
+_HUGE = "9" * 5000  # past int()'s 4300-digit limit
+
+
+@pytest.mark.parametrize("where", ["script", "amount", "balance"])
+def test_sim_value_beyond_uint256_exits_2(where, tmp_path, capsys):
+    script = tmp_path / "script.txt"
+    script.write_text("b buyProduct\n" + (f"b payProduct value={_HUGE}\n" if where == "script" else ""))
+    options = {"amount": ["--amount", f"paymentAmount={_HUGE}"], "balance": ["--balance", _HUGE]}
+    code = main(["sim", FIXED, "--script", str(script), "--amount", "shippingCosts=10",
+                 *options.get(where, ["--amount", "paymentAmount=100"])])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    shown = {"script": "script line 2: value=<n>",
+             "amount": f"bad amount 'paymentAmount={_HUGE}': value",
+             "balance": f"bad balance '{_HUGE}': value"}[where]
+    assert captured.err == f"rclc: error: {shown} must be at most 2**256 - 1\n"
+
+
+def test_sim_takes_values_up_to_uint256(tmp_path, capsys):
+    # the largest balance and call value still render, sums included
+    top = str(2**256 - 1)
+    script = tmp_path / "script.txt"
+    script.write_text(f"b buyProduct\nb payProduct value={top}\n")
+    code = main(["sim", FIXED, "--script", str(script), "--amount", "shippingCosts=10",
+                 "--amount", f"paymentAmount=000{top}", "--balance", top])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert f"call b payProduct value={top} -> OK" in out
+    assert "  b = 0\n" in out and f"  s = {top}\n" in out
+    assert f"  contract = {top}\n" in out
+
+
 def test_sim_balance_sets_every_account(capsys):
     code = main(["sim", FIXED, "--script", str(SCRIPTS / "corrected_run.txt"),
                  "--amount", "paymentAmount=100", "--amount", "shippingCosts=10",

@@ -13,6 +13,7 @@ import pytest
 from rclc.codegen import CallFn, EmitEvent, MachineIR, SetFlag, SetState, lower
 from rclc.parser import parse_contract
 from rclc.simulator import (
+    MAX_VALUE,
     CallRecord,
     EventEntry,
     SimError,
@@ -27,6 +28,7 @@ from rclc.simulator import (
 
 import rclc.simulator
 from contractgen import random_flow, random_lowerable
+from reference import reference_parse_script, reference_render_trace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -492,8 +494,8 @@ def mixed_script(rng, ir, accounts, base, length):
 
 def assert_same_fold(ir, bindings, amounts, script, trace_every=1):
     """Fold `script` through `call` and `reference_call` side by side and
-    compare after every step; the traces, which are a function of what
-    is compared before them, only after every `trace_every`-th call and
+    compare after every step; the traces, `render_trace` against
+    `reference_render_trace`, only after every `trace_every`-th call and
     the last."""
     world = deploy(ir, bindings, amounts)
     ref = RefWorld(
@@ -516,7 +518,7 @@ def assert_same_fold(ir, bindings, amounts, script, trace_every=1):
         assert world.call_log == ref.call_log
         assert world.event_log == ref.event_log
         if step % trace_every == 0 or step == len(script) - 1:
-            assert render_trace(world) == render_trace(ref)
+            assert render_trace(world) == reference_render_trace(ref)
     return world
 
 
@@ -576,8 +578,10 @@ def test_a_revert_world_is_a_fresh_value(monkeypatch):
         assert child.call_log == call_log + (record,)
         assert child.event_log == event_log + record.events
         assert world.call_log is call_log and world.event_log is event_log
+        read = ("ir", "account_of", "amount_of", "balance_of", "contract_balance",
+                "current_state", "flag_of")
         views = ("bindings", "amounts", "accounts", "flag_values")
-        for name in World._fields + views + ("call_log", "event_log", "x"):
+        for name in World._fields + read + views + ("call_log", "event_log", "x"):
             with pytest.raises(AttributeError):
                 setattr(child, name, None)
             with pytest.raises(AttributeError):
@@ -660,3 +664,195 @@ def test_long_worlds_pickle_and_copy_without_recursion():
         assert render_trace(clone) == render_trace(world)
         # the clone runs on like the original
         assert call(clone, "b", "buyProduct") == call(world, "b", "buyProduct")
+
+
+# -- parse and render against the references -------------------------------
+
+_TAILS = ["value=0", "value=10", "value=100", "value=007", f"value={MAX_VALUE}",
+          f"value=000{MAX_VALUE}", "value=", "value=x", "value=²", "value=٣", "valu=3",
+          "value=-1", "value=1_0", "=5", "extra"]
+_GAPS = [" ", "\t", "  \t", "　", "\xa0"]
+_ENDS = ["\n", "\r\n", "\r", "\x0c", " "]
+
+
+def noisy_script(rng, accounts, functions):
+    """Script text with comments, blank and whitespace-only lines, tabs
+    and other whitespace, each kind of line end, `value=` tails, and
+    now and then a malformed line of each kind."""
+    lines = []
+    for _ in range(rng.randint(1, 30)):
+        roll = rng.random()
+        if roll < 0.1:
+            words = []
+        elif roll < 0.13:
+            words = [rng.choice(accounts)]
+        elif roll < 0.16:
+            words = [rng.choice(accounts), rng.choice(functions), "value=1", "x"]
+        elif roll < 0.6:
+            words = [rng.choice(accounts), rng.choice(functions)]
+        else:
+            tails = _TAILS[:6] if rng.random() < 0.9 else _TAILS
+            words = [rng.choice(accounts), rng.choice(functions), rng.choice(tails)]
+        gap = rng.choice(_GAPS)
+        line = rng.choice(["", gap]) + gap.join(words) + rng.choice(["", gap])
+        comment = rng.random()
+        if comment < 0.15:
+            line += rng.choice(["# note", "#", "#b buyProduct", " # value=x y z"])
+        elif comment < 0.2 and words:
+            line = line.replace(words[-1], words[-1] + "#glued", 1)
+        lines.append(line + rng.choice(_ENDS))
+    if rng.random() < 0.5:
+        lines[-1] = lines[-1].rstrip("\r\n\x0c ")
+    return "".join(lines)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except SimError as error:
+        return str(error)
+
+
+def test_parse_script_agrees_with_the_reference():
+    rng = random.Random(1907)
+    ir = fixed_ir()
+    accounts = ["b", "s", "k", "c", "mallory"]
+    functions = [fn.name for fn in ir.functions] + ["nosuch"]
+    kinds = set()
+    for _ in range(3000):
+        text = noisy_script(rng, accounts, functions)
+        got = parsed(parse_script, text)
+        assert got == parsed(reference_parse_script, text), repr(text)
+        if isinstance(got, str):
+            kinds.add("bad value" if "expected value=<n>" in got else "bad line")
+        else:
+            kinds.add("calls" if got else "no calls")
+    assert kinds == {"calls", "no calls", "bad value", "bad line"}
+
+
+def test_parse_script_rejects_values_beyond_uint256():
+    assert parse_script(f"b payProduct value={MAX_VALUE}\n") == [("b", "payProduct", MAX_VALUE)]
+    assert parse_script("b payProduct value=" + "0" * 5000 + "7\n") == [("b", "payProduct", 7)]
+    assert parse_script("b payProduct value=000\n") == [("b", "payProduct", 0)]
+    for digits in (str(MAX_VALUE + 1), "9" * 79, "9" * 5000):
+        with pytest.raises(SimError) as raised:
+            parse_script(f"b buyProduct\nb payProduct value={digits}\n")
+        assert str(raised.value) == "script line 2: value=<n> must be at most 2**256 - 1"
+
+
+def test_script_text_to_trace_matches_the_references():
+    # parse, fold and render seeded scripts of calls with and without
+    # value over nested flows in both lowering modes
+    rng = random.Random(2718)
+    for _ in range(25):
+        contract = random_flow(rng)
+        for fidelity in (False, True):
+            ir = lower(contract, allow_conflicts=True, fidelity_internal_calls=fidelity)
+            bindings = {role: agent for role, agent in ir.roles}
+            amounts = {param: 10 for param in ir.params}
+            base = [(fn.agent, fn.name, amounts.get(fn.value_guard, 0))
+                    for fn in ir.functions if not fn.private]
+            script = mixed_script(rng, ir, list(bindings.values()), base, rng.randint(40, 120))
+            script = [c for c in script if c[0] != "mallory" and c[1] != "nosuch"]
+            text = "".join(
+                f"{account}\t{function}{f' value={value}' if value else ''}"
+                + rng.choice(["", "  # call"]) + rng.choice(["\n", "\r\n"])
+                for account, function, value in script
+            )
+            calls = parse_script(text)
+            assert calls == reference_parse_script(text) == script
+            world, records = run_script(ir, calls, bindings, amounts)
+            assert world.call_log == tuple(records)
+            assert any(r.ok and r.events for r in records)
+            assert render_trace(world) == reference_render_trace(world)
+
+
+# -- refusals decided once per snapshot ---------------------------------------
+
+def test_a_refused_triple_is_decided_again_after_a_success():
+    world = deploy(fixed_ir(), BIND, AMOUNTS)
+    world, early = call(world, "b", "payProduct", 100)
+    world, again = call(world, "b", "payProduct", 100)
+    assert again is early and early.revert_message == "Estado invalido para essa acao"
+    world, record = call(world, "b", "buyProduct")
+    assert record.ok
+    world, paid = call(world, "b", "payProduct", 100)
+    assert paid.ok and world.current_state == "ProductPaid"
+    assert world.balance("b") == 900
+
+
+def test_refusals_tell_apart_triples_that_differ_only_in_value():
+    world = deploy(fixed_ir(), BIND, AMOUNTS)
+    world, _ = call(world, "b", "buyProduct")
+    world, wrong = call(world, "b", "payProduct", 99)
+    assert wrong.revert_message == "Valor do pagamento incorreto"
+    world, right = call(world, "b", "payProduct", 100)
+    assert right.ok and world.contract_balance == 100
+    # not payable: 1 and True are equal keys, but each record keeps its value
+    world, one = call(world, "b", "buyProduct", 1)
+    world, true = call(world, "b", "buyProduct", True)
+    assert one.revert_message == true.revert_message == "buyProduct is not payable"
+    assert type(one.value) is int and type(true.value) is bool
+
+
+def test_refusals_are_not_shared_across_deployments():
+    ir = fixed_ir()
+    # b holds no role here, so buyProduct reverts on the role guard
+    elsewhere = deploy(ir, dict(BIND, buyer="x", seller="b"), AMOUNTS)
+    elsewhere, refused = call(elsewhere, "b", "buyProduct")
+    assert refused.revert_message == "Apenas o Comprador (b)"
+    world, record = call(deploy(ir, BIND, AMOUNTS), "b", "buyProduct")
+    assert record.ok and world.current_state != elsewhere.current_state
+
+
+def test_an_internal_call_revert_is_decided_once():
+    src = """
+    agents a, b;
+    actions x, y, w, z;
+    inline {b,a}z;
+
+    {a,b}[x]({a,b}O(y) & {b,a}O(w) & {a,b}[y]({b,a}O(z)));
+    """
+    result = parse_contract(src)
+    assert result.ok
+    ir = lower(result.contract, fidelity_internal_calls=True)
+    world = deploy(ir, {role: agent for role, agent in ir.roles}, {})
+    world, _ = call(world, "a", "x")
+    after_x = world
+    world, first = call(world, "a", "y")
+    world, second = call(world, "a", "y")
+    assert second is first and first.revert_message == "only b may call this"
+    assert world.flag_values == after_x.flag_values
+    assert world.call_log == after_x.call_log + (first, first)
+    # misuse is never stored: it raises every time
+    for _ in range(2):
+        with pytest.raises(SimError, match="unknown account"):
+            call(world, "mallory", "y")
+        with pytest.raises(SimError, match="non-negative"):
+            call(world, "a", "y", -1)
+
+
+def test_a_pickled_or_copied_world_runs_on_like_the_original():
+    ir = fixed_ir()
+    script = mixed_script(
+        random.Random(31), ir, ["b", "s", "k", "c"], script_calls("corrected_run.txt"), 600,
+    )
+    script = [c for c in script if c[0] != "mallory" and c[1] != "nosuch"]
+    half = len(script) // 2
+
+    def run_on(world):
+        records = []
+        for account, function, value in script[half:]:
+            world, record = call(world, account, function, value)
+            records.append(record)
+        return world, records
+
+    world, _ = run_script(ir, script[:half], BIND, AMOUNTS)
+    # the clones start with no refusals; the original has decided some
+    clones = [pickle.loads(pickle.dumps(world)), copy.copy(world), copy.deepcopy(world)]
+    final, records = run_on(world)
+    assert final.current_state == "Finalized"
+    for clone in clones:
+        clone_final, clone_records = run_on(clone)
+        assert clone_records == records
+        assert clone_final == final and render_trace(clone_final) == render_trace(final)
