@@ -8,22 +8,25 @@ what happened. A reverted call changes nothing but the call log.
 A World is two parts: a snapshot of everything a call reads or changes
 (the IR, the role bindings, the amounts, the balances, the state and
 the flags) and the call log. Every World, whether deployed, after a
-successful call or after a revert, comes from the one constructor. The
-call log is stored as a persistent chain of (previous, record) pairs,
-newest first, which every later World shares, so a call costs the same
-however many calls came before it. `World.call_log` and
-`World.event_log` are tuples built from the chain when first read and
-then kept; the event log is the successful calls' events in call order.
-Equality, hashing, repr, pickle and copy read those tuples, never the
-chain.
+call, a revert or an unpickling, comes from one builder that sets those
+two slots; World has no constructor of its own. The call log is stored
+as a persistent chain of (previous, record) pairs, newest first, which
+every later World shares, so a call costs the same however many calls
+came before it. `World.call_log` and `World.event_log` are tuples built
+from the chain when first read and then kept; the event log is the
+successful calls' events in call order. Equality, hashing, repr, pickle
+and copy read those tuples, never the chain.
 
 Only a successful call builds a new snapshot. A revert builds its World
 from its parent's snapshot and one new chain node, and its record goes
 into the snapshot's refusals, keyed by (caller, function, value): the
 outcome of a call depends on nothing else, so the same triple against
-the same snapshot reuses the record without checking a guard again.
-Misuse raises before anything is stored, and a new snapshot starts with
-no refusals.
+the same snapshot reuses the record without checking a guard again: a
+repeated refused call costs a lookup and one log node. Misuse raises
+before anything is stored, and a new snapshot starts with no refusals.
+
+A script repeats its lines: `parse_script` parses each distinct line
+once and reports the first bad line by the number where it first occurs.
 
 Guard evaluation order per call: private, caller funds, payability,
 role, state, call value, flag preconditions in declaration order. The
@@ -69,8 +72,6 @@ EventEntry = tuple  # (sender role, receiver role, message)
 # the generated contract takes each as a uint256. Every balance, and so
 # every sum of them, then stays far below the digit limit of int -> str.
 MAX_VALUE = 2**256 - 1
-
-_set = object.__setattr__  # writes a field of a Frozen value
 
 
 class SimError(Exception):
@@ -138,10 +139,6 @@ class World(Frozen):
     )
     _key = attrgetter(*_shown)
 
-    def __init__(self, snapshot: _Snapshot, calls: tuple | None = None):
-        _set(self, "_snapshot", snapshot)
-        _set(self, "calls", calls)
-
     ir = _from_snapshot("ir")
     account_of = _from_snapshot("account_of")
     amount_of = _from_snapshot("amount_of")
@@ -191,12 +188,25 @@ class World(Frozen):
         return self._snapshot.flag_of[name]
 
 
+_new = object.__new__
+_set_snapshot = World._snapshot.__set__
+_set_calls = World.calls.__set__
+
+
+def _world(snapshot: _Snapshot, calls: tuple | None) -> World:
+    """Every World is built here: its two slots set directly."""
+    world = _new(World)
+    _set_snapshot(world, snapshot)
+    _set_calls(world, calls)
+    return world
+
+
 def _rebuild(call_log: tuple[CallRecord, ...], *fields) -> World:
     """The World that `World.__reduce__` took apart."""
     calls = None
     for record in call_log:
         calls = (calls, record)
-    return World(_Snapshot(*fields), calls)
+    return _world(_Snapshot(*fields), calls)
 
 
 def deploy(
@@ -208,8 +218,8 @@ def deploy(
     """Create a fresh World in the Created state.
 
     Every role must be bound to its own account, one a script line can
-    name, and every amount parameter given a non-negative value;
-    leftovers in either map are rejected."""
+    name, and every amount parameter given a value from 0 to MAX_VALUE,
+    as the initial balance is; leftovers in either map are rejected."""
     role_names = [role for role, _agent in ir.roles]
     for role in role_names:
         if role not in bindings:
@@ -231,16 +241,20 @@ def deploy(
             raise SimError(f"no value given for amount parameter '{param}'")
         if amounts[param] < 0:
             raise SimError(f"amount parameter '{param}' must be non-negative")
+        if amounts[param] > MAX_VALUE:
+            raise SimError(f"amount parameter '{param}' must be at most 2**256 - 1")
     for param in amounts:
         if param not in ir.params:
             raise SimError(f"value given for unknown parameter '{param}'")
     if initial_balance < 0:
         raise SimError("initial balance must be non-negative")
+    if initial_balance > MAX_VALUE:
+        raise SimError("initial balance must be at most 2**256 - 1")
     account_of = {role: bindings[role] for role in role_names}
     amount_of = {p: int(amounts[p]) for p in ir.params}
     balance_of = dict.fromkeys(accounts, initial_balance)
     flag_of = {f: False for f, _comment in ir.flags}
-    return World(_Snapshot(ir, account_of, amount_of, balance_of, 0, ir.states[0], flag_of))
+    return _world(_Snapshot(ir, account_of, amount_of, balance_of, 0, ir.states[0], flag_of), None)
 
 
 class _Revert(Exception):
@@ -308,13 +322,14 @@ def call(
     world: World, caller: str, function: str, value: int = 0
 ) -> tuple[World, CallRecord]:
     """Execute one call. Reverts are recorded, not raised; only misuse
-    (unknown function or account, negative value) raises SimError."""
+    (unknown function or account, a value below 0 or above MAX_VALUE)
+    raises SimError."""
     snapshot = world._snapshot
     key = (caller, function, value)
     record = snapshot.refusals.get(key)
     # an int key only: True == 1 and 1.0 == 1, but their records differ
     if record is not None and value.__class__ is int:
-        return World(snapshot, (world.calls, record)), record
+        return _world(snapshot, (world.calls, record)), record
     ir = snapshot.ir
     try:
         fn = ir.function(function)
@@ -325,6 +340,8 @@ def call(
         raise SimError(f"unknown account '{caller}'")
     if value < 0:
         raise SimError("call value must be non-negative")
+    if value > MAX_VALUE:
+        raise SimError("call value must be at most 2**256 - 1")
 
     # the transaction's own guards, which an internal call does not face
     if fn.private:
@@ -344,7 +361,7 @@ def call(
             message = str(r)
         else:
             record = CallRecord(caller, function, value, True, None, tuple(draft.events))
-            return World(_Snapshot(
+            return _world(_Snapshot(
                 ir, snapshot.account_of, snapshot.amount_of, draft.accounts,
                 draft.contract_balance, draft.state, draft.flags,
             ), (world.calls, record)), record
@@ -352,18 +369,20 @@ def call(
     if value.__class__ is int:
         snapshot.refusals[key] = record
     # a revert passes its parent's snapshot on; the fresh World caches no log
-    return World(snapshot, (world.calls, record)), record
+    return _world(snapshot, (world.calls, record)), record
 
 
 def parse_script(text: str) -> list[tuple[str, str, int]]:
     """One call per line: `<account> <function> [value=<n>]`, with n at
-    most MAX_VALUE. Blank lines and `#` comments are skipped."""
-    calls: list[tuple[str, str, int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        parts = line.split()
+    most MAX_VALUE. Blank lines and `#` comments are skipped. A repeated
+    line is parsed once, and a bad one reported where it first occurs."""
+    lines = text.splitlines()
+    parsed: dict[str, tuple[str, str, int] | None] = {}
+    for line in dict.fromkeys(lines):
+        code = line.split("#", 1)[0] if "#" in line else line
+        parts = code.split()
         if not parts:
+            parsed[line] = None
             continue
         if len(parts) == 2:
             account, function = parts
@@ -373,20 +392,22 @@ def parse_script(text: str) -> list[tuple[str, str, int]]:
             digits = tail[6:]
             if not (tail.startswith("value=") and digits.isascii() and digits.isdigit()):
                 raise SimError(
-                    f"script line {lineno}: expected value=<n>, found '{tail}'"
+                    f"script line {lines.index(line) + 1}: expected value=<n>, found '{tail}'"
                 )
             digits = digits.lstrip("0") or "0"
             # MAX_VALUE has 78 digits, and int() refuses more than 4300
             value = int(digits) if len(digits) <= 78 else MAX_VALUE + 1
             if value > MAX_VALUE:
-                raise SimError(f"script line {lineno}: value=<n> must be at most 2**256 - 1")
+                raise SimError(
+                    f"script line {lines.index(line) + 1}: value=<n> must be at most 2**256 - 1"
+                )
         else:
             raise SimError(
-                f"script line {lineno}: expected '<account> <function> "
-                f"[value=<n>]', found '{line.strip()}'"
+                f"script line {lines.index(line) + 1}: expected '<account> <function> "
+                f"[value=<n>]', found '{code.strip()}'"
             )
-        calls.append((account, function, value))
-    return calls
+        parsed[line] = (account, function, value)
+    return list(filter(None, map(parsed.__getitem__, lines)))
 
 
 def run_script(

@@ -90,6 +90,32 @@ def test_deploy_rejects_a_negative_amount():
     assert deploy(fixed_ir(), BIND, dict(AMOUNTS, paymentAmount=0)).amount_of["paymentAmount"] == 0
 
 
+@pytest.mark.parametrize("beyond", [MAX_VALUE + 1, 10**5000], ids=["2**256", "10**5000"])
+def test_deploy_and_call_refuse_values_beyond_uint256(beyond):
+    # each would give a World whose trace cannot print its balances
+    ir = fixed_ir()
+    with pytest.raises(SimError) as raised:
+        deploy(ir, BIND, dict(AMOUNTS, shippingCosts=beyond))
+    assert str(raised.value) == "amount parameter 'shippingCosts' must be at most 2**256 - 1"
+    with pytest.raises(SimError) as raised:
+        deploy(ir, BIND, AMOUNTS, initial_balance=beyond)
+    assert str(raised.value) == "initial balance must be at most 2**256 - 1"
+    world = deploy(ir, BIND, AMOUNTS)
+    for _ in range(2):  # misuse is never stored: it raises every time
+        with pytest.raises(SimError) as raised:
+            call(world, "b", "payProduct", beyond)
+        assert str(raised.value) == "call value must be at most 2**256 - 1"
+        assert world._snapshot.refusals == {} and world.call_log == ()
+    # up to the bound, every such World runs and renders
+    top = deploy(ir, BIND, dict(AMOUNTS, shippingCosts=MAX_VALUE), initial_balance=MAX_VALUE)
+    top, _ = call(top, "b", "buyProduct")
+    top, record = call(top, "b", "payProduct", MAX_VALUE)
+    assert record.revert_message == "Valor do pagamento incorreto"
+    assert f"call b payProduct value={MAX_VALUE} -> REVERT" in render_trace(top)
+    _, record = call(world, "b", "payProduct", MAX_VALUE)
+    assert record.revert_message == "insufficient funds"
+
+
 @pytest.mark.parametrize("account", ["", "a b", "\tb", "b#2", "#"])
 def test_deploy_rejects_an_account_no_script_line_can_name(account):
     # a script line splits on whitespace and ends at '#', so no line
@@ -563,6 +589,25 @@ def test_call_agrees_with_the_copying_reference():
     assert len(world.call_log) >= 3000 and world.current_state == "Finalized"
 
 
+def assert_frozen(world):
+    """`world` refuses assignment and deletion of every field and view,
+    and its class, fields and repr are the documented ones."""
+    assert World._fields == ("_snapshot", "calls")
+    assert World.__slots__ == ("_snapshot", "calls", "__dict__")
+    read = ("ir", "account_of", "amount_of", "balance_of", "contract_balance",
+            "current_state", "flag_of")
+    views = ("bindings", "amounts", "accounts", "flag_values")
+    for name in World._fields + read + views + ("call_log", "event_log", "x"):
+        with pytest.raises(AttributeError):
+            setattr(world, name, None)
+        with pytest.raises(AttributeError):
+            delattr(world, name)
+    shown = ("bindings", "amounts", "accounts", "contract_balance", "current_state",
+             "flag_values", "event_log", "call_log")
+    fields = ", ".join(f"{name}={getattr(world, name)!r}" for name in shown)
+    assert repr(world) == f"World({fields})"
+
+
 def test_a_revert_world_is_a_fresh_value(monkeypatch):
     ir = fixed_ir()
     script = mixed_script(
@@ -570,26 +615,28 @@ def test_a_revert_world_is_a_fresh_value(monkeypatch):
     )
     script = [c for c in script if c[0] != "mallory" and c[1] != "nosuch"]
     world = deploy(ir, BIND, AMOUNTS)
-    outcomes = set()
+    assert_frozen(world)
+    sites = {"deploy"}
     for account, function, value in script:
         # cache the parent's logs first: the child must not inherit them
         call_log, event_log = world.call_log, world.event_log
+        decided = (account, function, value) in world._snapshot.refusals
         child, record = call(world, account, function, value)
         assert child.call_log == call_log + (record,)
         assert child.event_log == event_log + record.events
         assert world.call_log is call_log and world.event_log is event_log
-        read = ("ir", "account_of", "amount_of", "balance_of", "contract_balance",
-                "current_state", "flag_of")
-        views = ("bindings", "amounts", "accounts", "flag_values")
-        for name in World._fields + read + views + ("call_log", "event_log", "x"):
-            with pytest.raises(AttributeError):
-                setattr(child, name, None)
-            with pytest.raises(AttributeError):
-                delattr(child, name)
-        outcomes.add(record.ok)
+        assert_frozen(child)
+        sites.add("success" if record.ok else "memo hit" if decided else "fresh revert")
         world = child
-    assert outcomes == {True, False}
     assert world.current_state == "Finalized"
+    for site, clone in (("pickle", pickle.loads(pickle.dumps(world))), ("copy", copy.copy(world))):
+        assert clone is not world and clone == world
+        assert_frozen(clone)
+        sites.add(site)
+    assert sites == {"deploy", "success", "fresh revert", "memo hit", "pickle", "copy"}
+    # `deploy` and `call` are the only constructors
+    with pytest.raises(TypeError):
+        World(world._snapshot, world.calls)
 
     # run_script folds through the module binding, which the benchmark's
     # tracer patches to count calls and reverts
@@ -675,35 +722,51 @@ _GAPS = [" ", "\t", "  \t", "　", "\xa0"]
 _ENDS = ["\n", "\r\n", "\r", "\x0c", " "]
 
 
-def noisy_script(rng, accounts, functions):
-    """Script text with comments, blank and whitespace-only lines, tabs
-    and other whitespace, each kind of line end, `value=` tails, and
+def noisy_line(rng, accounts, functions):
+    """One script line, without its end: a comment, a blank or
+    whitespace-only line, tabs and other whitespace, a `value=` tail, and
     now and then a malformed line of each kind."""
+    roll = rng.random()
+    if roll < 0.1:
+        words = []
+    elif roll < 0.13:
+        words = [rng.choice(accounts)]
+    elif roll < 0.16:
+        words = [rng.choice(accounts), rng.choice(functions), "value=1", "x"]
+    elif roll < 0.6:
+        words = [rng.choice(accounts), rng.choice(functions)]
+    else:
+        tails = _TAILS[:6] if rng.random() < 0.9 else _TAILS
+        words = [rng.choice(accounts), rng.choice(functions), rng.choice(tails)]
+    gap = rng.choice(_GAPS)
+    line = rng.choice(["", gap]) + gap.join(words) + rng.choice(["", gap])
+    comment = rng.random()
+    if comment < 0.15:
+        line += rng.choice(["# note", "#", "#b buyProduct", " # value=x y z"])
+    elif comment < 0.2 and words:
+        line = line.replace(words[-1], words[-1] + "#glued", 1)
+    return line
+
+
+def noisy_script(rng, accounts, functions, length=None, distinct=None):
+    """Script text of `length` noisy lines (1 to 30 when not given), each
+    with its own kind of line end. Two in five lines repeat an earlier
+    one, malformed lines too; with `distinct`, every line is one of that
+    many."""
+    pool = [noisy_line(rng, accounts, functions) for _ in range(distinct or 0)]
     lines = []
-    for _ in range(rng.randint(1, 30)):
-        roll = rng.random()
-        if roll < 0.1:
-            words = []
-        elif roll < 0.13:
-            words = [rng.choice(accounts)]
-        elif roll < 0.16:
-            words = [rng.choice(accounts), rng.choice(functions), "value=1", "x"]
-        elif roll < 0.6:
-            words = [rng.choice(accounts), rng.choice(functions)]
+    for _ in range(length or rng.randint(1, 30)):
+        if pool:
+            lines.append(rng.choice(pool))
+        elif lines and rng.random() < 0.4:
+            lines.append(rng.choice(lines))
         else:
-            tails = _TAILS[:6] if rng.random() < 0.9 else _TAILS
-            words = [rng.choice(accounts), rng.choice(functions), rng.choice(tails)]
-        gap = rng.choice(_GAPS)
-        line = rng.choice(["", gap]) + gap.join(words) + rng.choice(["", gap])
-        comment = rng.random()
-        if comment < 0.15:
-            line += rng.choice(["# note", "#", "#b buyProduct", " # value=x y z"])
-        elif comment < 0.2 and words:
-            line = line.replace(words[-1], words[-1] + "#glued", 1)
-        lines.append(line + rng.choice(_ENDS))
+            lines.append(noisy_line(rng, accounts, functions))
+    ends = [rng.choice(_ENDS) for _ in lines]
     if rng.random() < 0.5:
-        lines[-1] = lines[-1].rstrip("\r\n\x0c ")
-    return "".join(lines)
+        ends[-1] = ""
+        lines[-1] = lines[-1].rstrip(" ")
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 def parsed(parse, text):
@@ -714,20 +777,39 @@ def parsed(parse, text):
 
 
 def test_parse_script_agrees_with_the_reference():
+    # each distinct line is parsed once, so a bad line that repeats must
+    # still be reported where it first occurs
     rng = random.Random(1907)
     ir = fixed_ir()
     accounts = ["b", "s", "k", "c", "mallory"]
     functions = [fn.name for fn in ir.functions] + ["nosuch"]
     kinds = set()
-    for _ in range(3000):
-        text = noisy_script(rng, accounts, functions)
+
+    def agree(text):
         got = parsed(parse_script, text)
-        assert got == parsed(reference_parse_script, text), repr(text)
+        assert got == parsed(reference_parse_script, text), repr(text[:2000])
         if isinstance(got, str):
             kinds.add("bad value" if "expected value=<n>" in got else "bad line")
+            lineno = int(got.split(":")[0].removeprefix("script line "))
+            lines = text.splitlines()
+            if lines.count(lines[lineno - 1]) > 1:
+                kinds.add("repeated bad line")
         else:
             kinds.add("calls" if got else "no calls")
-    assert kinds == {"calls", "no calls", "bad value", "bad line"}
+
+    for _ in range(3000):
+        agree(noisy_script(rng, accounts, functions))
+    assert kinds == {"calls", "no calls", "bad value", "bad line", "repeated bad line"}
+    # thousands of lines, few of them distinct
+    kinds.clear()
+    for distinct in (1, 2, 3, 4, 6, 8, 12, 16):
+        agree(noisy_script(rng, accounts, functions, rng.randint(2000, 5000), distinct))
+    assert {"calls", "repeated bad line"} <= kinds
+    # a malformed line first seen after valid ones, then repeated
+    for bad in ("b buyProduct value=x", "b buyProduct value=1 x", "b"):
+        text = f"b buyProduct\n\n# note\n{bad}\nb buyProduct\n{bad}\n{bad}  # again\n" * 3
+        agree(text)
+        assert parsed(parse_script, text).startswith("script line 4: ")
 
 
 def test_parse_script_rejects_values_beyond_uint256():
