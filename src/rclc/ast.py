@@ -463,7 +463,10 @@ def _fmt_key(key: Key) -> str:
 
 
 def _quote(text: str) -> str:
-    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+    """A string literal the parser reads back as `text`: it undoes
+    exactly the escapes `\\"`, `\\\\` and `\\n`."""
+    text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{text}"'
 
 
 def _body_text(body: tuple[Clause, ...], indent: int) -> str:

@@ -57,6 +57,8 @@ as externally callable.
 
 from __future__ import annotations
 
+import re
+
 from .ast import (
     AgentPair,
     Box,
@@ -654,8 +656,25 @@ def _modifier_names(roles: tuple[tuple[str, str], ...]) -> dict[str, str]:
     return names
 
 
+# what a plain Solidity string literal cannot hold as it is: a backslash,
+# a quote and every character outside printable ASCII
+_UNSAFE_RE = re.compile(r'[\\"]|[^ -~]')
+_NAMED = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(match: re.Match) -> str:
+    char = match.group()
+    return _NAMED.get(char) or "".join(f"\\x{byte:02x}" for byte in char.encode())
+
+
 def _esc(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    """The body of a plain Solidity string literal holding `text`'s UTF-8
+    bytes. Such a literal takes printable ASCII only, so a line break,
+    tab or other control character is escaped, and a non-ASCII character
+    becomes one `\\xNN` per UTF-8 byte."""
+    if text.isascii() and text.isprintable():  # most messages; cheaper than the regex
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+    return _UNSAFE_RE.sub(_escape, text)
 
 
 def emit_solidity(ir: MachineIR) -> str:

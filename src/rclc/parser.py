@@ -21,15 +21,29 @@ and whether its name is an event, an agent or a flag. They are
 contextual, not reserved, so an action may reuse them.
 
 Line comments start with "//". The Unicode aliases "∧" for "&" and "¬"
-for "!" are accepted. The source is scanned once, by one compiled regex
-alternation run by `re.finditer`, into two flat lists: token texts and
-start offsets. A token's kind follows from its text. The parser walks
-those lists by index and builds a `Span` only where one is kept: a
-`Decl`, a clause (from its first token to its last), a `ParseError` and
-the end of input. Line and column come from bisecting the source's
-newline offsets, since no token spans a line. `tokenize` is a view over
-the same scan that builds a `Token` and its `Span`, both named tuples,
-per token.
+for "!" are accepted. The source is scanned once, by one compiled
+regex alternation run by `re.finditer`, into three flat lists: token
+texts, start offsets and the name of the alternative each token
+matched. The compact shapes written without blanks come out as one
+token each: a leaf `{x,y}O(a)`, a guard head `{x,y}[!a]*(` (the `!`
+and `*` optional) and a pair `{x,y}`. Any other token's kind follows
+from its text. The parser walks the lists by index; `clause` and
+`pair` decode a compact token by slicing (`_decode`) and consume it
+whole. Anywhere else the grammar would read the fine tokens a compact
+one stands for, it fails: at a keyword such as `O` in one of its name
+slots, at a leaf or guard head where an annotation key wants a pair
+and a name, or at a compact token wherever no pair may start. The
+error, like the end of input on a final compact token, is located on
+the fine token the grammar would stop at, split out of the compact
+token where it stands (`_split`, offsets from lengths, since it holds
+no blank); the lists are left as scanned, and the failed statement is
+skipped at its ";". So every error and its span is that of the fine
+tokens. The parser builds a `Span` only where one is kept: a `Decl`, a
+clause (from its first token to its last), a `ParseError` and the end
+of input. Line and column come from bisecting the source's newline
+offsets, since no token spans a line. `tokenize` is a view over the
+same scan that splits every compact token and builds a `Token` and its
+`Span`, both named tuples, per fine token.
 
 Errors render as ``<file>:<line>:<col>: error: expected <X>, found <Y>``
 and the parser resynchronizes at the next ";" so several faults report
@@ -45,8 +59,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import compress, repeat
-from operator import attrgetter
+from itertools import accumulate, compress, repeat
+from operator import attrgetter, ne
 from typing import NamedTuple
 
 from .ast import (
@@ -92,27 +106,31 @@ _PUNCT = {
 _KEYWORDS = {"agents", "actions", "O", "F", "P"}
 # the kind of every token whose text alone names it; any other word is an IDENT
 _KINDS = {**_PUNCT, **{word: word for word in _KEYWORDS}}
-_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-# first characters of the tokens that are not lexical errors
-_HEADS = _LETTERS | set(_PUNCT) | {'"'}
+# the kinds of the compact tokens, each standing for several fine ones
+_COMPACT = {"LEAF", "GUARD", "PAIR"}
+# the kinds of the tokens that start a pair
+_BRACES = {"LBRACE", *_COMPACT}
 
 _ANNOTATIONS = {*ANNOTATIONS, "contract", "statemsg", "inline"}
 
 _DEONTIC = {"O": Obligation, "F": Prohibition, "P": Permission}
-# the kinds of the nine tokens of a leaf `{x,y}O(a)`, and its node class
-_LEAVES = {
-    ("LBRACE", "IDENT", "COMMA", "IDENT", "RBRACE", kind, "LPAREN", "IDENT", "RPAREN"): node
-    for kind, node in _DEONTIC.items()
-}
 
-# One alternation, tried in order at each offset: a word, a line comment,
-# a string, or any other character that is not a blank. A string runs to
-# its closing quote or, unterminated, to the end of its line; inside it a
-# backslash escapes '"', '\\' or 'n' and is otherwise an ordinary character.
+# One alternation, tried in order at each offset, each alternative named
+# for the kind it gives: a word; a compact leaf, guard head or pair; a line
+# comment; a string; or any other character that is not a blank, its kind
+# read from its text. The compact shapes hold no blank, and each of their
+# words ends where the fine scan's would. A string runs to its closing
+# quote or, unterminated, to the end of its line; inside it a backslash
+# escapes '"', '\\' or 'n' and is otherwise an ordinary character.
+_WORD = r"[A-Za-z][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
-    r"[A-Za-z][A-Za-z0-9_]*"
-    r"|//[^\n]*"
-    r'|"(?:\\["\\n]|[^"\n])*"?'
+    rf"(?P<IDENT>{_WORD})"
+    rf"|\{{{_WORD},{_WORD}\}}(?:"
+    rf"(?P<LEAF>[OFP]\({_WORD}\))"
+    rf"|(?P<GUARD>\[[!¬]?{_WORD}\]\*?\()"
+    r"|(?P<PAIR>))"
+    r"|(?P<COMMENT>//[^\n]*)"
+    r'|(?P<STRING>"(?:\\["\\n]|[^"\n])*"?)'
     r"|[^ \t\r\n]"
 )
 _ESCAPE_RE = re.compile(r'\\(["\\n])')
@@ -181,16 +199,19 @@ class ParseResult(Value):
         return not self.errors
 
 
-def _scan(text: str) -> tuple[list[str], list[int]]:
-    """The text and start offset of every token, comments dropped."""
+def _scan(text: str) -> tuple[list[str], list[int], list[str | None]]:
+    """The text, start offset and alternative name of every token,
+    comments dropped."""
     matches = list(_TOKEN_RE.finditer(text))
     texts = list(map(re.Match.group, matches))
     offsets = list(map(re.Match.start, matches))
+    groups = list(map(attrgetter("lastgroup"), matches))
     if "//" in text:
-        keep = [raw[:2] != "//" for raw in texts]
+        keep = list(map(ne, groups, repeat("COMMENT")))
         texts = list(compress(texts, keep))
         offsets = list(compress(offsets, keep))
-    return texts, offsets
+        groups = list(compress(groups, keep))
+    return texts, offsets, groups
 
 
 def _newlines(text: str) -> list[int]:
@@ -203,47 +224,84 @@ def _newlines(text: str) -> list[int]:
     return found
 
 
-def _kinds(texts: list[str]) -> list[str] | None:
+def _kinds(texts: list[str], groups: list[str | None]) -> list[str] | None:
     """Every token's kind, or None when any token is a lexical error."""
-    heads = {raw[0] for raw in texts}
-    if not heads <= _HEADS:
+    kinds = list(map(_KINDS.get, texts, groups))
+    if None in kinds:
         return None
-    kinds = list(map(_KINDS.get, texts, repeat("IDENT")))
-    if '"' in heads:
-        for i, raw in enumerate(texts):
-            if raw[0] == '"':
-                if not _closed(raw):
-                    return None
-                kinds[i] = "STRING"
+    if "STRING" in kinds:
+        for raw, kind in zip(texts, kinds):
+            if kind == "STRING" and not _closed(raw):
+                return None
     return kinds
 
 
-def _tokens(text: str, texts: list[str], offsets: list[int]) -> list[Token]:
-    """A `Token`, with its `Span`, for each scanned token of `text`."""
+def _decode(raw: str) -> tuple[str, str, str, str, str]:
+    """A compact token's performer, counterparty, head, action and rest,
+    where every character of head and rest is a fine token of its own:
+    `{x,y}O(a)` gives x, y, "O(", a, ")"; `{x,y}[!a]*(` gives x, y, "[!",
+    a, "]*("; and a pair `{x,y}` gives x, y and three empty strings."""
+    pair, _, tail = raw.partition("}")
+    performer, _, counterparty = pair[1:].partition(",")
+    if not tail:
+        return performer, counterparty, "", "", ""
+    if tail[0] == "[":
+        cut = 2 if tail[1] in "!¬" else 1
+        action, _, rest = tail[cut:].partition("]")
+        return performer, counterparty, tail[:cut], action, "]" + rest
+    return performer, counterparty, tail[:2], tail[2:-1], ")"
+
+
+def _split(raw: str, offset: int) -> tuple[list[str], list[int]]:
+    """The fine token texts and start offsets of a compact token at
+    `offset`, in order; it holds no blank, so they follow from lengths."""
+    performer, counterparty, head, action, rest = _decode(raw)
+    fine = ["{", performer, ",", counterparty, "}"]
+    if head:
+        fine += [*head, action, *rest]
+    return fine, list(accumulate(map(len, fine[:-1]), initial=offset))
+
+
+def _one_line(newlines: list[int], offset: int, length: int) -> Span:
+    """The span of a token of `length` characters at `offset`; no token
+    spans a line break."""
+    line = bisect_right(newlines, offset)
+    col = offset - (newlines[line - 1] if line else -1)
+    return _new(Span, (line + 1, col, line + 1, col + length))
+
+
+def _fine(texts: list[str], offsets: list[int], groups: list[str | None]):
+    """The text, start offset and scan group of every fine token, compact
+    ones split into words and punctuation."""
+    for raw, offset, group in zip(texts, offsets, groups):
+        if group in _COMPACT:
+            fine, starts = _split(raw, offset)
+            yield from zip(fine, starts, repeat("IDENT"))
+        else:
+            yield raw, offset, group
+
+
+def _tokens(text: str, texts: list[str], offsets: list[int],
+            groups: list[str | None]) -> list[Token]:
+    """A `Token`, with its `Span`, for each fine token of `text`."""
     newlines = _newlines(text)
     tokens: list[Token] = []
-    for raw, offset in zip(texts, offsets):
-        line = bisect_right(newlines, offset)
-        col = offset - (newlines[line - 1] if line else -1)
-        span = _new(Span, (line + 1, col, line + 1, col + len(raw)))
-        kind = _KINDS.get(raw)
-        if kind is None:
-            head = raw[0]
-            if head in _LETTERS:
-                kind = "IDENT"
-            elif head == '"' and _closed(raw):
-                kind, raw = "STRING", _string_value(raw)
-            elif head == '"':
-                kind, raw = "ERROR", "unterminated string"
-            else:
-                kind = "ERROR"
+    for raw, offset, group in _fine(texts, offsets, groups):
+        span = _one_line(newlines, offset, len(raw))
+        kind = _KINDS.get(raw, group)
+        if kind == "STRING" and _closed(raw):
+            raw = _string_value(raw)
+        elif kind == "STRING":
+            kind, raw = "ERROR", "unterminated string"
+        elif kind is None:
+            kind = "ERROR"
         tokens.append(_new(Token, (kind, raw, span)))
     return tokens
 
 
 def tokenize(text: str) -> list[Token]:
-    """Scan into tokens; bytes outside the alphabet become ERROR tokens.
-    A view over the scan the parser runs."""
+    """Scan into fine tokens; bytes outside the alphabet become ERROR
+    tokens. A view over the scan the parser runs."""
     return _tokens(text, *_scan(text))
 
 
@@ -262,12 +320,12 @@ class _Parser:
         self.pos = 0
         self.file = file
         self.errors: list[ParseError] = []
-        self.eof_span = self.span(self.end - 1, self.end - 1) if texts else Span(1, 1, 1, 1)
+        self.eof_span = Span(1, 1, 1, 1)
+        if texts:  # the end of input sits on the last fine token
+            self.eof_span = self.fine(self.end - 1, -1)[0]
 
     def span(self, first: int, last: int) -> Span:
         """From the start of token `first` to the end of token `last`."""
-        if first == self.end:
-            return self.eof_span
         newlines = self.newlines
         start = self.offsets[first]
         line = bisect_right(newlines, start)
@@ -278,18 +336,43 @@ class _Parser:
             end_line + 1, end - (newlines[end_line - 1] if end_line else -1),
         ))
 
+    def fine(self, pos: int, index: int) -> tuple[Span, str]:
+        """The span and text of fine token `index` of the token at `pos`,
+        which is its own only fine token unless it is compact. A compact
+        token stays whole in the lists: it is split only here, for an
+        error or the end of input, and a failed statement is never read
+        again."""
+        raw, offset = self.texts[pos], self.offsets[pos]
+        if self.kinds[pos] in _COMPACT:
+            texts, offsets = _split(raw, offset)
+            raw, offset = texts[index], offsets[index]
+        return _one_line(self.newlines, offset, len(raw)), raw
+
     def at(self, kind: str) -> bool:
         return self.kinds[self.pos] == kind
 
     def fail(self, expected: str) -> ParseError:
+        """An error at the current fine token."""
         pos = self.pos
         if pos == self.end:
-            found = "end of input"
-        elif self.kinds[pos] == "STRING":
-            found = f"'{_string_value(self.texts[pos])}'"
-        else:
-            found = f"'{self.texts[pos]}'"
-        return ParseError(self.span(pos, pos), expected, found, self.file)
+            return ParseError(self.eof_span, expected, "end of input", self.file)
+        span, found = self.fine(pos, 0)
+        if self.kinds[pos] == "STRING":
+            found = _string_value(found)
+        return ParseError(span, expected, f"'{found}'", self.file)
+
+    def misnamed(self, pos: int, index: int, expected: str) -> ParseError:
+        """The error the grammar finds reading the fine tokens of the
+        compact token at `pos`: at a keyword in its performer or
+        counterparty slot, or else at fine token `index`, where
+        `expected` is wanted."""
+        performer, counterparty, *_ = _decode(self.texts[pos])
+        if performer in _KEYWORDS:
+            index, expected = 1, "agent name"
+        elif counterparty in _KEYWORDS:
+            index, expected = 3, "agent name"
+        span, found = self.fine(pos, index)
+        return ParseError(span, expected, f"'{found}'", self.file)
 
     def expect(self, kind: str, expected: str) -> int:
         pos = self.pos
@@ -387,11 +470,22 @@ class _Parser:
         getattr(meta, table)[key] = value
 
     def event_key(self) -> Key:
-        pair = self.pair() if self.at("LBRACE") else None
+        kind = self.kinds[self.pos]
+        if kind == "LEAF" or kind == "GUARD":  # its pair's 5 fine tokens, then no name
+            raise self.misnamed(self.pos, 5, "name")
+        pair = self.pair() if kind in _BRACES else None
         name = self.ident("name")
         return (pair.performer, pair.counterparty, name) if pair else (None, None, name)
 
     def pair(self) -> AgentPair:
+        """A compact pair, taken whole, or a pair of fine tokens."""
+        pos = self.pos
+        if self.kinds[pos] == "PAIR":
+            performer, counterparty, *_ = _decode(self.texts[pos])
+            if performer in _KEYWORDS or counterparty in _KEYWORDS:
+                raise self.misnamed(pos, 3, "agent name")
+            self.pos = pos + 1
+            return _new(AgentPair, (performer, counterparty))
         self.expect("LBRACE", "'{'")
         performer = self.ident("agent name")
         self.expect("COMMA", "','")
@@ -404,19 +498,22 @@ class _Parser:
         start = self.pos
         if depth > MAX_NESTING:
             raise ParseError(
-                self.span(start, start),
+                self.fine(start, 0)[0],
                 f"a clause inside at most {MAX_NESTING} guards",
                 f"one inside {depth}",
                 self.file,
             )
-        # a leaf `{x,y}O(a)`, recognised by the kinds of its nine tokens;
-        # any other clause, or a fault, takes the token-by-token path below
-        node = _LEAVES.get(tuple(self.kinds[start:start + 9]))
-        if node is not None:
-            texts = self.texts
-            self.pos = start + 9
-            pair = _new(AgentPair, (texts[start + 1], texts[start + 3]))
-            return node(pair, texts[start + 7], self.span(start, start + 8))
+        kind = self.kinds[start]
+        if kind == "LEAF" or kind == "GUARD":  # decoded and taken whole
+            performer, counterparty, head, action, rest = _decode(self.texts[start])
+            if (performer in _KEYWORDS or counterparty in _KEYWORDS
+                    or action in _KEYWORDS):
+                raise self.misnamed(start, 5 + len(head), "action name")
+            self.pos = start + 1
+            pair = _new(AgentPair, (performer, counterparty))
+            if kind == "LEAF":
+                return _DEONTIC[head[0]](pair, action, self.span(start, start))
+            return self.guarded(start, pair, action, head != "[", rest == "]*(", depth)
         pair = self.pair()
         kind = self.kinds[self.pos]
         node = _DEONTIC.get(kind)
@@ -437,14 +534,20 @@ class _Parser:
             if starred:
                 self.pos += 1
             self.expect("LPAREN", "'('")
-            body = self.clause_and(depth + 1)
-            span = self.span(start, self.expect("RPAREN", "')'"))
-            if negated:
-                return IterBox(pair, action, body, False, starred, span)
-            if starred:
-                return IterBox(pair, action, body, True, True, span)
-            return Box(pair, action, body, span)
+            return self.guarded(start, pair, action, negated, starred, depth)
         raise self.fail("'O', 'F', 'P' or '['")
+
+    def guarded(self, start: int, pair: AgentPair, action: str, negated: bool,
+                starred: bool, depth: int) -> Clause:
+        """The body and closing ')' of a guard whose head runs from token
+        `start` to its '('."""
+        body = self.clause_and(depth + 1)
+        span = self.span(start, self.expect("RPAREN", "')'"))
+        if negated:
+            return IterBox(pair, action, body, False, starred, span)
+        if starred:
+            return IterBox(pair, action, body, True, True, span)
+        return Box(pair, action, body, span)
 
     def clause_and(self, depth: int) -> tuple[Clause, ...]:
         clauses = [self.clause(depth)]
@@ -458,12 +561,12 @@ def parse_contract(text: str, file: str = "<input>") -> ParseResult:
     """Parse source text; on any fault the result carries every error
     found (resynchronizing at ';') and no contract. Lexical errors come
     alone, every one of them, since a parse over them would mislead."""
-    texts, offsets = _scan(text)
-    kinds = _kinds(texts)
+    texts, offsets, groups = _scan(text)
+    kinds = _kinds(texts, groups)
     if kinds is None:
         errors = [
             ParseError(t.span, "a token", f"'{t.text}'", file)
-            for t in _tokens(text, texts, offsets)
+            for t in _tokens(text, texts, offsets, groups)
             if t.kind == "ERROR"
         ]
         return ParseResult(None, errors)

@@ -401,6 +401,28 @@ def test_dump_ast_writes_each_top_level_clause_as_a_statement(tmp_path, capsys):
     )
 
 
+def test_dump_ast_of_strings_with_escapes_reparses(tmp_path, capsys):
+    # a line break, a quote and a backslash in each kind of string
+    path = tmp_path / "escapes.rcl"
+    path.write_text(
+        "agents a, b;\nactions y;\n"
+        'message {a,b}y = "l1\\nl2";\n'
+        'rolemsg a = "say \\"hi\\"\\n\\\\ done";\n'
+        'statemsg = "\\\\n is not \\n";\n'
+        "{a,b}O(y);\n"
+    )
+    assert main(["dump-ast", str(path)]) == 0
+    out = capsys.readouterr().out
+    meta = parse_contract(out).contract.meta
+    assert meta.messages == {("a", "b", "y"): "l1\nl2"}
+    assert meta.rolemsgs == {"a": 'say "hi"\n\\ done'}
+    assert meta.statemsg == "\\n is not \n"
+    again = tmp_path / "again.rcl"
+    again.write_text(out)
+    assert main(["dump-ast", str(again)]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def broken(contract):
         raise RuntimeError("boom")

@@ -291,6 +291,39 @@ def test_golden_corrected():
     assert emit_solidity(ir) == (FIXTURES / "purchase_fixed.sol").read_text()
 
 
+_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_SOL_ESCAPE = re.compile(r"\\(x[0-9a-f]{2}|.)")
+
+
+def _sol_bytes(body):
+    """The bytes a plain Solidity string literal's body stands for."""
+    named = {"n": b"\n", "r": b"\r", "t": b"\t", "\\": b"\\", '"': b'"'}
+    out, at = b"", 0
+    for escape in _SOL_ESCAPE.finditer(body):
+        out += body[at:escape.start()].encode("ascii")
+        code = escape.group(1)
+        out += bytes([int(code[1:], 16)]) if code[0] == "x" else named[code]
+        at = escape.end()
+    return out + body[at:].encode("ascii")
+
+
+def test_string_literals_are_printable_ascii_holding_the_utf8_messages():
+    # every message of the corrected fixture, each kind of annotation, with
+    # line breaks, a tab, a control character, quotes, a backslash and
+    # non-ASCII text added, such as the paper's Portuguese messages carry
+    extra = ' \n\r\t\x7fà "q" \\ 一'
+    escaped = extra.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    text = (FIXTURES / "purchase_fixed.rcl").read_text()
+    text = re.sub(r'"[^"]*"', lambda string: string.group()[:-1] + escaped + '"', text)
+    sol = emit_solidity(lower(parse(text)))
+    literals = _LITERAL.findall(sol)
+    plain = _LITERAL.findall((FIXTURES / "purchase_fixed.sol").read_text())
+    assert len(literals) == len(plain) == 34
+    for literal, message in zip(literals, plain):
+        assert literal.isascii() and literal.isprintable()
+        assert _sol_bytes(literal) == (message + extra).encode()
+
+
 def test_emission_is_deterministic():
     contract = load("purchase_fixed.rcl")
     first = emit_solidity(lower(contract))

@@ -1,6 +1,7 @@
 """Parser tests: round-trip oracle, error rendering, recovery, fuzz."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,12 @@ _PIECES = [
     "é", "一", "\U0002c540", "\x0b", "\\n", '\\"', "\\\\",
     "agents", "actions", "O", "F", "P", "a", "b", "x", "x_1", "role", "message",
     "statemsg", "agents a, b;\n", "actions x, y;\n", "{a,b}O(x);", "{a,b}[!y]*(",
+    # compact shapes, whole, broken by a blank or a comment, or holding a
+    # keyword in a name slot, and in places where the grammar wants no
+    # compact token
+    "{a,b}", "{a, b}", "{a,//c\nb}", "{a,b}[x](", "{a,b}[!x](", "{a,b}[x]*(",
+    "{a,b}[¬x]*(", "{O,b}O(x)", "{a,b}O(F)", "state {a,b}O(x) = S;", "role {a,b} a = r;",
+    "{a,F}[!x]*(", "{a,b}[P](", "{P,b}", "inline {a,b}[x](;",
 ]
 
 
@@ -343,10 +350,31 @@ def test_tokenize_matches_the_reference_scanner_on_the_fixtures():
     _agrees_with_the_reference(f"agents a, b;\nactions x;\n{deep};\n")
 
 
+def _compact(text):
+    """Canonical text with the blanks inside each leaf and guard head
+    removed, so that each is one compact token."""
+    text = re.sub(r"\} ([OFP]\(|\[)", r"}\1", text)
+    return re.sub(r"\](\*?) \(", r"]\1(", text)
+
+
+def _spaced(text):
+    """The text's tokens with one blank between every two, so that no
+    compact token forms; for text without strings."""
+    tokens = reference_tokenize(text)
+    assert all(t.kind != "STRING" for t in tokens)
+    return " ".join(t.text for t in tokens)
+
+
 def test_parse_matches_the_reference_parser_on_random_contracts():
+    # canonical text holds compact pairs (`{a,b} O(x)`), compact text
+    # compact leaves and guard heads too, spaced text none
     rng = random.Random(20261018)
     for _ in range(60):
-        _agrees_with_the_reference(pretty_print(random_contract(rng)))
+        text = pretty_print(random_contract(rng))
+        compact = _compact(text)
+        assert "}O(" in compact or "}F(" in compact or "}P(" in compact
+        for variant in (text, compact, _spaced(text)):
+            _agrees_with_the_reference(variant)
     _agrees_with_the_reference(FULL_SET)
 
 
