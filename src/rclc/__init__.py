@@ -12,9 +12,10 @@ _EXPORTS = {
     "ast": ["Contract", "ValidationIssue", "pretty_print", "validate"],
     "checker": ["CheckReport", "Conflict", "brute_force_oracle", "check"],
     "codegen": ["FunctionIR", "LowerError", "MachineIR", "emit_solidity", "lower"],
+    "lts": ["dump_lts", "lts_to_dot"],
     "parser": ["ParseError", "ParseResult", "parse_contract"],
-    "semantics": ["ContractSemantics", "InvalidContract", "Lts", "Norm", "NormState",
-                  "StepError", "dump_lts", "event_universe"],
+    "semantics": ["ContractSemantics", "InvalidContract", "Norm", "NormState", "StepError",
+                  "event_universe"],
     "simulator": ["CallRecord", "MAX_VALUE", "SimError", "World", "call", "co_simulate", "deploy",
                   "parse_script", "render_trace", "run_script"],
 }

@@ -87,7 +87,7 @@ class CheckReport(Frozen):
 def check(contract: Contract | ContractSemantics) -> CheckReport:
     """Report each obligation/prohibition origin pair that clashes in some
     reachable state, with its witness: the first fired set in
-    `semantics.fired_sets` order (smallest, then by event index) at which
+    `lts.fired_sets` order (smallest, then by event index) at which
     the clash shows. Reports follow (witness, `clash_order`), the order a
     walk of the lattice would find them in. A witness is not trusted as
     built: each distinct one is replayed once, with the stepper's checks

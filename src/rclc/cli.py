@@ -3,15 +3,17 @@
 Exit codes are a stable contract: 0 means no conflicts (or the command
 succeeded), 1 means conflicts were found, 2 means the input could not
 be processed at all (parse, validation, or I/O errors, bad flags,
-over-deep nesting) or an internal error stopped the run.
+over-deep nesting), the output was closed early (`| head`; quietly, at
+the next write) or an internal error stopped the run.
 Set RCLC_COLOR=1 to colorize the text conflict report.
 
 A command validates its input once, into the `ContractSemantics` it works
 from, and prints each issue as `path[:line:col]: severity: message`.
-It loads only its stages: `gen` imports codegen, `sim` codegen and
-the simulator, and the others neither. The stage functions a command
-calls are names of this module all the same, bound on first use, so a
-test or tracer that replaces `rclc.cli.lower` reaches the command.
+It loads only its stages: `gen` imports codegen, `sim` codegen and the
+simulator, `dump-lts` the streaming printers of `lts`, and the others
+none of these. The stage functions a command calls are names of this
+module all the same, bound on first use, so a test or tracer that
+replaces `rclc.cli.lower` reaches the command.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import sys
 from .ast import pretty_print, validate  # noqa: F401
 from .checker import check, report_to_json, report_to_text
 from .parser import parse_contract
-from .semantics import ContractSemantics, InvalidContract, dump_lts, lts_to_dot
+from .semantics import ContractSemantics, InvalidContract
 
 __all__ = ["main"]
 
-# names from codegen and the simulator; the package imports their module
+# names from codegen, the simulator and lts; the package imports their module
 _STAGES = {"LowerError", "emit_solidity", "lower", "MAX_VALUE", "SimError", "parse_script",
-           "render_trace", "run_script"}
+           "render_trace", "run_script", "dump_lts", "lts_to_dot"}
 
 
 def __getattr__(name: str):
@@ -195,12 +197,13 @@ def _cmd_dump_ast(args) -> int:
 
 
 def _cmd_dump_lts(args) -> int:
+    _bind("dump_lts", "lts_to_dot")
     sem = _load(args.input)
     try:
-        lts = sem.enumerate_reachable()
+        lines = (lts_to_dot if args.dot else dump_lts)(sem)
     except ValueError as exc:  # over MAX_LTS_EVENTS; the contract is valid
         raise _fail(str(exc)) from None
-    sys.stdout.write(lts_to_dot(lts) if args.dot else dump_lts(lts))
+    sys.stdout.writelines(lines)
     return 0
 
 
@@ -257,9 +260,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except _Bail as bail:
         return bail.code
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except Exception as exc:  # a defect, never "conflicts found"
         import traceback
 

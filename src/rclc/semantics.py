@@ -17,28 +17,21 @@ finite. The norm state is a pure function of that set:
 
 Because activity depends only on the fired set, firing order can never
 matter, which makes the reachable system the subset lattice of the
-event universe. `ContractSemantics.enumerate_reachable` lists that
-lattice for at most MAX_LTS_EVENTS events.
+event universe; `rclc.lts` streams it for `dump-lts`.
 
-Each `ContractSemantics` lays its clause tree out once as a flat table:
-one row per obligation, prohibition, box and watch, in the order a walk
-popping the last clause first reaches them, each row holding a kind, the
-key it tests (an event index or an action), its prebuilt payload (the
-`Norm`, the pending box or the armed watch) and, for a guard, the index
-just past its body; the same walk collects the event universe.
-Deriving a state is one forward pass over that table that jumps over
-the body of every guard not in force; it builds no `Norm` and hashes no
-guarded body. The norms in force form a set, but the boxes still
-pending and the watches still armed are tuples in walk order, and
-`dump_lts` shows each distinct one once. `conditions` is a forward
-pass that enters every guard: the conflict check's path conditions.
-`replay` checks a whole event sequence as `step` checks one event and
-derives the state it reaches once: the check's witness replay.
+Each `ContractSemantics` lays its clause tree out once as a flat table
+(`_clause_table`) of prebuilt payloads: each `Norm`, pending box and
+armed watch. Deriving a state is one forward pass over it that jumps
+over the body of every guard not in force, builds no `Norm` and hashes
+no guarded body. The boxes and watches a state keeps are the table's
+own payloads, in walk order, so `rclc.lts` can print each distinct one
+once per dump. `conditions` is a pass that enters every guard: the
+conflict check's path conditions. `replay` checks an event sequence as
+`step` checks one event and derives its state once: the witness replay.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
@@ -60,23 +53,14 @@ __all__ = [
     "Condition",
     "Norm",
     "NormState",
-    "Lts",
     "StepError",
     "InvalidContract",
     "ContractSemantics",
     "event_universe",
-    "MAX_LTS_EVENTS",
-    "fired_sets",
-    "clashes",
     "clash_order",
-    "dump_lts",
-    "lts_to_dot",
 ]
 
 Event = tuple[AgentPair, str]
-
-# 2^16 states admit both fixtures
-MAX_LTS_EVENTS = 16
 
 _set = object.__setattr__  # writes a field of a Frozen value
 
@@ -135,49 +119,12 @@ class NormState(Frozen):
         _set(self, "iter_watch", iter_watch)
 
 
-class Lts(Frozen):
-    """Reachability-closed transition system, canonically ordered.
-
-    states[0] is the initial state; states follow `fired_sets`, i.e.
-    (|fired|, fired as event indices); transitions sort by (source,
-    event index).
-    """
-
-    __slots__ = _fields = ("states", "transitions", "universe")
-
-    def __init__(self, states: tuple[NormState, ...],
-                 transitions: tuple[tuple[int, Event, int], ...], universe: tuple[Event, ...]):
-        _set(self, "states", states)
-        _set(self, "transitions", transitions)
-        _set(self, "universe", universe)
-
-    @property
-    def initial(self) -> NormState:
-        return self.states[0]
-
-
 def event_universe(contract: Contract | ContractSemantics) -> tuple[Event, ...]:
     """Every distinct (pair, action) occurring anywhere: as the subject
     of a deontic operator, a box guard, or an iterated watch."""
     if isinstance(contract, ContractSemantics):
         return contract.universe
     return _clause_table(contract.clauses)[0]
-
-
-def _event_key(event: Event):
-    pair, action = event
-    return (pair.performer, pair.counterparty, action)
-
-
-def fired_sets(universe: tuple[Event, ...]) -> Iterator[tuple[Event, ...]]:
-    """Every subset of `universe`, each a tuple in universe order, smallest
-    first and, within a size, lexicographic in event indices. This is the
-    canonical order of the subset lattice: the order of `Lts.states`.
-    Firing order never matters, so the tuple is also a run, and the first
-    set showing a clash is a shortest witness; `check` reports exactly
-    that set without walking the lattice."""
-    for size in range(len(universe) + 1):
-        yield from itertools.combinations(universe, size)
 
 
 def clash_order(clash: tuple[Norm, Norm]):
@@ -188,26 +135,6 @@ def clash_order(clash: tuple[Norm, Norm]):
     ob, forbid = clash
     return (forbid.origin.line, forbid.origin.col, forbid.pair, forbid.action,
             ob.origin.line, ob.origin.col)
-
-
-def clashes(state: NormState) -> list[tuple[Norm, Norm]]:
-    """The (obligation, prohibition) pairs on one (pair, action) that are
-    both in force in `state`, in `clash_order`."""
-    obliged: dict[Event, list[Norm]] = {}
-    for norm in state.active:
-        if norm.kind == "O":
-            obliged.setdefault((norm.pair, norm.action), []).append(norm)
-    if not obliged:
-        return []
-    return sorted(
-        (
-            (ob, forbid)
-            for forbid in state.active
-            if forbid.kind == "F"
-            for ob in obliged.get((forbid.pair, forbid.action), ())
-        ),
-        key=clash_order,
-    )
 
 
 # Row kinds of the clause table: `_UNTIL` is a `[!a]*` watch, `_ONCE` an
@@ -259,7 +186,7 @@ def _clause_table(clauses: tuple[Clause, ...]):
             watch = (clause.action, clause.body, clause.positive)
             table.append((_ONCE if clause.positive else _UNTIL, clause.action, watch, 0))
             stack.extend(clause.body)
-    universe = tuple(sorted(seen, key=_event_key))
+    universe = tuple(sorted(seen))  # by performer, counterparty, action
     index_of = {event: i for i, event in enumerate(universe)}
     for i, (code, key, payload, end) in enumerate(table):
         if code == _OBLIGED or code == _BOX:
@@ -371,71 +298,3 @@ class ContractSemantics:
                     cond = (need, banned | {key}, wanted)
                 else:
                     cond = (need, banned, wanted | {key})
-
-    def enumerate_reachable(self) -> Lts:
-        """The subset lattice in `fired_sets` order, each fired set derived
-        once; any unfired event is enabled in any state, so every state
-        has one edge per unfired event, in universe order. More than
-        MAX_LTS_EVENTS events raise ValueError before any state is built."""
-        universe = self.universe
-        if len(universe) > MAX_LTS_EVENTS:
-            raise ValueError(
-                f"the transition system of {len(universe)} events has 2^{len(universe)} "
-                f"states; listing it is limited to {MAX_LTS_EVENTS} events"
-            )
-        index_of = {frozenset(fired): i for i, fired in enumerate(fired_sets(universe))}
-        states = tuple(self.state(fired) for fired in index_of)
-        edges = tuple(
-            (src, event, index_of[state.fired | {event}])
-            for src, state in enumerate(states)
-            for event in universe
-            if event not in state.fired
-        )
-        return Lts(states, edges, universe)
-
-
-def _norm_sort_key(norm: Norm):
-    return (norm.kind, norm.pair.performer, norm.pair.counterparty, norm.action,
-            norm.origin.line, norm.origin.col)
-
-
-def dump_lts(lts: Lts) -> str:
-    """Deterministic text dump; golden-file and scan friendly."""
-    index_of = {event: i for i, event in enumerate(lts.universe)}
-    out = [
-        f"lts states={len(lts.states)} transitions={len(lts.transitions)} "
-        f"events={len(lts.universe)}"
-    ]
-    out.append("events")
-    for i, event in enumerate(lts.universe):
-        out.append(f"  e{i} {format_event(event)}")
-    for i, state in enumerate(lts.states):
-        fired = ",".join(f"e{index_of[e]}" for e in sorted(state.fired, key=_event_key))
-        out.append(f"state {i} fired={{{fired}}}")
-        for norm in sorted(state.active, key=_norm_sort_key):
-            out.append(f"  {norm}")
-        # one line per distinct box or watch, as in a set of them
-        for event, _body in sorted(set(state.pending_boxes), key=lambda p: _event_key(p[0])):
-            out.append(f"  box {format_event(event)}")
-        for action, _body, positive in sorted(
-            set(state.iter_watch), key=lambda w: (w[0], w[2])
-        ):
-            out.append(f"  watch [{action}]*" if positive else f"  watch [!{action}]*")
-    out.append("transitions")
-    for src, event, dst in lts.transitions:
-        out.append(f"  {src} e{index_of[event]} {dst}")
-    return "\n".join(out) + "\n"
-
-
-def lts_to_dot(lts: Lts) -> str:
-    """GraphViz rendering; states with an obligation/prohibition clash
-    on the same (pair, action) are highlighted."""
-    lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
-    for i, state in enumerate(lts.states):
-        attrs = ' style=filled fillcolor="#ffb3b3"' if clashes(state) else ""
-        label = f"s{i}"
-        lines.append(f'  s{i} [label="{label}"{attrs}];')
-    for src, event, dst in lts.transitions:
-        lines.append(f'  s{src} -> s{dst} [label="{format_event(event)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -9,8 +9,11 @@ pending boxes and armed watches as frozensets, and
 own stack, building each `Norm` afresh, with pending boxes and armed
 watches as tuples in walk order. Either takes the place of
 `ContractSemantics.state` (patch it onto the class), so
-`enumerate_reachable` builds the reference lattice with it.
-`reference_dump_lts` prints frozenset states.
+`reference_enumerate_reachable`, the builder that held the whole subset
+lattice and indexed every fired set in one dict, builds the reference
+lattice with it. `reference_dump_lts` prints its frozenset states, and
+`reference_lts_to_dot` renders it, as the printers did before they
+streamed.
 `reference_event_universe` collects the universe through `iter_clauses`,
 and `reference_path_conditions` walks the clause tree with its own stack
 to pair each obligation and prohibition with its path condition, which
@@ -20,7 +23,8 @@ every clause's path, where `validate` spells one out only for an issue.
 `reference_parse_script` strips every line and splits it on `#`, and
 `reference_render_trace` formats every call record afresh, where
 `parse_script` and `render_trace` skip what a line or a repeated record
-does not need. All eleven are kept as they were, apart from their names
+does not need. All thirteen are kept as they were, apart from their
+names, the lattice builder's event limit, which the printers now check,
 and one change made in both on purpose: `reference_validate` checks the
 names in `inline` keys as `validate` now does.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from rclc.ast import (
     ANNOTATIONS,
@@ -47,14 +52,12 @@ from rclc.ast import (
     iter_clauses,
 )
 from rclc.ast import Span as NodeSpan
+from rclc.lts import clashes, fired_sets
 from rclc.parser import MAX_NESTING, ParseError, ParseResult
 from rclc.semantics import (
     Event,
-    Lts,
     Norm,
     NormState,
-    _event_key,
-    _norm_sort_key,
     format_event,
 )
 from rclc.simulator import SimError, World
@@ -425,7 +428,46 @@ def reference_stack_state(self, fired: frozenset[Event]) -> NormState:
     return NormState(fired, frozenset(active), tuple(pending), tuple(watches))
 
 
-def reference_dump_lts(lts: Lts) -> str:
+def _event_key(event: Event):
+    pair, action = event
+    return (pair.performer, pair.counterparty, action)
+
+
+def _norm_sort_key(norm: Norm):
+    return (norm.kind, norm.pair.performer, norm.pair.counterparty, norm.action,
+            norm.origin.line, norm.origin.col)
+
+
+class ReferenceLts(NamedTuple):
+    """Reachability-closed transition system, canonically ordered.
+
+    states[0] is the initial state; states follow `fired_sets`, i.e.
+    (|fired|, fired as event indices); transitions sort by (source,
+    event index).
+    """
+
+    states: tuple[NormState, ...]
+    transitions: tuple[tuple[int, Event, int], ...]
+    universe: tuple[Event, ...]
+
+
+def reference_enumerate_reachable(self) -> ReferenceLts:
+    """The subset lattice in `fired_sets` order, each fired set derived
+    once; any unfired event is enabled in any state, so every state
+    has one edge per unfired event, in universe order."""
+    universe = self.universe
+    index_of = {frozenset(fired): i for i, fired in enumerate(fired_sets(universe))}
+    states = tuple(self.state(fired) for fired in index_of)
+    edges = tuple(
+        (src, event, index_of[state.fired | {event}])
+        for src, state in enumerate(states)
+        for event in universe
+        if event not in state.fired
+    )
+    return ReferenceLts(states, edges, universe)
+
+
+def reference_dump_lts(lts: ReferenceLts) -> str:
     """Deterministic text dump; golden-file and scan friendly."""
     index_of = {event: i for i, event in enumerate(lts.universe)}
     out = [
@@ -450,6 +492,20 @@ def reference_dump_lts(lts: Lts) -> str:
     for src, event, dst in lts.transitions:
         out.append(f"  {src} e{index_of[event]} {dst}")
     return "\n".join(out) + "\n"
+
+
+def reference_lts_to_dot(lts: ReferenceLts) -> str:
+    """GraphViz rendering; states with an obligation/prohibition clash
+    on the same (pair, action) are highlighted."""
+    lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
+    for i, state in enumerate(lts.states):
+        attrs = ' style=filled fillcolor="#ffb3b3"' if clashes(state) else ""
+        label = f"s{i}"
+        lines.append(f'  s{i} [label="{label}"{attrs}];')
+    for src, event, dst in lts.transitions:
+        lines.append(f'  s{src} -> s{dst} [label="{format_event(event)}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_event_universe(contract: Contract) -> tuple[Event, ...]:

@@ -125,10 +125,19 @@ def _stages_loaded(tmp_path, *argv):
 def test_commands_load_only_their_stages(tmp_path):
     checked = _stages_loaded(tmp_path, "check")
     assert "rclc.checker" in checked
-    assert not checked & {"rclc.codegen", "rclc.simulator"}
+    assert not checked & {"rclc.codegen", "rclc.simulator", "rclc.lts"}
     generated = _stages_loaded(tmp_path, "gen")
     assert "rclc.codegen" in generated
-    assert "rclc.simulator" not in generated
+    assert not generated & {"rclc.simulator", "rclc.lts"}
+    simulated = _stages_loaded(
+        tmp_path, "sim", "--script", str(FIXTURES / "scripts" / "corrected_run.txt"),
+        "--amount", "paymentAmount=100", "--amount", "shippingCosts=10",
+    )
+    assert {"rclc.codegen", "rclc.simulator"} <= simulated
+    assert "rclc.lts" not in simulated
+    dumped = _stages_loaded(tmp_path, "dump-lts")
+    assert "rclc.lts" in dumped
+    assert not dumped & {"rclc.codegen", "rclc.simulator"}
 
 
 def test_no_command_imports_dataclass_machinery():

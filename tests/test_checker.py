@@ -36,13 +36,8 @@ from rclc.checker import (
     report_to_json,
     report_to_text,
 )
-from rclc.semantics import (
-    ContractSemantics,
-    NormState,
-    clashes,
-    dump_lts,
-    fired_sets,
-)
+from rclc.lts import clashes, dump_lts, fired_sets
+from rclc.semantics import ContractSemantics, NormState
 
 from contractgen import merged_contract, random_contract
 
@@ -304,7 +299,7 @@ def test_empty_report_means_no_collision_in_dump():
         contract = parsed(pretty_print(random_contract(rng, max_events=7)))
         if check(contract).conflicts:
             continue
-        text = dump_lts(ContractSemantics(contract).enumerate_reachable())
+        text = "".join(dump_lts(ContractSemantics(contract)))
         for block in text.split("state ")[1:]:
             lines = block.splitlines()
             obliged = {l.strip()[2:] for l in lines if l.strip().startswith("O ")}
@@ -406,7 +401,8 @@ def test_report_order_does_not_depend_on_the_hash_seed():
     script = textwrap.dedent("""
         from rclc.ast import AgentPair, Contract, Decl, Obligation, Prohibition, Span
         from rclc.checker import check
-        from rclc.semantics import ContractSemantics, clashes
+        from rclc.lts import clashes
+        from rclc.semantics import ContractSemantics
 
         span = Span(1, 1, 1, 1)
         clauses = tuple(

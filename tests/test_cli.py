@@ -5,7 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,8 +20,8 @@ import rclc.cli
 import rclc.codegen
 from rclc.checker import check
 from rclc.cli import main
+from rclc.lts import MAX_LTS_EVENTS
 from rclc.parser import MAX_NESTING, ParseResult, parse_contract
-from rclc.semantics import MAX_LTS_EVENTS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -251,6 +254,40 @@ def test_dump_lts_lists_a_repeated_box_and_watch_once(tmp_path, capsys):
         assert main(["dump-lts", str(path)] + (["--dot"] if dot else [])) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, dot
+
+    def initial_state():
+        assert main(["dump-lts", str(path)]) == 0
+        return capsys.readouterr().out.split("state 1 ")[0]
+
+    initial = initial_state()
+    assert initial.count("  box {a,b} x\n") == initial.count("  watch [!y]*\n") == 1
+    # a box or watch on the same guard with another body is another line
+    for clauses, line in (
+        ("{a,b}[x]({a,b}O(y));\n{a,b}[x]({a,b}O(z));\n", "  box {a,b} x\n"),
+        ("{a,b}[!y]*({a,b}O(x)) & {a,b}[!y]*({a,b}O(z));\n", "  watch [!y]*\n"),
+    ):
+        path.write_text("agents a, b;\nactions x, y, z;\n" + clauses)
+        assert initial_state().count(line) == 2, clauses
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_dump_lts_quietly_with_exit_2():
+    # the listing streams, so the write after the reader leaves fails;
+    # that is an I/O error, not an internal one, and leaves no traceback
+    # nor a flush error at interpreter exit
+    run = subprocess.Popen(
+        [sys.executable, "-m", "rclc.cli", "dump-lts", CONFLICTED],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")},
+    )
+    first = run.stdout.readline()
+    run.stdout.close()
+    _out, err = run.communicate(timeout=60)
+    assert run.returncode == 2
+    assert first == b"lts states=8192 transitions=53248 events=13\n"
+    assert err.decode() == (
+        f"{CONFLICTED}:102:1: warning: action 'notifyDelivery' is watched here but is "
+        "never the subject of any box or obligation, so the guard can never be discharged\n"
+    )
 
 
 def test_dump_lts_refuses_more_events_than_the_limit(tmp_path, capsys):

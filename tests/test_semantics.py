@@ -1,28 +1,23 @@
 """State derivation, stepping, reachability, and the set-state property."""
 
+import os
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
 
 from rclc.ast import AgentPair, Box, Contract, Decl, Obligation, Prohibition, Span, pretty_print
 from rclc.checker import check
+from rclc.lts import clashes, dump_lts, fired_sets, lts_to_dot
 from rclc.parser import parse_contract
-from rclc.semantics import (
-    ContractSemantics,
-    Norm,
-    NormState,
-    StepError,
-    clashes,
-    dump_lts,
-    event_universe,
-    fired_sets,
-    lts_to_dot,
-)
+from rclc.semantics import ContractSemantics, Norm, NormState, StepError, event_universe
 
 from contractgen import merged_contract, random_contract, random_flow, random_lowerable
 from reference import (
     reference_dump_lts,
+    reference_enumerate_reachable,
+    reference_lts_to_dot,
     reference_event_universe,
     reference_path_conditions,
     reference_stack_state,
@@ -144,11 +139,18 @@ def test_event_universe_counts_every_position():
     assert len(event_universe(contract)) == 13
 
 
+def dumped(contract):
+    return "".join(dump_lts(ContractSemantics(contract)))
+
+
 def test_enumerate_two_state_lts():
-    lts = ContractSemantics(parsed("agents a, b; actions x; {a,b}O(x);")).enumerate_reachable()
-    assert len(lts.states) == 2
-    assert len(lts.transitions) == 1
-    assert lts.initial.fired == frozenset()
+    assert dumped(parsed("agents a, b; actions x; {a,b}O(x);")) == (
+        "lts states=2 transitions=1 events=1\n"
+        "events\n  e0 {a,b} x\n"
+        "state 0 fired={}\n  O {a,b} x\n"
+        "state 1 fired={e0}\n"
+        "transitions\n  0 e0 1\n"
+    )
 
 
 def test_fired_sets_order_by_size_then_event_index():
@@ -162,25 +164,33 @@ def test_fired_sets_order_by_size_then_event_index():
 
 
 def test_enumerate_visits_subset_lattice():
-    lts = ContractSemantics(
-        parsed("agents a, b; actions x, y; {a,b}O(x); {b,a}F(y);")
-    ).enumerate_reachable()
-    assert len(lts.states) == 2 ** 2
-    assert len(lts.transitions) == 2 * 2 ** 1
-    assert [s.fired for s in lts.states] == [
-        frozenset(fired) for fired in fired_sets(lts.universe)
+    text = dumped(parsed("agents a, b; actions x, y; {a,b}O(x); {b,a}F(y);"))
+    assert text.startswith(f"lts states={2 ** 2} transitions={2 * 2 ** 1} events=2\n")
+    assert [line for line in text.splitlines() if line.startswith("state ")] == [
+        f"state {i} fired={{{','.join(fired)}}}"
+        for i, fired in enumerate(fired_sets(("e0", "e1")))
     ]
 
 
 def test_transitions_grow_fired_by_one():
-    lts = ContractSemantics(
-        parsed("agents a, b; actions x, y; {a,b}[x]({b,a}O(y));")
-    ).enumerate_reachable()
-    for src, event, dst in lts.transitions:
-        fired_src = lts.states[src].fired
-        fired_dst = lts.states[dst].fired
-        assert event not in fired_src
-        assert fired_dst == fired_src | {event}
+    # each state has one edge per unfired event, in event order, to the
+    # state that adds that event; over 0 to 7 events
+    for n in range(8):
+        clauses = "".join(f"{{a,b}}[x{i}](" for i in range(n)) + "{a,b}P(y)" + ")" * n
+        actions = ", ".join([f"x{i}" for i in range(n)] + ["y"])
+        text = dumped(parsed(f"agents a, b; actions {actions}; {clauses};"))
+        fired = [
+            frozenset(line.split("fired={")[1].rstrip("}").split(",")) - {""}
+            for line in text.splitlines() if line.startswith("state ")
+        ]
+        assert len(fired) == 2 ** (n + 1)
+        names = [f"e{i}" for i in range(n + 1)]
+        want = [
+            f"  {src} {name} {fired.index(before | {name})}"
+            for src, before in enumerate(fired)
+            for name in names if name not in before
+        ]
+        assert text.split("transitions\n")[1].splitlines() == want
 
 
 def test_state_is_function_of_fired_set():
@@ -224,9 +234,8 @@ def test_state_steps_under_any_semantics_of_its_contract():
 
 def test_dump_is_deterministic_and_complete():
     contract = parsed("agents a, b; actions x, y; {a,b}[x]({b,a}O(y)); {a,b}F(x);")
-    lts = ContractSemantics(contract).enumerate_reachable()
-    text = dump_lts(lts)
-    assert text == dump_lts(ContractSemantics(contract).enumerate_reachable())
+    text = dumped(contract)
+    assert text == dumped(contract)
     assert text.startswith("lts states=4 transitions=4 events=2")
     assert "F {a,b} x" in text
     assert "box {a,b} x" in text
@@ -234,8 +243,7 @@ def test_dump_is_deterministic_and_complete():
 
 
 def test_dot_output_shape():
-    lts = ContractSemantics(parsed("agents a, b; actions x; {a,b}O(x);")).enumerate_reachable()
-    dot = lts_to_dot(lts)
+    dot = "".join(lts_to_dot(ContractSemantics(parsed("agents a, b; actions x; {a,b}O(x);"))))
     assert dot.startswith("digraph")
     assert "s0 -> s1" in dot
 
@@ -259,8 +267,22 @@ def test_clashes_order_by_prohibition_then_obligation_origin():
 
 def test_conflicting_state_is_highlighted_in_dot():
     sem = ContractSemantics(parsed("agents a, b; actions x; {a,b}O(x); {a,b}F(x);"))
-    lts = sem.enumerate_reachable()
-    assert "fillcolor" in lts_to_dot(lts)
+    assert "fillcolor" in "".join(lts_to_dot(sem))
+
+
+def test_dump_memory_stays_bounded_by_a_size_level():
+    # the conflicted fixture's 8192 states, written out and discarded,
+    # peak at about 0.42 MB in either format; the whole lattice takes over 20
+    sem = ContractSemantics(parsed(FIXTURE))
+    for printer in (dump_lts, lts_to_dot):
+        with open(os.devnull, "w") as discard:
+            tracemalloc.start()
+            try:
+                discard.writelines(printer(sem))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_000_000, (printer.__name__, peak)
 
 
 def test_semantics_rejects_invalid_contract():
@@ -289,12 +311,13 @@ def test_state_matches_the_reference_derivation():
     contracts += [parsed(pretty_print(c)) for c in contracts[::3]]
     contracts += [parsed(WRITTEN_TWICE), parsed(FIXTURE)]
     for contract in contracts:
-        fast = ContractSemantics(contract).enumerate_reachable()
+        sem = ContractSemantics(contract)
+        fast = [sem.state(frozenset(fired)) for fired in fired_sets(sem.universe)]
         with mock.patch.object(ContractSemantics, "state", reference_state):
-            slow = ContractSemantics(contract).enumerate_reachable()
+            slow = reference_enumerate_reachable(ContractSemantics(contract))
         with mock.patch.object(ContractSemantics, "state", reference_stack_state):
-            walked = ContractSemantics(contract).enumerate_reachable()
-        for new, old, walk in zip(fast.states, slow.states, walked.states, strict=True):
+            walked = reference_enumerate_reachable(ContractSemantics(contract))
+        for new, old, walk in zip(fast, slow.states, walked.states, strict=True):
             assert new.fired == old.fired
             assert new.active == old.active
             assert set(new.pending_boxes) == old.pending_boxes
@@ -304,8 +327,8 @@ def test_state_matches_the_reference_derivation():
             assert new.active == walk.active
             assert new.pending_boxes == walk.pending_boxes
             assert new.iter_watch == walk.iter_watch
-        assert dump_lts(fast) == reference_dump_lts(slow)
-        assert lts_to_dot(fast) == lts_to_dot(slow)
+        assert "".join(dump_lts(sem)) == reference_dump_lts(slow)
+        assert "".join(lts_to_dot(sem)) == reference_lts_to_dot(slow)
 
 
 def test_derivations_share_prebuilt_norms():
