@@ -97,18 +97,20 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
     begin = time.perf_counter()
     sem = ContractSemantics.of(contract)
     universe = sem.universe
+    obligations: list[tuple[Norm, Condition]] = []
+    forbidden: list[tuple[Norm, Condition]] = []
+    for entry in sem.conditions():
+        (obligations if entry[0].kind == "O" else forbidden).append(entry)
+    if not forbidden:  # no O/F pair, so nothing to test or replay
+        return _report((), len(universe), begin)
+
     action_at = [action for _pair, action in universe]
     first_with: dict[str, int] = {}
     for i, action in enumerate(action_at):
         first_with.setdefault(action, i)
-
     obliged: dict[Event, list[tuple[Norm, Condition]]] = {}
-    forbidden: list[tuple[Norm, Condition]] = []
-    for norm, cond in sem.conditions():
-        if norm.kind == "O":
-            obliged.setdefault((norm.pair, norm.action), []).append((norm, cond))
-        else:
-            forbidden.append((norm, cond))
+    for ob, cond in obligations:
+        obliged.setdefault((ob.pair, ob.action), []).append((ob, cond))
 
     # (obligation, prohibition) -> the least witness as (size, event
     # indices), the rank of a fired set in `fired_sets` order
@@ -142,10 +144,12 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
         sharing.setdefault(conflict.witness, []).append(conflict)
     for witness, group in sharing.items():
         _replay_witness(sem, witness, group)
+    return _report(conflicts, len(universe), begin)
 
+
+def _report(conflicts: tuple[Conflict, ...], n: int, begin: float) -> CheckReport:
     # the lattice is full: 2^n states, and each of the n events labels
     # the edges out of the half of them where it is unfired
-    n = len(universe)
     wall_ms = (time.perf_counter() - begin) * 1000.0
     return CheckReport(conflicts, CheckStats(2**n, n * 2**n // 2, wall_ms))
 

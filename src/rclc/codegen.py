@@ -15,7 +15,9 @@
              watch, which is dropped with a warning together with
              everything under it;
   names      from that record, in a fixed order: each obliged event gets
-             one function and, unless promoted, a boolean flag; an event
+             one function and, unless promoted, a boolean flag, each
+             named by its annotation or its action, with fallbacks
+             spelled out only when that first choice is taken; an event
              whose first box holds two or more immediate obligations is
              promoted to a state-advancing function opening a new
              cluster, with a state of its own; a house rule
@@ -236,21 +238,35 @@ _RESERVED_NAMES = frozenset(
 
 class _Namer:
     """Hands out unique identifiers, falling back through candidates and
-    finally to a numeric suffix."""
+    finally to a numeric suffix. `reserved` is shared, never copied; the
+    names handed out, and any given as `taken`, go in a set of its own."""
 
-    def __init__(self, reserved=()):
-        self.taken = set(reserved)
+    def __init__(self, reserved: frozenset[str] = frozenset(), taken=()):
+        self.reserved = reserved
+        self.taken = set(taken)
+
+    def take(self, name: str) -> bool:
+        """Claim `name` if it is free; say whether it was."""
+        if name in self.reserved or name in self.taken:
+            return False
+        self.taken.add(name)
+        return True
+
+    def prefer(self, given: str | None, first: str) -> str | None:
+        """Claim `given` if it is set and free, else `first` if it is
+        free; None, claiming nothing, when neither is."""
+        if given and self.take(given):
+            return given
+        return first if self.take(first) else None
 
     def claim(self, *candidates: str) -> str:
         for name in candidates:
-            if name and name not in self.taken:
-                self.taken.add(name)
+            if name and self.take(name):
                 return name
         base = next(c for c in reversed(candidates) if c)
         n = 2
-        while f"{base}{n}" in self.taken:
+        while not self.take(f"{base}{n}"):
             n += 1
-        self.taken.add(f"{base}{n}")
         return f"{base}{n}"
 
 
@@ -369,6 +385,11 @@ def lower(
                 f"role name '{role}'; give each agent its own role"
             )
         agent_of[role] = agent
+    if contract_name in agent_of or contract_name in modifiers:
+        raise LowerError(
+            f"cannot lower: contract name '{contract_name}' is also a role or "
+            "modifier name in the generated contract; choose another contract name"
+        )
 
     chain = _chain(root_box)
     links = [(link.pair, link.action) for link in chain]
@@ -380,16 +401,19 @@ def lower(
 
     # -- names, claimed in a fixed order ---------------------------------------
     # functions, flags and amount parameters share one namespace in the
-    # emitted contract
-    member_namer = _Namer(_RESERVED_NAMES | set(agent_of) | modifiers | {contract_name})
+    # emitted contract; an empty annotation table is never looked up, and
+    # the fallbacks are spelled out only when the first free choice is taken
+    member_namer = _Namer(_RESERVED_NAMES, (*agent_of, *modifiers, contract_name))
+    funcs, flag_names, state_names = meta.funcs, meta.flags, meta.states
 
     def fn_name(pair: AgentPair, action: str) -> str:
-        return member_namer.claim(
-            meta.lookup(meta.funcs, pair, action) or "",
-            action,
-            action + _cap(role_of[pair.counterparty]),
-            action + _cap(role_of[pair.performer]) + _cap(role_of[pair.counterparty]),
-        )
+        name = member_namer.prefer(funcs and meta.lookup(funcs, pair, action), action)
+        if name is None:
+            counterparty = _cap(role_of[pair.counterparty])
+            name = member_namer.claim(
+                action + counterparty, action + _cap(role_of[pair.performer]) + counterparty
+            )
+        return name
 
     fn_name_of: dict[Event, str] = {}
     for pair, action in links:
@@ -412,20 +436,20 @@ def lower(
         if box is not None and sum(isinstance(c, Obligation) for c in box.body) >= 2:
             promoted.append(event)
         else:
-            flag_of[event] = member_namer.claim(
-                meta.lookup(meta.flags, *event) or "",
-                f"{node.action}Done",
-                f"{node.action}Done{_cap(role_of[node.pair.counterparty])}",
-            )
-            flags.append((flag_of[event], f"// {node.pair} O({node.action})"))
+            done = f"{node.action}Done"
+            flag = member_namer.prefer(flag_names and meta.lookup(flag_names, *event), done)
+            if flag is None:
+                flag = member_namer.claim(done + _cap(role_of[node.pair.counterparty]))
+            flag_of[event] = flag
+            flags.append((flag, f"// {node.pair} O({node.action})"))
     chain_events = set(links)
     advancing = chain_events.union(promoted)
 
-    state_namer = _Namer(_RESERVED_NAMES | {"Created", "Finalized"})
+    state_namer = _Namer(_RESERVED_NAMES, ("Created", "Finalized"))
     states = ["Created"]
     unnamed = 0
     for pair, action in links + promoted:
-        given = meta.lookup(meta.states, pair, action)
+        given = state_names and meta.lookup(state_names, pair, action)
         unnamed += not given
         states.append(state_namer.claim(given or f"S{unnamed}"))
     promo_state_of = dict(zip(promoted, states[len(chain) + 1:]))
@@ -477,9 +501,10 @@ def lower(
     bank_agents = {a for a, r in role_of.items() if r == "bank"}
     buyer_agents = {a for a, r in role_of.items() if r == "buyer"}
     param_of: dict[str, str] = {}  # wanted name -> claimed member name
+    payables, messages, valuemsgs = meta.payables, meta.messages, meta.valuemsgs
 
     def payable_param(pair: AgentPair, action: str) -> str | None:
-        wanted = meta.lookup(meta.payables, pair, action)
+        wanted = payables and meta.lookup(payables, pair, action)
         if not wanted and "pay" in action and (
             pair.counterparty in bank_agents or pair.performer in buyer_agents
         ):
@@ -506,11 +531,17 @@ def lower(
         pair, action = event
         name = fn_name_of[event]
         param = payable_param(pair, action)
-        rule_flags = rule_flags_of.get(event, [])
-        requires = [
-            (flag, True, meta.requires.get(flag, f"{flag} required"))
-            for flag in dict.fromkeys(box_flags + tuple(rule_flags))
-        ]
+        rule_flags = rule_flags_of.get(event)
+        requires = []
+        comments = (comment,)
+        if box_flags or rule_flags:
+            guards = box_flags + tuple(rule_flags) if rule_flags else box_flags
+            requires = [
+                (flag, True, meta.requires.get(flag, f"{flag} required"))
+                for flag in dict.fromkeys(guards)
+            ]
+            if rule_flags:
+                comments += (f"// house rule guard: {', '.join(rule_flags)}",)
         if repeat_flag is not None:
             requires.append(
                 (
@@ -519,48 +550,31 @@ def lower(
                     meta.repeats.get(repeat_flag, f"{repeat_flag} already set"),
                 )
             )
-        comments = (comment,)
-        if rule_flags:
-            comments += (f"// house rule guard: {', '.join(rule_flags)}",)
         caller = caller_of.get(event)
         if caller is not None:
             warnings.append(
                 f"fidelity: {name} is private and called from {caller}; its "
                 "role guard sees the outer caller, so the call always reverts"
             )
+            # a private callee keeps only its role guard
+            state_guard, requires = None, ()
         elif event in caller_of:
             warnings.append(
                 f"fidelity: inline {name} has no enclosing guard function to "
                 "call it from; annotation ignored"
             )
-        message = meta.lookup(meta.messages, pair, action) or (
-            f"{len(functions) + 1}. {role_of[pair.performer]} performed "
-            f"{action} toward {role_of[pair.counterparty]}."
+        performer, counterparty = role_of[pair.performer], role_of[pair.counterparty]
+        message = messages and meta.lookup(messages, pair, action) or (
+            f"{len(functions) + 1}. {performer} performed {action} toward {counterparty}."
         )
+        value_message = (
+            valuemsgs and meta.lookup(valuemsgs, pair, action) or f"wrong value for {param}"
+        ) if param else None
+        effects = (change, EmitEvent(performer, counterparty, message), *calls_of.get(name, ()))
         functions.append(
             FunctionIR(
-                name=name,
-                agent=pair.performer,
-                role_guard=role_of[pair.performer],
-                # a private callee keeps only its role guard
-                state_guard=None if caller is not None else state_guard,
-                value_guard=param,
-                value_message=(
-                    (meta.lookup(meta.valuemsgs, pair, action)
-                     or f"wrong value for {param}")
-                    if param
-                    else None
-                ),
-                flag_preconditions=() if caller is not None else tuple(requires),
-                effects=(
-                    change,
-                    EmitEvent(role_of[pair.performer], role_of[pair.counterparty], message),
-                    *calls_of.get(name, ()),
-                ),
-                event=event,
-                finalize=finalize,
-                private=caller is not None,
-                comments=comments,
+                name, pair.performer, performer, state_guard, param, value_message,
+                tuple(requires), effects, event, finalize, caller is not None, comments,
             )
         )
 

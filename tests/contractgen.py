@@ -7,6 +7,7 @@ a denser one; `random_lowerable` draws conflict-free single-root-box chains
 whose guards all carry matching obligations, the shape the code generator
 accepts without synthesizing placeholder flags, and `random_flow` draws
 the nested flows, house rules and annotations it handles below the chain.
+`random_clashing` draws flows whose names collide on purpose.
 `repeat_tail_obligations` restates some of a lowerable contract's
 innermost obligations, which must lower to the same machine.
 """
@@ -29,6 +30,7 @@ from rclc.ast import (
     Span,
     iter_clauses,
 )
+from rclc.codegen import _cap
 from rclc.semantics import event_universe
 
 _SPAN = Span(1, 1, 1, 1)
@@ -153,7 +155,7 @@ def repeat_tail_obligations(rng: random.Random, contract: Contract) -> Contract:
 _FLOW_ACTIONS = _ACTION_POOL + ["act7", "act8", "pay1", "pay2"]
 
 
-def random_flow(rng: random.Random) -> Contract:
+def random_flow(rng: random.Random, actions: list[str] = _FLOW_ACTIONS) -> Contract:
     """Contract with each shape the code generator tells apart below its
     state chain; lower it with allow_conflicts, as a house rule may ban
     an obliged event.
@@ -166,7 +168,8 @@ def random_flow(rng: random.Random) -> Contract:
     guard may precede its obligation. Beside the root sit 0-2 house rules,
     each of which may watch or ban an event nothing obliges. The header
     may give two agents the buyer and bank roles, pay for obligations by
-    annotation and mark events inline.
+    annotation and mark events inline. `actions` is the pool the events'
+    actions come from.
     """
     agents = _AGENT_POOL[: rng.randint(2, 4)]
     fresh = [
@@ -174,7 +177,7 @@ def random_flow(rng: random.Random) -> Contract:
         for x in agents
         for y in agents
         if x != y
-        for action in _FLOW_ACTIONS
+        for action in actions
     ]
     rng.shuffle(fresh)
     chain = [fresh.pop() for _ in range(rng.randint(1, 2))]
@@ -221,7 +224,63 @@ def random_flow(rng: random.Random) -> Contract:
     used = {clause.action for clause, _path in iter_clauses(Contract((), (), tuple(clauses)))}
     return Contract(
         tuple(Decl(a, _SPAN) for a in agents),
-        tuple(Decl(a, _SPAN) for a in _FLOW_ACTIONS if a in used),
+        tuple(Decl(a, _SPAN) for a in actions if a in used),
         tuple(clauses),
         meta,
     )
+
+
+# Actions named like what the generated contract declares anyway: reserved
+# words and fixed members, `only*` modifiers, a `<action>Done` flag, a
+# `<action><Role>` fallback and a `<action>Amount` parameter.
+_CLASHING_ACTIONS = [
+    "go", "goDone", "goB", "goAB", "emit", "state", "Notify", "onlyA", "onlyB",
+    "pay", "payAmount", "payDone",
+]
+# Names the annotation tables give: taken members, reserved words, the
+# fixed states and names given twice.
+_CLASHING_NAMES = [
+    "go", "goB", "goAB", "goDone", "payAmount", "onlyA", "emit", "Created", "S1", "x", "x",
+]
+
+
+def random_clashing(rng: random.Random) -> Contract:
+    """A `random_flow` contract over `_CLASHING_ACTIONS` whose header fills
+    every naming table (func, flag, state, payable, message, valuemsg,
+    require, repeat, rolemsg) with colliding names, for exact and bare
+    keys alike; roles and the contract name may clash too. Lower it with
+    allow_conflicts; some draws are refused for a reserved role or
+    contract name."""
+    contract = random_flow(rng, _CLASHING_ACTIONS)
+    meta = contract.meta
+    events = sorted({(c.pair, c.action) for c, _path in iter_clauses(contract)})
+    tables = (meta.funcs, meta.flags, meta.states, meta.payables, meta.messages,
+              meta.valuemsgs)
+    for table in tables:
+        for pair, action in rng.sample(events, min(len(events), rng.randint(0, 3))):
+            key = (pair.performer, pair.counterparty, action)
+            if rng.random() < 0.3:
+                key = (None, None, action)
+            table[key] = rng.choice(_CLASHING_NAMES)
+    for name in rng.sample(["goDone", "payDone", "goDoneB", "x"], rng.randint(0, 2)):
+        meta.requires[name] = f"{name} first"
+        meta.repeats[name] = f"{name} once"
+    for agent in rng.sample(contract.agent_names(), rng.randint(0, 2)):
+        meta.rolemsgs[agent] = f"{agent} only"
+        if rng.random() < 0.3:
+            meta.roles[agent] = rng.choice(["pay", "goB", "goDone", "bank", "emit", "onlyB"])
+    meta.contract_name = rng.choice([None, "go", "payAmount", "Deal", "if"])
+    pair, action = events[0]
+    spare = [a for a in contract.agent_names() if a not in pair]
+    # never the name of a role field or modifier, which lower refuses
+    named = action in meta.roles.values() or action.startswith("only")
+    if len(spare) == 2 and not named and rng.random() < 0.5:
+        # the contract and the two spare roles take every name the
+        # function of one event falls back through
+        performer, counterparty = (_cap(meta.roles.get(a, a)) for a in pair)
+        meta.contract_name = action
+        meta.roles[spare[0]] = action + counterparty
+        meta.roles[spare[1]] = action + performer + counterparty
+    if rng.random() < 0.3:
+        meta.statemsg = "not now"
+    return contract

@@ -23,6 +23,7 @@ from rclc.ast import (
     Obligation,
     Prohibition,
     Span,
+    iter_clauses,
     pretty_print,
 )
 from rclc.parser import parse_contract
@@ -278,9 +279,13 @@ def _oracle_first_witnesses(contract):
 
 def test_oracle_equivalence_on_random_contracts():
     rng = random.Random(20260819)
-    agreed = 0
+    agreed = unprohibited = 0
     while agreed < 120:
         contract = parsed(pretty_print(random_contract(rng)))
+        # a contract without a prohibition takes check's early return
+        unprohibited += not any(
+            isinstance(clause, Prohibition) for clause, _path in iter_clauses(contract)
+        )
         conflicts = check(contract).conflicts
         found = {(c.pair, c.action) for c in conflicts}
         assert found == brute_force_oracle(contract)
@@ -289,6 +294,7 @@ def test_oracle_equivalence_on_random_contracts():
             reported.setdefault((c.pair, c.action), c.witness)
         assert reported == _oracle_first_witnesses(contract)
         agreed += 1
+    assert unprohibited >= 20
 
 
 def test_empty_report_means_no_collision_in_dump():

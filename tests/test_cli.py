@@ -488,6 +488,16 @@ def test_gen_reserved_role_name_exits_2(tmp_path, capsys):
     assert "cannot lower: agent a's role name 'state' is reserved" in captured.err
 
 
+def test_gen_contract_named_like_a_role_exits_2(tmp_path, capsys):
+    src = tmp_path / "named.rcl"
+    src.write_text("agents a, b;\nactions x, y;\ncontract a;\n{a,b}[x]({b,a}O(y));\n")
+    code = main(["gen", str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot lower: contract name 'a' is also a role or modifier name" in captured.err
+
+
 def test_repeated_obligation_emits_one_function(tmp_path, capsys):
     src = tmp_path / "twice.rcl"
     src.write_text("agents b, s;\nactions go, pay;\n{b,s}[go]({b,s}O(pay) & {b,s}O(pay));\n")

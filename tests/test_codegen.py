@@ -3,8 +3,12 @@ rules, promotion, payability, golden files, determinism."""
 
 import hashlib
 import importlib.util
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from rclc.ast import Obligation, iter_clauses
 from rclc.parser import parse_contract
 from rclc.simulator import co_simulate, run_script
 
-from contractgen import random_flow, random_lowerable, repeat_tail_obligations
+from contractgen import random_clashing, random_flow, random_lowerable, repeat_tail_obligations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -540,6 +544,13 @@ def test_contract_name_is_reserved():
     with pytest.raises(LowerError, match="contract name 'if' is reserved") as refused:
         lower(parse(src.format("if")))
     assert refused.value.report is None
+    # a role field or modifier cannot step around it, so that is refused
+    for name in ("a", "onlyA"):
+        with pytest.raises(
+            LowerError, match=f"contract name '{name}' is also a role or modifier name"
+        ) as refused:
+            lower(parse(src.format(name)))
+        assert refused.value.report is None
     # no member may take the contract's own name
     ir = lower(parse(src.format("y")))
     assert ir.name == "y"
@@ -666,6 +677,72 @@ def test_emitted_names_are_declared_once_and_not_reserved():
             )
             for flag in re.findall(r"^    bool private (\w+)", text, re.M):
                 assert re.search(rf"\b{flag}\b", bodies), (flag, text)
+
+
+# the repr of each lowered machine, or the refusal, over seeded draws of
+# every generator in both modes; printed as one sha256
+_DIGEST_SCRIPT = textwrap.dedent("""
+    import hashlib, random
+    from contractgen import random_clashing, random_flow, random_lowerable
+    from rclc.codegen import LowerError, lower
+
+    digest = hashlib.sha256()
+    for generator, count, allow in (
+        (random_lowerable, 100, False),
+        (random_flow, 100, True),
+        (random_clashing, 300, True),
+    ):
+        rng = random.Random(4242)
+        for _ in range(count):
+            contract = generator(rng)
+            for fidelity in (False, True):
+                try:
+                    ir = lower(contract, allow_conflicts=allow,
+                               fidelity_internal_calls=fidelity)
+                    digest.update(repr(ir).encode())
+                except LowerError as refused:
+                    digest.update(f"{refused} {refused.report}".encode())
+    print(digest.hexdigest())
+""")
+LOWERING_DIGEST = "f0500e6ecb37ed73a365a7c94394eebf5c2ff575056338a8561f3693c12d46e6"
+
+
+def test_lowering_digest_is_pinned():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        for seed in ("0", "1", "2")
+    }
+    assert digests == {LOWERING_DIGEST}
+
+
+def test_clashing_names_are_declared_once():
+    # each fallback of the member and state names runs on these draws
+    rng = random.Random(90210)
+    lowered = 0
+    for _ in range(200):
+        contract = random_clashing(rng)
+        for fidelity in (False, True):
+            try:
+                ir = lower(contract, allow_conflicts=True, fidelity_internal_calls=fidelity)
+            except LowerError as refused:
+                assert refused.report is None
+                continue
+            lowered += 1
+            text = emit_solidity(ir)
+            declared = [
+                next(name for name in m.groups() if name) for m in _DECLARED.finditer(text)
+            ]
+            twice = [n for n, count in Counter(declared).items() if count > 1]
+            assert twice == [], text
+            assert not (set(declared) - _FIXED_MEMBERS) & _RESERVED_NAMES
+            assert len(set(ir.states)) == len(ir.states)
+    assert lowered > 200
 
 
 def test_modifiers_of_agents_differing_in_case_are_distinct():
