@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# n names each ended by a comma, holding n commas, match if each is one
+_IDENTS_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*,)*\Z")
 
 
 class Span(NamedTuple):
@@ -355,7 +357,11 @@ def validate(contract: Contract) -> list[ValidationIssue]:
     if not contract.clauses:
         err("a contract needs at least one clause", "clauses")
 
-    for kind, decls in (("agent", contract.agents), ("action", contract.actions)):
+    for kind, decls, names in (("agent", contract.agents, agents),
+                               ("action", contract.actions, actions)):
+        joined = ",".join(names) + ","
+        if _IDENTS_RE.match(joined) and joined.count(",") == len(set(names)) == len(names):
+            continue  # all identifiers, all distinct
         seen: dict[str, Decl] = {}
         for d in decls:
             if not _IDENT_RE.match(d.name):
@@ -422,8 +428,12 @@ def validate(contract: Contract) -> list[ValidationIssue]:
             warn(f"action '{action}' is watched here but is never the subject of any box "
                  "or obligation, so the guard can never be discharged", _path(place), span)
 
-    _validate_meta(contract, agent_set, action_set, issues)
+    if any(_META_TABLES(contract.meta)):
+        _validate_meta(contract, agent_set, action_set, issues)
     return issues
+
+
+_META_TABLES = attrgetter(*(table for table, _n, _t in ANNOTATIONS.values()), "inline")
 
 
 def _validate_meta(contract, agent_set, action_set, issues):

@@ -7,8 +7,8 @@ conjunction of literals on that set, its path condition, as
 `ContractSemantics.conditions` reads it off the clause table. `check`
 tests each O/F pair's two conditions together, builds the shortest
 witness directly, sorts the clashes once by witness rank and
-`clash_order`, and replays each distinct witness once: of the 2^n
-subset lattice only the witnesses' states are visited.
+`lts.clash_order`, and verifies each by `admit` and `holds`: no state
+of the 2^n subset lattice is derived.
 `brute_force_oracle` answers the same question by exhaustive
 enumeration with its own walk and interpreter; it shares nothing with
 `check` and keeps it honest.
@@ -29,7 +29,7 @@ from .ast import (
     Permission,
     Prohibition,
 )
-from .semantics import Condition, ContractSemantics, Event, Norm, clash_order, format_event
+from .semantics import Condition, ContractSemantics, Event, Norm, format_event
 
 __all__ = [
     "Conflict",
@@ -88,11 +88,9 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
     """Report each obligation/prohibition origin pair that clashes in some
     reachable state, with its witness: the first fired set in
     `lts.fired_sets` order (smallest, then by event index) at which
-    the clash shows. Reports follow (witness, `clash_order`), the order a
-    walk of the lattice would find them in. A witness is not trusted as
-    built: each distinct one is replayed once, with the stepper's checks
-    on every event, and the state it reaches must hold both norms of
-    every conflict it witnesses.
+    the clash shows. Reports follow (witness, `lts.clash_order`), the
+    order a walk of the lattice finds them in. Each is verified at its
+    witness first.
     """
     begin = time.perf_counter()
     sem = ContractSemantics.of(contract)
@@ -101,22 +99,25 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
     forbidden: list[tuple[Norm, Condition]] = []
     for entry in sem.conditions():
         (obligations if entry[0].kind == "O" else forbidden).append(entry)
-    if not forbidden:  # no O/F pair, so nothing to test or replay
+    if not forbidden:  # no O/F pair, so nothing to test or verify
         return _report((), len(universe), begin)
 
     action_at = [action for _pair, action in universe]
     first_with: dict[str, int] = {}
     for i, action in enumerate(action_at):
         first_with.setdefault(action, i)
-    obliged: dict[Event, list[tuple[Norm, Condition]]] = {}
+    ids: dict[Norm, int] = {}  # a clash is keyed by two norm ids
+    obliged: dict[Event, list[tuple[int, Condition]]] = {}
     for ob, cond in obligations:
-        obliged.setdefault((ob.pair, ob.action), []).append((ob, cond))
+        oid = ids.setdefault(ob, len(ids))
+        obliged.setdefault((ob.pair, ob.action), []).append((oid, cond))
 
-    # (obligation, prohibition) -> the least witness as (size, event
+    # (obligation id, prohibition id) -> the least witness as (size, event
     # indices), the rank of a fired set in `fired_sets` order
-    least: dict[tuple[Norm, Norm], tuple[int, tuple[int, ...]]] = {}
+    least: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for forbid, (f_need, f_banned, f_wanted) in forbidden:
-        for ob, (o_need, o_banned, o_wanted) in obliged.get((forbid.pair, forbid.action), ()):
+        fid = ids.setdefault(forbid, len(ids))
+        for oid, (o_need, o_banned, o_wanted) in obliged.get((forbid.pair, forbid.action), ()):
             # The obligation's own literal, its event unfired, needs no
             # test: the prohibition bans that event's action.
             banned = f_banned | o_banned
@@ -129,22 +130,29 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
             # the lowest-index one is the least choice
             witness = tuple(sorted(need.union(map(first_with.__getitem__, wanted - done))))
             rank = (len(witness), witness)
-            if (ob, forbid) not in least or rank < least[ob, forbid]:
-                least[ob, forbid] = rank
+            best = least.get((oid, fid))
+            if best is None or rank < best:
+                least[oid, fid] = rank
 
-    # parsed clashes never tie on rank and `clash_order`
-    conflicts = tuple(
-        Conflict(ob, forbid, tuple(map(universe.__getitem__, indices)))
-        for (_size, indices), _order, (ob, forbid) in sorted(
-            (rank, clash_order(clash), clash) for clash, rank in least.items()
-        )
-    )
-    sharing: dict[tuple[Event, ...], list[Conflict]] = {}
-    for conflict in conflicts:
-        sharing.setdefault(conflict.witness, []).append(conflict)
-    for witness, group in sharing.items():
-        _replay_witness(sem, witness, group)
-    return _report(conflicts, len(universe), begin)
+    # rank, then `clash_order` by halves built once per norm (an
+    # obligation's pair and action are its prohibition's); parsed clashes
+    # never tie on both
+    norm_of = list(ids)
+    order = [(n.origin.line, n.origin.col, n.pair, n.action) for n in norm_of]
+    conflicts = []
+    last = fired = None
+    for (_size, indices), _f, _o, ob, forbid in sorted(
+        (rank, order[fid], order[oid], norm_of[oid], norm_of[fid])
+        for (oid, fid), rank in least.items()
+    ):
+        if indices != last:
+            last = indices
+            witness = tuple(map(universe.__getitem__, indices))
+            fired = sem.admit(witness)
+        if not (sem.holds(ob, fired) and sem.holds(forbid, fired)):
+            raise RuntimeError(f"witness replay failed for {ob.pair} {ob.action}")
+        conflicts.append(Conflict(ob, forbid, witness))
+    return _report(tuple(conflicts), len(universe), begin)
 
 
 def _report(conflicts: tuple[Conflict, ...], n: int, begin: float) -> CheckReport:
@@ -152,16 +160,6 @@ def _report(conflicts: tuple[Conflict, ...], n: int, begin: float) -> CheckRepor
     # the edges out of the half of them where it is unfired
     wall_ms = (time.perf_counter() - begin) * 1000.0
     return CheckReport(conflicts, CheckStats(2**n, n * 2**n // 2, wall_ms))
-
-
-def _replay_witness(sem: ContractSemantics, witness: tuple[Event, ...],
-                    conflicts: list[Conflict]):
-    active = sem.replay(witness).active
-    for conflict in conflicts:
-        if conflict.obligation not in active or conflict.prohibition not in active:
-            raise RuntimeError(
-                f"witness replay failed for {conflict.pair} {conflict.action}"
-            )
 
 
 # -- independent oracle ------------------------------------------------

@@ -455,10 +455,13 @@ def lower(
     promo_state_of = dict(zip(promoted, states[len(chain) + 1:]))
     states.append("Finalized")
 
+    placeholders: set[str] = set()
+
     def placeholder(event: Event, comment: str, given: str = "") -> str:
         """Declare a flag for `event` that no function sets."""
         flag = flag_of[event] = member_namer.claim(given, f"{event[1]}Done")
         flags.append((flag, f"// {event[0]} {comment} (no setter)"))
+        placeholders.add(flag)
         return flag
 
     rule_flags_of: dict[Event, list[str]] = {}
@@ -556,8 +559,8 @@ def lower(
                 f"fidelity: {name} is private and called from {caller}; its "
                 "role guard sees the outer caller, so the call always reverts"
             )
-            # a private callee keeps only its role guard
-            state_guard, requires = None, ()
+            # a private callee keeps only its role guard, and claims no other
+            state_guard, requires, comments = None, (), (comment,)
         elif event in caller_of:
             warnings.append(
                 f"fidelity: inline {name} has no enclosing guard function to "
@@ -627,6 +630,9 @@ def lower(
                 build(event, state, box_flags, SetFlag(flag_of[event]), comment,
                       flag_of[event], terminal)
 
+    if placeholders:  # a placeholder no function reads is not declared
+        read = {flag for fn in functions for flag, _value, _message in fn.flag_preconditions}
+        flags = [entry for entry in flags if entry[0] in read or entry[0] not in placeholders]
     if not terminal_flags:
         warnings.append("no terminal obligations; the Finalized state is unreachable")
     role_messages = tuple(

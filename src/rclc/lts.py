@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator
 
-from .semantics import ContractSemantics, Event, Norm, NormState, clash_order, format_event
+from .semantics import ContractSemantics, Event, Norm, NormState, format_event
 
-__all__ = ["MAX_LTS_EVENTS", "fired_sets", "clashes", "dump_lts", "lts_to_dot"]
+__all__ = ["MAX_LTS_EVENTS", "fired_sets", "clash_order", "clashes", "dump_lts", "lts_to_dot"]
 
 # 2^16 states admit both fixtures
 MAX_LTS_EVENTS = 16
@@ -26,6 +26,16 @@ def fired_sets(universe: tuple[Event, ...]) -> Iterator[tuple[Event, ...]]:
     is a shortest witness, which `check` finds without walking these."""
     for size in range(len(universe) + 1):
         yield from itertools.combinations(universe, size)
+
+
+def clash_order(clash: tuple[Norm, Norm]):
+    """Total order on the clashes within one state: prohibition origin,
+    then the clashing (pair, action), then obligation origin. The (pair,
+    action) tie-break matters only for norms sharing an origin, which
+    parsed contracts never have but hand-built ones may."""
+    ob, forbid = clash
+    return (forbid.origin.line, forbid.origin.col, forbid.pair, forbid.action,
+            ob.origin.line, ob.origin.col)
 
 
 def clashes(state: NormState) -> list[tuple[Norm, Norm]]:

@@ -21,18 +21,19 @@ event universe; `rclc.lts` streams it for `dump-lts`.
 
 Each `ContractSemantics` lays its clause tree out once as a flat table
 (`_clause_table`) of prebuilt payloads: each `Norm`, pending box and
-armed watch. Deriving a state is one forward pass over it that jumps
-over the body of every guard not in force, builds no `Norm` and hashes
-no guarded body. The boxes and watches a state keeps are the table's
-own payloads, in walk order, so `rclc.lts` can print each distinct one
-once per dump. `conditions` is a pass that enters every guard: the
-conflict check's path conditions. `replay` checks an event sequence as
-`step` checks one event and derives its state once: the witness replay.
+armed watch, each row linked to its enclosing guard's. Deriving a state
+is one forward pass over it that jumps over the body of every guard not
+in force, builds no `Norm` and hashes no guarded body. The boxes and
+watches a state keeps are the table's own payloads, in walk order, so
+`rclc.lts` can print each distinct one once per dump. `conditions` is a
+pass that enters every guard: the conflict check's path conditions.
+`holds` tests a norm up those links at a fired set `admit` checked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 from typing import NamedTuple
 
 from .ast import (
@@ -40,9 +41,8 @@ from .ast import (
     Box,
     Clause,
     Contract,
-    Frozen,
-    IterBox,
     Obligation,
+    Permission,
     Prohibition,
     Span,
     validate,
@@ -57,12 +57,11 @@ __all__ = [
     "InvalidContract",
     "ContractSemantics",
     "event_universe",
-    "clash_order",
 ]
 
 Event = tuple[AgentPair, str]
 
-_set = object.__setattr__  # writes a field of a Frozen value
+_new = tuple.__new__  # bypasses the named tuples' Python-level __new__
 
 
 class StepError(Exception):
@@ -98,25 +97,19 @@ class Norm(NamedTuple):
         return f"{self.kind} {self.pair} {self.action}"
 
 
-class NormState(Frozen):
+class NormState(NamedTuple):
     """Snapshot of the contract after some set of events has fired.
 
     Everything except `fired` is derived; two states over the same
-    contract are equal iff their fired sets are.
+    contract are equal iff their fired sets are. A tuple, like `Norm`.
     """
 
-    __slots__ = _fields = ("fired", "active", "pending_boxes", "iter_watch")
-
-    def __init__(self, fired: frozenset[Event], active: frozenset[Norm],
-                 pending_boxes: tuple[tuple[Event, tuple[Clause, ...]], ...],
-                 iter_watch: tuple[tuple[str, tuple[Clause, ...], bool], ...]):
-        _set(self, "fired", fired)
-        _set(self, "active", active)
-        # (guard event, guarded body) for every box not yet triggered, and
-        # (watched action, guarded body, positive?) for every armed watch, both
-        # in walk order; a box or watch written twice verbatim appears twice
-        _set(self, "pending_boxes", pending_boxes)
-        _set(self, "iter_watch", iter_watch)
+    fired: frozenset[Event]
+    active: frozenset[Norm]
+    # (guard event, body) per untriggered box and (action, body, positive?)
+    # per armed watch, in walk order; one written twice appears twice
+    pending_boxes: tuple[tuple[Event, tuple[Clause, ...]], ...]
+    iter_watch: tuple[tuple[str, tuple[Clause, ...], bool], ...]
 
 
 def event_universe(contract: Contract | ContractSemantics) -> tuple[Event, ...]:
@@ -127,18 +120,8 @@ def event_universe(contract: Contract | ContractSemantics) -> tuple[Event, ...]:
     return _clause_table(contract.clauses)[0]
 
 
-def clash_order(clash: tuple[Norm, Norm]):
-    """Total order on the clashes within one state: prohibition origin,
-    then the clashing (pair, action), then obligation origin. The (pair,
-    action) tie-break matters only for norms sharing an origin, which
-    parsed contracts never have but hand-built ones may."""
-    ob, forbid = clash
-    return (forbid.origin.line, forbid.origin.col, forbid.pair, forbid.action,
-            ob.origin.line, ob.origin.col)
-
-
-# Row kinds of the clause table: `_UNTIL` is a `[!a]*` watch, `_ONCE` an
-# `[a]*` one.
+# Row kinds of the clause table, norms first; `_UNTIL` is a `[!a]*`
+# watch, `_ONCE` an `[a]*` one.
 _OBLIGED, _FORBIDDEN, _BOX, _UNTIL, _ONCE = range(5)
 
 _Row = tuple[int, object, object, int]
@@ -149,49 +132,51 @@ Condition = tuple[frozenset[int], frozenset[str], frozenset[str]]
 
 
 def _clause_table(clauses: tuple[Clause, ...]):
-    """The sorted event universe, its index map and the clause tree laid
-    out as (kind, key, payload, end) rows, in the order a walk that pops
-    the last clause first and descends into every guard reaches them.
-    The key is the event index for an obligation or box (the event until
-    the walk ends) and the action for a prohibition or watch; the payload
-    is the `Norm`, the pending `(event, body)` entry or the armed
-    `(action, body, positive)` entry; `end` is the index just past a
-    guard's body, 0 for other rows. Permissions get no row. The walk
-    keeps its own stack, on which an int closes the guard row at that
-    index."""
+    """The sorted event universe, its index map, the clause tree as
+    (kind, key, payload, end) rows in the order a walk popping the last
+    clause first reaches them, and each row's parent guard row (-1 at
+    the top). The key is an obligation's or box's event index and a
+    prohibition's or watch's action; the payload the `Norm`, pending
+    `(event, body)` or armed `(action, body, positive)`; `end` the index
+    past a guard's body, else 0. Permissions get no row. An int on the
+    walk's stack closes the guard row there."""
     table: list[_Row] = []
+    parent: list[int] = []
     seen: set[Event] = set()
     stack: list = list(clauses)
+    up = -1  # the innermost open guard row
     while stack:
         clause = stack.pop()
         kind = type(clause)
         if kind is int:
             code, key, payload, _end = table[clause]
             table[clause] = (code, key, payload, len(table))
+            up = parent[clause]
             continue
-        event = (clause.pair, clause.action)
+        pair, action = event = (clause.pair, clause.action)
         seen.add(event)
+        if kind is Permission:
+            continue
+        parent.append(up)
         if kind is Obligation:
-            norm = Norm("O", clause.pair, clause.action, clause.span)
-            table.append((_OBLIGED, event, norm, 0))
+            table.append((_OBLIGED, event, _new(Norm, ("O", pair, action, clause.span)), 0))
         elif kind is Prohibition:
-            norm = Norm("F", clause.pair, clause.action, clause.span)
-            table.append((_FORBIDDEN, clause.action, norm, 0))
-        elif kind is Box:
-            stack.append(len(table))
-            table.append((_BOX, event, (event, clause.body), 0))
-            stack.extend(clause.body)
-        elif kind is IterBox:
-            stack.append(len(table))
-            watch = (clause.action, clause.body, clause.positive)
-            table.append((_ONCE if clause.positive else _UNTIL, clause.action, watch, 0))
+            table.append((_FORBIDDEN, action, _new(Norm, ("F", pair, action, clause.span)), 0))
+        else:
+            up = len(table)
+            stack.append(up)
+            if kind is Box:
+                table.append((_BOX, event, (event, clause.body), 0))
+            else:
+                watch = (action, clause.body, clause.positive)
+                table.append((_ONCE if clause.positive else _UNTIL, action, watch, 0))
             stack.extend(clause.body)
     universe = tuple(sorted(seen))  # by performer, counterparty, action
     index_of = {event: i for i, event in enumerate(universe)}
     for i, (code, key, payload, end) in enumerate(table):
         if code == _OBLIGED or code == _BOX:
             table[i] = (code, index_of[key], payload, end)
-    return universe, index_of, tuple(table)
+    return universe, index_of, tuple(table), parent
 
 
 class ContractSemantics:
@@ -204,7 +189,9 @@ class ContractSemantics:
             raise InvalidContract(issues)
         self.contract = contract
         self.warnings = tuple(issues)
-        self.universe, self._index_of, self._table = _clause_table(contract.clauses)
+        self.universe, self._index_of, self._table, self._parent = _clause_table(
+            contract.clauses)
+        self._rows_of = None  # built by `holds`
 
     @classmethod
     def of(cls, contract: Contract | ContractSemantics) -> ContractSemantics:
@@ -226,23 +213,50 @@ class ContractSemantics:
         self._admit(state.fired, event)
         return self.state(state.fired | {event})
 
-    def replay(self, events: Iterable[Event]) -> NormState:
-        """The state a fold of `step` over `events` from the initial
-        state reaches, with the same checks on every event in order, but
-        derived once: a state depends only on its fired set."""
-        fired: set[Event] = set()
-        for event in events:
-            self._admit(fired, event)
-            fired.add(event)
-        return self.state(frozenset(fired))
+    def admit(self, events: Iterable[Event]) -> tuple[set[int], set[str]]:
+        """Check `events` in order as `step` checks each one; return the
+        fired set's event indices and actions, which `holds` reads."""
+        events = tuple(events)
+        fired = set(map(self._index_of.get, events))
+        if None in fired or len(fired) < len(events):
+            seen: set[Event] = set()
+            for event in events:  # raises where `step` would
+                self._admit(seen, event)
+                seen.add(event)
+        return fired, set(map(itemgetter(1), events))
+
+    def holds(self, norm: Norm, fired: tuple[set[int], set[str]]) -> bool:
+        """`norm in self.state(F).active`, F the fired set `admit` gave:
+        whether a row carrying `norm` passes its own literal and every
+        enclosing guard's, as `state` tests them."""
+        rows_of = self._rows_of
+        if rows_of is None:
+            rows_of = self._rows_of = {}
+            for i, (kind, _key, norm_at, _end) in enumerate(self._table):
+                if kind <= _FORBIDDEN:
+                    rows_of.setdefault(norm_at, []).append(i)
+        events, actions = fired
+        table, parent = self._table, self._parent
+        for i in rows_of.get(norm, ()):
+            kind, key, _payload, _end = table[i]
+            if key in (events if kind == _OBLIGED else actions):
+                continue  # discharged
+            i = parent[i]
+            while i >= 0:
+                kind, key, _payload, _end = table[i]
+                if kind == _BOX:
+                    if key not in events:
+                        break
+                elif (key in actions) != (kind == _ONCE):
+                    break
+                i = parent[i]
+            else:
+                return True
+        return False
 
     def state(self, fired: frozenset[Event]) -> NormState:
-        """Derive the norm state after exactly `fired` has happened, in
-        one forward pass over the clause table: a box whose guard has not
-        fired, or a watch not in force, skips the rows of its body. Only
-        prebuilt norms, pending boxes and armed watches are collected;
-        the last two keep walk order and are never hashed, since a
-        guarded body is a whole subtree."""
+        """The norm state after exactly `fired`, in one pass over the
+        table; pending boxes and watches keep walk order, never hashed."""
         # an event outside the universe maps to None, which no row holds
         fired_events = set(map(self._index_of.get, fired))
         fired_actions = {action for _pair, action in fired}
@@ -271,15 +285,15 @@ class ContractSemantics:
                 watches.append(payload)
                 if kind == _ONCE:
                     i = end
-        return NormState(fired, frozenset(active), tuple(pending), tuple(watches))
+        return _new(NormState, (fired, frozenset(active), tuple(pending), tuple(watches)))
 
     def conditions(self) -> Iterator[tuple[Norm, Condition]]:
         """Every obligation and prohibition occurrence, in table order, with
         the condition on the fired set under which it is in force: each
-        enclosing box's guard has fired; the prohibition's action and each
-        enclosing `[!a]*`'s action is performed by no fired event; each
-        enclosing `[a]*`'s action is performed by some fired event. Each
-        open guard stacks the condition outside it until its `end`."""
+        enclosing box's guard has fired; no fired event performs the
+        prohibition's action or an enclosing `[!a]*`'s; some fired event
+        performs each enclosing `[a]*`'s. Each open guard stacks the
+        condition outside it until its `end`."""
         cond: Condition = (frozenset(), frozenset(), frozenset())
         outer: list[tuple[int, Condition]] = []
         for i, (kind, key, payload, end) in enumerate(self._table):

@@ -20,10 +20,13 @@ to pair each obligation and prohibition with its path condition, which
 `ContractSemantics.conditions` now reads off the clause table.
 `reference_validate` walks `reference_iter_clauses`, which spells out
 every clause's path, where `validate` spells one out only for an issue.
+`reference_walk_validate` is the one-walk `validate` that followed it,
+which matched each declared name with its own regex call and scanned
+every annotation table of a contract that has none.
 `reference_parse_script` strips every line and splits it on `#`, and
 `reference_render_trace` formats every call record afresh, where
 `parse_script` and `render_trace` skip what a line or a repeated record
-does not need. All thirteen are kept as they were, apart from their
+does not need. All fourteen are kept as they were, apart from their
 names, the lattice builder's event limit, which the printers now check,
 and one change made in both on purpose: `reference_validate` checks the
 names in `inline` keys as `validate` now does.
@@ -686,6 +689,137 @@ def _reference_validate_meta(contract, agent_set, action_set, issues):
                 check_event_key(keyword, key)
     for key in meta.inline:
         check_event_key("inline", key)
+    issues.extend(
+        ValidationIssue("error", message, "annotations") for group in found for message in group
+    )
+
+
+def _reference_path(place) -> str:
+    """A place, a (parent place, i) link, spelled out as `iter_clauses`
+    spells its path."""
+    steps = []
+    while place is not None:
+        place, i = place
+        steps.append(i)
+    return f"clauses[{steps.pop()}]" + "".join(f".body[{i}]" for i in reversed(steps))
+
+
+def reference_walk_validate(contract: Contract) -> list[ValidationIssue]:
+    """Check name tables and clause references; never raises.
+
+    Errors make the contract unusable downstream, warnings do not.
+    """
+    issues: list[ValidationIssue] = []
+
+    def err(message, path, span=_NO_SPAN):
+        issues.append(ValidationIssue("error", message, path, span))
+
+    def warn(message, path, span=_NO_SPAN):
+        issues.append(ValidationIssue("warning", message, path, span))
+
+    agents = contract.agent_names()
+    actions = contract.action_names()
+
+    if len(agents) < 2:
+        err("a contract needs at least two agents", "agents")
+    if not actions:
+        err("a contract needs at least one action", "actions")
+    if not contract.clauses:
+        err("a contract needs at least one clause", "clauses")
+
+    for kind, decls in (("agent", contract.agents), ("action", contract.actions)):
+        seen: dict[str, Decl] = {}
+        for d in decls:
+            if not _IDENT_RE.match(d.name):
+                err(f"invalid {kind} identifier '{d.name}'", kind + "s", d.span)
+            if d.name in seen:
+                err(f"duplicate {kind} '{d.name}'", kind + "s", d.span)
+            seen[d.name] = d
+    agent_set = set(agents)
+    action_set = set(actions)
+    if agent_set & action_set:
+        shared = ", ".join(sorted(agent_set & action_set))
+        err(f"names used as both agent and action: {shared}", "actions")
+
+    obligated: set[str] = set()
+    boxed: set[str] = set()
+    watched: list[tuple[str, tuple, Span]] = []
+    used_actions: set[str] = set()
+
+    # pre-order, each clause with its place: (None, i) for the i-th
+    # top-level clause, (p, i) for the i-th of the body of the guard at p
+    stack = [(clause, (None, i)) for i, clause in enumerate(contract.clauses)]
+    stack.reverse()
+    while stack:
+        clause, place = stack.pop()
+        kind = type(clause)
+        pair = clause.pair
+        action = clause.action
+        performer, counterparty = pair
+        if not (performer in agent_set and counterparty in agent_set
+                and performer != counterparty and action in action_set):
+            path = _reference_path(place)
+            for agent in pair:
+                if agent not in agent_set:
+                    err(f"undeclared agent '{agent}'", path, clause.span)
+            if performer == counterparty:
+                err(f"pair relates agent '{performer}' to itself", path, clause.span)
+            if action not in action_set:
+                err(f"undeclared action '{action}'", path, clause.span)
+        used_actions.add(action)
+        if kind is Obligation:
+            obligated.add(action)
+            continue
+        if kind is Box:
+            boxed.add(action)
+        elif kind is IterBox:
+            watched.append((action, place, clause.span))
+            if clause.positive:
+                warn(f"positive iterated guard on '{action}': body activates when the "
+                     "action fires and then stays in force", _reference_path(place), clause.span)
+            if not clause.starred:
+                warn(f"negated guard on '{action}' written without '*'; treated as the "
+                     "iterated form", _reference_path(place), clause.span)
+        else:
+            continue
+        body = clause.body
+        for i in range(len(body) - 1, -1, -1):  # last on first, first off first
+            stack.append((body[i], (place, i)))
+
+    for name in actions:
+        if name not in used_actions:
+            warn(f"action '{name}' declared but never used", "actions")
+    for action, place, span in watched:
+        if action in action_set and action not in obligated and action not in boxed:
+            warn(f"action '{action}' is watched here but is never the subject of any box "
+                 "or obligation, so the guard can never be discharged", _reference_path(place), span)
+
+    _reference_walk_validate_meta(contract, agent_set, action_set, issues)
+    return issues
+
+
+def _reference_walk_validate_meta(contract, agent_set, action_set, issues):
+    meta = contract.meta
+    # undeclared agents, then values that are not identifiers, then
+    # undeclared names in event keys, `inline` keys last
+    found: tuple[list[str], list[str], list[str]] = ([], [], [])
+    events = []
+    for keyword, (table, names, text) in ANNOTATIONS.items():
+        for key, value in getattr(meta, table).items():
+            if names == "agent" and key not in agent_set:
+                found[0].append(f"annotation refers to undeclared agent '{key}'")
+            if not text and not _IDENT_RE.match(value):
+                found[1].append(f"{keyword} annotation value '{value}' is not an identifier")
+            if names == "event":
+                events.append((keyword, key))
+    for key in meta.inline:
+        events.append(("inline", key))
+    for keyword, (performer, counterparty, action) in events:
+        if action not in action_set:
+            found[2].append(f"{keyword} annotation refers to undeclared action '{action}'")
+        for agent in (performer, counterparty):
+            if agent is not None and agent not in agent_set:
+                found[2].append(f"{keyword} annotation refers to undeclared agent '{agent}'")
     issues.extend(
         ValidationIssue("error", message, "annotations") for group in found for message in group
     )

@@ -3,6 +3,7 @@
 import random
 
 from rclc.ast import (
+    ANNOTATIONS,
     AgentPair,
     Box,
     Contract,
@@ -19,7 +20,7 @@ from rclc.ast import (
 from rclc.parser import parse_contract
 
 from contractgen import merged_contract, random_contract, random_flow
-from reference import reference_iter_clauses, reference_validate
+from reference import reference_iter_clauses, reference_validate, reference_walk_validate
 
 
 def parsed(src):
@@ -288,3 +289,80 @@ def test_validate_matches_the_reference():
     # each part of the combined clause check fails alone somewhere, at the
     # top level and under a guard
     assert len(faults) == 10, sorted(faults)
+
+
+BAD_NAMES = ("_a", "a-b", "\u00e9", "1a", "a\n", "", "a,b")
+
+
+def _renamed(rng, contract):
+    """`contract` with its declarations spoiled: a bad name, a name
+    declared twice, or a name declared as both agent and action, each
+    with a span, and each in some draws only."""
+    agents, actions = list(contract.agents), list(contract.actions)
+    for decls in (agents, actions):
+        if rng.random() < 0.5:
+            at = rng.randrange(len(decls) + 1)
+            decls.insert(at, Decl(rng.choice(BAD_NAMES), Span(1, at + 1, 1, at + 2)))
+        if rng.random() < 0.3:
+            decls.append(Decl(rng.choice(decls).name, Span(3, 1, 3, 4)))
+    if rng.random() < 0.3:
+        actions.append(Decl(agents[0].name, Span(4, 1, 4, 2)))
+    return Contract(tuple(agents), tuple(actions), contract.clauses, contract.meta)
+
+
+def _annotated(rng, contract):
+    """`contract` with one annotation of a random kind, good or bad, or
+    with `inline` keys only, naming undeclared agents and actions in some
+    draws."""
+    agents, actions = contract.agent_names(), contract.action_names()
+    meta = Meta()
+    agent = rng.choice(agents + ["ghost"])
+    action = rng.choice(actions + ["nowhere"])
+    pair = rng.choice([(None, None), (agent, rng.choice(agents + ["nobody"]))])
+    keyword = rng.choice([*ANNOTATIONS, "inline"])
+    if keyword == "inline":
+        meta.inline.append((*pair, action))
+        if rng.random() < 0.5:
+            meta.inline.append(("ghost", agent, rng.choice(actions)))
+    else:
+        table, names, _text = ANNOTATIONS[keyword]
+        key = agent if names == "agent" else (*pair, action)
+        if names == "flag":
+            key = "someFlag"
+        getattr(meta, table)[key] = rng.choice(["goodName", "not an id", "9lives", ""])
+    return Contract(contract.agents, contract.actions, contract.clauses, meta)
+
+
+def test_validate_matches_the_one_walk_reference():
+    # issues, with their severity, message, path, span and order, against
+    # the validate that matched each name alone and scanned every table
+    rng = random.Random(20261024)
+    contracts = [random_contract(rng) for _ in range(60)]
+    contracts += [random_flow(rng) for _ in range(30)]
+    contracts += [_renamed(rng, c) for c in contracts[:60]]
+    contracts += [_annotated(rng, c) for c in contracts[:90] for _ in range(2)]
+    contracts += [_annotated(rng, _renamed(rng, c)) for c in contracts[:40]]
+    contracts += [_spoiled(rng, c) for c in contracts[:40]]
+    contracts += [Contract((Decl(name), Decl("b")), (Decl("x"), Decl(name)), (), Meta())
+                  for name in BAD_NAMES]
+    contracts += [parsed(open(f"fixtures/{name}.rcl").read())
+                  for name in ("purchase_conflicted", "purchase_fixed")]
+    kinds, drawn = set(), set()
+    for contract in contracts:
+        got = [(i.severity, i.message, i.path, i.span) for i in validate(contract)]
+        want = [(i.severity, i.message, i.path, i.span)
+                for i in reference_walk_validate(contract)]
+        assert got == want
+        kinds.update(message.split("'")[0] for _severity, message, _path, _span in got)
+        meta = contract.meta
+        drawn.update(k for k, (table, _n, _t) in ANNOTATIONS.items() if getattr(meta, table))
+        if meta.inline and not any(getattr(meta, table) for table, _n, _t in ANNOTATIONS.values()):
+            drawn.add("inline only")
+    assert drawn == {*ANNOTATIONS, "inline only"}
+    for kind in ("invalid agent identifier ", "invalid action identifier ",
+                 "duplicate agent ", "duplicate action ", "names used as both agent and action: ",
+                 "annotation refers to undeclared agent ", "role annotation value ",
+                 "func annotation refers to undeclared action ",
+                 "inline annotation refers to undeclared action ",
+                 "inline annotation refers to undeclared agent "):
+        assert kind in kinds, kind

@@ -38,7 +38,7 @@ from rclc.checker import (
     report_to_text,
 )
 from rclc.lts import clashes, dump_lts, fired_sets
-from rclc.semantics import ContractSemantics, NormState
+from rclc.semantics import ContractSemantics
 
 from contractgen import merged_contract, random_contract
 
@@ -196,41 +196,44 @@ def dense_conflicts(n):
     )
 
 
-def test_check_derives_one_state_per_distinct_witness():
-    # the replay never steps: each distinct witness costs one derivation
-    real_state = ContractSemantics.state
-    derived = []
+def test_check_derives_no_state():
+    # each distinct witness is admitted once, and each clashing norm is
+    # tested against it through its guards; no state is derived
+    real_admit = ContractSemantics.admit
+    admitted = []
 
-    def counted(self, fired):
-        derived.append(fired)
-        return real_state(self, fired)
+    def counted(self, events):
+        admitted.append(frozenset(events))
+        return real_admit(self, events)
+
+    def no_state(self, fired):
+        raise AssertionError("check derived a state")
 
     def no_step(self, state, event):
         raise AssertionError("check called step")
 
     for contract, n_witnesses in ((parsed(CONFLICTED), 1), (dense_conflicts(10), 100)):
-        derived.clear()
-        with mock.patch.object(ContractSemantics, "state", counted), \
+        admitted.clear()
+        with mock.patch.object(ContractSemantics, "admit", counted), \
+                mock.patch.object(ContractSemantics, "state", no_state), \
                 mock.patch.object(ContractSemantics, "step", no_step):
             report = check(contract)
         witnesses = {frozenset(c.witness) for c in report.conflicts}
         assert len(witnesses) == n_witnesses
-        assert len(derived) == len(witnesses)
-        assert set(derived) == witnesses
+        assert len(admitted) == len(witnesses)
+        assert set(admitted) == witnesses
 
 
 def test_a_replay_that_loses_the_prohibition_fails_the_check():
-    # the replayed state, not the construction, decides: a replay whose
-    # state lacks the clashing prohibition must stop the report
-    real_replay = ContractSemantics.replay
+    # the guard test, not the construction, decides: a witness at which
+    # the clashing prohibition does not hold must stop the report
+    real_holds = ContractSemantics.holds
 
-    def without_prohibitions(self, events):
-        state = real_replay(self, events)
-        active = frozenset(norm for norm in state.active if norm.kind != "F")
-        return NormState(state.fired, active, state.pending_boxes, state.iter_watch)
+    def without_prohibitions(self, norm, fired):
+        return norm.kind != "F" and real_holds(self, norm, fired)
 
     contract = parsed(CONFLICTED)
-    with mock.patch.object(ContractSemantics, "replay", without_prohibitions):
+    with mock.patch.object(ContractSemantics, "holds", without_prohibitions):
         with pytest.raises(RuntimeError, match="^witness replay failed for "):
             check(contract)
     assert check(contract).conflicts

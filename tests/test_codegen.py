@@ -353,6 +353,35 @@ def test_fidelity_mode_reproduces_internal_call():
     assert "        payShippingCostsToCarrier();" in text
 
 
+def test_a_private_callee_claims_no_guard_it_strips():
+    # the fixed fixture with the bank's release of payment inlined: the
+    # callee's house-rule require is stripped, and its comment with it
+    src = (FIXTURES / "purchase_fixed.rcl").read_text().replace(
+        "contract ContratoCorrigido;", "inline {k,s} payProduct;\ncontract ContratoCorrigido;")
+    ir = lower(parse(src), fidelity_internal_calls=True)
+    callee = ir.function("payProductSeller")
+    assert callee.private and callee.flag_preconditions == ()
+    assert callee.comments == ("// {k,s} O(payProduct)",)
+    lines = emit_solidity(ir).splitlines()
+    claims = [(above, line) for above, line in zip(lines, lines[1:])
+              if above.lstrip().startswith("// house rule guard:")]
+    assert len(claims) == 2
+    assert all(" private " not in line for _above, line in claims), claims
+    # a placeholder flag only the private callee read is not declared
+    src = ("agents a, b;\nactions go, x, v, y, z;\ninline {b,a} y;\n"
+           "{a,b}[go]({a,b}O(x) & {a,b}O(v) & {a,b}[x]({b,a}O(y)));\n"
+           "{a,b}[!z]*({b,a}F(y));\n")
+    default = lower(parse(src), allow_conflicts=True)
+    assert ("zDone", "// {a,b} [!z]* (no setter)") in default.flags
+    assert "zDone" in [flag for flag, _value, _message in default.function("y").flag_preconditions]
+    fidelity = lower(parse(src), allow_conflicts=True, fidelity_internal_calls=True)
+    assert [flag for flag, _comment in fidelity.flags] == ["xDone", "vDone", "yDone"]
+    assert "zDone" not in emit_solidity(fidelity)
+    assert fidelity.warnings == default.warnings + (
+        "fidelity: y is private and called from x; its role guard sees the outer "
+        "caller, so the call always reverts",)
+
+
 def test_default_mode_ignores_inline():
     ir = lower(load("purchase_conflicted.rcl"), allow_conflicts=True)
     assert not any(fn.private for fn in ir.functions)
@@ -644,6 +673,8 @@ CASE_ONLY_AGENTS = "agents a, A;\nactions go, x;\n{a,A}[go]({A,a}O(x));\n"
 
 
 def test_emitted_names_are_declared_once_and_not_reserved():
+    # the clashing draws run each fallback of the member and state names;
+    # some are refused for a contract or role name, never for a conflict
     rng = random.Random(31337)
     inputs = [
         (load("purchase_fixed.rcl"), False),
@@ -656,9 +687,17 @@ def test_emitted_names_are_declared_once_and_not_reserved():
     for _ in range(150):
         contract = random_lowerable(rng)
         inputs += [(contract, False), (repeat_tail_obligations(rng, contract), False)]
+    rng = random.Random(90210)
+    inputs += [(random_clashing(rng), True) for _ in range(200)]
+    lowered = 0
     for contract, allow in inputs:
         for fidelity in (False, True):
-            ir = lower(contract, allow_conflicts=allow, fidelity_internal_calls=fidelity)
+            try:
+                ir = lower(contract, allow_conflicts=allow, fidelity_internal_calls=fidelity)
+            except LowerError as refused:
+                assert refused.report is None
+                continue
+            lowered += 1
             text = emit_solidity(ir)
             declared = [
                 next(name for name in m.groups() if name)
@@ -677,6 +716,8 @@ def test_emitted_names_are_declared_once_and_not_reserved():
             )
             for flag in re.findall(r"^    bool private (\w+)", text, re.M):
                 assert re.search(rf"\b{flag}\b", bodies), (flag, text)
+    # every other input lowers in both modes, and over half the clashing draws' 400 do
+    assert lowered > 2 * (len(inputs) - 200) + 200
 
 
 # the repr of each lowered machine, or the refusal, over seeded draws of
@@ -704,7 +745,7 @@ _DIGEST_SCRIPT = textwrap.dedent("""
                     digest.update(f"{refused} {refused.report}".encode())
     print(digest.hexdigest())
 """)
-LOWERING_DIGEST = "f0500e6ecb37ed73a365a7c94394eebf5c2ff575056338a8561f3693c12d46e6"
+LOWERING_DIGEST = "4b1ecd1618c07809e873dbfc5888e1970f6bb20bee9867b030a9122cf4d39a9e"
 
 
 def test_lowering_digest_is_pinned():
@@ -719,30 +760,6 @@ def test_lowering_digest_is_pinned():
         for seed in ("0", "1", "2")
     }
     assert digests == {LOWERING_DIGEST}
-
-
-def test_clashing_names_are_declared_once():
-    # each fallback of the member and state names runs on these draws
-    rng = random.Random(90210)
-    lowered = 0
-    for _ in range(200):
-        contract = random_clashing(rng)
-        for fidelity in (False, True):
-            try:
-                ir = lower(contract, allow_conflicts=True, fidelity_internal_calls=fidelity)
-            except LowerError as refused:
-                assert refused.report is None
-                continue
-            lowered += 1
-            text = emit_solidity(ir)
-            declared = [
-                next(name for name in m.groups() if name) for m in _DECLARED.finditer(text)
-            ]
-            twice = [n for n, count in Counter(declared).items() if count > 1]
-            assert twice == [], text
-            assert not (set(declared) - _FIXED_MEMBERS) & _RESERVED_NAMES
-            assert len(set(ir.states)) == len(ir.states)
-    assert lowered > 200
 
 
 def test_modifiers_of_agents_differing_in_case_are_distinct():

@@ -396,6 +396,9 @@ def test_norm_prints_and_compares_as_a_tuple():
     assert str(norm) == "F {a,b} x"
     assert norm == ("F", ("a", "b"), "x", (2, 3, 2, 12))
     assert hash(norm) == hash(("F", ("a", "b"), "x", (2, 3, 2, 12)))
+    state = ContractSemantics(parsed("agents a, b; actions x; {a,b}O(x);")).initial_state()
+    assert state == (frozenset(), state.active, (), ()) and len(state.active) == 1
+    assert type(state) is NormState and state == NormState(*state)
 
 
 def _fold_steps(sem, events):
@@ -411,10 +414,15 @@ def _step_error(run):
     return str(caught.value)
 
 
-def test_replay_equals_a_fold_of_step():
-    # one derivation for the whole sequence, every field equal to the
-    # state the stepper reaches and to the stack walk, walk order included;
-    # a sequence the stepper refuses is refused with the stepper's message
+def _norms(sem):
+    return [norm for norm, _cond in sem.conditions()]
+
+
+def test_admit_and_holds_agree_with_the_stepper():
+    # `admit` makes the stepper's checks and gives the fired set as event
+    # indices and actions; `holds` then gives each norm's verdict in the
+    # state the stepper reaches, and in the stack walk's; a sequence the
+    # stepper refuses is refused with the stepper's message
     rng = random.Random(20261020)
     contracts = [random_contract(rng) for _ in range(25)]
     contracts += [merged_contract(rng, parts, max_events=10) for parts in (2, 3) * 4]
@@ -426,25 +434,57 @@ def test_replay_equals_a_fold_of_step():
     unheard = (pair("nobody", "nowhere"), "nothing")
     for contract in contracts:
         sem = ContractSemantics(contract)
+        norms = _norms(sem)
         for _ in range(6):
             events = rng.sample(sem.universe, rng.randint(0, len(sem.universe)))
             folded = _fold_steps(sem, events)
-            replayed = sem.replay(events)
             walked = reference_stack_state(sem, frozenset(events))
-            for field in NormState._fields:
-                assert getattr(replayed, field) == getattr(folded, field)
-                assert getattr(replayed, field) == getattr(walked, field)
-            assert sem.replay(iter(events)) == replayed
+            fired = sem.admit(events)
+            assert fired == ({sem.universe.index(e) for e in events},
+                             {action for _pair, action in events})
+            assert sem.admit(iter(events)) == fired
+            for norm in norms:
+                assert sem.holds(norm, fired) == (norm in folded.active) == (norm in walked.active)
             at = rng.randint(0, len(events))
             refused = [events[:at] + [unheard] + events[at:]]
             if events:
                 refused.append(events[:at] + [rng.choice(events)] + events[at:])
             for bad in refused:
-                message = _step_error(lambda: sem.replay(bad))
+                message = _step_error(lambda: sem.admit(bad))
                 assert message == _step_error(lambda: _fold_steps(sem, bad))
-        assert _step_error(lambda: sem.replay([unheard])) == (
+        assert _step_error(lambda: sem.admit([unheard])) == (
             "event {nobody,nowhere} nothing does not resolve")
         if sem.universe:
             twice = [sem.universe[0]] * 2
-            assert _step_error(lambda: sem.replay(twice)).endswith(" already fired")
+            assert _step_error(lambda: sem.admit(twice)).endswith(" already fired")
 
+
+def test_holds_agrees_with_state_on_every_fired_set():
+    # the guard test against `norm in state(F).active`, for every norm of
+    # every contract, at every fired set F: rows with a unique origin, and
+    # rows sharing one (random contracts carry no spans, and a contract
+    # written twice repeats its norms under other guards)
+    rng = random.Random(20261021)
+    contracts = [random_contract(rng, max_events=8) for _ in range(30)]
+    contracts += [merged_contract(rng, parts, max_events=8) for parts in (2, 3) * 5]
+    contracts += [random_flow(rng) for _ in range(10)]
+    contracts += [parsed(pretty_print(c)) for c in contracts[::2]]
+    contracts += [Contract(c.agents, c.actions, c.clauses * 2, c.meta) for c in contracts[::5]]
+    contracts += [parsed(WRITTEN_TWICE)]
+    unique = shared = 0
+    for contract in contracts:
+        sem = ContractSemantics(contract)
+        if len(sem.universe) > 8:
+            continue
+        norms = _norms(sem)
+        origins = [norm.origin for norm in norms]
+        unique += sum(origins.count(norm.origin) == 1 for norm in norms)
+        shared += sum(norms.count(norm) > 1 for norm in norms)
+        for events in fired_sets(sem.universe):
+            active = sem.state(frozenset(events)).active
+            fired = sem.admit(events)
+            for norm in set(norms):
+                assert sem.holds(norm, fired) == (norm in active), (contract, events, norm)
+        stranger = Norm("O", pair("a", "z"), "nowhere", Span(1, 1, 1, 1))
+        assert not sem.holds(stranger, sem.admit(()))
+    assert unique > 50 and shared > 100, (unique, shared)
