@@ -7,6 +7,13 @@ over-deep nesting), the output was closed early (`| head`; quietly, at
 the next write) or an internal error stopped the run.
 Set RCLC_COLOR=1 to colorize the text conflict report.
 
+The arguments are read against one table, `_COMMANDS`, which gives each
+command's handler, help line and options, as the argparse parser it
+replaced read them (`tests/reference.py` keeps that parser); importing
+and building that parser cost a run more than loading a contract did.
+`-h` prints help from the same table and exits 0; a usage error prints
+`rclc: error: <what>` and a usage line to stderr and exits 2.
+
 A command validates its input once, into the `ContractSemantics` it works
 from, and prints each issue as `path[:line:col]: severity: message`.
 It loads only its stages: `gen` imports codegen, `sim` codegen and the
@@ -18,9 +25,10 @@ replaces `rclc.cli.lower` reaches the command.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 # validate is unused here since ContractSemantics validates, but
 # perfbench patches it
@@ -207,60 +215,139 @@ def _cmd_dump_lts(args) -> int:
     return 0
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rclc",
-        description=(
-            "Parse relativized contracts, detect normative conflicts, "
-            "generate Solidity, and simulate the result."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's handler, help line and options. An option is its flags
+# (then a metavar if it takes a value), its destination, its kind, its
+# default and its help line. The kind is a switch, a value, a value each
+# use appends, a value that must be given, or the tuple of its choices.
+_SWITCH, _VALUE, _APPEND, _REQUIRED = "switch", "value", "append", "required"
+_HELP = ("-h --help", "help", _SWITCH, False, "show this help and exit")
+_LOWERING = (
+    ("--allow-conflicts", "allow_conflicts", _SWITCH, False,
+     "lower a contract that has conflicts"),
+    ("--fidelity-internal-calls", "fidelity_internal_calls", _SWITCH, False,
+     "honor inline annotations, reproducing private internal calls"),
+)
+_COMMANDS = {
+    "check": (_cmd_check, "detect obligation/prohibition conflicts",
+              (("--format {text,json}", "format", ("text", "json"), "text", "report format"),)),
+    "gen": (_cmd_gen, "lower to a state machine and emit Solidity",
+            (("-o --output FILE", "output", _VALUE, None, "write the Solidity to FILE"),
+             *_LOWERING)),
+    "sim": (_cmd_sim, "run a call script against the state machine", (
+        ("--script FILE", "script", _REQUIRED, None, "call script file (required)"),
+        ("--bind ROLE=ACCOUNT", "bind", _APPEND, None,
+         "bind a role to an account (default: the agent id)"),
+        ("--amount PARAM=N", "amount", _APPEND, None, "set an amount parameter"),
+        ("--balance N", "balance", _VALUE, "1000", "each account's initial balance"),
+        *_LOWERING)),
+    "dump-ast": (_cmd_dump_ast, "print the canonical source form", ()),
+    "dump-lts": (_cmd_dump_lts, "print the reachable transition system",
+                 (("--dot", "dot", _SWITCH, False, "emit Graphviz dot"),)),
+}
+_ABOUT = ("Parse relativized contracts, detect normative conflicts, generate Solidity,"
+          " and simulate the result.")
 
-    def command(name, fn, help):
-        """A subcommand reading one contract file, run by `fn`."""
-        p = sub.add_parser(name, help=help)
-        p.add_argument("input")
-        p.set_defaults(fn=fn)
-        return p
 
-    p_check = command("check", _cmd_check, "detect obligation/prohibition conflicts")
-    p_check.add_argument("--format", choices=["text", "json"], default="text")
+def _classify(word: str, flags: dict):
+    """A word as argparse reads it: None for a positional, else the flag it
+    names (None if unknown) and the value attached to it (None if none)."""
+    if word[:1] != "-" or word in ("-", "--"):
+        return None
+    if word in flags:
+        return word, None
+    head, eq, tail = word.partition("=")
+    if eq and head in flags:
+        return head, tail
+    if word[1] == "-":  # a unique prefix of a long flag
+        hits = [(flag, tail if eq else None) for flag in flags if flag.startswith(head)]
+    else:  # a short flag with its value in the same word
+        hits = [(word[:2], word[2:])] if word[:2] in flags else []
+    if len(hits) > 1:
+        raise _fail("ambiguous option: %s could match %s" % (word, ", ".join(dict(hits))))
+    if hits:
+        return hits[0]
+    return None if re.match(r"-\d+$|-\d*\.\d+$", word) or " " in word else (None, None)
 
-    p_gen = command("gen", _cmd_gen, "lower to a state machine and emit Solidity")
-    p_gen.add_argument("-o", "--output", default=None)
 
-    p_sim = command("sim", _cmd_sim, "run a call script against the state machine")
-    p_sim.add_argument("--script", required=True, help="call script file")
-    p_sim.add_argument(
-        "--bind",
-        action="append",
-        metavar="ROLE=ACCOUNT",
-        help="bind a role to an account (default: the agent id)",
-    )
-    p_sim.add_argument(
-        "--amount",
-        action="append",
-        metavar="PARAM=N",
-        help="set an amount parameter",
-    )
-    p_sim.add_argument("--balance", default="1000", help="each account's initial balance")
-    for p in (p_gen, p_sim):
-        p.add_argument("--allow-conflicts", action="store_true")
-        p.add_argument("--fidelity-internal-calls", action="store_true",
-                       help="honor inline annotations, reproducing private internal calls")
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """Read argv against _COMMANDS as argparse did: options before or after
+    the input, `--opt value`, `--opt=value`, `-oFILE`, unique prefixes of
+    long flags, `--` ending the options, negative numbers as values; an
+    unknown option or extra word is refused only if no -h comes. Return the
+    arguments, or None once help is printed."""
+    name, flags, words, values, late = None, {"-h": _HELP, "--help": _HELP}, argv, {}, []
+    found, i, input_at = [_classify(word, flags) for word in argv], 0, None
+    try:
+        while i < len(words):
+            word, hit = words[i], found[i]
+            i += 1
+            if hit is None and name is None:  # the command, which reads the words after it
+                if word not in _COMMANDS:
+                    raise _fail("argument command: invalid choice: %r" % word)
+                name, words, i, options = word, words[i:], 0, _COMMANDS[word][2]
+                flags = {flag: option for option in (*options, _HELP)
+                         for flag in option[0].split() if flag[0] == "-"}
+                values = {option[1]: option[3] for option in options}
+                # argparse reads every word before it takes one, so an
+                # ambiguous prefix is refused first; after `--` all are positional
+                end = words.index("--") if "--" in words else len(words)
+                found = [_classify(word, flags) for word in words[:end]]
+                found += [False] + [None] * len(words)
+            elif hit is False:  # `--`, taken in by an input beside it
+                if input_at not in (None, i - 2):
+                    late.append(word)
+            elif hit is None and input_at is None:
+                values["input"], input_at = word, i - 1
+            elif hit is None or hit[0] is None:
+                late.append(word)
+            else:
+                flag, value = hit
+                while flags[flag][2] == _SWITCH:  # and the short flags after it, as in -ho FILE
+                    values[flags[flag][1]] = True
+                    if value is None:
+                        break
+                    if flag[1] == "-" or not value or "-" + value[0] not in flags:
+                        raise _fail("argument %s: ignored explicit argument %r" % (flag, value))
+                    flag, value = "-" + value[0], value[1:] or None
+                _spec, dest, kind, _default, _text = flags[flag]
+                if kind != _SWITCH:
+                    if value is None:
+                        if i == len(words) or found[i] is not None:
+                            raise _fail("argument %s: expected one argument" % flag)
+                        value, i = words[i], i + 1
+                    if type(kind) is tuple and value not in kind:
+                        raise _fail("argument %s: invalid choice: %r" % (flag, value))
+                    values[dest] = [*(values[dest] or ()), value] if kind == _APPEND else value
+                if values.pop("help", False):
+                    print(_help(name), end="")
+                    return None
+        missing = ["command"] if name is None else ["input"] * (input_at is None) + [
+            option[0].split()[0] for option in options
+            if option[2] == _REQUIRED and values[option[1]] is None]
+        if missing:
+            raise _fail("the following arguments are required: " + ", ".join(missing))
+        if late:
+            raise _fail("unrecognized arguments: " + " ".join(late))
+    except _Bail:
+        print("usage: rclc %s [options] <input>" % (name or "<command>"), file=sys.stderr)
+        raise
+    return SimpleNamespace(command=name, **values)
 
-    command("dump-ast", _cmd_dump_ast, "print the canonical source form")
-    p_lts = command("dump-lts", _cmd_dump_lts, "print the reachable transition system")
-    p_lts.add_argument("--dot", action="store_true", help="emit Graphviz dot")
 
-    return parser
+def _help(name: str | None) -> str:
+    """The help of a command, or of rclc when `name` is None."""
+    _fn, line, rows = _COMMANDS[name] if name else (None, _ABOUT, [
+        (command, None, None, None, entry[1]) for command, entry in _COMMANDS.items()])
+    return "usage: rclc %s [options] <input>\n\n%s\n\n%s:\n" % (
+        name or "<command>", line, "options" if name else "commands") + "".join(
+        "  %-28s%s%s\n" % (row[0], row[4], " (default: %s)" % row[3] if row[3] else "")
+        for row in (*rows, _HELP))
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        code = 0 if args is None else _COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except _Bail as bail:

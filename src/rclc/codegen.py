@@ -24,7 +24,9 @@
              `{x,y}[!a]*({u,v}F(b))` becomes a flag precondition on the
              function performing ({u,v}, b): the flag of ({x,y}, a) must
              already be set (a placeholder flag no function ever sets is
-             synthesized, with a warning, when no obligation matches);
+             synthesized, with a warning, when no obligation matches;
+             if only private callees would read it, it is not declared
+             and the warning says the rule has no effect);
   functions  the chain links, then each obligation's first site: a
              function role-guarded by its performer and state-guarded by
              the cluster it activates in; a box that does not open a
@@ -465,6 +467,7 @@ def lower(
         return flag
 
     rule_flags_of: dict[Event, list[str]] = {}
+    unset_rules: dict[str, tuple[int, str]] = {}  # placeholder -> its warning's index and head
     for watch, target in rules:
         if target not in fn_name_of:
             warnings.append(
@@ -476,10 +479,9 @@ def lower(
         if flag is None:
             given = meta.lookup(meta.flags, *watch) or ""
             flag = placeholder(watch, f"[!{watch[1]}]*", given)
-            warnings.append(
-                f"house rule watches {watch[0]} {watch[1]}, which no "
-                f"obligation performs; flag {flag} can never be set"
-            )
+            head = f"house rule watches {watch[0]} {watch[1]}, which no obligation performs"
+            unset_rules[flag] = (len(warnings), head)
+            warnings.append(f"{head}; flag {flag} can never be set")
         rule_flags_of.setdefault(target, []).append(flag)
 
     # fidelity mode: the guard function that calls each inline function,
@@ -633,6 +635,9 @@ def lower(
     if placeholders:  # a placeholder no function reads is not declared
         read = {flag for fn in functions for flag, _value, _message in fn.flag_preconditions}
         flags = [entry for entry in flags if entry[0] in read or entry[0] not in placeholders]
+        for flag, (at, head) in unset_rules.items():
+            if flag not in read:  # its readers were private callees, whose requires are stripped
+                warnings[at] = f"{head}; the rule has no effect"
     if not terminal_flags:
         warnings.append("no terminal obligations; the Finalized state is unreachable")
     role_messages = tuple(

@@ -26,7 +26,9 @@ every annotation table of a contract that has none.
 `reference_parse_script` strips every line and splits it on `#`, and
 `reference_render_trace` formats every call record afresh, where
 `parse_script` and `render_trace` skip what a line or a repeated record
-does not need. All fourteen are kept as they were, apart from their
+does not need. `reference_cli_parser` is the argparse parser the CLI read
+its arguments with before it read them from its command table. All
+fifteen are kept as they were, apart from their
 names, the lattice builder's event limit, which the printers now check,
 and one change made in both on purpose: `reference_validate` checks the
 names in `inline` keys as `validate` now does.
@@ -34,6 +36,7 @@ names in `inline` keys as `validate` now does.
 
 from __future__ import annotations
 
+import argparse
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,6 +58,7 @@ from rclc.ast import (
     iter_clauses,
 )
 from rclc.ast import Span as NodeSpan
+from rclc.cli import _cmd_check, _cmd_dump_ast, _cmd_dump_lts, _cmd_gen, _cmd_sim
 from rclc.lts import clashes, fired_sets
 from rclc.parser import MAX_NESTING, ParseError, ParseResult
 from rclc.semantics import (
@@ -878,3 +882,53 @@ def reference_render_trace(world: World) -> str:
         out.append(f"  {account} = {balance}")
     out.append(f"  contract = {world.contract_balance}")
     return "\n".join(out) + "\n"
+
+
+def reference_cli_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rclc",
+        description=(
+            "Parse relativized contracts, detect normative conflicts, "
+            "generate Solidity, and simulate the result."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, fn, help):
+        """A subcommand reading one contract file, run by `fn`."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("input")
+        p.set_defaults(fn=fn)
+        return p
+
+    p_check = command("check", _cmd_check, "detect obligation/prohibition conflicts")
+    p_check.add_argument("--format", choices=["text", "json"], default="text")
+
+    p_gen = command("gen", _cmd_gen, "lower to a state machine and emit Solidity")
+    p_gen.add_argument("-o", "--output", default=None)
+
+    p_sim = command("sim", _cmd_sim, "run a call script against the state machine")
+    p_sim.add_argument("--script", required=True, help="call script file")
+    p_sim.add_argument(
+        "--bind",
+        action="append",
+        metavar="ROLE=ACCOUNT",
+        help="bind a role to an account (default: the agent id)",
+    )
+    p_sim.add_argument(
+        "--amount",
+        action="append",
+        metavar="PARAM=N",
+        help="set an amount parameter",
+    )
+    p_sim.add_argument("--balance", default="1000", help="each account's initial balance")
+    for p in (p_gen, p_sim):
+        p.add_argument("--allow-conflicts", action="store_true")
+        p.add_argument("--fidelity-internal-calls", action="store_true",
+                       help="honor inline annotations, reproducing private internal calls")
+
+    command("dump-ast", _cmd_dump_ast, "print the canonical source form")
+    p_lts = command("dump-lts", _cmd_dump_lts, "print the reachable transition system")
+    p_lts.add_argument("--dot", action="store_true", help="emit Graphviz dot")
+
+    return parser

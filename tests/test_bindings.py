@@ -142,23 +142,32 @@ def test_commands_load_only_their_stages(tmp_path):
 
 def test_no_command_imports_dataclass_machinery():
     # `dataclasses` pulls in `inspect` and execs generated methods per
-    # class; a module the interpreter's own start loaded does not count
+    # class, and `argparse` loads `gettext` and with it `locale`; a module
+    # the interpreter's own start loaded does not count. A help request and
+    # a usage error load none of them either.
     fixed = str(FIXTURES / "purchase_fixed.rcl")
     commands = [
-        ["check", fixed],
-        ["gen", fixed],
-        ["sim", fixed, "--script", str(FIXTURES / "scripts" / "corrected_run.txt"),
-         "--amount", "paymentAmount=100", "--amount", "shippingCosts=10"],
-        ["dump-ast", fixed],
-        ["dump-lts", fixed],
+        (["check", fixed], 0),
+        (["gen", fixed], 0),
+        (["sim", fixed, "--script", str(FIXTURES / "scripts" / "corrected_run.txt"),
+          "--amount", "paymentAmount=100", "--amount", "shippingCosts=10"], 0),
+        (["dump-ast", fixed], 0),
+        (["dump-lts", fixed], 0),
+        (["-h"], 0),
+        (["sim", "--help"], 0),
+        (["check", "--format", "xml", fixed], 2),
+        (["sim", fixed], 2),
     ]
     child = (
-        "import json, sys\n"
+        "import io, json, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
         "before = set(sys.modules)\n"
         "import rclc.cli, rclc.codegen, rclc.simulator\n"
-        "codes = [rclc.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "commands = json.loads(sys.argv[1])\n"
+        "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+        "    codes = [rclc.cli.main(argv) for argv, _code in commands]\n"
         "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
-        "sys.exit(codes != [0] * len(codes))\n"
+        "sys.exit(codes != [code for _argv, code in commands])\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", child, json.dumps(commands)],
@@ -167,7 +176,7 @@ def test_no_command_imports_dataclass_machinery():
     assert run.returncode == 0, run.stderr
     loaded = set(run.stderr.split())
     assert {"rclc.checker", "rclc.codegen", "rclc.simulator"} <= loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 def test_run_script_calls_the_module_binding_once_per_line(monkeypatch):

@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, output formats, golden equality,
-script runs, and the color toggle."""
+script runs, the color toggle, and the arguments read as argparse read them."""
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from rclc.checker import check
 from rclc.cli import main
 from rclc.lts import MAX_LTS_EVENTS
 from rclc.parser import MAX_NESTING, ParseResult, parse_contract
+from reference import reference_cli_parser
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -806,3 +809,145 @@ def test_dump_lts_text_and_dot(capsys):
     assert code == 0
     assert out.startswith("digraph lts {")
     assert out.rstrip().endswith("}")
+
+
+# -- the command line against argparse ---------------------------------------
+
+# each command's options as argv groups, one value each, and a second value
+# for each option that takes one, to repeat it with
+_OPTIONS = {
+    "check": [["--format", "json"]],
+    "gen": [["-o", "out.sol"], ["--allow-conflicts"], ["--fidelity-internal-calls"]],
+    "sim": [["--script", "run.txt"], ["--bind", "buyer=b"], ["--amount", "p=1"],
+            ["--balance", "7"], ["--allow-conflicts"], ["--fidelity-internal-calls"]],
+    "dump-ast": [],
+    "dump-lts": [["--dot"]],
+}
+_AGAIN = {"--format": "text", "-o": "other.sol", "--script": "other.txt",
+          "--bind": "seller=s", "--amount": "q=2", "--balance": "9"}
+_SCRIPT = ["--script", "run.txt"]
+
+# the cases argparse was checked on, and a few more shapes of each
+_ACCEPTED = [
+    ["check", "--format", "json", "in.rcl"], ["check", "in.rcl", "--format", "json"],
+    ["check", "--format=json", "in.rcl"], ["check", "--form=json", "in.rcl"],
+    ["check", "--f", "text", "in.rcl"], ["check", "-5"], ["check", "-1.5"], ["check", "-.5"],
+    ["check", "--", "-x.rcl"], ["check", "--format", "json", "--", "-x.rcl"],
+    ["check", "in.rcl", "--"], ["check", "--", "--format"],
+    ["gen", "-o", "out.sol", "in.rcl"], ["gen", "-oout.sol", "in.rcl"],
+    ["gen", "-o=out.sol", "in.rcl"], ["gen", "--output=out.sol", "in.rcl"],
+    ["gen", "--out", "out.sol", "in.rcl"], ["gen", "-o", "-5", "in.rcl"],
+    ["gen", "--allow", "in.rcl"], ["gen", "--f", "in.rcl"], ["gen", "in.rcl", "--fid", "--al"],
+    ["sim", "in.rcl", "--script", "run.txt", "--balance", "-5"],
+    ["sim", "in.rcl", "--script=run.txt", "--balance=-5"],
+    ["sim", "in.rcl", "--scr", "run.txt", "--bi", "r=a", "--am", "p=1", "--bal", "3"],
+    ["sim", "in.rcl", *_SCRIPT, "--bind", "r=a", "--bind", "s=b", "--amount", "p=1",
+     "--amount", "q=2", "--amount=r=3"],
+    ["sim", "in.rcl", "--script", "a.txt", "--script", "b.txt", "--balance", "1",
+     "--balance", "2"],
+    ["sim", "in.rcl", "--script", ""], ["sim", "in.rcl", "--script", "-"],
+    ["dump-lts", "--dot", "in.rcl"], ["dump-lts", "--d", "in.rcl", "--dot"],
+    ["dump-ast", "-"],
+]
+_REFUSED = [
+    [], ["bogus", "in.rcl"], ["--format", "json"], ["check"], ["check", "--"],
+    ["check", "a.rcl", "b.rcl"], ["check", "--", "a.rcl", "b.rcl"],
+    ["check", "--bogus", "in.rcl"], ["check", "-x", "in.rcl"],
+    ["gen", "--o", "in.rcl"], ["sim", "in.rcl", *_SCRIPT, "--b", "x"],
+    ["sim", "in.rcl", *_SCRIPT, "--a", "x=1"], ["sim", "in.rcl", "--script"],
+    ["sim", "in.rcl", "--script", "--x"], ["sim", "in.rcl", "--script", "--bind", "r=a"],
+    ["gen", "in.rcl", "-o"], ["gen", "in.rcl", "-o", "--allow-conflicts"],
+    ["check", "--format", "xml", "in.rcl"], ["check", "--format=JSON", "in.rcl"],
+    ["check", "--format=", "in.rcl"], ["sim", "in.rcl"], ["sim", "in.rcl", "--bind", "r=a"],
+    ["dump-lts", "--dot=x", "in.rcl"], ["dump-lts", "--dot=", "in.rcl"],
+    ["gen", "--allow-conflicts=yes", "in.rcl"], ["dump-ast", "--dot", "in.rcl"],
+    ["check", "--help=x"], ["--help=x"], ["--x", "check", "in.rcl"],
+]
+_HELPED = [
+    ["-h"], ["--help"], ["--he"], ["-h", "bogus"], ["--x", "-h"],
+    *([command, "-h"] for command in _OPTIONS), ["sim", "--help"], ["sim", "--he"],
+    ["sim", "in.rcl", "-h"], ["check", "a.rcl", "b.rcl", "-h"], ["check", "--bogus", "-h"],
+    ["check", "-h", "--format", "xml"], ["gen", "-h", "-o"], ["gen", "in.rcl", "-ho", "x"],
+]
+
+
+def _each_command_and_option():
+    """Each command bare, with each option alone and repeated, with all of
+    them, and with all of them and the input in many orders."""
+    rng = random.Random(25)
+    for command, options in _OPTIONS.items():
+        required = [] if command != "sim" else [_SCRIPT]
+        yield [command, "in.rcl", *itertools.chain(*required)]
+        for group in options:
+            again = group[:1] + [_AGAIN[group[0]]] if len(group) > 1 else group
+            for use in ([group], [group, again]):
+                yield [command, "in.rcl", *itertools.chain(*required, *use)]
+        groups = options + [["in.rcl"]]
+        orders = list(itertools.permutations(groups))
+        for order in rng.sample(orders, min(len(orders), 120)):
+            yield [command, *itertools.chain(*order)]
+
+
+def _argparse_reading(argv):
+    """The parent's argparse parser on argv: the values of every
+    destination, or the exit code it raised."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = reference_cli_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+    values = vars(namespace)
+    assert rclc.cli._COMMANDS[values["command"]][0] is values.pop("fn")
+    return values
+
+
+def test_arguments_read_as_argparse_read_them(capsys):
+    vectors = [*_ACCEPTED, *_each_command_and_option()]
+    assert len(vectors) > 200
+    for argv in vectors:
+        want = _argparse_reading(argv)
+        assert isinstance(want, dict), argv
+        assert vars(rclc.cli._parse(argv)) == want, argv
+    assert capsys.readouterr() == ("", "")
+
+
+def test_usage_errors_exit_2_as_argparse_did(capsys):
+    for argv in _REFUSED:
+        assert _argparse_reading(argv) == 2, argv
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert len(re.findall("^rclc: error: ", err, re.M)) == 1, (argv, err)
+        assert re.search(r"^usage: rclc \S+ \[options\] <input>$", err, re.M), err
+        assert "Traceback" not in err
+
+
+def test_a_double_dash_away_from_the_input_is_refused(capsys):
+    # argparse counts a `--` that does not stand beside the input as an
+    # extra word
+    assert main(["dump-lts", "in.rcl", "--dot", "--"]) == 2
+    assert capsys.readouterr().err.endswith("rclc: error: unrecognized arguments: --\n"
+                                            "usage: rclc dump-lts [options] <input>\n")
+
+
+def test_help_exits_0_as_argparse_did(capsys):
+    for argv in _HELPED:
+        assert _argparse_reading(argv) == 0, argv
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: rclc ") and err == "", argv
+
+
+def test_help_lists_every_command_and_option(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"\n  {command} " in out for command in _OPTIONS)
+    for command, options in _OPTIONS.items():
+        assert main([command, "-h"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: rclc {command} [options] <input>\n")
+        assert all(f"\n  {group[0]}" in out or f" {group[0]} " in out for group in options)
+        assert "-h --help" in out
+    assert main(["sim", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert "--script FILE" in out and "(required)" in out and "(default: 1000)" in out
