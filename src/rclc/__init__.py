@@ -17,7 +17,7 @@ _EXPORTS = {
     "semantics": ["ContractSemantics", "InvalidContract", "Norm", "NormState", "StepError",
                   "event_universe"],
     "simulator": ["CallRecord", "MAX_VALUE", "SimError", "World", "call", "co_simulate", "deploy",
-                  "parse_script", "render_trace", "run_script"],
+                  "parse_script", "parse_uint256", "render_trace", "run_script"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

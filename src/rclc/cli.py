@@ -40,8 +40,8 @@ from .semantics import ContractSemantics, InvalidContract
 __all__ = ["main"]
 
 # names from codegen, the simulator and lts; the package imports their module
-_STAGES = {"LowerError", "emit_solidity", "lower", "MAX_VALUE", "SimError", "parse_script",
-           "render_trace", "run_script", "dump_lts", "lts_to_dot"}
+_STAGES = {"LowerError", "emit_solidity", "lower", "SimError", "parse_script",
+           "parse_uint256", "render_trace", "run_script", "dump_lts", "lts_to_dot"}
 
 
 def __getattr__(name: str):
@@ -171,19 +171,16 @@ def _parse_pairs(entries, what: str, value_parser=None):
 
 
 def _natural(value: str, what: str) -> int:
-    # ASCII digits only, as a script's value=<n>; int() takes '-1', '１' and '1_0'
-    if not (value.isascii() and value.isdigit()):
-        raise _fail(f"bad {what}: value must be an integer in ASCII digits")
-    digits = value.lstrip("0") or "0"
-    # MAX_VALUE has 78 digits, and int() refuses more than 4300
-    number = int(digits) if len(digits) <= 78 else MAX_VALUE + 1
-    if number > MAX_VALUE:
-        raise _fail(f"bad {what}: value must be at most 2**256 - 1")
-    return number
+    try:
+        return parse_uint256(value)
+    except ValueError:
+        raise _fail(f"bad {what}: value must be an integer in ASCII digits") from None
+    except OverflowError:
+        raise _fail(f"bad {what}: value must be at most 2**256 - 1") from None
 
 
 def _cmd_sim(args) -> int:
-    _bind("LowerError", "lower", "MAX_VALUE", "SimError", "parse_script", "run_script",
+    _bind("LowerError", "lower", "SimError", "parse_script", "parse_uint256", "run_script",
           "render_trace")
     ir = _lower_or_bail(_load(args.input), args)
     bindings = {role: agent for role, agent in ir.roles}
@@ -345,6 +342,12 @@ def _help(name: str | None) -> str:
 
 
 def main(argv=None) -> int:
+    # a check prints `.stats.states`, 2**n for n events, in full; where the
+    # interpreter limits int -> str to 4300 digits, the run lifts the limit
+    # and gives it back (the value readers take at most 78 digits)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         code = 0 if args is None else _COMMANDS[args.command][0](args)
@@ -362,6 +365,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"rclc: internal error: {exc!r}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

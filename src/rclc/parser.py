@@ -21,29 +21,26 @@ and whether its name is an event, an agent or a flag. They are
 contextual, not reserved, so an action may reuse them.
 
 Line comments start with "//". The Unicode aliases "∧" for "&" and "¬"
-for "!" are accepted. The source is scanned once, by one compiled
-regex alternation run by `re.finditer`, into three flat lists: token
-texts, start offsets and the name of the alternative each token
-matched. The compact shapes written without blanks come out as one
-token each: a leaf `{x,y}O(a)`, a guard head `{x,y}[!a]*(` (the `!`
-and `*` optional) and a pair `{x,y}`. Any other token's kind follows
-from its text. The parser walks the lists by index; `clause` and
-`pair` decode a compact token by slicing (`_decode`) and consume it
-whole. Anywhere else the grammar would read the fine tokens a compact
-one stands for, it fails: at a keyword such as `O` in one of its name
-slots, at a leaf or guard head where an annotation key wants a pair
-and a name, or at a compact token wherever no pair may start. The
-error, like the end of input on a final compact token, is located on
-the fine token the grammar would stop at, split out of the compact
-token where it stands (`_split`, offsets from lengths, since it holds
-no blank); the lists are left as scanned, and the failed statement is
-skipped at its ";". So every error and its span is that of the fine
-tokens. The parser builds a `Span` only where one is kept: a `Decl`, a
-clause (from its first token to its last), a `ParseError` and the end
-of input. Line and column come from bisecting the source's newline
-offsets, since no token spans a line. `tokenize` is a view over the
-same scan that splits every compact token and builds a `Token` and its
-`Span`, both named tuples, per fine token.
+for "!" are accepted. The parser's source is scanned once, by one
+compiled regex alternation run by `re.finditer`, whose matches it walks
+by index. That pattern alone defines the compact shapes written without
+blanks, each one token: a leaf `{x,y}O(a)`, a guard head `{x,y}[!a]*(`
+(the `!` and `*` optional) and a pair `{x,y}`. A name slot of one takes
+no keyword (`agents`, `actions`, `O`, `F`, `P`), so such text scans as
+fine tokens and the grammar reports it, and the pattern's groups hand
+the parser a compact token's names and marks. Any other token's kind
+follows from its text. `clause` and `pair` take a compact token whole;
+anywhere else the grammar would read its fine tokens it fails on one of
+their one-character tokens: the first `{` where no pair may start, the
+`O`, `F`, `P` or `[` after the pair where an annotation key wants its
+name, or the last character at the end of input. So every error and
+span is that of the fine tokens. The parser builds a `Span` only where
+one is kept: a `Decl`, a clause (from its first token to its last), a
+`ParseError` and the end of input. Line and column come from bisecting
+the source's newline offsets, since no token spans a line. `tokenize`
+scans with the same pieces minus the compact shapes, and builds a
+`Token` and its `Span`, both named tuples, per fine token; a lexical
+error's report comes from it.
 
 Errors render as ``<file>:<line>:<col>: error: expected <X>, found <Y>``
 and the parser resynchronizes at the next ";" so several faults report
@@ -59,7 +56,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from operator import attrgetter, ne
 from typing import NamedTuple
 
@@ -115,24 +112,31 @@ _ANNOTATIONS = {*ANNOTATIONS, "contract", "statemsg", "inline"}
 
 _DEONTIC = {"O": Obligation, "F": Prohibition, "P": Permission}
 
-# One alternation, tried in order at each offset, each alternative named
-# for the kind it gives: a word; a compact leaf, guard head or pair; a line
-# comment; a string; or any other character that is not a blank, its kind
-# read from its text. The compact shapes hold no blank, and each of their
-# words ends where the fine scan's would. A string runs to its closing
-# quote or, unterminated, to the end of its line; inside it a backslash
-# escapes '"', '\\' or 'n' and is otherwise an ordinary character.
-_WORD = r"[A-Za-z][A-Za-z0-9_]*"
+# The scan's pieces, each alternative named for the kind it gives: a word;
+# a line comment; a string; or any other character that is not a blank,
+# its kind read from its text. A string runs to its closing quote or,
+# unterminated, to the end of its line; inside it a backslash escapes '"',
+# '\\' or 'n' and is otherwise an ordinary character. Under (?a) a \w is
+# an ASCII letter, digit or '_'.
+_WORD = r"[A-Za-z]\w*"
+_OTHER = r'|(?P<COMMENT>//[^\n]*)|(?P<STRING>"(?:\\["\\n]|[^"\n])*"?)|[^ \t\r\n]'
+# A name slot of a compact token: a word that is no keyword. Each slot ends
+# at a mark, so a keyword there is followed by a non-word character.
+_NAME = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})\W){_WORD}"
+# The parser's scan: after a word, a compact leaf, guard head or pair, with
+# its performer p and counterparty c, a leaf's deontic letter d and action
+# a, and a guard's negation n, action g and star s. Each of their words ends
+# where the fine scan's would, so a compact token is a run of fine tokens.
 _TOKEN_RE = re.compile(
-    rf"(?P<IDENT>{_WORD})"
-    rf"|\{{{_WORD},{_WORD}\}}(?:"
-    rf"(?P<LEAF>[OFP]\({_WORD}\))"
-    rf"|(?P<GUARD>\[[!¬]?{_WORD}\]\*?\()"
-    r"|(?P<PAIR>))"
-    r"|(?P<COMMENT>//[^\n]*)"
-    r'|(?P<STRING>"(?:\\["\\n]|[^"\n])*"?)'
-    r"|[^ \t\r\n]"
+    rf"(?a)(?P<IDENT>{_WORD})"
+    rf"|\{{(?P<p>{_NAME}),(?P<c>{_NAME})\}}(?:"
+    rf"(?P<LEAF>(?P<d>[OFP])\((?P<a>{_NAME})\))"
+    rf"|(?P<GUARD>\[(?P<n>[!¬])?(?P<g>{_NAME})\](?P<s>\*)?\()"
+    r"|(?P<PAIR>))" + _OTHER
 )
+# tokenize's scan, the same pieces minus the compact shapes; `re` compiles
+# it on first use and keeps it
+_FINE = rf"(?a)(?P<IDENT>{_WORD})" + _OTHER
 _ESCAPE_RE = re.compile(r'\\(["\\n])')
 
 _new = tuple.__new__  # bypasses the named tuples' Python-level __new__
@@ -199,19 +203,15 @@ class ParseResult(Value):
         return not self.errors
 
 
-def _scan(text: str) -> tuple[list[str], list[int], list[str | None]]:
-    """The text, start offset and alternative name of every token,
-    comments dropped."""
+def _scan(text: str) -> tuple[list[re.Match], list[str | None]]:
+    """The match and alternative name of every token, comments dropped."""
     matches = list(_TOKEN_RE.finditer(text))
-    texts = list(map(re.Match.group, matches))
-    offsets = list(map(re.Match.start, matches))
     groups = list(map(attrgetter("lastgroup"), matches))
     if "//" in text:
         keep = list(map(ne, groups, repeat("COMMENT")))
-        texts = list(compress(texts, keep))
-        offsets = list(compress(offsets, keep))
+        matches = list(compress(matches, keep))
         groups = list(compress(groups, keep))
-    return texts, offsets, groups
+    return matches, groups
 
 
 def _newlines(text: str) -> list[int]:
@@ -236,32 +236,6 @@ def _kinds(texts: list[str], groups: list[str | None]) -> list[str] | None:
     return kinds
 
 
-def _decode(raw: str) -> tuple[str, str, str, str, str]:
-    """A compact token's performer, counterparty, head, action and rest,
-    where every character of head and rest is a fine token of its own:
-    `{x,y}O(a)` gives x, y, "O(", a, ")"; `{x,y}[!a]*(` gives x, y, "[!",
-    a, "]*("; and a pair `{x,y}` gives x, y and three empty strings."""
-    pair, _, tail = raw.partition("}")
-    performer, _, counterparty = pair[1:].partition(",")
-    if not tail:
-        return performer, counterparty, "", "", ""
-    if tail[0] == "[":
-        cut = 2 if tail[1] in "!¬" else 1
-        action, _, rest = tail[cut:].partition("]")
-        return performer, counterparty, tail[:cut], action, "]" + rest
-    return performer, counterparty, tail[:2], tail[2:-1], ")"
-
-
-def _split(raw: str, offset: int) -> tuple[list[str], list[int]]:
-    """The fine token texts and start offsets of a compact token at
-    `offset`, in order; it holds no blank, so they follow from lengths."""
-    performer, counterparty, head, action, rest = _decode(raw)
-    fine = ["{", performer, ",", counterparty, "}"]
-    if head:
-        fine += [*head, action, *rest]
-    return fine, list(accumulate(map(len, fine[:-1]), initial=offset))
-
-
 def _one_line(newlines: list[int], offset: int, length: int) -> Span:
     """The span of a token of `length` characters at `offset`; no token
     spans a line break."""
@@ -270,24 +244,16 @@ def _one_line(newlines: list[int], offset: int, length: int) -> Span:
     return _new(Span, (line + 1, col, line + 1, col + length))
 
 
-def _fine(texts: list[str], offsets: list[int], groups: list[str | None]):
-    """The text, start offset and scan group of every fine token, compact
-    ones split into words and punctuation."""
-    for raw, offset, group in zip(texts, offsets, groups):
-        if group in _COMPACT:
-            fine, starts = _split(raw, offset)
-            yield from zip(fine, starts, repeat("IDENT"))
-        else:
-            yield raw, offset, group
-
-
-def _tokens(text: str, texts: list[str], offsets: list[int],
-            groups: list[str | None]) -> list[Token]:
-    """A `Token`, with its `Span`, for each fine token of `text`."""
+def tokenize(text: str) -> list[Token]:
+    """Scan into fine tokens; bytes outside the alphabet become ERROR
+    tokens."""
     newlines = _newlines(text)
     tokens: list[Token] = []
-    for raw, offset, group in _fine(texts, offsets, groups):
-        span = _one_line(newlines, offset, len(raw))
+    for match in re.finditer(_FINE, text):
+        raw, group = match.group(), match.lastgroup
+        if group == "COMMENT":
+            continue
+        span = _one_line(newlines, match.start(), len(raw))
         kind = _KINDS.get(raw, group)
         if kind == "STRING" and _closed(raw):
             raw = _string_value(raw)
@@ -299,20 +265,15 @@ def _tokens(text: str, texts: list[str], offsets: list[int],
     return tokens
 
 
-def tokenize(text: str) -> list[Token]:
-    """Scan into fine tokens; bytes outside the alphabet become ERROR
-    tokens. A view over the scan the parser runs."""
-    return _tokens(text, *_scan(text))
-
-
 class _Parser:
-    """Recursive descent over the scan's lists. `pos` indexes the current
+    """Recursive descent over the scan's matches. `pos` indexes the current
     token; index `end`, one past the last token, is the end of input."""
 
-    def __init__(self, text: str, texts: list[str], offsets: list[int],
+    def __init__(self, text: str, matches: list[re.Match], texts: list[str],
                  kinds: list[str], file: str):
+        self.matches = matches
         self.texts = texts
-        self.offsets = offsets
+        self.offsets = list(map(re.Match.start, matches))
         kinds.append("EOF")
         self.kinds = kinds
         self.newlines = _newlines(text)
@@ -336,42 +297,25 @@ class _Parser:
             end_line + 1, end - (newlines[end_line - 1] if end_line else -1),
         ))
 
-    def fine(self, pos: int, index: int) -> tuple[Span, str]:
-        """The span and text of fine token `index` of the token at `pos`,
-        which is its own only fine token unless it is compact. A compact
-        token stays whole in the lists: it is split only here, for an
-        error or the end of input, and a failed statement is never read
-        again."""
+    def fine(self, pos: int, at: int = 0) -> tuple[Span, str]:
+        """The span and text of the token at `pos` or, if it is compact, of
+        its one-character fine token at index `at` of its text."""
         raw, offset = self.texts[pos], self.offsets[pos]
         if self.kinds[pos] in _COMPACT:
-            texts, offsets = _split(raw, offset)
-            raw, offset = texts[index], offsets[index]
+            raw, offset = raw[at], offset + at % len(raw)
         return _one_line(self.newlines, offset, len(raw)), raw
 
     def at(self, kind: str) -> bool:
         return self.kinds[self.pos] == kind
 
-    def fail(self, expected: str) -> ParseError:
-        """An error at the current fine token."""
+    def fail(self, expected: str, at: int = 0) -> ParseError:
+        """An error at the current fine token, index `at` of a compact one."""
         pos = self.pos
         if pos == self.end:
             return ParseError(self.eof_span, expected, "end of input", self.file)
-        span, found = self.fine(pos, 0)
+        span, found = self.fine(pos, at)
         if self.kinds[pos] == "STRING":
             found = _string_value(found)
-        return ParseError(span, expected, f"'{found}'", self.file)
-
-    def misnamed(self, pos: int, index: int, expected: str) -> ParseError:
-        """The error the grammar finds reading the fine tokens of the
-        compact token at `pos`: at a keyword in its performer or
-        counterparty slot, or else at fine token `index`, where
-        `expected` is wanted."""
-        performer, counterparty, *_ = _decode(self.texts[pos])
-        if performer in _KEYWORDS:
-            index, expected = 1, "agent name"
-        elif counterparty in _KEYWORDS:
-            index, expected = 3, "agent name"
-        span, found = self.fine(pos, index)
         return ParseError(span, expected, f"'{found}'", self.file)
 
     def expect(self, kind: str, expected: str) -> int:
@@ -471,8 +415,8 @@ class _Parser:
 
     def event_key(self) -> Key:
         kind = self.kinds[self.pos]
-        if kind == "LEAF" or kind == "GUARD":  # its pair's 5 fine tokens, then no name
-            raise self.misnamed(self.pos, 5, "name")
+        if kind == "LEAF" or kind == "GUARD":  # its pair, then 'O', 'F', 'P' or '['
+            raise self.fail("name", self.texts[self.pos].index("}") + 1)
         pair = self.pair() if kind in _BRACES else None
         name = self.ident("name")
         return (pair.performer, pair.counterparty, name) if pair else (None, None, name)
@@ -481,11 +425,8 @@ class _Parser:
         """A compact pair, taken whole, or a pair of fine tokens."""
         pos = self.pos
         if self.kinds[pos] == "PAIR":
-            performer, counterparty, *_ = _decode(self.texts[pos])
-            if performer in _KEYWORDS or counterparty in _KEYWORDS:
-                raise self.misnamed(pos, 3, "agent name")
             self.pos = pos + 1
-            return _new(AgentPair, (performer, counterparty))
+            return _new(AgentPair, self.matches[pos].group("p", "c"))
         self.expect("LBRACE", "'{'")
         performer = self.ident("agent name")
         self.expect("COMMA", "','")
@@ -498,22 +439,20 @@ class _Parser:
         start = self.pos
         if depth > MAX_NESTING:
             raise ParseError(
-                self.fine(start, 0)[0],
+                self.fine(start)[0],
                 f"a clause inside at most {MAX_NESTING} guards",
                 f"one inside {depth}",
                 self.file,
             )
         kind = self.kinds[start]
-        if kind == "LEAF" or kind == "GUARD":  # decoded and taken whole
-            performer, counterparty, head, action, rest = _decode(self.texts[start])
-            if (performer in _KEYWORDS or counterparty in _KEYWORDS
-                    or action in _KEYWORDS):
-                raise self.misnamed(start, 5 + len(head), "action name")
+        if kind == "LEAF" or kind == "GUARD":  # taken whole
             self.pos = start + 1
-            pair = _new(AgentPair, (performer, counterparty))
+            match = self.matches[start]
+            pair = _new(AgentPair, match.group("p", "c"))
             if kind == "LEAF":
-                return _DEONTIC[head[0]](pair, action, self.span(start, start))
-            return self.guarded(start, pair, action, head != "[", rest == "]*(", depth)
+                return _DEONTIC[match["d"]](pair, match["a"], self.span(start, start))
+            return self.guarded(start, pair, match["g"], match["n"] is not None,
+                                match["s"] is not None, depth)
         pair = self.pair()
         kind = self.kinds[self.pos]
         node = _DEONTIC.get(kind)
@@ -561,15 +500,16 @@ def parse_contract(text: str, file: str = "<input>") -> ParseResult:
     """Parse source text; on any fault the result carries every error
     found (resynchronizing at ';') and no contract. Lexical errors come
     alone, every one of them, since a parse over them would mislead."""
-    texts, offsets, groups = _scan(text)
+    matches, groups = _scan(text)
+    texts = list(map(re.Match.group, matches))
     kinds = _kinds(texts, groups)
     if kinds is None:
         errors = [
             ParseError(t.span, "a token", f"'{t.text}'", file)
-            for t in _tokens(text, texts, offsets, groups)
+            for t in tokenize(text)
             if t.kind == "ERROR"
         ]
         return ParseResult(None, errors)
-    parser = _Parser(text, texts, offsets, kinds, file)
+    parser = _Parser(text, matches, texts, kinds, file)
     contract = parser.contract()
     return ParseResult(contract, parser.errors)

@@ -61,6 +61,7 @@ __all__ = [
     "deploy",
     "call",
     "parse_script",
+    "parse_uint256",
     "run_script",
     "render_trace",
     "co_simulate",
@@ -372,6 +373,22 @@ def call(
     return _world(snapshot, (world.calls, record)), record
 
 
+def parse_uint256(text: str) -> int:
+    """`text` read as a uint256, as a script's value=<n> and the CLI's
+    amounts and balance are: ASCII digits, leading zeros allowed. Raises
+    ValueError for any other text (int() takes '-1', '１' and '1_0') and
+    OverflowError for a value above MAX_VALUE."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a uint256 in ASCII digits: {text!r}")
+    digits = text.lstrip("0") or "0"
+    # MAX_VALUE has 78 digits; a longer numeral is never converted, as int()
+    # takes time quadratic in its length and may refuse more than 4300 digits
+    value = int(digits) if len(digits) <= 78 else MAX_VALUE + 1
+    if value > MAX_VALUE:
+        raise OverflowError("a uint256 is at most 2**256 - 1")
+    return value
+
+
 def parse_script(text: str) -> list[tuple[str, str, int]]:
     """One call per line: `<account> <function> [value=<n>]`, with n at
     most MAX_VALUE. Blank lines and `#` comments are skipped. A repeated
@@ -389,18 +406,16 @@ def parse_script(text: str) -> list[tuple[str, str, int]]:
             value = 0
         elif len(parts) == 3:
             account, function, tail = parts
-            digits = tail[6:]
-            if not (tail.startswith("value=") and digits.isascii() and digits.isdigit()):
+            try:
+                value = parse_uint256(tail[6:] if tail.startswith("value=") else "")
+            except ValueError:
                 raise SimError(
                     f"script line {lines.index(line) + 1}: expected value=<n>, found '{tail}'"
-                )
-            digits = digits.lstrip("0") or "0"
-            # MAX_VALUE has 78 digits, and int() refuses more than 4300
-            value = int(digits) if len(digits) <= 78 else MAX_VALUE + 1
-            if value > MAX_VALUE:
+                ) from None
+            except OverflowError:
                 raise SimError(
                     f"script line {lines.index(line) + 1}: value=<n> must be at most 2**256 - 1"
-                )
+                ) from None
         else:
             raise SimError(
                 f"script line {lines.index(line) + 1}: expected '<account> <function> "

@@ -219,6 +219,53 @@ def test_check_json_schema(capsys):
     assert doc["stats"]["states"] == 8192
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_prints_the_state_count_of_a_box_over_15000_obligations(fmt, tmp_path, capsys):
+    # 2**15001 states take 4516 digits, past the interpreter's default limit
+    # on int -> str of 4300; the test reads them as text, under that limit
+    n = 15000
+    path = tmp_path / "box.rcl"
+    path.write_text(
+        "agents a, b;\nactions x, " + ", ".join(f"y{i}" for i in range(n)) + ";\n"
+        "{a,b}[x](" + " & ".join(f"{{b,a}}O(y{i})" for i in range(n)) + ");\n"
+    )
+    assert main(["check", "--format", fmt, str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "json":
+        stats = json.loads(captured.out, parse_int=str)["stats"]
+        states, transitions = stats["states"], stats["transitions"]
+    else:
+        states, transitions = re.fullmatch(
+            r"no conflicts, (\d+) states, (\d+) transitions, [0-9.]+ ms\n", captured.out
+        ).groups()
+    tail = 10**18
+    assert len(states) == 4516 and int(states[-18:]) == pow(2, n + 1, tail)
+    assert len(transitions) > 4516 and int(transitions[-18:]) == (n + 1) * pow(2, n, tail) % tail
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str limit")
+def test_main_lifts_the_digit_limit_for_the_run_and_restores_it(monkeypatch, capsys):
+    seen = []
+
+    def spy(contract):
+        seen.append(sys.get_int_max_str_digits())
+        raise RuntimeError("boom")
+
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        for argv, want in ((["check", FIXED], 0), (["check", "no_such.rcl"], 2), (["check"], 2)):
+            assert main(argv) == want, argv
+            assert sys.get_int_max_str_digits() == 5000, argv
+        monkeypatch.setattr(rclc.cli, "check", spy)
+        assert main(["check", FIXED]) == 2  # an internal error
+        assert seen == [0] and sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert "rclc: internal error: RuntimeError('boom')" in capsys.readouterr().err
+
+
 def test_color_toggle(capsys, monkeypatch):
     monkeypatch.setenv("RCLC_COLOR", "1")
     main(["check", FIXED])
@@ -322,6 +369,14 @@ def test_gen_writes_golden(tmp_path, capsys):
     assert code == 0
     assert out.read_text() == (FIXTURES / "purchase_fixed.sol").read_text()
     capsys.readouterr()
+
+
+def test_gen_into_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.sol"
+    assert main(["gen", FIXED, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rclc: error: cannot write {out}: No such file or directory\n"
 
 
 def test_gen_to_stdout(capsys):
@@ -785,6 +840,19 @@ def test_sim_bad_amount_syntax_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "integer" in err
+
+
+@pytest.mark.parametrize("option, entry, what", [
+    ("--bind", "buyer", "binding"), ("--bind", "=b", "binding"),
+    ("--amount", "paymentAmount", "amount"), ("--amount", "=100", "amount"),
+])
+def test_sim_entry_without_a_name_and_value_exits_2(option, entry, what, capsys):
+    code = main(["sim", FIXED, "--script", str(SCRIPTS / "corrected_run.txt"),
+                 "--amount", "shippingCosts=10", option, entry])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"rclc: error: bad {what} '{entry}': expected <name>=<value>\n"
 
 
 def test_dump_ast_reparses(capsys, tmp_path):

@@ -334,6 +334,10 @@ _PIECES = [
     "{a,b}", "{a, b}", "{a,//c\nb}", "{a,b}[x](", "{a,b}[!x](", "{a,b}[x]*(",
     "{a,b}[¬x]*(", "{O,b}O(x)", "{a,b}O(F)", "state {a,b}O(x) = S;", "role {a,b} a = r;",
     "{a,F}[!x]*(", "{a,b}[P](", "{P,b}", "inline {a,b}[x](;",
+    # a keyword in each name slot, which the scan leaves to the fine tokens,
+    # and names a keyword only begins, which stay compact
+    "{agents,b}O(x)", "{a,b}O(actions)", "{a,actions}", "{a,b}[agents](",
+    "{Ox,b}P(agentsX)", "{actions_,Fa}[¬P1]*(", "{a,O1}",
 ]
 
 
@@ -341,6 +345,21 @@ _PIECES = [
 @given(st.lists(st.sampled_from(_PIECES), max_size=60).map("".join))
 def test_tokenize_matches_the_reference_scanner(text):
     _agrees_with_the_reference(text)
+
+
+def test_keywords_in_name_slots_parse_as_the_reference_parses_them():
+    # each shape as a statement, in a guard body, after a guard's pair and
+    # as an annotation key, where the hypothesis draws rarely put it
+    header = "agents a, b;\nactions x;\n"
+    shapes = ["{a,b}[agents](", "{Ox,b}P(agentsX)", "{actions_,Fa}[¬P1]*({a,b}F(x))",
+              "{a,O1}[x]({a,b}O(x))"]
+    for word in ("agents", "actions", "O", "F", "P"):
+        shapes += [f"{{{word},b}}O(x)", f"{{a,{word}}}[x]({{a,b}}O(x))", f"{{a,b}}F({word})",
+                   f"{{a,b}}[!{word}]*({{a,b}}O(x))"]
+    for shape in shapes:
+        for text in (f"{shape};\n", f"{{a,b}}[x]({shape});\n", f"{{a,b}}{shape};\n",
+                     f"state {shape} = S;\n{{a,b}}O(x);\n"):
+            _agrees_with_the_reference(header + text)
 
 
 def test_tokenize_matches_the_reference_scanner_on_the_fixtures():

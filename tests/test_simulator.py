@@ -22,6 +22,7 @@ from rclc.simulator import (
     co_simulate,
     deploy,
     parse_script,
+    parse_uint256,
     render_trace,
     run_script,
 )
@@ -80,6 +81,13 @@ def test_deploy_rejects_missing_binding():
 def test_deploy_rejects_missing_amount():
     with pytest.raises(SimError, match="shippingCosts"):
         deploy(fixed_ir(), BIND, {"paymentAmount": 100})
+
+
+def test_deploy_rejects_a_negative_initial_balance():
+    with pytest.raises(SimError) as raised:
+        deploy(fixed_ir(), BIND, AMOUNTS, initial_balance=-1)
+    assert str(raised.value) == "initial balance must be non-negative"
+    assert deploy(fixed_ir(), BIND, AMOUNTS, initial_balance=0).balance("b") == 0
 
 
 def test_deploy_rejects_a_negative_amount():
@@ -356,6 +364,29 @@ def test_partial_corrected_run_conforms():
     world, _ = run_script(ir, script, BIND, AMOUNTS)
     assert world.current_state == "ProductDelivered"
     assert co_simulate(contract, world) == []
+
+
+def test_co_simulate_names_each_divergence():
+    # runs of one machine held against contracts it does not implement: one
+    # without its first event, one that owes more, one that owes less
+    def contract(text):
+        return parse_contract("agents a, b;\n" + text).contract
+
+    ir = lower(contract("actions x, y;\n{a,b}[x]({b,a}O(y));\n"))
+    started, _ = call(deploy(ir, {"a": "a", "b": "b"}, {}), "a", "x")
+    finished, _ = call(started, "b", "y")
+    assert (started.current_state, finished.current_state) == ("S1", "Finalized")
+    assert co_simulate(contract("actions y;\n{b,a}O(y);\n"), started) == [
+        "call x performed {a,b} x, which the contract rejects: event {a,b} x does not resolve",
+    ]
+    owes_more = contract("actions x, y, z;\n{a,b}[x]({b,a}O(y) & {b,a}O(z));\n")
+    assert co_simulate(owes_more, finished) == [
+        "machine is Finalized but obligations remain: O {b,a} z",
+    ]
+    owes_less = contract("actions x;\n{a,b}[x]({b,a}F(x));\n")
+    assert co_simulate(owes_less, started) == [
+        "all obligations are discharged but the machine is in S1, not Finalized",
+    ]
 
 
 def test_random_lowerable_full_runs_conform():
@@ -810,6 +841,17 @@ def test_parse_script_agrees_with_the_reference():
         text = f"b buyProduct\n\n# note\n{bad}\nb buyProduct\n{bad}\n{bad}  # again\n" * 3
         agree(text)
         assert parsed(parse_script, text).startswith("script line 4: ")
+
+
+def test_parse_uint256_reads_ascii_digits_up_to_max_value():
+    assert [parse_uint256(t) for t in ("0", "007", "000", str(MAX_VALUE))] == [0, 7, 0, MAX_VALUE]
+    assert parse_uint256("0" * 5000 + "7") == 7
+    for text in ("", "-1", "+1", "１", "1_0", " 1", "1 ", "٣", "0x10"):
+        with pytest.raises(ValueError):
+            parse_uint256(text)
+    for text in (str(MAX_VALUE + 1), "9" * 79, "9" * 5000):
+        with pytest.raises(OverflowError):
+            parse_uint256(text)
 
 
 def test_parse_script_rejects_values_beyond_uint256():
