@@ -10,9 +10,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "ast": ["Contract", "ValidationIssue", "pretty_print", "validate"],
-    "checker": ["CheckReport", "Conflict", "brute_force_oracle", "check"],
+    "checker": ["CheckReport", "Conflict", "check"],
     "codegen": ["FunctionIR", "LowerError", "MachineIR", "emit_solidity", "lower"],
     "lts": ["dump_lts", "lts_to_dot"],
+    "oracle": ["brute_force_oracle"],
     "parser": ["ParseError", "ParseResult", "parse_contract"],
     "semantics": ["ContractSemantics", "InvalidContract", "Norm", "NormState", "StepError",
                   "event_universe"],

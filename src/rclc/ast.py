@@ -20,7 +20,9 @@ Nodes are immutable values; equality is structural and ignores source
 spans, so a pretty-printed and re-parsed contract compares equal.
 
 `validate` walks the tree once on its own stack and spells a clause's
-path, such as `clauses[0].body[1]`, only for an issue on it.
+path, such as `clauses[0].body[1]`, only for an issue on it. Its test of
+the header, `header_is_clean`, skips the per-name checks when they can
+find nothing; `ContractSemantics` asks it too, before it runs `validate`.
 
 The value classes of the package (nodes, reports, IR and `World`) sit
 on one base, `Value`: equal when of the same class with equal compared
@@ -55,6 +57,7 @@ __all__ = [
     "Contract",
     "ValidationIssue",
     "validate",
+    "header_is_clean",
     "pretty_print",
 ]
 
@@ -334,6 +337,29 @@ def iter_clauses(contract: Contract):
                 stack.append((body[i], f"{path}.body[{i}]"))
 
 
+_META_TABLES = attrgetter(*(table for table, _n, _t in ANNOTATIONS.values()), "inline")
+
+
+def _distinct_identifiers(names: list[str]) -> bool:
+    joined = ",".join(names) + ","
+    return (_IDENTS_RE.match(joined) is not None
+            and joined.count(",") == len(set(names)) == len(names))
+
+
+def header_is_clean(contract: Contract) -> bool:
+    """Whether `validate` can report no error on the header: it carries no
+    annotation, declares two agents or more, an action and a clause, each
+    list holds distinct identifiers, and no name is both an agent and an
+    action. The clause references are left to the caller."""
+    if any(_META_TABLES(contract.meta)):
+        return False
+    agents = contract.agent_names()
+    actions = contract.action_names()
+    return (len(agents) > 1 and len(actions) > 0 and len(contract.clauses) > 0
+            and _distinct_identifiers(agents) and _distinct_identifiers(actions)
+            and set(agents).isdisjoint(actions))
+
+
 def validate(contract: Contract) -> list[ValidationIssue]:
     """Check name tables and clause references; never raises.
 
@@ -349,31 +375,30 @@ def validate(contract: Contract) -> list[ValidationIssue]:
 
     agents = contract.agent_names()
     actions = contract.action_names()
-
-    if len(agents) < 2:
-        err("a contract needs at least two agents", "agents")
-    if not actions:
-        err("a contract needs at least one action", "actions")
-    if not contract.clauses:
-        err("a contract needs at least one clause", "clauses")
-
-    for kind, decls, names in (("agent", contract.agents, agents),
-                               ("action", contract.actions, actions)):
-        joined = ",".join(names) + ","
-        if _IDENTS_RE.match(joined) and joined.count(",") == len(set(names)) == len(names):
-            continue  # all identifiers, all distinct
-        seen: dict[str, Decl] = {}
-        for d in decls:
-            if not _IDENT_RE.match(d.name):
-                err(f"invalid {kind} identifier '{d.name}'", kind + "s", d.span)
-            if d.name in seen:
-                err(f"duplicate {kind} '{d.name}'", kind + "s", d.span)
-            seen[d.name] = d
     agent_set = set(agents)
     action_set = set(actions)
-    if agent_set & action_set:
-        shared = ", ".join(sorted(agent_set & action_set))
-        err(f"names used as both agent and action: {shared}", "actions")
+
+    if not header_is_clean(contract):
+        if len(agents) < 2:
+            err("a contract needs at least two agents", "agents")
+        if not actions:
+            err("a contract needs at least one action", "actions")
+        if not contract.clauses:
+            err("a contract needs at least one clause", "clauses")
+        for kind, decls, names in (("agent", contract.agents, agents),
+                                   ("action", contract.actions, actions)):
+            if _distinct_identifiers(names):
+                continue
+            seen: dict[str, Decl] = {}
+            for d in decls:
+                if not _IDENT_RE.match(d.name):
+                    err(f"invalid {kind} identifier '{d.name}'", kind + "s", d.span)
+                if d.name in seen:
+                    err(f"duplicate {kind} '{d.name}'", kind + "s", d.span)
+                seen[d.name] = d
+        if agent_set & action_set:
+            shared = ", ".join(sorted(agent_set & action_set))
+            err(f"names used as both agent and action: {shared}", "actions")
 
     obligated: set[str] = set()
     boxed: set[str] = set()
@@ -431,9 +456,6 @@ def validate(contract: Contract) -> list[ValidationIssue]:
     if any(_META_TABLES(contract.meta)):
         _validate_meta(contract, agent_set, action_set, issues)
     return issues
-
-
-_META_TABLES = attrgetter(*(table for table, _n, _t in ANNOTATIONS.values()), "inline")
 
 
 def _validate_meta(contract, agent_set, action_set, issues):

@@ -9,26 +9,18 @@ tests each O/F pair's two conditions together, builds the shortest
 witness directly, sorts the clashes once by witness rank and
 `lts.clash_order`, and verifies each by `admit` and `holds`: no state
 of the 2^n subset lattice is derived.
-`brute_force_oracle` answers the same question by exhaustive
-enumeration with its own walk and interpreter; it shares nothing with
-`check` and keeps it honest.
+`rclc.oracle.brute_force_oracle` answers the same question by
+exhaustive enumeration with its own walk and interpreter; it shares
+nothing with `check` and keeps it honest. No command loads it, and this
+module resolves its two names, `brute_force_oracle` and
+`ORACLE_EVENT_BOUND`, on first use.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 
-from .ast import (
-    Box,
-    Clause,
-    Contract,
-    Frozen,
-    IterBox,
-    Obligation,
-    Permission,
-    Prohibition,
-)
+from .ast import Contract, Frozen
 from .semantics import Condition, ContractSemantics, Event, Norm, format_event
 
 __all__ = [
@@ -36,12 +28,22 @@ __all__ = [
     "CheckStats",
     "CheckReport",
     "check",
-    "brute_force_oracle",
     "report_to_json",
     "report_to_text",
 ]
 
-ORACLE_EVENT_BOUND = 12
+# names of `rclc.oracle`, still importable from here; the first use loads it
+_ORACLE_NAMES = {"brute_force_oracle", "ORACLE_EVENT_BOUND"}
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
 
 _set = object.__setattr__  # writes a field of a Frozen value
 
@@ -160,85 +162,6 @@ def _report(conflicts: tuple[Conflict, ...], n: int, begin: float) -> CheckRepor
     # the edges out of the half of them where it is unfired
     wall_ms = (time.perf_counter() - begin) * 1000.0
     return CheckReport(conflicts, CheckStats(2**n, n * 2**n // 2, wall_ms))
-
-
-# -- independent oracle ------------------------------------------------
-
-def brute_force_oracle(
-    contract: Contract, full_permutations: bool = False
-) -> set[tuple]:
-    """Exhaustively enumerate runs and collect every (pair, action)
-    clashing at some point. Self-contained: walks the clause tree with
-    its own interpreter and enumerates raw event combinations.
-
-    `full_permutations` additionally replays every ordering of every
-    subset prefix by prefix (quadratic blowup on top of exponential;
-    capped to 7 events) instead of relying on runs being order-blind.
-    """
-    universe = sorted(_oracle_universe(contract),
-                      key=lambda e: (e[0].performer, e[0].counterparty, e[1]))
-    if len(universe) > ORACLE_EVENT_BOUND:
-        raise ValueError(
-            f"oracle bound exceeded: {len(universe)} events > {ORACLE_EVENT_BOUND}"
-        )
-    if full_permutations and len(universe) > 7:
-        raise ValueError("full permutation mode is capped to 7 events")
-
-    clashing: set[tuple] = set()
-
-    def record(fired: frozenset):
-        obliged, forbidden = _oracle_active(contract, fired)
-        clashing.update(obliged & forbidden)
-
-    if full_permutations:
-        for size in range(len(universe) + 1):
-            for subset in itertools.combinations(universe, size):
-                for order in itertools.permutations(subset):
-                    fired = set()
-                    record(frozenset(fired))
-                    for event in order:
-                        fired.add(event)
-                        record(frozenset(fired))
-    else:
-        for size in range(len(universe) + 1):
-            for subset in itertools.combinations(universe, size):
-                record(frozenset(subset))
-    return clashing
-
-
-def _oracle_universe(contract: Contract) -> set[Event]:
-    events: set[Event] = set()
-    stack: list[Clause] = list(contract.clauses)
-    while stack:
-        node = stack.pop()
-        events.add((node.pair, node.action))
-        if isinstance(node, (Box, IterBox)):
-            stack.extend(node.body)
-    return events
-
-
-def _oracle_active(contract: Contract, fired: frozenset) -> tuple[set, set]:
-    done_actions = {action for _pair, action in fired}
-    obliged: set[tuple] = set()
-    forbidden: set[tuple] = set()
-    stack: list[Clause] = list(contract.clauses)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Obligation):
-            if (node.pair, node.action) not in fired:
-                obliged.add((node.pair, node.action))
-        elif isinstance(node, Prohibition):
-            if node.action not in done_actions:
-                forbidden.add((node.pair, node.action))
-        elif isinstance(node, Permission):
-            pass
-        elif isinstance(node, Box):
-            if (node.pair, node.action) in fired:
-                stack.extend(node.body)
-        elif isinstance(node, IterBox):
-            if (node.action in done_actions) == node.positive:
-                stack.extend(node.body)
-    return obliged, forbidden
 
 
 # -- report rendering --------------------------------------------------

@@ -14,8 +14,10 @@ and building that parser cost a run more than loading a contract did.
 `-h` prints help from the same table and exits 0; a usage error prints
 `rclc: error: <what>` and a usage line to stderr and exits 2.
 
-A command validates its input once, into the `ContractSemantics` it works
-from, and prints each issue as `path[:line:col]: severity: message`.
+A command validates its input once, through the `ContractSemantics` it
+works from: building one runs `validate` where the contract could hold an
+error, and reading its `warnings` runs it otherwise. Each issue prints as
+`path[:line:col]: severity: message`.
 It loads only its stages: `gen` imports codegen, `sim` codegen and the
 simulator, `dump-lts` the streaming printers of `lts`, and the others
 none of these. The stage functions a command calls are names of this
@@ -30,8 +32,8 @@ import re
 import sys
 from types import SimpleNamespace
 
-# validate is unused here since ContractSemantics validates, but
-# perfbench patches it
+# validate is not called here: ContractSemantics runs it when built or
+# when its warnings are read. The benchmark's tracer patches this binding.
 from .ast import pretty_print, validate  # noqa: F401
 from .checker import check, report_to_json, report_to_text
 from .parser import parse_contract

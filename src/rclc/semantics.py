@@ -28,11 +28,21 @@ watches a state keeps are the table's own payloads, in walk order, so
 `rclc.lts` can print each distinct one once per dump. `conditions` is a
 pass that enters every guard: the conflict check's path conditions.
 `holds` tests a norm up those links at a fired set `admit` checked.
+
+That table walk is the only one a `ContractSemantics` makes when built.
+`validate`, a second walk, runs then only where an error is possible:
+the header fails `ast.header_is_clean` (annotations included), or an
+event of the universe names an undeclared agent or action or pairs an
+agent with itself. Otherwise `warnings` runs it on first read, so
+`check`, `lower` and `co_simulate` handed a `Contract` never do, and the
+CLI, which prints the warnings, still validates once per command. The
+initial state is derived once per analysis and shared.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -45,6 +55,8 @@ from .ast import (
     Permission,
     Prohibition,
     Span,
+    ValidationIssue,
+    header_is_clean,
     validate,
 )
 
@@ -179,19 +191,44 @@ def _clause_table(clauses: tuple[Clause, ...]):
     return universe, index_of, tuple(table), parent
 
 
+def _resolves(contract: Contract, universe: tuple[Event, ...]) -> bool:
+    """Whether each event relates two distinct declared agents by a
+    declared action."""
+    agents = set(contract.agent_names())
+    actions = set(contract.action_names())
+    for (performer, counterparty), action in universe:
+        if (performer == counterparty or performer not in agents
+                or counterparty not in agents or action not in actions):
+            return False
+    return True
+
+
 class ContractSemantics:
-    """One analysed contract, validated once: its warnings, states, steps
-    and path conditions. `check`, `lower` and `co_simulate` share it."""
+    """One analysed contract, built from one walk of its clause tree: its
+    states, steps and path conditions, and its warnings. `check`, `lower`
+    and `co_simulate` share it.
+
+    `validate` runs at construction only when the header or the event
+    universe could hold an error; an error raises `InvalidContract`.
+    Otherwise `warnings` runs it on first read and keeps what it found.
+    """
 
     def __init__(self, contract: Contract):
-        issues = validate(contract)
-        if any(i.severity == "error" for i in issues):
-            raise InvalidContract(issues)
         self.contract = contract
-        self.warnings = tuple(issues)
         self.universe, self._index_of, self._table, self._parent = _clause_table(
             contract.clauses)
         self._rows_of = None  # built by `holds`
+        self._initial = None  # built by `initial_state`
+        if not (header_is_clean(contract) and _resolves(contract, self.universe)):
+            issues = validate(contract)
+            if any(i.severity == "error" for i in issues):
+                raise InvalidContract(issues)
+            self.warnings = tuple(issues)
+
+    @cached_property
+    def warnings(self) -> tuple[ValidationIssue, ...]:
+        """Every issue `validate` reports, all of them warnings."""
+        return tuple(validate(self.contract))
 
     @classmethod
     def of(cls, contract: Contract | ContractSemantics) -> ContractSemantics:
@@ -199,7 +236,11 @@ class ContractSemantics:
         return contract if isinstance(contract, cls) else cls(contract)
 
     def initial_state(self) -> NormState:
-        return self.state(frozenset())
+        """The state before any event fires, built once and shared."""
+        initial = self._initial
+        if initial is None:
+            initial = self._initial = self.state(frozenset())
+        return initial
 
     def _admit(self, fired: frozenset[Event] | set[Event], event: Event):
         """Raise StepError unless `event` may fire after `fired`: it

@@ -1,6 +1,10 @@
-"""One analysed contract: `ContractSemantics` validates once, every CLI
-command builds exactly one, and `check`, `lower` and `co_simulate` give
-the same answers for a `ContractSemantics` as for its `Contract`."""
+"""One analysed contract: every CLI command builds exactly one
+`ContractSemantics` and validates its input once, and `check`, `lower`
+and `co_simulate` give the same answers for a `ContractSemantics` as for
+its `Contract`. Building one runs `validate` only when the contract could
+hold an error, raising `InvalidContract` exactly when it does; otherwise
+`sem.warnings` runs it on first read, and `check`, `lower` and
+`co_simulate` never do. `initial_state()` is built once and shared."""
 
 import random
 from pathlib import Path
@@ -9,7 +13,18 @@ import pytest
 
 import rclc.cli
 import rclc.semantics
-from rclc.ast import validate
+from rclc.ast import (
+    AgentPair,
+    Box,
+    Contract,
+    Decl,
+    IterBox,
+    Meta,
+    Obligation,
+    Permission,
+    Prohibition,
+    validate,
+)
 from rclc.checker import check
 from rclc.cli import main
 from rclc.codegen import LowerError, emit_solidity, lower
@@ -17,7 +32,13 @@ from rclc.parser import parse_contract
 from rclc.semantics import ContractSemantics, InvalidContract
 from rclc.simulator import co_simulate, parse_script, run_script
 
-from contractgen import random_contract, random_flow, random_lowerable
+from contractgen import (
+    merged_contract,
+    random_clashing,
+    random_contract,
+    random_flow,
+    random_lowerable,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXED = str(FIXTURES / "purchase_fixed.rcl")
@@ -172,3 +193,174 @@ def test_invalid_contract_is_a_value_error_carrying_every_issue():
     for stage in (check, lower):
         with pytest.raises(InvalidContract):
             stage(contract)
+
+
+# -- validate runs only where it can find an error -------------------------
+
+def _declared(agents, actions, clauses, meta=None):
+    return Contract(tuple(map(Decl, agents)), tuple(map(Decl, actions)), clauses, meta)
+
+
+AB = AgentPair("a", "b")
+BA = AgentPair("b", "a")
+
+# each breaks one error rule of `validate`, as far as it can on its own,
+# with a part of the message it reports
+ONE = (Obligation(AB, "x"),)
+BROKEN = {
+    "one-agent": ("at least two agents", _declared(["a"], ["x"], ONE)),
+    "no-agents": ("at least two agents", _declared([], ["x"], ONE)),
+    "no-actions": ("at least one action", _declared(["a", "b"], [], ONE)),
+    "no-clauses": ("at least one clause", _declared(["a", "b"], ["x"], ())),
+    "invalid-agent": ("invalid agent identifier '2c'", _declared(["a", "b", "2c"], ["x"], ONE)),
+    "invalid-action": ("invalid action identifier 'y-z'",
+                       _declared(["a", "b"], ["x", "y-z"], ONE)),
+    "comma-in-name": ("invalid agent identifier 'c,d'", _declared(["a", "b", "c,d"], ["x"], ONE)),
+    "duplicate-agent": ("duplicate agent 'a'", _declared(["a", "b", "a"], ["x"], ONE)),
+    "duplicate-action": ("duplicate action 'x'", _declared(["a", "b"], ["x", "x"], ONE)),
+    "agent-and-action": ("both agent and action: b", _declared(["a", "b"], ["x", "b"], ONE)),
+    "undeclared-agent": ("undeclared agent 'c'", _declared(
+        ["a", "b"], ["x"], (Obligation(AgentPair("a", "c"), "x"),))),
+    "self-pair": ("relates agent 'a' to itself", _declared(
+        ["a", "b"], ["x"], (Prohibition(AgentPair("a", "a"), "x"),))),
+    "undeclared-action": ("undeclared action 'y'", _declared(
+        ["a", "b"], ["x"], (Obligation(AB, "x"), Obligation(BA, "y")))),
+    "undeclared-in-a-body": ("undeclared agent 'c'", _declared(["a", "b"], ["x"], (
+        Box(AB, "x", (IterBox(BA, "x", (Obligation(AgentPair("b", "c"), "x"),)),)),))),
+    "undeclared-guard-action": ("undeclared action 'y'", _declared(
+        ["a", "b"], ["x"], (Box(AB, "y", ONE),))),
+    "undeclared-agent-in-a-permission": ("undeclared agent 'c'", _declared(
+        ["a", "b"], ["x"], (Obligation(AB, "x"), Permission(AgentPair("c", "b"), "x")))),
+    "undeclared-action-in-a-permission": ("undeclared action 'y'", _declared(
+        ["a", "b"], ["x"], (Obligation(AB, "x"), Box(AB, "x", (Permission(BA, "y"),))))),
+    "role-of-undeclared-agent": ("annotation refers to undeclared agent 'c'", _declared(
+        ["a", "b"], ["x"], ONE, Meta(roles={"c": "C"}))),
+    "rolemsg-of-undeclared-agent": ("annotation refers to undeclared agent 'c'", _declared(
+        ["a", "b"], ["x"], ONE, Meta(rolemsgs={"c": "only c"}))),
+    "role-not-an-identifier": ("role annotation value 'A b' is not an identifier", _declared(
+        ["a", "b"], ["x"], ONE, Meta(roles={"a": "A b"}))),
+    "func-not-an-identifier": ("func annotation value '1x' is not an identifier", _declared(
+        ["a", "b"], ["x"], ONE, Meta(funcs={(None, None, "x"): "1x"}))),
+    "state-of-undeclared-action": ("state annotation refers to undeclared action 'y'", _declared(
+        ["a", "b"], ["x"], ONE, Meta(states={(None, None, "y"): "S"}))),
+    "flag-of-undeclared-agent": ("flag annotation refers to undeclared agent 'c'", _declared(
+        ["a", "b"], ["x"], ONE, Meta(flags={("a", "c", "x"): "done"}))),
+    "message-of-undeclared-action": ("message annotation refers to undeclared action 'y'",
+                                     _declared(["a", "b"], ["x"], ONE,
+                                               Meta(messages={("a", "b", "y"): "no"}))),
+    "inline-of-undeclared-action": ("inline annotation refers to undeclared action 'y'",
+                                    _declared(["a", "b"], ["x"], ONE,
+                                              Meta(inline=[(None, None, "y")]))),
+    "inline-of-undeclared-agent": ("inline annotation refers to undeclared agent 'c'",
+                                   _declared(["a", "b"], ["x"], ONE,
+                                             Meta(inline=[("c", "b", "x")]))),
+}
+
+# annotated or otherwise odd, but free of errors
+CLEAN = {
+    "annotated": _declared(["a", "b"], ["x"], ONE, Meta(
+        roles={"a": "A"}, funcs={("a", "b", "x"): "doX"}, requires={"flag": "text"},
+        inline=[("a", "b", "x")])),
+    "named-only": _declared(["a", "b"], ["x"], ONE, Meta(
+        contract_name="Deal", statemsg="wrong state")),
+    "unused-names": _declared(["a", "b", "c"], ["x", "y"], (Permission(AB, "x"),)),
+    "warned": _declared(["a", "b"], ["x", "y"], (
+        IterBox(AB, "y", (Obligation(BA, "x"),), positive=True, starred=False),)),
+}
+
+
+def _drawn():
+    """Seeded draws of every generator, each also with its last agent and
+    then its last action undeclared, which leaves some draws invalid."""
+    rng = random.Random(2707)
+    drawn = [random_contract(rng) for _ in range(40)]
+    drawn += [merged_contract(rng, parts, max_events=12) for parts in (2, 3) * 10]
+    drawn += [random_lowerable(rng) for _ in range(20)]
+    drawn += [random_flow(rng) for _ in range(20)]
+    drawn += [random_clashing(rng) for _ in range(20)]
+    for contract in list(drawn):
+        drawn.append(Contract(contract.agents[:-1], contract.actions, contract.clauses,
+                              contract.meta))
+        drawn.append(Contract(contract.agents, contract.actions[:-1], contract.clauses,
+                              contract.meta))
+    return drawn
+
+
+def test_an_analysis_raises_exactly_when_validate_finds_an_error():
+    broken = [contract for _message, contract in BROKEN.values()]
+    contracts = [*broken, *CLEAN.values(), *_contracts(), *_drawn()]
+    raised = 0
+    for contract in contracts:
+        issues = validate(contract)
+        if any(i.severity == "error" for i in issues):
+            with pytest.raises(InvalidContract) as caught:
+                ContractSemantics(contract)
+            assert caught.value.issues == issues
+            raised += 1
+        else:
+            assert ContractSemantics(contract).warnings == tuple(issues)
+    # every hand-built breach raises, and so do some of the drawn variants
+    assert raised > len(BROKEN) + 20
+    for name, (message, contract) in BROKEN.items():
+        errors = [i.message for i in validate(contract) if i.severity == "error"]
+        assert any(message in error for error in errors), (name, errors)
+    for name, contract in CLEAN.items():
+        assert all(i.severity == "warning" for i in validate(contract)), name
+    assert validate(CLEAN["warned"]) and validate(CLEAN["unused-names"])
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The contracts `rclc.semantics` validates, in call order."""
+    validated = []
+
+    def counted_validate(contract):
+        validated.append(contract)
+        return validate(contract)
+
+    monkeypatch.setattr(rclc.semantics, "validate", counted_validate)
+    return validated
+
+
+def test_check_lower_and_co_simulate_never_validate(calls):
+    rng = random.Random(27)
+    for contract in [random_lowerable(rng) for _ in range(10)]:
+        check(contract)
+        ir = lower(contract)
+        world = _greedy_world(ir)
+        assert co_simulate(contract, world) == []
+        assert calls == []
+        sem = ContractSemantics(contract)
+        assert calls == []
+        assert sem.warnings == tuple(validate(contract))
+        assert calls == [contract]
+        assert sem.warnings == tuple(validate(contract))
+        assert calls == [contract]
+        calls.clear()
+
+
+def test_an_annotated_contract_validates_once_at_construction(calls):
+    contract = parsed((FIXTURES / "purchase_conflicted.rcl").read_text())
+    sem = ContractSemantics(contract)
+    assert calls == [contract]
+    assert sem.warnings == tuple(validate(contract))
+    assert any("notifyDelivery" in w.message for w in sem.warnings)
+    assert calls == [contract]
+
+
+def test_a_command_reads_the_warnings_it_did_not_validate_at_construction(
+        tmp_path, calls, capsys):
+    path = tmp_path / "unused.rcl"
+    path.write_text("agents a, b;\nactions x, y;\n{a,b}O(x);\n")
+    assert main(["check", str(path)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().err == f"{path}: warning: action 'y' declared but never used\n"
+
+
+def test_the_initial_state_is_built_once_and_shared():
+    for contract in _contracts():
+        sem = ContractSemantics(contract)
+        initial = sem.initial_state()
+        assert initial == sem.state(frozenset())
+        assert sem.initial_state() is initial
+        assert initial.fired == frozenset()

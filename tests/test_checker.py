@@ -30,14 +30,13 @@ from rclc.parser import parse_contract
 from rclc.checker import (
     CheckReport,
     CheckStats,
-    _oracle_active,
-    _oracle_universe,
     brute_force_oracle,
     check,
     report_to_json,
     report_to_text,
 )
 from rclc.lts import clashes, dump_lts, fired_sets
+from rclc.oracle import _oracle_active, _oracle_universe
 from rclc.semantics import ContractSemantics
 
 from contractgen import merged_contract, random_contract
