@@ -346,15 +346,14 @@ def _distinct_identifiers(names: list[str]) -> bool:
             and joined.count(",") == len(set(names)) == len(names))
 
 
-def header_is_clean(contract: Contract) -> bool:
-    """Whether `validate` can report no error on the header: it carries no
-    annotation, declares two agents or more, an action and a clause, each
-    list holds distinct identifiers, and no name is both an agent and an
-    action. The clause references are left to the caller."""
+def header_is_clean(contract: Contract, agents: list[str], actions: list[str]) -> bool:
+    """Whether `validate` can report no error on the header, whose agent
+    and action names the caller passes: it carries no annotation,
+    declares two agents or more, an action and a clause, each list holds
+    distinct identifiers, and no name is both an agent and an action.
+    The clause references are left to the caller."""
     if any(_META_TABLES(contract.meta)):
         return False
-    agents = contract.agent_names()
-    actions = contract.action_names()
     return (len(agents) > 1 and len(actions) > 0 and len(contract.clauses) > 0
             and _distinct_identifiers(agents) and _distinct_identifiers(actions)
             and set(agents).isdisjoint(actions))
@@ -378,7 +377,7 @@ def validate(contract: Contract) -> list[ValidationIssue]:
     agent_set = set(agents)
     action_set = set(actions)
 
-    if not header_is_clean(contract):
+    if not header_is_clean(contract, agents, actions):
         if len(agents) < 2:
             err("a contract needs at least two agents", "agents")
         if not actions:

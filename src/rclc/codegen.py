@@ -1,6 +1,9 @@
 """Lowering to a state-machine IR and Solidity emission.
 
-`lower` runs in phases, each reading only what the ones before it built:
+`lower` runs in phases, each reading only what the ones before it built.
+The first three share one pass over the analysis' clause rows, which
+`ContractSemantics.clause_rows` yields in source pre-order; the pass
+does not recurse:
 
   sort       the top level holds one root box; a negated watch guarding
              one prohibition is a house rule; standing bans and
@@ -9,11 +12,11 @@
              becomes the state enum (Created, one state per link,
              Finalized at the end); each link is a state-advancing
              function, so two links guarding one event are refused;
-  flow walk  one pre-order walk from the innermost chain body records
-             each obligation, box and nested watch it reaches with the
-             box enclosing it; it enters boxes and stops at a nested
-             watch, which is dropped with a warning together with
-             everything under it;
+  flow       below the innermost link, each obligation, box and nested
+             watch is recorded with the box enclosing it; the record
+             enters boxes and stops at a nested watch, which is dropped
+             with a warning together with everything under it; a body's
+             shape counts its permissions, which have no rows;
   names      from that record, in a fixed order: each obliged event gets
              one function and, unless promoted, a boolean flag, each
              named by its annotation or its action, with fallbacks
@@ -72,7 +75,6 @@ from .ast import (
     IterBox,
     Meta,
     Obligation,
-    Permission,
     Prohibition,
     Value,
 )
@@ -272,77 +274,6 @@ class _Namer:
         return f"{base}{n}"
 
 
-def _sort_top_level(contract: Contract) -> tuple[Box, list[tuple[Event, Event]]]:
-    """The one root box and the house rules, as (watched, banned) events.
-    Standing bans and permissions produce no code; anything else is
-    refused."""
-    root_box: Box | None = None
-    rules: list[tuple[Event, Event]] = []
-    for clause in contract.clauses:
-        if isinstance(clause, Box):
-            if root_box is not None:
-                raise LowerError(
-                    "cannot lower: more than one top-level box; restructure "
-                    "the contract so a single outermost guard wraps the flow"
-                )
-            root_box = clause
-        elif isinstance(clause, IterBox) and not clause.positive:
-            if len(clause.body) == 1 and isinstance(clause.body[0], Prohibition):
-                ban = clause.body[0]
-                rules.append(((clause.pair, clause.action), (ban.pair, ban.action)))
-            else:
-                raise LowerError(
-                    "cannot lower: a negated watch must guard exactly one "
-                    "prohibition to act as a house rule"
-                )
-        elif not isinstance(clause, (Prohibition, Permission)):
-            raise LowerError(
-                f"cannot lower: unsupported top-level "
-                f"{type(clause).__name__.lower()} clause; restructure the "
-                "contract so a single outermost guard wraps the flow"
-            )
-    if root_box is None:
-        raise LowerError(
-            "cannot lower: the contract needs a single top-level box chain; "
-            "wrap the flow in one outermost guard"
-        )
-    return root_box, rules
-
-
-def _chain(root_box: Box) -> list[Box]:
-    """The root box and each box whose parent's body is exactly that box
-    beside an obligation on the box's own guard event."""
-    chain = [root_box]
-    while len(body := chain[-1].body) == 2:
-        ob, box = body if isinstance(body[0], Obligation) else body[::-1]
-        if not (
-            isinstance(ob, Obligation)
-            and isinstance(box, Box)
-            and (ob.pair, ob.action) == (box.pair, box.action)
-        ):
-            break
-        chain.append(box)
-    return chain
-
-
-def _flow(body: tuple[Clause, ...]) -> list[tuple[Clause, int]]:
-    """The flow below the chain in pre-order: each obligation, box and
-    nested watch the walk reaches, with the index of the box whose body
-    holds it (-1 for `body` itself). The walk enters boxes and stops at
-    nested watches, which have no state-machine counterpart."""
-    sites: list[tuple[Clause, int]] = []
-
-    def walk(body: tuple[Clause, ...], parent: int) -> None:
-        for part in body:
-            if isinstance(part, (Obligation, Box, IterBox)):
-                sites.append((part, parent))
-                if isinstance(part, Box):
-                    walk(part.body, len(sites) - 1)
-
-    walk(body, -1)
-    return sites
-
-
 def lower(
     contract: Contract | ContractSemantics,
     allow_conflicts: bool = False,
@@ -364,7 +295,63 @@ def lower(
     contract = sem.contract
     meta = contract.meta
     warnings: list[str] = []
-    root_box, rules = _sort_top_level(contract)
+    # -- sort, chain and flow: one pass over the clause rows -------------------
+    rules: list[tuple[Event, Event]] = []  # (watched, banned) per house rule
+    links: list[Event] = []  # the chain's guard events, root first
+    tail = linked = None  # the last link's row; whether its body holds the next
+    # each obligation, box and nested watch below the chain, with the index
+    # of the box whose body holds it (-1 for the last link's body)
+    sites: list[tuple[Clause, int]] = []
+    site_of: dict[int, int] = {}  # row of a box the flow enters -> its site
+    first_box: dict[Event, Box] = {}
+    for row, node, up in sem.clause_rows():
+        kind = type(node)
+        if up in site_of:
+            if kind is Prohibition:
+                continue  # no code for a ban in the flow
+            sites.append((node, site_of[up]))
+            if kind is Box:
+                site_of[row] = len(sites) - 1
+                first_box.setdefault((node.pair, node.action), node)
+            continue
+        if up < 0:
+            if kind is IterBox and not node.positive:
+                if len(node.body) != 1 or type(node.body[0]) is not Prohibition:
+                    raise LowerError(
+                        "cannot lower: a negated watch must guard exactly one "
+                        "prohibition to act as a house rule"
+                    )
+                ban = node.body[0]
+                rules.append(((node.pair, node.action), (ban.pair, ban.action)))
+                continue
+            if kind is Prohibition:
+                continue  # a standing ban
+            if kind is not Box:
+                raise LowerError(
+                    f"cannot lower: unsupported top-level {kind.__name__.lower()} "
+                    "clause; restructure the contract so a single outermost "
+                    "guard wraps the flow"
+                )
+            if links:
+                raise LowerError(
+                    "cannot lower: more than one top-level box; restructure "
+                    "the contract so a single outermost guard wraps the flow"
+                )
+        elif not (up == tail and linked and kind is Box):
+            continue  # beside a link on its own event, or under a house rule or nested watch
+        # the root box, or a box alone in its link's body beside an
+        # obligation on its own event: the next link of the chain
+        links.append((node.pair, node.action))
+        tail, body = row, node.body
+        linked = (len(body) == 2 and {type(part) for part in body} == {Obligation, Box}
+                  and (body[0].pair, body[0].action) == (body[1].pair, body[1].action))
+        if not linked:
+            site_of[row] = -1
+    if not links:
+        raise LowerError(
+            "cannot lower: the contract needs a single top-level box chain; "
+            "wrap the flow in one outermost guard"
+        )
     contract_name = meta.contract_name or "GeneratedContract"
     if contract_name in _RESERVED_NAMES:
         raise LowerError(
@@ -392,14 +379,6 @@ def lower(
             f"cannot lower: contract name '{contract_name}' is also a role or "
             "modifier name in the generated contract; choose another contract name"
         )
-
-    chain = _chain(root_box)
-    links = [(link.pair, link.action) for link in chain]
-    sites = _flow(chain[-1].body)
-    first_box: dict[Event, Box] = {}
-    for node, _parent in sites:
-        if isinstance(node, Box):
-            first_box.setdefault((node.pair, node.action), node)
 
     # -- names, claimed in a fixed order ---------------------------------------
     # functions, flags and amount parameters share one namespace in the
@@ -454,7 +433,7 @@ def lower(
         given = state_names and meta.lookup(state_names, pair, action)
         unnamed += not given
         states.append(state_namer.claim(given or f"S{unnamed}"))
-    promo_state_of = dict(zip(promoted, states[len(chain) + 1:]))
+    promo_state_of = dict(zip(promoted, states[len(links) + 1:]))
     states.append("Finalized")
 
     placeholders: set[str] = set()
@@ -583,11 +562,11 @@ def lower(
             )
         )
 
-    for i, link in enumerate(chain):
-        build(links[i], states[i], (), SetState(states[i + 1]), f"// {link.pair} [{link.action}]")
+    for i, (pair, action) in enumerate(links):
+        build((pair, action), states[i], (), SetState(states[i + 1]), f"// {pair} [{action}]")
 
     # site index -> (state, box flags) the body of that box runs under
-    under = {-1: (states[len(chain)], ())}
+    under = {-1: (states[len(links)], ())}
     guards_of: dict[Event, tuple[str, tuple[str, ...]]] = {}
     for i, (node, parent) in enumerate(sites):
         state, box_flags = under[parent]

@@ -20,14 +20,14 @@ matter, which makes the reachable system the subset lattice of the
 event universe; `rclc.lts` streams it for `dump-lts`.
 
 Each `ContractSemantics` lays its clause tree out once as a flat table
-(`_clause_table`) of prebuilt payloads: each `Norm`, pending box and
-armed watch, each row linked to its enclosing guard's. Deriving a state
-is one forward pass over it that jumps over the body of every guard not
-in force, builds no `Norm` and hashes no guarded body. The boxes and
-watches a state keeps are the table's own payloads, in walk order, so
-`rclc.lts` can print each distinct one once per dump. `conditions` is a
-pass that enters every guard: the conflict check's path conditions.
-`holds` tests a norm up those links at a fired set `admit` checked.
+(`_clause_table`) of prebuilt payloads in source pre-order: each `Norm`,
+pending box and armed watch, each row linked to its enclosing guard's.
+Deriving a state is one forward pass over it that jumps over the body of
+every guard not in force, builds no `Norm` and hashes no guarded body. A
+state keeps the table's own boxes and watches, so `rclc.lts` prints each
+distinct one once. `conditions`, a pass entering every guard, gives the
+check's path conditions; `holds` tests a norm up those links at a fired
+set `admit` checked; `clause_rows` gives `lower` the rows' clauses.
 
 That table walk is the only one a `ContractSemantics` makes when built.
 `validate`, a second walk, runs then only where an error is possible:
@@ -119,7 +119,7 @@ class NormState(NamedTuple):
     fired: frozenset[Event]
     active: frozenset[Norm]
     # (guard event, body) per untriggered box and (action, body, positive?)
-    # per armed watch, in walk order; one written twice appears twice
+    # per armed watch, in source order; one written twice appears twice
     pending_boxes: tuple[tuple[Event, tuple[Clause, ...]], ...]
     iter_watch: tuple[tuple[str, tuple[Clause, ...], bool], ...]
 
@@ -145,17 +145,17 @@ Condition = tuple[frozenset[int], frozenset[str], frozenset[str]]
 
 def _clause_table(clauses: tuple[Clause, ...]):
     """The sorted event universe, its index map, the clause tree as
-    (kind, key, payload, end) rows in the order a walk popping the last
-    clause first reaches them, and each row's parent guard row (-1 at
-    the top). The key is an obligation's or box's event index and a
-    prohibition's or watch's action; the payload the `Norm`, pending
-    `(event, body)` or armed `(action, body, positive)`; `end` the index
-    past a guard's body, else 0. Permissions get no row. An int on the
-    walk's stack closes the guard row there."""
+    (kind, key, payload, end) rows in source pre-order (each body is
+    pushed reversed, so the walk pops its first clause first), and each
+    row's parent guard row (-1 at the top). The key is an obligation's
+    or box's event index and a prohibition's or watch's action; the
+    payload the `Norm`, pending `(event, body)` or armed `(action, body,
+    positive)`; `end` the index past a guard's body, else 0. Permissions
+    get no row. An int on the walk's stack closes the guard row there."""
     table: list[_Row] = []
     parent: list[int] = []
     seen: set[Event] = set()
-    stack: list = list(clauses)
+    stack: list = list(reversed(clauses))
     up = -1  # the innermost open guard row
     while stack:
         clause = stack.pop()
@@ -182,7 +182,7 @@ def _clause_table(clauses: tuple[Clause, ...]):
             else:
                 watch = (action, clause.body, clause.positive)
                 table.append((_ONCE if clause.positive else _UNTIL, action, watch, 0))
-            stack.extend(clause.body)
+            stack.extend(reversed(clause.body))
     universe = tuple(sorted(seen))  # by performer, counterparty, action
     index_of = {event: i for i, event in enumerate(universe)}
     for i, (code, key, payload, end) in enumerate(table):
@@ -191,11 +191,9 @@ def _clause_table(clauses: tuple[Clause, ...]):
     return universe, index_of, tuple(table), parent
 
 
-def _resolves(contract: Contract, universe: tuple[Event, ...]) -> bool:
+def _resolves(agents: set[str], actions: set[str], universe: tuple[Event, ...]) -> bool:
     """Whether each event relates two distinct declared agents by a
     declared action."""
-    agents = set(contract.agent_names())
-    actions = set(contract.action_names())
     for (performer, counterparty), action in universe:
         if (performer == counterparty or performer not in agents
                 or counterparty not in agents or action not in actions):
@@ -219,7 +217,9 @@ class ContractSemantics:
             contract.clauses)
         self._rows_of = None  # built by `holds`
         self._initial = None  # built by `initial_state`
-        if not (header_is_clean(contract) and _resolves(contract, self.universe)):
+        agents, actions = contract.agent_names(), contract.action_names()
+        if not (header_is_clean(contract, agents, actions)
+                and _resolves(set(agents), set(actions), self.universe)):
             issues = validate(contract)
             if any(i.severity == "error" for i in issues):
                 raise InvalidContract(issues)
@@ -297,7 +297,7 @@ class ContractSemantics:
 
     def state(self, fired: frozenset[Event]) -> NormState:
         """The norm state after exactly `fired`, in one pass over the
-        table; pending boxes and watches keep walk order, never hashed."""
+        table; pending boxes and watches keep source order, never hashed."""
         # an event outside the universe maps to None, which no row holds
         fired_events = set(map(self._index_of.get, fired))
         fired_actions = {action for _pair, action in fired}
@@ -328,8 +328,21 @@ class ContractSemantics:
                     i = end
         return _new(NormState, (fired, frozenset(active), tuple(pending), tuple(watches)))
 
+    def clause_rows(self) -> Iterator[tuple[int, Clause, int]]:
+        """(row, clause, its guard's row or -1 at the top) per row, in table
+        order. A permission has no row, though it stays in its guard's
+        body; each row takes the next clause of its guard's body."""
+        bodies = {-1: iter(self.contract.clauses)}
+        for i, ((kind, _key, payload, _end), up) in enumerate(zip(self._table, self._parent)):
+            clause = next(bodies[up])
+            while type(clause) is Permission:
+                clause = next(bodies[up])
+            if kind > _FORBIDDEN:
+                bodies[i] = iter(payload[1])
+            yield i, clause, up
+
     def conditions(self) -> Iterator[tuple[Norm, Condition]]:
-        """Every obligation and prohibition occurrence, in table order, with
+        """Every obligation and prohibition occurrence, in source order, with
         the condition on the fired set under which it is in force: each
         enclosing box's guard has fired; no fired event performs the
         prohibition's action or an enclosing `[!a]*`'s; some fired event

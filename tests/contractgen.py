@@ -9,7 +9,9 @@ accepts without synthesizing placeholder flags, and `random_flow` draws
 the nested flows, house rules and annotations it handles below the chain.
 `random_clashing` draws flows whose names collide on purpose.
 `repeat_tail_obligations` restates some of a lowerable contract's
-innermost obligations, which must lower to the same machine.
+innermost obligations, which must lower to the same machine, and
+`under_one_box` puts any draw's clauses under the one root box a
+lowering starts from.
 """
 
 from __future__ import annotations
@@ -150,6 +152,14 @@ def repeat_tail_obligations(rng: random.Random, contract: Contract) -> Contract:
 
     clauses = (restate(contract.clauses[0]),)
     return Contract(contract.agents, contract.actions, clauses, contract.meta)
+
+
+def under_one_box(rng: random.Random, contract: Contract) -> Contract:
+    """`contract` with its clauses as the body of one top-level box on a
+    declared action, so that `lower` reaches the flow of any draw."""
+    pair = _pair(rng, [agent.name for agent in contract.agents])
+    root = Box(pair, rng.choice(contract.actions).name, contract.clauses, _SPAN)
+    return Contract(contract.agents, contract.actions, (root,), contract.meta)
 
 
 _FLOW_ACTIONS = _ACTION_POOL + ["act7", "act8", "pay1", "pay2"]

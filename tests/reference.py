@@ -7,7 +7,7 @@ parser replaced. `reference_state` derives a norm state with
 pending boxes and armed watches as frozensets, and
 `reference_stack_state` derives it by walking the clause tree with its
 own stack, building each `Norm` afresh, with pending boxes and armed
-watches as tuples in walk order. Either takes the place of
+watches as tuples in source order. Either takes the place of
 `ContractSemantics.state` (patch it onto the class), so
 `reference_enumerate_reachable`, the builder that held the whole subset
 lattice and indexed every fired set in one dict, builds the reference
@@ -30,8 +30,10 @@ does not need. `reference_cli_parser` is the argparse parser the CLI read
 its arguments with before it read them from its command table. All
 fifteen are kept as they were, apart from their
 names, the lattice builder's event limit, which the printers now check,
-and one change made in both on purpose: `reference_validate` checks the
-names in `inline` keys as `validate` now does.
+and two changes made on purpose: `reference_validate` checks the
+names in `inline` keys as `validate` now does, and `reference_stack_state`
+and `reference_path_conditions` pop the first clause first, so both walk
+in source order, as the clause table now lays its rows out.
 """
 
 from __future__ import annotations
@@ -405,13 +407,13 @@ def reference_stack_state(self, fired: frozenset[Event]) -> NormState:
     """Derive the norm state after exactly `fired` has happened;
     only bodies of boxes whose guard has fired, and of watches in
     force, are descended into. The walk keeps its own stack. Pending
-    boxes and armed watches are kept in walk order and never hashed:
+    boxes and armed watches are kept in source order and never hashed:
     a guarded body is a whole subtree."""
     fired_actions = {action for _pair, action in fired}
     active: list[Norm] = []
     pending: list[tuple[Event, tuple[Clause, ...]]] = []
     watches: list[tuple[str, tuple[Clause, ...], bool]] = []
-    stack = list(self.contract.clauses)
+    stack = list(reversed(self.contract.clauses))
     while stack:
         clause = stack.pop()
         kind = type(clause)
@@ -423,7 +425,7 @@ def reference_stack_state(self, fired: frozenset[Event]) -> NormState:
                 active.append(Norm("F", clause.pair, clause.action, clause.span))
         elif kind is Box:
             if (clause.pair, clause.action) in fired:
-                stack.extend(clause.body)
+                stack.extend(reversed(clause.body))
             else:
                 pending.append(((clause.pair, clause.action), clause.body))
         elif kind is IterBox:
@@ -431,7 +433,7 @@ def reference_stack_state(self, fired: frozenset[Event]) -> NormState:
             if not tripped:
                 watches.append((clause.action, clause.body, clause.positive))
             if tripped if clause.positive else not tripped:
-                stack.extend(clause.body)
+                stack.extend(reversed(clause.body))
     return NormState(fired, frozenset(active), tuple(pending), tuple(watches))
 
 
@@ -534,10 +536,11 @@ def reference_path_conditions(contract: Contract, universe: tuple[Event, ...]):
     the fired set under which it is in force: each enclosing box's guard
     has fired; the prohibition's action and each enclosing `[!a]*`'s
     action is performed by no fired event; each enclosing `[a]*`'s action
-    is performed by some fired event. The walk keeps its own stack."""
+    is performed by some fired event, in source order. The walk keeps
+    its own stack."""
     index_of = {event: i for i, event in enumerate(universe)}
     out: list[tuple[Norm, _Condition]] = []
-    stack: list[tuple[Clause, _Condition]] = [(c, _TRUE) for c in contract.clauses]
+    stack: list[tuple[Clause, _Condition]] = [(c, _TRUE) for c in reversed(contract.clauses)]
     while stack:
         clause, cond = stack.pop()
         need, banned, wanted = cond
@@ -549,13 +552,13 @@ def reference_path_conditions(contract: Contract, universe: tuple[Event, ...]):
         elif isinstance(clause, Box):
             guard = index_of[(clause.pair, clause.action)]
             inner = (need | {guard}, banned, wanted)
-            stack.extend((c, inner) for c in clause.body)
+            stack.extend((c, inner) for c in reversed(clause.body))
         elif isinstance(clause, IterBox):
             if clause.positive:
                 inner = (need, banned, wanted | {clause.action})
             else:
                 inner = (need, banned | {clause.action}, wanted)
-            stack.extend((c, inner) for c in clause.body)
+            stack.extend((c, inner) for c in reversed(clause.body))
     return out
 
 

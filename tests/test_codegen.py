@@ -24,13 +24,14 @@ from rclc.codegen import (
     emit_solidity,
     lower,
 )
-from rclc.ast import Obligation, iter_clauses
+from rclc.ast import AgentPair, Box, Contract, Decl, Obligation, Span, iter_clauses
 from rclc.parser import parse_contract
 from rclc.simulator import co_simulate, run_script
 
 from contractgen import random_clashing, random_flow, random_lowerable, repeat_tail_obligations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+_AT = Span(1, 1, 1, 1)
 
 
 def load(name):
@@ -737,18 +738,15 @@ def test_clashing_names_are_declared_once():
 
 
 # the repr of each lowered machine, or the refusal, over seeded draws of
-# every generator in both modes; printed as one sha256
+# generators in both modes; printed as one sha256
 _DIGEST_SCRIPT = textwrap.dedent("""
     import hashlib, random
-    from contractgen import random_clashing, random_flow, random_lowerable
+    from contractgen import (merged_contract, random_clashing, random_contract,
+                             random_flow, random_lowerable, under_one_box)
     from rclc.codegen import LowerError, lower
 
     digest = hashlib.sha256()
-    for generator, count, allow in (
-        (random_lowerable, 100, False),
-        (random_flow, 100, True),
-        (random_clashing, 300, True),
-    ):
+    for generator, count, allow in (%s):
         rng = random.Random(4242)
         for _ in range(count):
             contract = generator(rng)
@@ -762,20 +760,69 @@ _DIGEST_SCRIPT = textwrap.dedent("""
     print(digest.hexdigest())
 """)
 LOWERING_DIGEST = "666e8097141d25ed7ad61ec2ee961b351f31d624503be23af3407992d2321c61"
+# arbitrary clause trees, which hold permissions anywhere: as drawn, where
+# most are refused for their top level, and under one root box
+PERMISSION_DIGEST = "cfdb4ff5801292bcbbd03f9b8703124efb87525d6cd277adfbccb8eca0a09454"
 
 
-def test_lowering_digest_is_pinned():
+def _lowering_digests(draws):
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-    digests = {
+    return {
         subprocess.run(
-            [sys.executable, "-c", _DIGEST_SCRIPT],
+            [sys.executable, "-c", _DIGEST_SCRIPT % draws],
             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
             capture_output=True, text=True, check=True,
         ).stdout.strip()
         for seed in ("0", "1", "2")
     }
-    assert digests == {LOWERING_DIGEST}
+
+
+def test_lowering_digest_is_pinned():
+    draws = "(random_lowerable, 100, False), (random_flow, 100, True), (random_clashing, 300, True)"
+    assert _lowering_digests(draws) == {LOWERING_DIGEST}
+
+
+def test_permission_digest_is_pinned():
+    draws = """
+        (random_contract, 200, True),
+        (lambda rng: merged_contract(rng, 2, 10), 100, True),
+        (lambda rng: under_one_box(rng, random_contract(rng)), 200, True),
+        (lambda rng: under_one_box(rng, merged_contract(rng, 2, 10)), 100, True),
+    """
+    assert _lowering_digests(draws) == {PERMISSION_DIGEST}
+
+
+def test_permissions_count_in_the_shape_of_a_body():
+    # a permission adds no code, but it is a clause of its body: beside
+    # the box on y it ends the chain at the root, which gives no S2
+    head = "agents a, b; actions x, y, z;\n"
+    flow = "{a,b}[x]({a,b}O(y) & {a,b}[y]({b,a}O(z))%s);"
+    assert lower(parse(head + flow % " & {b,a}P(z)")).states == ("Created", "S1", "Finalized")
+    assert lower(parse(head + flow % "")).states == ("Created", "S1", "S2", "Finalized")
+    # nor does a house rule guard a permission beside its prohibition
+    rule = head + "{a,b}[y]({b,a}O(z));\n{a,b}[!z]*({a,b}F(x) & {a,b}P(y));"
+    with pytest.raises(LowerError, match="a negated watch must guard exactly one prohibition"):
+        lower(parse(rule), allow_conflicts=True)
+
+
+def test_a_flow_deeper_than_the_recursion_limit_lowers():
+    # 1,500 nested boxes, three clauses in each body, so the chain is the
+    # root alone: each box's event is promoted, and its sibling is terminal
+    depth = 1500
+    ab = AgentPair("a", "b")
+    body = (Obligation(ab, "e", _AT), Obligation(ab, "f", _AT))
+    for level in reversed(range(depth)):
+        body = (Obligation(ab, f"e{level}", _AT), Obligation(ab, f"f{level}", _AT),
+                Box(ab, f"e{level}", body, _AT))
+    actions = [f"{kind}{level}" for level in range(depth) for kind in "ef"] + ["e", "f", "go"]
+    contract = Contract((Decl("a"), Decl("b")), tuple(map(Decl, actions)),
+                        (Box(ab, "go", body, _AT),))
+    ir = lower(contract)
+    assert ir.warnings == ()
+    assert len(ir.states) == depth + 3 and len(ir.functions) == 2 * depth + 3
+    assert ir.function("e1499").effects[0] == SetState(ir.states[-2])
+    assert ir.function("f").state_guard == ir.finalization_state == ir.states[-2]
 
 
 def test_modifiers_of_agents_differing_in_case_are_distinct():

@@ -375,6 +375,15 @@ def test_conditions_and_universe_match_the_reference_walks():
         assert list(sem.conditions()) == reference_path_conditions(contract, universe)
 
 
+def test_conditions_follow_source_order():
+    # the clause table lays its rows out in source pre-order, so on a
+    # parsed contract its norms come in the order of their spans
+    for name in ("purchase_conflicted", "purchase_fixed"):
+        sem = ContractSemantics(parsed(open(f"fixtures/{name}.rcl").read()))
+        spans = [(norm.origin.line, norm.origin.col) for norm in _norms(sem)]
+        assert len(spans) > 10 and spans == sorted(spans)
+
+
 def test_deep_box_chain_derives_steps_and_checks():
     # deeper than the recursion limit: every walk keeps its own stack
     ab = pair("a", "b")
