@@ -19,10 +19,10 @@ guard nesting, which the parser caps at `parser.MAX_NESTING`.
 Nodes are immutable values; equality is structural and ignores source
 spans, so a pretty-printed and re-parsed contract compares equal.
 
-`validate` walks the tree once on its own stack and spells a clause's
-path, such as `clauses[0].body[1]`, only for an issue on it. Its test of
-the header, `header_is_clean`, skips the per-name checks when they can
-find nothing; `ContractSemantics` asks it too, before it runs `validate`.
+`layout` is the one pre-order walk of a clause tree. `validate` reads it
+and spells a path, such as `clauses[0].body[1]`, only for an issue on
+it. Its test of the header, `header_is_clean`, skips the per-name checks
+when they can find nothing; `ContractSemantics` asks it too.
 
 The value classes of the package (nodes, reports, IR and `World`) sit
 on one base, `Value`: equal when of the same class with equal compared
@@ -55,6 +55,7 @@ __all__ = [
     "Meta",
     "ANNOTATIONS",
     "Contract",
+    "layout",
     "ValidationIssue",
     "validate",
     "header_is_clean",
@@ -313,28 +314,57 @@ class ValidationIssue(Frozen):
         return f"{self.severity}: {self.message} (at {self.path})"
 
 
-def _path(place) -> str:
-    """A place, a (parent place, i) link, spelled out as `iter_clauses`
-    spells its path."""
+_GUARDS = {Box, IterBox}
+
+
+def layout(clauses: tuple[Clause, ...]):
+    """The pre-order walk of `clauses`, which its own stack takes to any
+    depth: (nodes, parents, places, ends), a row per node, permissions
+    included. Row i holds `nodes[i]`, its enclosing guard's row (-1 at
+    the top), its index in that guard's body or in `clauses`, and the row
+    past its subtree."""
+    nodes, parents, places, ends = [], [], [], []
+    outer = []  # (body, guard row) of each open guard's parent
+    body, up = enumerate(clauses), -1
+    while True:
+        for place, node in body:
+            row = len(nodes)
+            nodes.append(node)
+            parents.append(up)
+            places.append(place)
+            ends.append(row + 1)
+            if type(node) in _GUARDS:
+                outer.append((body, up))
+                body, up = enumerate(node.body), row
+                break
+        else:  # the body of `up` is done
+            if up < 0:
+                return nodes, parents, places, ends
+            ends[up] = len(nodes)
+            body, up = outer.pop()
+
+
+def _spell(lay, row: int) -> str:
+    """Row `row` of `lay`, a `layout`, spelled such as ``clauses[0].body[1]``."""
+    _nodes, parents, places, _ends = lay
     steps = []
-    while place is not None:
-        place, i = place
-        steps.append(i)
+    while row >= 0:
+        steps.append(places[row])
+        row = parents[row]
     return f"clauses[{steps.pop()}]" + "".join(f".body[{i}]" for i in reversed(steps))
 
 
 def iter_clauses(contract: Contract):
-    """Pre-order traversal of every clause node with its path, such as
-    ``clauses[0].body[1]``."""
-    stack = [(clause, f"clauses[{i}]") for i, clause in enumerate(contract.clauses)]
-    stack.reverse()
-    while stack:
-        clause, path = stack.pop()
-        yield clause, path
-        if isinstance(clause, (Box, IterBox)):
-            body = clause.body
-            for i in range(len(body) - 1, -1, -1):  # last on first, first off first
-                stack.append((body[i], f"{path}.body[{i}]"))
+    """Every clause node in pre-order with its path, such as ``clauses[0].body[1]``."""
+    nodes, parents, places, _ends = layout(contract.clauses)
+    depths, steps = {-1: 0}, []  # each guard row's depth; the steps of the path so far
+    for row, (node, up, place) in enumerate(zip(nodes, parents, places)):
+        depth = depths[up]
+        del steps[depth:]
+        steps.append(f".body[{place}]" if depth else f"clauses[{place}]")
+        yield node, "".join(steps)
+        if type(node) in _GUARDS:
+            depths[row] = depth + 1
 
 
 _META_TABLES = attrgetter(*(table for table, _n, _t in ANNOTATIONS.values()), "inline")
@@ -401,22 +431,18 @@ def validate(contract: Contract) -> list[ValidationIssue]:
 
     obligated: set[str] = set()
     boxed: set[str] = set()
-    watched: list[tuple[str, tuple, Span]] = []
+    watched: list[tuple[str, int, Span]] = []
     used_actions: set[str] = set()
 
-    # pre-order, each clause with its place: (None, i) for the i-th
-    # top-level clause, (p, i) for the i-th of the body of the guard at p
-    stack = [(clause, (None, i)) for i, clause in enumerate(contract.clauses)]
-    stack.reverse()
-    while stack:
-        clause, place = stack.pop()
+    lay = nodes, _parents, _places, _ends = layout(contract.clauses)
+    for row, clause in enumerate(nodes):
         kind = type(clause)
         pair = clause.pair
         action = clause.action
         performer, counterparty = pair
         if not (performer in agent_set and counterparty in agent_set
                 and performer != counterparty and action in action_set):
-            path = _path(place)
+            path = _spell(lay, row)
             for agent in pair:
                 if agent not in agent_set:
                     err(f"undeclared agent '{agent}'", path, clause.span)
@@ -427,30 +453,24 @@ def validate(contract: Contract) -> list[ValidationIssue]:
         used_actions.add(action)
         if kind is Obligation:
             obligated.add(action)
-            continue
-        if kind is Box:
+        elif kind is Box:
             boxed.add(action)
         elif kind is IterBox:
-            watched.append((action, place, clause.span))
+            watched.append((action, row, clause.span))
             if clause.positive:
                 warn(f"positive iterated guard on '{action}': body activates when the "
-                     "action fires and then stays in force", _path(place), clause.span)
+                     "action fires and then stays in force", _spell(lay, row), clause.span)
             if not clause.starred:
                 warn(f"negated guard on '{action}' written without '*'; treated as the "
-                     "iterated form", _path(place), clause.span)
-        else:
-            continue
-        body = clause.body
-        for i in range(len(body) - 1, -1, -1):  # last on first, first off first
-            stack.append((body[i], (place, i)))
+                     "iterated form", _spell(lay, row), clause.span)
 
     for name in actions:
         if name not in used_actions:
             warn(f"action '{name}' declared but never used", "actions")
-    for action, place, span in watched:
+    for action, row, span in watched:
         if action in action_set and action not in obligated and action not in boxed:
             warn(f"action '{action}' is watched here but is never the subject of any box "
-                 "or obligation, so the guard can never be discharged", _path(place), span)
+                 "or obligation, so the guard can never be discharged", _spell(lay, row), span)
 
     if any(_META_TABLES(contract.meta)):
         _validate_meta(contract, agent_set, action_set, issues)

@@ -2,8 +2,8 @@
 
 `lower` runs in phases, each reading only what the ones before it built.
 The first three share one pass over the analysis' clause rows, which
-`ContractSemantics.clause_rows` yields in source pre-order; the pass
-does not recurse:
+`ContractSemantics.clause_rows` yields in source pre-order, one per
+clause, permissions included; the pass does not recurse:
 
   sort       the top level holds one root box; a negated watch guarding
              one prohibition is a house rule; standing bans and
@@ -16,7 +16,7 @@ does not recurse:
              watch is recorded with the box enclosing it; the record
              enters boxes and stops at a nested watch, which is dropped
              with a warning together with everything under it; a body's
-             shape counts its permissions, which have no rows;
+             shape counts its permissions, which produce no code;
   names      from that record, in a fixed order: each obliged event gets
              one function and, unless promoted, a boolean flag, each
              named by its annotation or its action, with fallbacks
@@ -75,6 +75,7 @@ from .ast import (
     IterBox,
     Meta,
     Obligation,
+    Permission,
     Prohibition,
     Value,
 )
@@ -307,8 +308,8 @@ def lower(
     for row, node, up in sem.clause_rows():
         kind = type(node)
         if up in site_of:
-            if kind is Prohibition:
-                continue  # no code for a ban in the flow
+            if kind is Prohibition or kind is Permission:
+                continue  # no code for a ban or a permission in the flow
             sites.append((node, site_of[up]))
             if kind is Box:
                 site_of[row] = len(sites) - 1
@@ -324,8 +325,8 @@ def lower(
                 ban = node.body[0]
                 rules.append(((node.pair, node.action), (ban.pair, ban.action)))
                 continue
-            if kind is Prohibition:
-                continue  # a standing ban
+            if kind is Prohibition or kind is Permission:
+                continue  # a standing ban or a permission
             if kind is not Box:
                 raise LowerError(
                     f"cannot lower: unsupported top-level {kind.__name__.lower()} "

@@ -13,24 +13,24 @@ finite. The norm state is a pure function of that set:
   * a prohibition is active until its action fires, performed by any
     pair (the forbidden deed, once done by whoever, is no longer
     awaited; what remains is a breach, which is out of scope here);
-  * permissions impose nothing and are dropped.
+  * permissions impose nothing: no state holds one.
 
 Because activity depends only on the fired set, firing order can never
 matter, which makes the reachable system the subset lattice of the
 event universe; `rclc.lts` streams it for `dump-lts`.
 
-Each `ContractSemantics` lays its clause tree out once as a flat table
-(`_clause_table`) of prebuilt payloads in source pre-order: each `Norm`,
-pending box and armed watch, each row linked to its enclosing guard's.
-Deriving a state is one forward pass over it that jumps over the body of
-every guard not in force, builds no `Norm` and hashes no guarded body. A
-state keeps the table's own boxes and watches, so `rclc.lts` prints each
-distinct one once. `conditions`, a pass entering every guard, gives the
-check's path conditions; `holds` tests a norm up those links at a fired
-set `admit` checked; `clause_rows` gives `lower` the rows' clauses.
+Each `ContractSemantics` turns its clause tree's `ast.layout` into a
+flat table (`_clause_table`) of prebuilt payloads, a row per layout row:
+each `Norm`, pending box, armed watch and permission. Deriving a state
+is one forward pass over it that jumps over the body of every guard not
+in force, builds no `Norm` and hashes no guarded body. A state keeps the
+table's own boxes and watches, so `rclc.lts` prints each distinct one
+once. `conditions` gives the check's path conditions; `holds` tests a
+norm up the layout's parent links at a fired set `admit` checked;
+`clause_rows` gives `lower` each row's clause.
 
-That table walk is the only one a `ContractSemantics` makes when built.
-`validate`, a second walk, runs then only where an error is possible:
+That layout is the only walk a `ContractSemantics` makes when built.
+`validate`, a second one, runs then only where an error is possible:
 the header fails `ast.header_is_clean` (annotations included), or an
 event of the universe names an undeclared agent or action or pairs an
 agent with itself. Otherwise `warnings` runs it on first read, so
@@ -43,7 +43,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from operator import itemgetter
+from itertools import count
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .ast import (
@@ -57,6 +58,7 @@ from .ast import (
     Span,
     ValidationIssue,
     header_is_clean,
+    layout,
     validate,
 )
 
@@ -74,6 +76,7 @@ __all__ = [
 Event = tuple[AgentPair, str]
 
 _new = tuple.__new__  # bypasses the named tuples' Python-level __new__
+_event = attrgetter("pair", "action")  # a clause's event
 
 
 class StepError(Exception):
@@ -132,11 +135,9 @@ def event_universe(contract: Contract | ContractSemantics) -> tuple[Event, ...]:
     return _clause_table(contract.clauses)[0]
 
 
-# Row kinds of the clause table, norms first; `_UNTIL` is a `[!a]*`
-# watch, `_ONCE` an `[a]*` one.
-_OBLIGED, _FORBIDDEN, _BOX, _UNTIL, _ONCE = range(5)
-
-_Row = tuple[int, object, object, int]
+# Row kinds of the clause table: norms, a permission, which imposes
+# nothing, then guards; `_UNTIL` is a `[!a]*` watch, `_ONCE` an `[a]*` one.
+_OBLIGED, _FORBIDDEN, _PERMITTED, _BOX, _UNTIL, _ONCE = range(6)
 
 # A path condition: (events that must have fired, as universe indices;
 # actions no fired event may perform; actions some fired event must perform)
@@ -144,51 +145,32 @@ Condition = tuple[frozenset[int], frozenset[str], frozenset[str]]
 
 
 def _clause_table(clauses: tuple[Clause, ...]):
-    """The sorted event universe, its index map, the clause tree as
-    (kind, key, payload, end) rows in source pre-order (each body is
-    pushed reversed, so the walk pops its first clause first), and each
-    row's parent guard row (-1 at the top). The key is an obligation's
-    or box's event index and a prohibition's or watch's action; the
-    payload the `Norm`, pending `(event, body)` or armed `(action, body,
-    positive)`; `end` the index past a guard's body, else 0. Permissions
-    get no row. An int on the walk's stack closes the guard row there."""
-    table: list[_Row] = []
-    parent: list[int] = []
-    seen: set[Event] = set()
-    stack: list = list(reversed(clauses))
-    up = -1  # the innermost open guard row
-    while stack:
-        clause = stack.pop()
-        kind = type(clause)
-        if kind is int:
-            code, key, payload, _end = table[clause]
-            table[clause] = (code, key, payload, len(table))
-            up = parent[clause]
-            continue
-        pair, action = event = (clause.pair, clause.action)
-        seen.add(event)
-        if kind is Permission:
-            continue
-        parent.append(up)
-        if kind is Obligation:
-            table.append((_OBLIGED, event, _new(Norm, ("O", pair, action, clause.span)), 0))
-        elif kind is Prohibition:
-            table.append((_FORBIDDEN, action, _new(Norm, ("F", pair, action, clause.span)), 0))
-        else:
-            up = len(table)
-            stack.append(up)
-            if kind is Box:
-                table.append((_BOX, event, (event, clause.body), 0))
-            else:
-                watch = (action, clause.body, clause.positive)
-                table.append((_ONCE if clause.positive else _UNTIL, action, watch, 0))
-            stack.extend(reversed(clause.body))
-    universe = tuple(sorted(seen))  # by performer, counterparty, action
+    """The sorted event universe, its index map, one (kind, key, payload,
+    end) row per row of the clauses' `layout`, and that layout's nodes and
+    parent links. The key is an obligation's or box's event index and a
+    prohibition's or watch's action; the payload the `Norm`, pending
+    `(event, body)` or armed `(action, body, positive)`; `end` the row past
+    the node's subtree. A permission's key and payload are None."""
+    nodes, parents, _places, ends = layout(clauses)
+    universe = tuple(sorted(set(map(_event, nodes))))  # by performer, counterparty, action
     index_of = {event: i for i, event in enumerate(universe)}
-    for i, (code, key, payload, end) in enumerate(table):
-        if code == _OBLIGED or code == _BOX:
-            table[i] = (code, index_of[key], payload, end)
-    return universe, index_of, tuple(table), parent
+    table: list[tuple[int, object, object, int]] = []
+    for clause, end in zip(nodes, ends):
+        kind = type(clause)
+        pair, action = event = (clause.pair, clause.action)
+        if kind is Obligation:
+            table.append((_OBLIGED, index_of[event], _new(Norm, ("O", pair, action, clause.span)),
+                          end))
+        elif kind is Prohibition:
+            table.append((_FORBIDDEN, action, _new(Norm, ("F", pair, action, clause.span)), end))
+        elif kind is Permission:
+            table.append((_PERMITTED, None, None, end))
+        elif kind is Box:
+            table.append((_BOX, index_of[event], (event, clause.body), end))
+        else:
+            watch = (action, clause.body, clause.positive)
+            table.append((_ONCE if clause.positive else _UNTIL, action, watch, end))
+    return universe, index_of, tuple(table), nodes, parents
 
 
 def _resolves(agents: set[str], actions: set[str], universe: tuple[Event, ...]) -> bool:
@@ -213,7 +195,7 @@ class ContractSemantics:
 
     def __init__(self, contract: Contract):
         self.contract = contract
-        self.universe, self._index_of, self._table, self._parent = _clause_table(
+        self.universe, self._index_of, self._table, self._nodes, self._parent = _clause_table(
             contract.clauses)
         self._rows_of = None  # built by `holds`
         self._initial = None  # built by `initial_state`
@@ -319,6 +301,8 @@ class ContractSemantics:
                 if key not in fired_events:
                     pending.append(payload)
                     i = end
+            elif kind == _PERMITTED:
+                pass
             elif key in fired_actions:  # a tripped watch: only [a]* holds
                 if kind == _UNTIL:
                     i = end
@@ -329,17 +313,9 @@ class ContractSemantics:
         return _new(NormState, (fired, frozenset(active), tuple(pending), tuple(watches)))
 
     def clause_rows(self) -> Iterator[tuple[int, Clause, int]]:
-        """(row, clause, its guard's row or -1 at the top) per row, in table
-        order. A permission has no row, though it stays in its guard's
-        body; each row takes the next clause of its guard's body."""
-        bodies = {-1: iter(self.contract.clauses)}
-        for i, ((kind, _key, payload, _end), up) in enumerate(zip(self._table, self._parent)):
-            clause = next(bodies[up])
-            while type(clause) is Permission:
-                clause = next(bodies[up])
-            if kind > _FORBIDDEN:
-                bodies[i] = iter(payload[1])
-            yield i, clause, up
+        """(row, clause, its guard's row or -1 at the top) per row of the
+        table, permissions included, in source pre-order."""
+        return zip(count(), self._nodes, self._parent)
 
     def conditions(self) -> Iterator[tuple[Norm, Condition]]:
         """Every obligation and prohibition occurrence, in source order, with
@@ -358,7 +334,7 @@ class ContractSemantics:
                 yield payload, cond
             elif kind == _FORBIDDEN:
                 yield payload, (need, banned | {key}, wanted)
-            else:
+            elif kind != _PERMITTED:
                 outer.append((end, cond))
                 if kind == _BOX:
                     cond = (need | {key}, banned, wanted)

@@ -11,7 +11,8 @@ the nested flows, house rules and annotations it handles below the chain.
 `repeat_tail_obligations` restates some of a lowerable contract's
 innermost obligations, which must lower to the same machine, and
 `under_one_box` puts any draw's clauses under the one root box a
-lowering starts from.
+lowering starts from. `permission_positions` tells where a draw holds
+permissions, so a test can show its draws hold them everywhere.
 """
 
 from __future__ import annotations
@@ -294,3 +295,23 @@ def random_clashing(rng: random.Random) -> Contract:
     if rng.random() < 0.3:
         meta.statemsg = "not now"
     return contract
+
+
+PERMISSION_POSITIONS = {"top", "box", "until", "once"}
+
+
+def permission_positions(contract: Contract) -> set[str]:
+    """Where `contract` holds a permission: at the "top" level, or in the
+    body of a "box", an "until" (`[!a]*`) or a "once" (`[a]*`) watch."""
+    found = set()
+    bodies = [(contract.clauses, "top")]
+    while bodies:
+        body, where = bodies.pop()
+        for clause in body:
+            if isinstance(clause, Permission):
+                found.add(where)
+            elif isinstance(clause, Box):
+                bodies.append((clause.body, "box"))
+            elif isinstance(clause, IterBox):
+                bodies.append((clause.body, "once" if clause.positive else "until"))
+    return found

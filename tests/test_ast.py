@@ -18,6 +18,7 @@ from rclc.ast import (
     validate,
 )
 from rclc.parser import parse_contract
+from rclc.semantics import ContractSemantics
 
 from contractgen import merged_contract, random_contract, random_flow
 from reference import reference_iter_clauses, reference_validate, reference_walk_validate
@@ -243,6 +244,30 @@ def _deep(depth):
     return Contract((Decl("a"), Decl("b")), (Decl("x"), Decl("y")), body)
 
 
+def _shared(counterparty):
+    """A guard whose body holds one obligation object twice, which stands
+    at the top level too, and one unstarred watch object twice, as no
+    parse shares a node; the obligation is faulty unless `counterparty`
+    is "b"."""
+    ab = AgentPair("a", "b")
+    twice = Obligation(AgentPair("a", counterparty), "x", Span(2, 3, 2, 9))
+    watch = IterBox(ab, "y", (), False, False, Span(3, 1, 3, 5))
+    guard = Box(ab, "x", (twice, twice, watch, watch), Span(1, 1, 1, 9))
+    return Contract((Decl("a"), Decl("b")), (Decl("x"), Decl("y")), (guard, twice))
+
+
+# permissions at the top level, in the body of a chain link, beside a
+# nested box, and under a [!a]* watch; clean, then each one faulty
+PERMITTED = (
+    "agents a, b; actions x, y, z, w; {a,b}P(z); "
+    "{a,b}[x]({b,a}O(y) & {a,b}P(z) & {b,a}[y]({a,b}O(w) & {b,a}P(x))); "
+    "{a,b}[!w]*({b,a}P(y) & {a,b}F(z));",
+    "agents a, b; actions x, y, z, w; {a,c}P(z); "
+    "{a,b}[x]({b,a}O(y) & {b,b}P(z) & {b,a}[y]({a,b}O(w) & {b,a}P(q))); "
+    "{a,b}[!w]*({b,a}P(nowhere) & {a,b}F(z));",
+)
+
+
 def _faults(contract):
     """Each clause fault `validate` tests with one combined check, with
     whether it sits at the top level or under a guard."""
@@ -275,16 +300,33 @@ def test_validate_matches_the_reference():
     contracts += [parsed(src) for src in (
         "agents a, a; actions a, b_; {a,a}[!a]({c,a}O(b));",
         "agents a, b; actions x, y, z; {a,b}[!z]*({b,a}F(x) & {a,b}[x]*({a,b}[!x]({b,b}O(y))));",
+        *PERMITTED,
     )]
+    contracts += [_shared("b"), _shared("c")]
     kinds = set()
     faults = set()
+    laid_out = 0
     for contract in contracts:
         got = [(i.severity, i.message, i.path, i.span) for i in validate(contract)]
         want = [(i.severity, i.message, i.path, i.span) for i in reference_validate(contract)]
         assert got == want
-        assert list(iter_clauses(contract)) == list(reference_iter_clauses(contract))
+        walked = list(reference_iter_clauses(contract))
+        assert list(iter_clauses(contract)) == walked
         kinds.update(message.split("'")[0] for _severity, message, _path, _span in got)
         faults.update(_faults(contract))
+        if any(severity == "error" for severity, _m, _p, _s in got):
+            continue
+        # the analysis' rows: each node of the walk once, in its order,
+        # permissions included, with its enclosing guard's row
+        rows = list(ContractSemantics(contract).clause_rows())
+        row_of = {path: row for row, (_node, path) in enumerate(walked)}
+        assert [row for row, _node, _up in rows] == list(range(len(walked)))
+        assert all(node is clause for (_row, node, _up), (clause, _path)
+                   in zip(rows, walked, strict=True))
+        assert [up for _row, _node, up in rows] == [
+            row_of.get(path.rpartition(".body[")[0], -1) for _clause, path in walked]
+        laid_out += 1
+    assert laid_out >= 150
     assert len(kinds) >= 16, sorted(kinds)
     # each part of the combined clause check fails alone somewhere, at the
     # top level and under a guard
@@ -347,6 +389,7 @@ def test_validate_matches_the_one_walk_reference():
                   for name in BAD_NAMES]
     contracts += [parsed(open(f"fixtures/{name}.rcl").read())
                   for name in ("purchase_conflicted", "purchase_fixed")]
+    contracts += [parsed(src) for src in PERMITTED] + [_shared("b"), _shared("c")]
     kinds, drawn = set(), set()
     for contract in contracts:
         got = [(i.severity, i.message, i.path, i.span) for i in validate(contract)]

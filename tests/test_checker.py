@@ -39,7 +39,12 @@ from rclc.lts import clashes, dump_lts, fired_sets
 from rclc.oracle import _oracle_active, _oracle_universe
 from rclc.semantics import ContractSemantics
 
-from contractgen import merged_contract, random_contract
+from contractgen import (
+    PERMISSION_POSITIONS,
+    merged_contract,
+    permission_positions,
+    random_contract,
+)
 
 CONFLICTED = open("fixtures/purchase_conflicted.rcl").read()
 FIXED = open("fixtures/purchase_fixed.rcl").read()
@@ -282,8 +287,10 @@ def _oracle_first_witnesses(contract):
 def test_oracle_equivalence_on_random_contracts():
     rng = random.Random(20260819)
     agreed = unprohibited = 0
+    positions = set()
     while agreed < 120:
         contract = parsed(pretty_print(random_contract(rng)))
+        positions |= permission_positions(contract)
         # a contract without a prohibition takes check's early return
         unprohibited += not any(
             isinstance(clause, Prohibition) for clause, _path in iter_clauses(contract)
@@ -297,6 +304,7 @@ def test_oracle_equivalence_on_random_contracts():
         assert reported == _oracle_first_witnesses(contract)
         agreed += 1
     assert unprohibited >= 20
+    assert positions == PERMISSION_POSITIONS
 
 
 def test_empty_report_means_no_collision_in_dump():

@@ -804,6 +804,10 @@ def test_permissions_count_in_the_shape_of_a_body():
     rule = head + "{a,b}[y]({b,a}O(z));\n{a,b}[!z]*({a,b}F(x) & {a,b}P(y));"
     with pytest.raises(LowerError, match="a negated watch must guard exactly one prohibition"):
         lower(parse(rule), allow_conflicts=True)
+    # one at the top level and one beside a link's obligation add nothing
+    permitted = head + "{a,b}P(z);\n{a,b}[x]({b,a}O(y) & {a,b}P(z));"
+    bare = head + "{a,b}[x]({b,a}O(y));"
+    assert emit_solidity(lower(parse(permitted))) == emit_solidity(lower(parse(bare)))
 
 
 def test_a_flow_deeper_than_the_recursion_limit_lowers():

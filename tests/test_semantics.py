@@ -7,13 +7,30 @@ from unittest import mock
 
 import pytest
 
-from rclc.ast import AgentPair, Box, Contract, Decl, Obligation, Prohibition, Span, pretty_print
+from rclc.ast import (
+    AgentPair,
+    Box,
+    Contract,
+    Decl,
+    Obligation,
+    Prohibition,
+    Span,
+    iter_clauses,
+    pretty_print,
+)
 from rclc.checker import check
 from rclc.lts import clashes, dump_lts, fired_sets, lts_to_dot
 from rclc.parser import parse_contract
 from rclc.semantics import ContractSemantics, Norm, NormState, StepError, event_universe
 
-from contractgen import merged_contract, random_contract, random_flow, random_lowerable
+from contractgen import (
+    PERMISSION_POSITIONS,
+    merged_contract,
+    permission_positions,
+    random_contract,
+    random_flow,
+    random_lowerable,
+)
 from reference import (
     reference_dump_lts,
     reference_enumerate_reachable,
@@ -310,7 +327,9 @@ def test_state_matches_the_reference_derivation():
     contracts += [Contract(c.agents, c.actions, c.clauses * 2, c.meta) for c in contracts[::4]]
     contracts += [parsed(pretty_print(c)) for c in contracts[::3]]
     contracts += [parsed(WRITTEN_TWICE), parsed(FIXTURE)]
+    positions = set()
     for contract in contracts:
+        positions |= permission_positions(contract)
         sem = ContractSemantics(contract)
         fast = [sem.state(frozenset(fired)) for fired in fired_sets(sem.universe)]
         with mock.patch.object(ContractSemantics, "state", reference_state):
@@ -329,6 +348,7 @@ def test_state_matches_the_reference_derivation():
             assert new.iter_watch == walk.iter_watch
         assert "".join(dump_lts(sem)) == reference_dump_lts(slow)
         assert "".join(lts_to_dot(sem)) == reference_lts_to_dot(slow)
+    assert positions == PERMISSION_POSITIONS
 
 
 def test_derivations_share_prebuilt_norms():
@@ -368,11 +388,20 @@ def test_conditions_and_universe_match_the_reference_walks():
     contracts += [parsed(open(f"fixtures/{name}.rcl").read())
                   for name in ("purchase_conflicted", "purchase_fixed")]
     contracts += [parsed(WRITTEN_TWICE), deep_box_chain()]
+    positions = set()
     for contract in contracts:
+        positions |= permission_positions(contract)
         sem = ContractSemantics(contract)
         universe = reference_event_universe(contract)
         assert sem.universe == event_universe(contract) == universe
-        assert list(sem.conditions()) == reference_path_conditions(contract, universe)
+        conditions = list(sem.conditions())
+        assert conditions == reference_path_conditions(contract, universe)
+        # one per obligation and prohibition, in source order: no permission
+        assert [norm.kind for norm, _cond in conditions] == [
+            {Obligation: "O", Prohibition: "F"}[type(clause)]
+            for clause, _path in iter_clauses(contract)
+            if type(clause) in (Obligation, Prohibition)]
+    assert positions == PERMISSION_POSITIONS
 
 
 def test_conditions_follow_source_order():
