@@ -19,10 +19,15 @@ guard nesting, which the parser caps at `parser.MAX_NESTING`.
 Nodes are immutable values; equality is structural and ignores source
 spans, so a pretty-printed and re-parsed contract compares equal.
 
-`layout` is the one pre-order walk of a clause tree. `validate` reads it
-and spells a path, such as `clauses[0].body[1]`, only for an issue on
-it. Its test of the header, `header_is_clean`, skips the per-name checks
-when they can find nothing; `ContractSemantics` asks it too.
+`layout` is the one pre-order walk of a clause tree. A `Contract` keeps
+its own (`derived`) beside the clause table `rclc.semantics` builds from
+it, both computed once while `clauses` holds the same tuple, so
+`validate`, `iter_clauses` and every `ContractSemantics` of a contract
+share one walk. `validate` spells a path, such as `clauses[0].body[1]`,
+only for an issue on it. Its test of the header, `header_is_clean`,
+skips the per-name checks when they can find nothing; `ContractSemantics`
+asks it too. Neither the header test nor any issue is kept: the names
+and annotations they read may change.
 
 The value classes of the package (nodes, reports, IR and `World`) sit
 on one base, `Value`: equal when of the same class with equal compared
@@ -56,6 +61,8 @@ __all__ = [
     "ANNOTATIONS",
     "Contract",
     "layout",
+    "Derived",
+    "derived",
     "ValidationIssue",
     "validate",
     "header_is_clean",
@@ -284,7 +291,19 @@ ANNOTATIONS: dict[str, tuple[str, str, bool]] = {
 
 
 class Contract(Value):
-    __slots__ = _fields = ("agents", "actions", "clauses", "meta")
+    """A parsed contract: its declared names, its clauses and its `Meta`.
+
+    What follows from the clause tuple alone, its `layout` and the clause
+    table `rclc.semantics` builds from it, is computed once and kept on
+    the contract while `clauses` holds that same tuple (`derived`), so
+    `validate` and every `ContractSemantics` of it share one walk. Nothing
+    derived from the names or the annotations is kept. The kept part is
+    not a field: equality, the repr and the refused hash ignore it, and a
+    copy or a pickle does not carry it but derives its own on first use.
+    """
+
+    _fields = ("agents", "actions", "clauses", "meta")
+    __slots__ = (*_fields, "_derived")
 
     def __init__(self, agents: tuple[Decl, ...], actions: tuple[Decl, ...],
                  clauses: tuple[Clause, ...], meta: Meta | None = None):
@@ -292,6 +311,10 @@ class Contract(Value):
         self.actions = actions
         self.clauses = clauses
         self.meta = Meta() if meta is None else meta
+        self._derived = None
+
+    def __reduce__(self):  # copy and pickle the fields alone
+        return self.__class__, (self.agents, self.actions, self.clauses, self.meta)
 
     def agent_names(self) -> list[str]:
         return [a.name for a in self.agents]
@@ -344,6 +367,28 @@ def layout(clauses: tuple[Clause, ...]):
             body, up = outer.pop()
 
 
+class Derived:
+    """What a `Contract` derives from its clause tuple alone: `clauses`,
+    that tuple, its `layout`, and `table`, the clause table
+    `rclc.semantics` keeps here once built (None until then)."""
+
+    __slots__ = ("clauses", "layout", "table")
+
+    def __init__(self, clauses: tuple[Clause, ...]):
+        self.clauses = clauses
+        self.layout = layout(clauses)
+        self.table = None
+
+
+def derived(contract: Contract) -> Derived:
+    """The `Derived` of `contract`'s clauses, laid out on first use and
+    kept until `contract.clauses` is assigned another tuple."""
+    kept = contract._derived
+    if kept is None or kept.clauses is not contract.clauses:
+        kept = contract._derived = Derived(contract.clauses)
+    return kept
+
+
 def _spell(lay, row: int) -> str:
     """Row `row` of `lay`, a `layout`, spelled such as ``clauses[0].body[1]``."""
     _nodes, parents, places, _ends = lay
@@ -356,7 +401,7 @@ def _spell(lay, row: int) -> str:
 
 def iter_clauses(contract: Contract):
     """Every clause node in pre-order with its path, such as ``clauses[0].body[1]``."""
-    nodes, parents, places, _ends = layout(contract.clauses)
+    nodes, parents, places, _ends = derived(contract).layout
     depths, steps = {-1: 0}, []  # each guard row's depth; the steps of the path so far
     for row, (node, up, place) in enumerate(zip(nodes, parents, places)):
         depth = depths[up]
@@ -434,7 +479,7 @@ def validate(contract: Contract) -> list[ValidationIssue]:
     watched: list[tuple[str, int, Span]] = []
     used_actions: set[str] = set()
 
-    lay = nodes, _parents, _places, _ends = layout(contract.clauses)
+    lay = nodes, _parents, _places, _ends = derived(contract).layout
     for row, clause in enumerate(nodes):
         kind = type(clause)
         pair = clause.pair

@@ -19,24 +19,28 @@ Because activity depends only on the fired set, firing order can never
 matter, which makes the reachable system the subset lattice of the
 event universe; `rclc.lts` streams it for `dump-lts`.
 
-Each `ContractSemantics` turns its clause tree's `ast.layout` into a
-flat table (`_clause_table`) of prebuilt payloads, a row per layout row:
-each `Norm`, pending box, armed watch and permission. Deriving a state
-is one forward pass over it that jumps over the body of every guard not
-in force, builds no `Norm` and hashes no guarded body. A state keeps the
-table's own boxes and watches, so `rclc.lts` prints each distinct one
-once. `conditions` gives the check's path conditions; `holds` tests a
-norm up the layout's parent links at a fired set `admit` checked;
-`clause_rows` gives `lower` each row's clause.
+The first `ContractSemantics` of a contract turns its clause tree's
+`ast.layout` into a flat table (`_clause_table`) of prebuilt payloads, a
+row per layout row: each `Norm`, pending box, armed watch and
+permission. Deriving a state is one forward pass over it that jumps over
+the body of every guard not in force, builds no `Norm` and hashes no
+guarded body. A state keeps the table's own boxes and watches, so
+`rclc.lts` prints each distinct one once. `conditions` gives the check's
+path conditions; `holds` tests a norm up the layout's parent links at a
+fired set `admit` checked; `clause_rows` gives `lower` each row's clause.
 
-That layout is the only walk a `ContractSemantics` makes when built.
-`validate`, a second one, runs then only where an error is possible:
-the header fails `ast.header_is_clean` (annotations included), or an
-event of the universe names an undeclared agent or action or pairs an
-agent with itself. Otherwise `warnings` runs it on first read, so
-`check`, `lower` and `co_simulate` handed a `Contract` never do, and the
-CLI, which prints the warnings, still validates once per command. The
-initial state is derived once per analysis and shared.
+The table, with what `holds` and `initial_state` build from it, depends
+on the clause tuple alone, so the contract keeps it beside its layout
+(`ast.derived`), which `validate` reads too, and every later analysis
+of that contract shares both: `validate` → `check` → `lower` on one
+`Contract` walks its clauses once and builds one table. What reads the
+names or the annotations is not kept. Each analysis runs the gate, and
+`validate` runs then only where an error is possible: the header fails
+`ast.header_is_clean` (annotations included), or an event of the
+universe names an undeclared agent or action or pairs an agent with
+itself. Otherwise `warnings` runs it on first read, so `check`, `lower`
+and `co_simulate` handed a `Contract` never do, and the CLI, which
+prints the warnings, still validates once per command.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ from .ast import (
     Prohibition,
     Span,
     ValidationIssue,
+    derived,
     header_is_clean,
-    layout,
     validate,
 )
 
@@ -132,7 +136,7 @@ def event_universe(contract: Contract | ContractSemantics) -> tuple[Event, ...]:
     of a deontic operator, a box guard, or an iterated watch."""
     if isinstance(contract, ContractSemantics):
         return contract.universe
-    return _clause_table(contract.clauses)[0]
+    return _table_of(contract).universe
 
 
 # Row kinds of the clause table: norms, a permission, which imposes
@@ -144,33 +148,59 @@ _OBLIGED, _FORBIDDEN, _PERMITTED, _BOX, _UNTIL, _ONCE = range(6)
 Condition = tuple[frozenset[int], frozenset[str], frozenset[str]]
 
 
-def _clause_table(clauses: tuple[Clause, ...]):
-    """The sorted event universe, its index map, one (kind, key, payload,
-    end) row per row of the clauses' `layout`, and that layout's nodes and
-    parent links. The key is an obligation's or box's event index and a
-    prohibition's or watch's action; the payload the `Norm`, pending
-    `(event, body)` or armed `(action, body, positive)`; `end` the row past
-    the node's subtree. A permission's key and payload are None."""
-    nodes, parents, _places, ends = layout(clauses)
-    universe = tuple(sorted(set(map(_event, nodes))))  # by performer, counterparty, action
-    index_of = {event: i for i, event in enumerate(universe)}
-    table: list[tuple[int, object, object, int]] = []
-    for clause, end in zip(nodes, ends):
+class _Table:
+    """The clause table of one clause tuple, built by `_clause_table` and
+    kept on its `Contract` (`ast.derived`), so every `ContractSemantics`
+    of that contract shares it: the sorted event universe, its index map,
+    one (kind, key, payload, end) row per row of the clauses' `layout`,
+    that layout's nodes and parent links, and what `holds` and
+    `initial_state` build on first use. The key is an obligation's or
+    box's event index and a prohibition's or watch's action; the payload
+    the `Norm`, pending `(event, body)` or armed `(action, body,
+    positive)`; `end` the row past the node's subtree. A permission's key
+    and payload are None."""
+
+    __slots__ = ("universe", "index_of", "rows", "nodes", "parents", "rows_of", "initial")
+
+    def __init__(self, universe, index_of, rows, nodes, parents):
+        self.universe, self.index_of, self.rows = universe, index_of, rows
+        self.nodes, self.parents = nodes, parents
+        self.rows_of = None  # built by `holds`
+        self.initial = None  # built by `initial_state`
+
+
+def _clause_table(lay) -> _Table:
+    """The `_Table` of `lay`, a clause tuple's `layout`."""
+    nodes, parents, _places, ends = lay
+    events = list(map(_event, nodes))
+    universe = tuple(sorted(set(events)))  # by performer, counterparty, action
+    index_of = dict(zip(universe, range(len(universe))))
+    rows: list[tuple[int, object, object, int]] = []
+    for clause, event, end in zip(nodes, events, ends):
         kind = type(clause)
-        pair, action = event = (clause.pair, clause.action)
+        pair, action = event
         if kind is Obligation:
-            table.append((_OBLIGED, index_of[event], _new(Norm, ("O", pair, action, clause.span)),
-                          end))
+            rows.append((_OBLIGED, index_of[event], _new(Norm, ("O", pair, action, clause.span)),
+                         end))
         elif kind is Prohibition:
-            table.append((_FORBIDDEN, action, _new(Norm, ("F", pair, action, clause.span)), end))
+            rows.append((_FORBIDDEN, action, _new(Norm, ("F", pair, action, clause.span)), end))
         elif kind is Permission:
-            table.append((_PERMITTED, None, None, end))
+            rows.append((_PERMITTED, None, None, end))
         elif kind is Box:
-            table.append((_BOX, index_of[event], (event, clause.body), end))
+            rows.append((_BOX, index_of[event], (event, clause.body), end))
         else:
             watch = (action, clause.body, clause.positive)
-            table.append((_ONCE if clause.positive else _UNTIL, action, watch, end))
-    return universe, index_of, tuple(table), nodes, parents
+            rows.append((_ONCE if clause.positive else _UNTIL, action, watch, end))
+    return _Table(universe, index_of, tuple(rows), nodes, parents)
+
+
+def _table_of(contract: Contract) -> _Table:
+    """`contract`'s clause table, built once and kept with its layout."""
+    kept = derived(contract)
+    table = kept.table
+    if table is None:
+        table = kept.table = _clause_table(kept.layout)
+    return table
 
 
 def _resolves(agents: set[str], actions: set[str], universe: tuple[Event, ...]) -> bool:
@@ -184,21 +214,21 @@ def _resolves(agents: set[str], actions: set[str], universe: tuple[Event, ...]) 
 
 
 class ContractSemantics:
-    """One analysed contract, built from one walk of its clause tree: its
-    states, steps and path conditions, and its warnings. `check`, `lower`
-    and `co_simulate` share it.
+    """One analysed contract: its states, steps and path conditions, and
+    its warnings. `check`, `lower` and `co_simulate` share it.
 
-    `validate` runs at construction only when the header or the event
-    universe could hold an error; an error raises `InvalidContract`.
-    Otherwise `warnings` runs it on first read and keeps what it found.
+    Its clause table is the one its `Contract` keeps, built by the first
+    analysis from the contract's one layout and shared by every later
+    one. The gate is not kept: `validate` runs at construction only when
+    the header or the event universe could hold an error, and an error
+    raises `InvalidContract`. Otherwise `warnings` runs it on first read
+    and keeps what it found.
     """
 
     def __init__(self, contract: Contract):
         self.contract = contract
-        self.universe, self._index_of, self._table, self._nodes, self._parent = _clause_table(
-            contract.clauses)
-        self._rows_of = None  # built by `holds`
-        self._initial = None  # built by `initial_state`
+        shared = self._shared = _table_of(contract)
+        self.universe, self._index_of, self._table = shared.universe, shared.index_of, shared.rows
         agents, actions = contract.agent_names(), contract.action_names()
         if not (header_is_clean(contract, agents, actions)
                 and _resolves(set(agents), set(actions), self.universe)):
@@ -219,9 +249,9 @@ class ContractSemantics:
 
     def initial_state(self) -> NormState:
         """The state before any event fires, built once and shared."""
-        initial = self._initial
+        initial = self._shared.initial
         if initial is None:
-            initial = self._initial = self.state(frozenset())
+            initial = self._shared.initial = self.state(frozenset())
         return initial
 
     def _admit(self, fired: frozenset[Event] | set[Event], event: Event):
@@ -252,14 +282,15 @@ class ContractSemantics:
         """`norm in self.state(F).active`, F the fired set `admit` gave:
         whether a row carrying `norm` passes its own literal and every
         enclosing guard's, as `state` tests them."""
-        rows_of = self._rows_of
+        shared = self._shared
+        rows_of = shared.rows_of
         if rows_of is None:
-            rows_of = self._rows_of = {}
+            rows_of = shared.rows_of = {}
             for i, (kind, _key, norm_at, _end) in enumerate(self._table):
                 if kind <= _FORBIDDEN:
                     rows_of.setdefault(norm_at, []).append(i)
         events, actions = fired
-        table, parent = self._table, self._parent
+        table, parent = self._table, shared.parents
         for i in rows_of.get(norm, ()):
             kind, key, _payload, _end = table[i]
             if key in (events if kind == _OBLIGED else actions):
@@ -315,7 +346,7 @@ class ContractSemantics:
     def clause_rows(self) -> Iterator[tuple[int, Clause, int]]:
         """(row, clause, its guard's row or -1 at the top) per row of the
         table, permissions included, in source pre-order."""
-        return zip(count(), self._nodes, self._parent)
+        return zip(count(), self._shared.nodes, self._shared.parents)
 
     def conditions(self) -> Iterator[tuple[Norm, Condition]]:
         """Every obligation and prohibition occurrence, in source order, with

@@ -4,13 +4,17 @@ and `co_simulate` give the same answers for a `ContractSemantics` as for
 its `Contract`. Building one runs `validate` only when the contract could
 hold an error, raising `InvalidContract` exactly when it does; otherwise
 `sem.warnings` runs it on first read, and `check`, `lower` and
-`co_simulate` never do. `initial_state()` is built once and shared."""
+`co_simulate` never do. What follows from the clause tuple alone, its
+layout and clause table and the initial state, is built once per
+`Contract` and shared by `validate` and every analysis of it, unseen:
+each answers as on a contract built afresh."""
 
 import random
 from pathlib import Path
 
 import pytest
 
+import rclc.ast
 import rclc.cli
 import rclc.semantics
 from rclc.ast import (
@@ -23,13 +27,14 @@ from rclc.ast import (
     Obligation,
     Permission,
     Prohibition,
+    iter_clauses,
     validate,
 )
 from rclc.checker import check
 from rclc.cli import main
 from rclc.codegen import LowerError, emit_solidity, lower
 from rclc.parser import parse_contract
-from rclc.semantics import ContractSemantics, InvalidContract
+from rclc.semantics import ContractSemantics, InvalidContract, event_universe
 from rclc.simulator import co_simulate, parse_script, run_script
 
 from contractgen import (
@@ -364,3 +369,155 @@ def test_the_initial_state_is_built_once_and_shared():
         assert initial == sem.state(frozenset())
         assert sem.initial_state() is initial
         assert initial.fired == frozenset()
+
+
+# -- one layout and one clause table per contract ---------------------------
+
+def _answer(call, contract):
+    """What `call(contract)` returns, or the error it raises with its issues."""
+    try:
+        return call(contract)
+    except InvalidContract as exc:
+        return "invalid", str(exc), exc.issues
+
+
+def _rows(method):
+    def call(contract):
+        result = getattr(ContractSemantics(contract), method)()
+        return result if method == "initial_state" else list(result)
+    return call
+
+
+# each builds a ContractSemantics of its own where it needs one
+QUESTIONS = {
+    "validate": validate,
+    "iter_clauses": lambda c: list(iter_clauses(c)),
+    "event_universe": event_universe,
+    "check": lambda c: _report(check(c)),
+    "lower": _lowered,
+    "lower-allowed": lambda c: _lowered(c, allow_conflicts=True),
+    "lower-fidelity": lambda c: _lowered(c, allow_conflicts=True, fidelity_internal_calls=True),
+    "warnings": lambda c: ContractSemantics(c).warnings,
+    "conditions": _rows("conditions"),
+    "initial_state": _rows("initial_state"),
+    "clause_rows": _rows("clause_rows"),
+}
+
+
+def _fresh(contract):
+    return Contract(contract.agents, contract.actions, contract.clauses, contract.meta)
+
+
+def _every_draw():
+    rng = random.Random(3030)
+    drawn = [random_contract(rng) for _ in range(12)]
+    drawn += [merged_contract(rng, parts, max_events=12) for parts in (2, 3) * 6]
+    drawn += [random_lowerable(rng) for _ in range(12)]
+    drawn += [random_flow(rng) for _ in range(12)]
+    drawn += [random_clashing(rng) for _ in range(12)]
+    drawn += [Contract(c.agents[:-1], c.actions, c.clauses, c.meta) for c in drawn[::6]]
+    return drawn
+
+
+def test_the_kept_analysis_answers_as_a_fresh_contract_in_any_order():
+    lowered = invalid = 0
+    for drawn in _every_draw():
+        for order in (list(QUESTIONS), list(reversed(QUESTIONS))):
+            kept = _fresh(drawn)
+            for name in order:
+                got = _answer(QUESTIONS[name], kept)
+                assert got == _answer(QUESTIONS[name], _fresh(drawn)), name
+                lowered += name == "lower" and got[0] != "refused"
+                invalid += name == "check" and got[0] == "invalid"
+    # the sample lowers some contracts and refuses others as invalid
+    assert lowered >= 40 and invalid >= 4
+
+
+def test_assigning_other_clauses_analyses_them_afresh():
+    fixed = parsed((FIXTURES / "purchase_fixed.rcl").read_text())
+    conflicted = parsed((FIXTURES / "purchase_conflicted.rcl").read_text())
+    actions = fixed.actions + tuple(a for a in conflicted.actions if a not in fixed.actions)
+    contract = Contract(fixed.agents, actions, conflicted.clauses, fixed.meta)
+    before = {name: _answer(call, contract) for name, call in QUESTIONS.items()}
+    assert check(contract).conflicts
+    contract.clauses = fixed.clauses
+    twin = _fresh(contract)
+    for name, call in QUESTIONS.items():
+        assert _answer(call, contract) == _answer(call, twin), name
+    assert not check(contract).conflicts
+    contract.clauses = conflicted.clauses
+    for name, call in QUESTIONS.items():
+        assert _answer(call, contract) == before[name], name
+    rng = random.Random(3131)
+    for _ in range(20):
+        first, second = random_lowerable(rng), random_lowerable(rng)
+        contract = _fresh(first)
+        for call in QUESTIONS.values():
+            _answer(call, contract)
+        contract.clauses = second.clauses
+        twin = Contract(first.agents, first.actions, second.clauses, first.meta)
+        for name, call in QUESTIONS.items():
+            assert _answer(call, contract) == _answer(call, twin), name
+
+
+def test_a_second_analysis_still_validates_the_header_and_annotations():
+    contract = parsed((FIXTURES / "purchase_fixed.rcl").read_text())
+    ContractSemantics(contract)
+    contract.meta.roles["nobody"] = "Nobody"
+    with pytest.raises(InvalidContract, match="undeclared agent 'nobody'"):
+        ContractSemantics(contract)
+    rng = random.Random(3232)
+    for _ in range(10):
+        contract = random_lowerable(rng)
+        check(contract)
+        assert ContractSemantics(contract).warnings == tuple(validate(contract))
+        contract.meta.funcs[(None, None, "undeclared")] = "f"
+        with pytest.raises(InvalidContract, match="undeclared action 'undeclared'"):
+            ContractSemantics(contract)
+        del contract.meta.funcs[(None, None, "undeclared")]
+        ContractSemantics(contract)
+        contract.agents = contract.agents[:1]
+        with pytest.raises(InvalidContract, match="at least two agents"):
+            ContractSemantics(contract)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """How often `ast.layout` and `semantics._clause_table` have run."""
+    counted = {"layout": 0, "table": 0}
+
+    def counting(name, function):
+        def call(*args):
+            counted[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(rclc.ast, "layout", counting("layout", rclc.ast.layout))
+    monkeypatch.setattr(rclc.semantics, "_clause_table",
+                        counting("table", rclc.semantics._clause_table))
+    return counted
+
+
+def test_a_contract_is_laid_out_and_tabled_once_across_the_pipeline(walks):
+    rng = random.Random(3333)
+    contracts = [parsed((FIXTURES / name).read_text())
+                 for name in ("purchase_fixed.rcl", "purchase_conflicted.rcl")]
+    contracts += [random_lowerable(rng) for _ in range(10)]
+    for contract in contracts:
+        validate(contract)
+        check(contract)
+        world = _greedy_world(lower(contract, allow_conflicts=True))
+        co_simulate(contract, world)
+        first, second = ContractSemantics(contract), ContractSemantics(contract)
+        assert first.initial_state() is second.initial_state()
+        event_universe(contract)
+        list(iter_clauses(contract))
+        assert walks == {"layout": 1, "table": 1}
+        walks.update(layout=0, table=0)
+
+
+@pytest.mark.parametrize("argv, code", COMMANDS.values(), ids=COMMANDS.keys())
+def test_each_command_lays_its_input_out_once(argv, code, walks, capsys):
+    assert main(argv) == code
+    capsys.readouterr()
+    assert walks == {"layout": 1, "table": 1}

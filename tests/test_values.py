@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import rclc.ast
 from rclc.ast import (
     AgentPair,
     Box,
@@ -19,11 +20,14 @@ from rclc.ast import (
     Prohibition,
     Span,
     ValidationIssue,
+    iter_clauses,
+    layout,
+    validate,
 )
 from rclc.checker import CheckReport, CheckStats, Conflict, check
 from rclc.codegen import CallFn, EmitEvent, FunctionIR, SetFlag, SetState, lower
 from rclc.parser import ParseError, ParseResult, parse_contract
-from rclc.semantics import ContractSemantics, Norm
+from rclc.semantics import ContractSemantics, Norm, event_universe
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -155,6 +159,41 @@ def test_copies_and_pickles_are_equal_values():
         for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
             twin = clone(value)
             assert twin == value and repr(twin) == repr(value)
+
+
+def _analysed(contract):
+    """`contract` after every analysis that keeps something on it."""
+    validate(contract)
+    list(iter_clauses(contract))
+    event_universe(contract)
+    sem = ContractSemantics(contract)
+    sem.initial_state()
+    check(contract)
+    lower(contract, allow_conflicts=True)
+    return contract
+
+
+def test_an_analysed_contract_is_the_same_value(monkeypatch):
+    for name in ("purchase_fixed.rcl", "purchase_conflicted.rcl"):
+        analysed, plain = _analysed(fixture(name)), fixture(name)
+        assert analysed == plain and not analysed != plain
+        assert repr(analysed) == repr(plain)
+        with pytest.raises(TypeError):
+            hash(analysed)
+        assert pickle.dumps(analysed) == pickle.dumps(plain)  # no analysis is carried
+        for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            twin, plain_twin = clone(analysed), clone(plain)
+            assert twin == plain_twin == plain and repr(twin) == repr(plain)
+            assert twin.clauses == analysed.clauses
+        # a copy lays its clauses out afresh on first use
+        issues, laid_out = validate(plain), []
+        with monkeypatch.context() as patch:
+            patch.setattr(rclc.ast, "layout",
+                          lambda clauses: laid_out.append(clauses) or layout(clauses))
+            twin = copy.copy(analysed)
+            assert twin.clauses is analysed.clauses
+            assert validate(twin) == issues
+        assert laid_out == [analysed.clauses]
 
 
 def test_parse_error_and_conflict_accessors():
