@@ -20,14 +20,18 @@ Nodes are immutable values; equality is structural and ignores source
 spans, so a pretty-printed and re-parsed contract compares equal.
 
 `layout` is the one pre-order walk of a clause tree. A `Contract` keeps
-its own (`derived`) beside the clause table `rclc.semantics` builds from
-it, both computed once while `clauses` holds the same tuple, so
-`validate`, `iter_clauses` and every `ContractSemantics` of a contract
-share one walk. `validate` spells a path, such as `clauses[0].body[1]`,
-only for an issue on it. Its test of the header, `header_is_clean`,
-skips the per-name checks when they can find nothing; `ContractSemantics`
-asks it too. Neither the header test nor any issue is kept: the names
-and annotations they read may change.
+what it derives in a `Derived` (`derived`): its layout and the clause
+table `rclc.semantics` builds from it, for as long as `clauses` holds the
+same tuple, and what `validate` found (`kept_findings`), for as long as
+`agents`, `actions` and `clauses` hold the same tuples and the contract
+carries no annotation. So `validate`, `iter_clauses` and every
+`ContractSemantics` of a contract share one walk and one validation.
+Nothing is kept for a field that is a list, which may change in place,
+nor are findings kept for an annotated contract, whose `Meta` tables are
+dicts. `validate` spells a path, such as `clauses[0].body[1]`, only for
+an issue on it. Its test of the header, `header_is_clean`, skips the
+per-name checks when they can find nothing; a `ContractSemantics` that
+finds no kept findings asks it too.
 
 The value classes of the package (nodes, reports, IR and `World`) sit
 on one base, `Value`: equal when of the same class with equal compared
@@ -63,6 +67,7 @@ __all__ = [
     "layout",
     "Derived",
     "derived",
+    "kept_findings",
     "ValidationIssue",
     "validate",
     "header_is_clean",
@@ -294,12 +299,17 @@ class Contract(Value):
     """A parsed contract: its declared names, its clauses and its `Meta`.
 
     What follows from the clause tuple alone, its `layout` and the clause
-    table `rclc.semantics` builds from it, is computed once and kept on
-    the contract while `clauses` holds that same tuple (`derived`), so
-    `validate` and every `ContractSemantics` of it share one walk. Nothing
-    derived from the names or the annotations is kept. The kept part is
-    not a field: equality, the repr and the refused hash ignore it, and a
-    copy or a pickle does not carry it but derives its own on first use.
+    table `rclc.semantics` builds from it with the check's conflicts, is
+    computed once and kept on the contract while `clauses` holds that
+    same tuple (`derived`). What `validate` found is kept beside it while
+    `agents`, `actions` and `clauses` hold the tuples it read and no
+    annotation is set. So `validate` → `check` → `lower` on one contract
+    walks, validates and checks it once. A field that is not a tuple may
+    change in place, so nothing read from it is kept: every answer that
+    reads it is derived afresh. The fields are stored as given.
+    The kept part is not a field: equality, the repr and the refused hash
+    ignore it, and a copy or a pickle does not carry it but derives its
+    own on first use.
     """
 
     _fields = ("agents", "actions", "clauses", "meta")
@@ -368,25 +378,43 @@ def layout(clauses: tuple[Clause, ...]):
 
 
 class Derived:
-    """What a `Contract` derives from its clause tuple alone: `clauses`,
-    that tuple, its `layout`, and `table`, the clause table
-    `rclc.semantics` keeps here once built (None until then)."""
+    """What a `Contract` derives once and keeps. From its clause tuple
+    alone: `clauses`, that tuple, its `layout`, and `table`, the clause
+    table `rclc.semantics` keeps here once built. From the names too:
+    `findings`, the issues `validate` reported while the contract carried
+    no annotation, for the `agents` and `actions` tuples it read. The last
+    four are None until set."""
 
-    __slots__ = ("clauses", "layout", "table")
+    __slots__ = ("clauses", "layout", "table", "agents", "actions", "findings")
 
     def __init__(self, clauses: tuple[Clause, ...]):
         self.clauses = clauses
         self.layout = layout(clauses)
-        self.table = None
+        self.table = self.agents = self.actions = self.findings = None
 
 
 def derived(contract: Contract) -> Derived:
     """The `Derived` of `contract`'s clauses, laid out on first use and
-    kept until `contract.clauses` is assigned another tuple."""
+    kept until `contract.clauses` is assigned another tuple. Clauses that
+    are not a tuple may change in place, so nothing is kept for them."""
     kept = contract._derived
-    if kept is None or kept.clauses is not contract.clauses:
-        kept = contract._derived = Derived(contract.clauses)
+    clauses = contract.clauses
+    if kept is None or kept.clauses is not clauses:
+        kept = Derived(clauses)
+        contract._derived = kept if type(clauses) is tuple else None
     return kept
+
+
+def kept_findings(contract: Contract) -> tuple[ValidationIssue, ...] | None:
+    """What `validate` found for `contract`, or None if it has not run on
+    these fields: `clauses`, `agents` and `actions` are the tuples it read
+    and the contract still carries no annotation."""
+    kept = contract._derived
+    if (kept is None or kept.findings is None or kept.clauses is not contract.clauses
+            or kept.agents is not contract.agents or kept.actions is not contract.actions
+            or any(_META_TABLES(contract.meta))):
+        return None
+    return kept.findings
 
 
 def _spell(lay, row: int) -> str:
@@ -437,8 +465,13 @@ def header_is_clean(contract: Contract, agents: list[str], actions: list[str]) -
 def validate(contract: Contract) -> list[ValidationIssue]:
     """Check name tables and clause references; never raises.
 
-    Errors make the contract unusable downstream, warnings do not.
+    Errors make the contract unusable downstream, warnings do not. What
+    it finds for a contract without annotations whose names and clauses
+    are tuples is kept (`kept_findings`), and a later call returns a copy.
     """
+    found = kept_findings(contract)
+    if found is not None:
+        return list(found)
     issues: list[ValidationIssue] = []
 
     def err(message, path, span=_NO_SPAN):
@@ -479,7 +512,8 @@ def validate(contract: Contract) -> list[ValidationIssue]:
     watched: list[tuple[str, int, Span]] = []
     used_actions: set[str] = set()
 
-    lay = nodes, _parents, _places, _ends = derived(contract).layout
+    kept = derived(contract)
+    lay = nodes, _parents, _places, _ends = kept.layout
     for row, clause in enumerate(nodes):
         kind = type(clause)
         pair = clause.pair
@@ -519,6 +553,8 @@ def validate(contract: Contract) -> list[ValidationIssue]:
 
     if any(_META_TABLES(contract.meta)):
         _validate_meta(contract, agent_set, action_set, issues)
+    elif type(contract.agents) is tuple and type(contract.actions) is tuple:
+        kept.agents, kept.actions, kept.findings = contract.agents, contract.actions, tuple(issues)
     return issues
 
 

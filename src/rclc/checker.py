@@ -8,7 +8,11 @@ conjunction of literals on that set, its path condition, as
 tests each O/F pair's two conditions together, builds the shortest
 witness directly, sorts the clashes once by witness rank and
 `lts.clash_order`, and verifies each by `admit` and `holds`: no state
-of the 2^n subset lattice is derived.
+of the 2^n subset lattice is derived. A contract without a prohibition
+has nothing to clash, so its conditions are not derived either. The
+verified conflicts depend on the clauses alone, so the clause table
+keeps them, and a later check of the same clause tuple, `lower`'s own
+included, reports them again with its own time.
 `rclc.oracle.brute_force_oracle` answers the same question by
 exhaustive enumeration with its own walk and interpreter; it shares
 nothing with `check` and keeps it honest. No command loads it, and this
@@ -92,17 +96,26 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
     `lts.fired_sets` order (smallest, then by event index) at which
     the clash shows. Reports follow (witness, `lts.clash_order`), the
     order a walk of the lattice finds them in. Each is verified at its
-    witness first.
+    witness first, once per clause table: a later check of the same
+    table reports the kept conflicts.
     """
     begin = time.perf_counter()
     sem = ContractSemantics.of(contract)
+    shared = sem._shared  # the clause table, which keeps the verified conflicts
+    if shared.conflicts is None:
+        # without a prohibition no O/F pair can clash
+        shared.conflicts = _conflicts(sem) if shared.forbids else ()
+    return _report(shared.conflicts, len(sem.universe), begin)
+
+
+def _conflicts(sem: ContractSemantics) -> tuple[Conflict, ...]:
+    """`check`'s conflicts: every O/F pair's conditions tested together,
+    the least witness of each, verified at it and sorted."""
     universe = sem.universe
     obligations: list[tuple[Norm, Condition]] = []
     forbidden: list[tuple[Norm, Condition]] = []
     for entry in sem.conditions():
         (obligations if entry[0].kind == "O" else forbidden).append(entry)
-    if not forbidden:  # no O/F pair, so nothing to test or verify
-        return _report((), len(universe), begin)
 
     action_at = [action for _pair, action in universe]
     first_with: dict[str, int] = {}
@@ -154,7 +167,7 @@ def check(contract: Contract | ContractSemantics) -> CheckReport:
         if not (sem.holds(ob, fired) and sem.holds(forbid, fired)):
             raise RuntimeError(f"witness replay failed for {ob.pair} {ob.action}")
         conflicts.append(Conflict(ob, forbid, witness))
-    return _report(tuple(conflicts), len(universe), begin)
+    return tuple(conflicts)
 
 
 def _report(conflicts: tuple[Conflict, ...], n: int, begin: float) -> CheckReport:

@@ -207,6 +207,13 @@ def _cap(name: str) -> str:
     return name[0].upper() + name[1:] if name else name
 
 
+def _given(table: dict[str, str], flag: str, default: str) -> str:
+    """`table`'s message for `flag`, else the flag's name and `default`,
+    spelled only then; an annotated empty message stays empty."""
+    message = table.get(flag) if table else None
+    return flag + default if message is None else message
+
+
 def _is_inline(meta: Meta, pair: AgentPair, action: str) -> bool:
     return (
         (pair.performer, pair.counterparty, action) in meta.inline
@@ -408,12 +415,14 @@ def lower(
         fn_name_of[pair, action] = fn_name(pair, action)
     flag_of: dict[Event, str] = {}
     flags: list[tuple[str, str]] = []  # (flag, declaration comment)
+    comment_of: dict[Event, str] = {}  # the `// {x,y} O(a)` comment of each obligation
     promoted: list[Event] = []
     for node, _parent in sites:
         event = (node.pair, node.action)
         if not isinstance(node, Obligation) or event in fn_name_of:
             continue  # a chain link or an earlier site names this function
         fn_name_of[event] = fn_name(*event)
+        comment = comment_of[event] = "// {%s,%s} O(%s)" % (*node.pair, node.action)
         box = first_box.get(event)
         if box is not None and sum(isinstance(c, Obligation) for c in box.body) >= 2:
             promoted.append(event)
@@ -423,7 +432,7 @@ def lower(
             if flag is None:
                 flag = member_namer.claim(done + _cap(role_of[node.pair.counterparty]))
             flag_of[event] = flag
-            flags.append((flag, f"// {node.pair} O({node.action})"))
+            flags.append((flag, comment))
     chain_events = set(links)
     advancing = chain_events.union(promoted)
 
@@ -487,6 +496,7 @@ def lower(
     buyer_agents = {a for a, r in role_of.items() if r == "buyer"}
     param_of: dict[str, str] = {}  # wanted name -> claimed member name
     payables, messages, valuemsgs = meta.payables, meta.messages, meta.valuemsgs
+    required, repeats = meta.requires, meta.repeats
 
     def payable_param(pair: AgentPair, action: str) -> str | None:
         wanted = payables and meta.lookup(payables, pair, action)
@@ -521,20 +531,12 @@ def lower(
         comments = (comment,)
         if box_flags or rule_flags:
             guards = box_flags + tuple(rule_flags) if rule_flags else box_flags
-            requires = [
-                (flag, True, meta.requires.get(flag, f"{flag} required"))
-                for flag in dict.fromkeys(guards)
-            ]
+            requires = [(flag, True, _given(required, flag, " required"))
+                        for flag in dict.fromkeys(guards)]
             if rule_flags:
                 comments += (f"// house rule guard: {', '.join(rule_flags)}",)
         if repeat_flag is not None:
-            requires.append(
-                (
-                    repeat_flag,
-                    False,
-                    meta.repeats.get(repeat_flag, f"{repeat_flag} already set"),
-                )
-            )
+            requires.append((repeat_flag, False, _given(repeats, repeat_flag, " already set")))
         caller = caller_of.get(event)
         if caller is not None:
             warnings.append(
@@ -602,7 +604,7 @@ def lower(
                     )
                 continue  # the first occurrence's function serves both
             guards_of[event] = (state, box_flags)
-            comment = f"// {node.pair} O({node.action})"
+            comment = comment_of[event]
             if event in advancing:
                 build(event, state, box_flags, SetState(promo_state_of[event]), comment)
             else:

@@ -29,18 +29,20 @@ guarded body. A state keeps the table's own boxes and watches, so
 path conditions; `holds` tests a norm up the layout's parent links at a
 fired set `admit` checked; `clause_rows` gives `lower` each row's clause.
 
-The table, with what `holds` and `initial_state` build from it, depends
-on the clause tuple alone, so the contract keeps it beside its layout
-(`ast.derived`), which `validate` reads too, and every later analysis
-of that contract shares both: `validate` → `check` → `lower` on one
-`Contract` walks its clauses once and builds one table. What reads the
-names or the annotations is not kept. Each analysis runs the gate, and
+The table, with what `holds` and `initial_state` build from it and the
+conflicts `rclc.checker.check` verifies, depends on the clause tuple
+alone, so the contract keeps it beside its layout (`ast.derived`), and
+every later analysis of that contract shares both. The contract also
+keeps what `validate` found where it can (`ast.kept_findings`: no
+annotation, and its names and clauses are tuples), and an analysis reads
+that in place of the gate. Otherwise the analysis runs the gate, and
 `validate` runs then only where an error is possible: the header fails
 `ast.header_is_clean` (annotations included), or an event of the
 universe names an undeclared agent or action or pairs an agent with
-itself. Otherwise `warnings` runs it on first read, so `check`, `lower`
-and `co_simulate` handed a `Contract` never do, and the CLI, which
-prints the warnings, still validates once per command.
+itself. Where neither applies `warnings` runs it on first read. So
+`validate` → `check` → `lower` on one unannotated `Contract` walks its
+clauses, validates it and derives its path conditions once each; an
+annotated one pays the gate and `validate` per analysis.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .ast import (
     ValidationIssue,
     derived,
     header_is_clean,
+    kept_findings,
     validate,
 )
 
@@ -158,15 +161,18 @@ class _Table:
     box's event index and a prohibition's or watch's action; the payload
     the `Norm`, pending `(event, body)` or armed `(action, body,
     positive)`; `end` the row past the node's subtree. A permission's key
-    and payload are None."""
+    and payload are None. `forbids` tells whether a row is a prohibition,
+    and `conflicts` keeps what `rclc.checker.check` verified."""
 
-    __slots__ = ("universe", "index_of", "rows", "nodes", "parents", "rows_of", "initial")
+    __slots__ = ("universe", "index_of", "rows", "nodes", "parents", "forbids", "rows_of",
+                 "initial", "conflicts")
 
-    def __init__(self, universe, index_of, rows, nodes, parents):
+    def __init__(self, universe, index_of, rows, nodes, parents, forbids):
         self.universe, self.index_of, self.rows = universe, index_of, rows
-        self.nodes, self.parents = nodes, parents
+        self.nodes, self.parents, self.forbids = nodes, parents, forbids
         self.rows_of = None  # built by `holds`
         self.initial = None  # built by `initial_state`
+        self.conflicts = None  # kept by `check`
 
 
 def _clause_table(lay) -> _Table:
@@ -176,6 +182,7 @@ def _clause_table(lay) -> _Table:
     universe = tuple(sorted(set(events)))  # by performer, counterparty, action
     index_of = dict(zip(universe, range(len(universe))))
     rows: list[tuple[int, object, object, int]] = []
+    forbids = False
     for clause, event, end in zip(nodes, events, ends):
         kind = type(clause)
         pair, action = event
@@ -184,6 +191,7 @@ def _clause_table(lay) -> _Table:
                          end))
         elif kind is Prohibition:
             rows.append((_FORBIDDEN, action, _new(Norm, ("F", pair, action, clause.span)), end))
+            forbids = True
         elif kind is Permission:
             rows.append((_PERMITTED, None, None, end))
         elif kind is Box:
@@ -191,7 +199,7 @@ def _clause_table(lay) -> _Table:
         else:
             watch = (action, clause.body, clause.positive)
             rows.append((_ONCE if clause.positive else _UNTIL, action, watch, end))
-    return _Table(universe, index_of, tuple(rows), nodes, parents)
+    return _Table(universe, index_of, tuple(rows), nodes, parents, forbids)
 
 
 def _table_of(contract: Contract) -> _Table:
@@ -219,23 +227,27 @@ class ContractSemantics:
 
     Its clause table is the one its `Contract` keeps, built by the first
     analysis from the contract's one layout and shared by every later
-    one. The gate is not kept: `validate` runs at construction only when
-    the header or the event universe could hold an error, and an error
-    raises `InvalidContract`. Otherwise `warnings` runs it on first read
-    and keeps what it found.
+    one. Where the contract keeps what `validate` found, an error among
+    it raises `InvalidContract` and the rest are the `warnings`. Where
+    it does not, `validate` runs at construction only when the header or
+    the event universe could hold an error, to the same effect, and
+    otherwise `warnings` runs it on first read.
     """
 
     def __init__(self, contract: Contract):
         self.contract = contract
         shared = self._shared = _table_of(contract)
         self.universe, self._index_of, self._table = shared.universe, shared.index_of, shared.rows
-        agents, actions = contract.agent_names(), contract.action_names()
-        if not (header_is_clean(contract, agents, actions)
-                and _resolves(set(agents), set(actions), self.universe)):
+        issues = kept_findings(contract)
+        if issues is None:
+            agents, actions = contract.agent_names(), contract.action_names()
+            if (header_is_clean(contract, agents, actions)
+                    and _resolves(set(agents), set(actions), self.universe)):
+                return
             issues = validate(contract)
-            if any(i.severity == "error" for i in issues):
-                raise InvalidContract(issues)
-            self.warnings = tuple(issues)
+        if any(i.severity == "error" for i in issues):
+            raise InvalidContract(list(issues))
+        self.warnings = tuple(issues)
 
     @cached_property
     def warnings(self) -> tuple[ValidationIssue, ...]:

@@ -163,6 +163,20 @@ def under_one_box(rng: random.Random, contract: Contract) -> Contract:
     return Contract(contract.agents, contract.actions, (root,), contract.meta)
 
 
+def deep_flow(depth: int) -> Contract:
+    """`depth` nested boxes under one root box, three clauses in each body,
+    so the chain is the root alone: each box's event is obliged beside it,
+    and so is one terminal event. It holds no prohibition."""
+    ab = AgentPair("a", "b")
+    body = (Obligation(ab, "e", _SPAN), Obligation(ab, "f", _SPAN))
+    for level in reversed(range(depth)):
+        body = (Obligation(ab, f"e{level}", _SPAN), Obligation(ab, f"f{level}", _SPAN),
+                Box(ab, f"e{level}", body, _SPAN))
+    actions = [f"{kind}{level}" for level in range(depth) for kind in "ef"] + ["e", "f", "go"]
+    return Contract((Decl("a"), Decl("b")), tuple(map(Decl, actions)),
+                    (Box(ab, "go", body, _SPAN),))
+
+
 _FLOW_ACTIONS = _ACTION_POOL + ["act7", "act8", "pay1", "pay2"]
 
 

@@ -5,10 +5,14 @@ its `Contract`. Building one runs `validate` only when the contract could
 hold an error, raising `InvalidContract` exactly when it does; otherwise
 `sem.warnings` runs it on first read, and `check`, `lower` and
 `co_simulate` never do. What follows from the clause tuple alone, its
-layout and clause table and the initial state, is built once per
-`Contract` and shared by `validate` and every analysis of it, unseen:
-each answers as on a contract built afresh."""
+layout and clause table, the initial state and the check's conflicts, is
+built once per `Contract` and shared by `validate` and every analysis of
+it, and so is what `validate` found while the contract carries no
+annotation and its fields are tuples. All of it is unseen: after any
+change to the contract, each question answers as on a contract built
+afresh."""
 
+import copy
 import random
 from pathlib import Path
 
@@ -521,3 +525,173 @@ def test_each_command_lays_its_input_out_once(argv, code, walks, capsys):
     assert main(argv) == code
     capsys.readouterr()
     assert walks == {"layout": 1, "table": 1}
+
+
+# -- validate's findings and the check's conflicts, kept ----------------------
+
+def test_a_list_field_changed_in_place_is_analysed_afresh():
+    ab = AgentPair("a", "b")
+    contract = Contract([Decl("a"), Decl("b")], [Decl("x")], [Obligation(ab, "x")], Meta())
+    assert check(contract).ok
+    contract.clauses.extend((Prohibition(ab, "x"),))
+    twin = Contract(tuple(contract.agents), tuple(contract.actions), tuple(contract.clauses),
+                    contract.meta)
+    assert len(check(twin).conflicts) == 1
+    assert _report(check(contract)) == _report(check(twin))
+    # names in lists beside clauses in a tuple
+    contract = Contract([Decl("a"), Decl("b")], [Decl("x")], (Obligation(ab, "x"),), Meta())
+    assert validate(contract) == [] and ContractSemantics(contract).warnings == ()
+    contract.actions.append(Decl("y"))
+    assert [i.message for i in validate(contract)] == ["action 'y' declared but never used"]
+    contract.agents.pop()
+    with pytest.raises(InvalidContract, match="at least two agents"):
+        ContractSemantics(contract)
+
+
+def _annotate(contract):
+    contract.meta.roles[contract.agents[0].name] = "Lead"
+
+
+def _unannotate(contract):
+    del contract.meta.roles[contract.agents[0].name]
+
+
+def _misannotate(contract):
+    contract.meta.funcs[(None, None, "undeclared")] = "f"
+
+
+def _mend_annotation(contract):
+    del contract.meta.funcs[(None, None, "undeclared")]
+
+
+def _listed(*fields):
+    def step(contract):
+        for field in fields:
+            setattr(contract, field, list(getattr(contract, field)))
+    return step
+
+
+def _names_in_place(contract):
+    contract.agents.pop()
+    contract.actions.append(Decl("unused"))
+
+
+def _all_in_place(contract):
+    contract.agents.append(Decl("extra"))
+    contract.actions.pop(0)
+    pair = contract.clauses[0].pair
+    contract.clauses.append(Prohibition(pair, contract.clauses[0].action))
+
+
+# steps taken in turn on one contract, each followed by every question
+STEPS = {
+    "agents": lambda c: setattr(c, "agents", (*c.agents, c.agents[0])),  # a duplicate
+    "agents-again": lambda c: setattr(c, "agents", c.agents[:-1]),
+    "actions": lambda c: setattr(c, "actions", (*c.actions, Decl("spare"))),
+    "clauses": lambda c: setattr(c, "clauses", (*c.clauses, c.clauses[0])),
+    "annotate": _annotate,
+    "unannotate": _unannotate,
+    "misannotate": _misannotate,
+    "mend-annotation": _mend_annotation,
+    "names-listed": _listed("agents", "actions"),
+    "names-in-place": _names_in_place,
+    "clauses-listed": _listed("clauses"),
+    "all-in-place": _all_in_place,
+}
+
+# what the kept answers stand in for; each builds its own analysis
+KEPT = ("validate", "warnings", "check", "lower", "lower-allowed")
+
+
+def test_the_kept_answers_follow_every_change_to_the_contract():
+    steps = invalid = conflicted = 0
+    for drawn in _every_draw():
+        contract = Contract(drawn.agents, drawn.actions, drawn.clauses, copy.deepcopy(drawn.meta))
+        for step in STEPS.values():
+            for name in KEPT:
+                _answer(QUESTIONS[name], contract)
+            step(contract)
+            twin = Contract(tuple(contract.agents), tuple(contract.actions),
+                            tuple(contract.clauses), contract.meta)
+            for name in KEPT:
+                got = _answer(QUESTIONS[name], contract)
+                assert got == _answer(QUESTIONS[name], twin), name
+                invalid += name == "check" and got[0] == "invalid"
+                conflicted += name == "check" and got[0] != "invalid" and bool(got[0])
+            steps += 1
+    # the sample changes every draw and meets both verdicts
+    assert steps == len(_every_draw()) * len(STEPS)
+    assert invalid >= 100 and conflicted >= 50
+
+
+@pytest.fixture
+def tests_of(monkeypatch):
+    """How often the header is tested (by `validate` or the gate), how
+    often `validate` walks its rows, and how often a check walks the path
+    conditions. `validate` tests the header once per row walk."""
+    counted = {"header": 0, "rows": 0, "conditions": 0}
+    header_is_clean = rclc.ast.header_is_clean
+    conditions = ContractSemantics.conditions
+
+    def in_validate(*args):
+        counted["rows"] += 1
+        return in_gate(*args)
+
+    def in_gate(*args):
+        counted["header"] += 1
+        return header_is_clean(*args)
+
+    def walked(self):
+        counted["conditions"] += 1
+        return conditions(self)
+
+    monkeypatch.setattr(rclc.ast, "header_is_clean", in_validate)
+    monkeypatch.setattr(rclc.semantics, "header_is_clean", in_gate)
+    monkeypatch.setattr(ContractSemantics, "conditions", walked)
+    return counted
+
+
+def _pipeline(contract):
+    """validate -> check -> lower -> co_simulate -> a later analysis."""
+    validate(contract)
+    check(contract)
+    try:
+        world = _greedy_world(lower(contract, allow_conflicts=True))
+    except LowerError:
+        pass
+    else:
+        co_simulate(contract, world)
+    ContractSemantics(contract).warnings
+
+
+def test_an_unannotated_contract_is_validated_and_checked_once(tests_of):
+    rng = random.Random(3434)
+    drawn = [random_contract(rng) for _ in range(10)]
+    drawn += [random_lowerable(rng) for _ in range(10)]
+    drawn += [merged_contract(rng, 2, max_events=12) for _ in range(10)]
+    # its names without its annotations
+    drawn += [Contract(c.agents, c.actions, c.clauses) for c in
+              (random_clashing(rng) for _ in range(10))]
+    walked = 0
+    for contract in drawn:
+        assert not any(rclc.ast._META_TABLES(contract.meta))
+        _pipeline(contract)
+        assert tests_of["header"] == tests_of["rows"] == 1
+        assert tests_of["conditions"] <= 1
+        walked += tests_of["conditions"]
+        tests_of.update(header=0, rows=0, conditions=0)
+    assert walked >= 10  # the draws with a prohibition
+
+
+def test_an_annotated_contract_is_validated_by_every_analysis(tests_of):
+    for name in ("purchase_fixed.rcl", "purchase_conflicted.rcl"):
+        _pipeline(parsed((FIXTURES / name).read_text()))
+        # validate, then per analysis (check, lower, co_simulate, the last)
+        # the gate and validate; the check's conflicts are kept
+        assert tests_of == {"header": 9, "rows": 5, "conditions": 1}
+        tests_of.update(header=0, rows=0, conditions=0)
+    contract = random_lowerable(random.Random(35))
+    listed = Contract(list(contract.agents), list(contract.actions), list(contract.clauses))
+    _pipeline(listed)  # a list may change in place, so nothing is kept
+    # validate, the gate of each analysis, and the last one's warnings
+    assert tests_of == {"header": 6, "rows": 2, "conditions": 0}

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -35,15 +36,18 @@ from rclc.checker import (
     report_to_json,
     report_to_text,
 )
+from rclc.codegen import lower
 from rclc.lts import clashes, dump_lts, fired_sets
 from rclc.oracle import _oracle_active, _oracle_universe
 from rclc.semantics import ContractSemantics
 
 from contractgen import (
     PERMISSION_POSITIONS,
+    deep_flow,
     merged_contract,
     permission_positions,
     random_contract,
+    random_lowerable,
 )
 
 CONFLICTED = open("fixtures/purchase_conflicted.rcl").read()
@@ -226,6 +230,36 @@ def test_check_derives_no_state():
         assert len(witnesses) == n_witnesses
         assert len(admitted) == len(witnesses)
         assert set(admitted) == witnesses
+
+
+def _no_conditions(self):
+    raise AssertionError("check walked the path conditions")
+
+
+def test_without_a_prohibition_check_derives_no_condition():
+    # nothing can clash, so neither `check` nor `lower`'s own check reads a
+    # path condition, which on a deep flow cost memory quadratic in its depth
+    sem = ContractSemantics(deep_flow(1500))
+    with mock.patch.object(ContractSemantics, "conditions", _no_conditions):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = check(sem)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1_000_000  # 54 MB when every condition was derived
+        assert report.ok and report.stats.states == 2 ** len(sem.universe)
+        assert lower(deep_flow(1500)).warnings == ()
+        rng = random.Random(31)
+        for contract in [random_lowerable(rng) for _ in range(10)]:
+            assert check(contract).ok
+            lower(contract)
+        permitted = parsed("agents a, b; actions x; {a,b}P(x) & {a,b}O(x);")
+        assert check(permitted).ok
+    with pytest.raises(AssertionError, match="walked the path conditions"):
+        with mock.patch.object(ContractSemantics, "conditions", _no_conditions):
+            check(parsed("agents a, b; actions x; {a,b}[x]({a,b}F(x));"))
 
 
 def test_a_replay_that_loses_the_prohibition_fails_the_check():

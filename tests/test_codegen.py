@@ -24,14 +24,19 @@ from rclc.codegen import (
     emit_solidity,
     lower,
 )
-from rclc.ast import AgentPair, Box, Contract, Decl, Obligation, Span, iter_clauses
+from rclc.ast import Obligation, iter_clauses
 from rclc.parser import parse_contract
 from rclc.simulator import co_simulate, run_script
 
-from contractgen import random_clashing, random_flow, random_lowerable, repeat_tail_obligations
+from contractgen import (
+    deep_flow,
+    random_clashing,
+    random_flow,
+    random_lowerable,
+    repeat_tail_obligations,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-_AT = Span(1, 1, 1, 1)
 
 
 def load(name):
@@ -811,18 +816,9 @@ def test_permissions_count_in_the_shape_of_a_body():
 
 
 def test_a_flow_deeper_than_the_recursion_limit_lowers():
-    # 1,500 nested boxes, three clauses in each body, so the chain is the
-    # root alone: each box's event is promoted, and its sibling is terminal
+    # each box's event is promoted, and its sibling is terminal
     depth = 1500
-    ab = AgentPair("a", "b")
-    body = (Obligation(ab, "e", _AT), Obligation(ab, "f", _AT))
-    for level in reversed(range(depth)):
-        body = (Obligation(ab, f"e{level}", _AT), Obligation(ab, f"f{level}", _AT),
-                Box(ab, f"e{level}", body, _AT))
-    actions = [f"{kind}{level}" for level in range(depth) for kind in "ef"] + ["e", "f", "go"]
-    contract = Contract((Decl("a"), Decl("b")), tuple(map(Decl, actions)),
-                        (Box(ab, "go", body, _AT),))
-    ir = lower(contract)
+    ir = lower(deep_flow(depth))
     assert ir.warnings == ()
     assert len(ir.states) == depth + 3 and len(ir.functions) == 2 * depth + 3
     assert ir.function("e1499").effects[0] == SetState(ir.states[-2])
