@@ -19,19 +19,14 @@ guard nesting, which the parser caps at `parser.MAX_NESTING`.
 Nodes are immutable values; equality is structural and ignores source
 spans, so a pretty-printed and re-parsed contract compares equal.
 
-`layout` is the one pre-order walk of a clause tree. A `Contract` keeps
-what it derives in a `Derived` (`derived`): its layout and the clause
-table `rclc.semantics` builds from it, for as long as `clauses` holds the
-same tuple, and what `validate` found (`kept_findings`), for as long as
-`agents`, `actions` and `clauses` hold the same tuples and the contract
-carries no annotation. So `validate`, `iter_clauses` and every
-`ContractSemantics` of a contract share one walk and one validation.
-Nothing is kept for a field that is a list, which may change in place,
-nor are findings kept for an annotated contract, whose `Meta` tables are
-dicts. `validate` spells a path, such as `clauses[0].body[1]`, only for
-an issue on it. Its test of the header, `header_is_clean`, skips the
-per-name checks when they can find nothing; a `ContractSemantics` that
-finds no kept findings asks it too.
+`layout` is the one pre-order walk of a clause tree. A `Contract` is
+immutable but for its `Meta`, so what it derives is computed once and
+kept in a `Derived` (`derived`): its layout, the clause table
+`rclc.semantics` builds from it, and what `validate` finds from its names
+and clauses. `validate`, `iter_clauses` and every `ContractSemantics` of
+a contract share them. The annotations' tables are dicts, so `validate`
+checks them afresh on every call. It spells a path, such as
+`clauses[0].body[1]`, only for an issue on it.
 
 The value classes of the package (nodes, reports, IR and `World`) sit
 on one base, `Value`: equal when of the same class with equal compared
@@ -46,6 +41,7 @@ every command's start.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -67,10 +63,8 @@ __all__ = [
     "layout",
     "Derived",
     "derived",
-    "kept_findings",
     "ValidationIssue",
     "validate",
-    "header_is_clean",
     "pretty_print",
 ]
 
@@ -193,16 +187,17 @@ class Permission(_Leaf):
 
 
 class Box(Clause):
-    """``{x,y}[a](body)``: body comes in force once the guard event fires."""
+    """``{x,y}[a](body)``: body comes in force once the guard event fires.
+    The body is stored as a tuple, whatever sequence is passed in."""
 
     __slots__ = _fields = ("pair", "action", "body", "span")
     _key = attrgetter("pair", "action", "body")
 
-    def __init__(self, pair: AgentPair, action: str, body: tuple[Clause, ...],
+    def __init__(self, pair: AgentPair, action: str, body: Iterable[Clause],
                  span: Span = _NO_SPAN):
         _set(self, "pair", pair)
         _set(self, "action", action)
-        _set(self, "body", body)
+        _set(self, "body", tuple(body))
         _set(self, "span", span)
 
 
@@ -214,17 +209,17 @@ class IterBox(Clause):
     accepted for compatibility and activates body once the action fires.
     ``starred`` records whether the ``*`` was actually written; a negated
     guard without it is normalized to the iterated reading and flagged by
-    validate().
+    validate(). The body is stored as a tuple, as `Box`'s is.
     """
 
     __slots__ = _fields = ("pair", "action", "body", "positive", "starred", "span")
     _key = attrgetter("pair", "action", "body", "positive", "starred")
 
-    def __init__(self, pair: AgentPair, action: str, body: tuple[Clause, ...],
+    def __init__(self, pair: AgentPair, action: str, body: Iterable[Clause],
                  positive: bool = False, starred: bool = True, span: Span = _NO_SPAN):
         _set(self, "pair", pair)
         _set(self, "action", action)
-        _set(self, "body", body)
+        _set(self, "body", tuple(body))
         _set(self, "positive", positive)
         _set(self, "starred", starred)
         _set(self, "span", span)
@@ -295,36 +290,33 @@ ANNOTATIONS: dict[str, tuple[str, str, bool]] = {
 }
 
 
-class Contract(Value):
+class Contract(Frozen):
     """A parsed contract: its declared names, its clauses and its `Meta`.
 
-    What follows from the clause tuple alone, its `layout` and the clause
-    table `rclc.semantics` builds from it with the check's conflicts, is
-    computed once and kept on the contract while `clauses` holds that
-    same tuple (`derived`). What `validate` found is kept beside it while
-    `agents`, `actions` and `clauses` hold the tuples it read and no
-    annotation is set. So `validate` → `check` → `lower` on one contract
-    walks, validates and checks it once. A field that is not a tuple may
-    change in place, so nothing read from it is kept: every answer that
-    reads it is derived afresh. The fields are stored as given.
-    The kept part is not a field: equality, the repr and the refused hash
-    ignore it, and a copy or a pickle does not carry it but derives its
-    own on first use.
+    Its fields are read-only, and `agents`, `actions` and `clauses` are
+    stored as tuples, whatever sequences are passed in. So what follows
+    from them is computed once and kept for the contract's life
+    (`derived`): its `layout`, the clause table `rclc.semantics` builds
+    from it with the check's conflicts, and what `validate` finds from
+    the names and clauses. `validate` → `check` → `lower` on one contract
+    walks, validates and checks it once. `meta` stays mutable, since its
+    tables are dicts, so the contract is unhashable and `validate` checks
+    the annotations afresh on every call. The kept part is not a field:
+    equality, the repr, a copy and a pickle ignore it, and a copy derives
+    its own on first use.
     """
 
     _fields = ("agents", "actions", "clauses", "meta")
     __slots__ = (*_fields, "_derived")
+    __hash__ = None
 
-    def __init__(self, agents: tuple[Decl, ...], actions: tuple[Decl, ...],
-                 clauses: tuple[Clause, ...], meta: Meta | None = None):
-        self.agents = agents
-        self.actions = actions
-        self.clauses = clauses
-        self.meta = Meta() if meta is None else meta
-        self._derived = None
-
-    def __reduce__(self):  # copy and pickle the fields alone
-        return self.__class__, (self.agents, self.actions, self.clauses, self.meta)
+    def __init__(self, agents: Iterable[Decl], actions: Iterable[Decl],
+                 clauses: Iterable[Clause], meta: Meta | None = None):
+        _set(self, "agents", tuple(agents))
+        _set(self, "actions", tuple(actions))
+        _set(self, "clauses", tuple(clauses))
+        _set(self, "meta", Meta() if meta is None else meta)
+        _set(self, "_derived", None)
 
     def agent_names(self) -> list[str]:
         return [a.name for a in self.agents]
@@ -378,43 +370,25 @@ def layout(clauses: tuple[Clause, ...]):
 
 
 class Derived:
-    """What a `Contract` derives once and keeps. From its clause tuple
-    alone: `clauses`, that tuple, its `layout`, and `table`, the clause
-    table `rclc.semantics` keeps here once built. From the names too:
-    `findings`, the issues `validate` reported while the contract carried
-    no annotation, for the `agents` and `actions` tuples it read. The last
-    four are None until set."""
+    """What a `Contract` derives once and keeps: its clauses' `layout`;
+    `table`, the clause table `rclc.semantics` keeps here once built; and
+    `findings`, what `validate` finds from the names and clauses, kept by
+    its first call. The last two are None until set."""
 
-    __slots__ = ("clauses", "layout", "table", "agents", "actions", "findings")
+    __slots__ = ("layout", "table", "findings")
 
     def __init__(self, clauses: tuple[Clause, ...]):
-        self.clauses = clauses
         self.layout = layout(clauses)
-        self.table = self.agents = self.actions = self.findings = None
+        self.table = self.findings = None
 
 
 def derived(contract: Contract) -> Derived:
-    """The `Derived` of `contract`'s clauses, laid out on first use and
-    kept until `contract.clauses` is assigned another tuple. Clauses that
-    are not a tuple may change in place, so nothing is kept for them."""
+    """The `Derived` of `contract`, laid out on first use and kept."""
     kept = contract._derived
-    clauses = contract.clauses
-    if kept is None or kept.clauses is not clauses:
-        kept = Derived(clauses)
-        contract._derived = kept if type(clauses) is tuple else None
+    if kept is None:
+        kept = Derived(contract.clauses)
+        _set(contract, "_derived", kept)
     return kept
-
-
-def kept_findings(contract: Contract) -> tuple[ValidationIssue, ...] | None:
-    """What `validate` found for `contract`, or None if it has not run on
-    these fields: `clauses`, `agents` and `actions` are the tuples it read
-    and the contract still carries no annotation."""
-    kept = contract._derived
-    if (kept is None or kept.findings is None or kept.clauses is not contract.clauses
-            or kept.agents is not contract.agents or kept.actions is not contract.actions
-            or any(_META_TABLES(contract.meta))):
-        return None
-    return kept.findings
 
 
 def _spell(lay, row: int) -> str:
@@ -449,29 +423,28 @@ def _distinct_identifiers(names: list[str]) -> bool:
             and joined.count(",") == len(set(names)) == len(names))
 
 
-def header_is_clean(contract: Contract, agents: list[str], actions: list[str]) -> bool:
-    """Whether `validate` can report no error on the header, whose agent
-    and action names the caller passes: it carries no annotation,
-    declares two agents or more, an action and a clause, each list holds
-    distinct identifiers, and no name is both an agent and an action.
-    The clause references are left to the caller."""
-    if any(_META_TABLES(contract.meta)):
-        return False
-    return (len(agents) > 1 and len(actions) > 0 and len(contract.clauses) > 0
-            and _distinct_identifiers(agents) and _distinct_identifiers(actions)
-            and set(agents).isdisjoint(actions))
-
-
 def validate(contract: Contract) -> list[ValidationIssue]:
-    """Check name tables and clause references; never raises.
+    """Check name tables, clause references and annotations; never raises.
 
     Errors make the contract unusable downstream, warnings do not. What
-    it finds for a contract without annotations whose names and clauses
-    are tuples is kept (`kept_findings`), and a later call returns a copy.
+    it finds from the names and clauses is kept on the contract
+    (`derived`), so a later call copies it. The annotations' errors come
+    last, checked afresh on every call, since `Meta`'s tables may change.
     """
-    found = kept_findings(contract)
-    if found is not None:
-        return list(found)
+    kept = derived(contract)
+    if kept.findings is None:
+        kept.findings = _findings(contract, kept.layout)
+    issues = list(kept.findings)
+    if any(_META_TABLES(contract.meta)):
+        _validate_meta(contract, issues)
+    return issues
+
+
+def _findings(contract: Contract, lay) -> tuple[ValidationIssue, ...]:
+    """What `validate` finds from the names and from `lay`, the layout of
+    `contract`'s clauses, in one walk of the rows: the header's errors,
+    each row's errors and guard warnings, then the unused and unwatched
+    actions."""
     issues: list[ValidationIssue] = []
 
     def err(message, path, span=_NO_SPAN):
@@ -485,7 +458,11 @@ def validate(contract: Contract) -> list[ValidationIssue]:
     agent_set = set(agents)
     action_set = set(actions)
 
-    if not header_is_clean(contract, agents, actions):
+    # a header with two agents or more, an action and a clause, whose
+    # names are distinct identifiers and no agent an action, holds no error
+    if not (len(agents) > 1 and actions and contract.clauses
+            and _distinct_identifiers(agents) and _distinct_identifiers(actions)
+            and agent_set.isdisjoint(action_set)):
         if len(agents) < 2:
             err("a contract needs at least two agents", "agents")
         if not actions:
@@ -512,8 +489,7 @@ def validate(contract: Contract) -> list[ValidationIssue]:
     watched: list[tuple[str, int, Span]] = []
     used_actions: set[str] = set()
 
-    kept = derived(contract)
-    lay = nodes, _parents, _places, _ends = kept.layout
+    nodes, _parents, _places, _ends = lay
     for row, clause in enumerate(nodes):
         kind = type(clause)
         pair = clause.pair
@@ -550,16 +526,12 @@ def validate(contract: Contract) -> list[ValidationIssue]:
         if action in action_set and action not in obligated and action not in boxed:
             warn(f"action '{action}' is watched here but is never the subject of any box "
                  "or obligation, so the guard can never be discharged", _spell(lay, row), span)
-
-    if any(_META_TABLES(contract.meta)):
-        _validate_meta(contract, agent_set, action_set, issues)
-    elif type(contract.agents) is tuple and type(contract.actions) is tuple:
-        kept.agents, kept.actions, kept.findings = contract.agents, contract.actions, tuple(issues)
-    return issues
+    return tuple(issues)
 
 
-def _validate_meta(contract, agent_set, action_set, issues):
+def _validate_meta(contract, issues):
     meta = contract.meta
+    agent_set, action_set = set(contract.agent_names()), set(contract.action_names())
     # undeclared agents, then values that are not identifiers, then
     # undeclared names in event keys, `inline` keys last
     found: tuple[list[str], list[str], list[str]] = ([], [], [])

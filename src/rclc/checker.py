@@ -11,7 +11,7 @@ witness directly, sorts the clashes once by witness rank and
 of the 2^n subset lattice is derived. A contract without a prohibition
 has nothing to clash, so its conditions are not derived either. The
 verified conflicts depend on the clauses alone, so the clause table
-keeps them, and a later check of the same clause tuple, `lower`'s own
+keeps them, and a later check of the same contract, `lower`'s own
 included, reports them again with its own time.
 `rclc.oracle.brute_force_oracle` answers the same question by
 exhaustive enumeration with its own walk and interpreter; it shares

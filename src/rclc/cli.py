@@ -15,9 +15,9 @@ and building that parser cost a run more than loading a contract did.
 `rclc: error: <what>` and a usage line to stderr and exits 2.
 
 A command validates its input once, through the `ContractSemantics` it
-works from: building one runs `validate` where the contract could hold an
-error, and reading its `warnings` runs it otherwise. Each issue prints as
-`path[:line:col]: severity: message`.
+works from: building one runs `validate`, and the command prints what it
+reported, from the error `InvalidContract` carries or the analysis's
+`warnings`. Each issue prints as `path[:line:col]: severity: message`.
 It loads only its stages: `gen` imports codegen, `sim` codegen and the
 simulator, `dump-lts` the streaming printers of `lts`, and the others
 none of these. The stage functions a command calls are names of this
@@ -32,8 +32,8 @@ import re
 import sys
 from types import SimpleNamespace
 
-# validate is not called here: ContractSemantics runs it when built or
-# when its warnings are read. The benchmark's tracer patches this binding.
+# validate is not called here: building a ContractSemantics runs it. The
+# benchmark's tracer patches this binding all the same.
 from .ast import pretty_print, validate  # noqa: F401
 from .checker import check, report_to_json, report_to_text
 from .parser import parse_contract

@@ -365,7 +365,7 @@ class _Parser:
                 self.sync()
         if self.errors:
             return None
-        return Contract(tuple(agents), tuple(actions), tuple(clauses), meta)
+        return Contract(agents, actions, clauses, meta)
 
     def decl_list(self, keyword: str) -> list[Decl]:
         decls: list[Decl] = []

@@ -30,25 +30,18 @@ path conditions; `holds` tests a norm up the layout's parent links at a
 fired set `admit` checked; `clause_rows` gives `lower` each row's clause.
 
 The table, with what `holds` and `initial_state` build from it and the
-conflicts `rclc.checker.check` verifies, depends on the clause tuple
-alone, so the contract keeps it beside its layout (`ast.derived`), and
-every later analysis of that contract shares both. The contract also
-keeps what `validate` found where it can (`ast.kept_findings`: no
-annotation, and its names and clauses are tuples), and an analysis reads
-that in place of the gate. Otherwise the analysis runs the gate, and
-`validate` runs then only where an error is possible: the header fails
-`ast.header_is_clean` (annotations included), or an event of the
-universe names an undeclared agent or action or pairs an agent with
-itself. Where neither applies `warnings` runs it on first read. So
-`validate` → `check` → `lower` on one unannotated `Contract` walks its
-clauses, validates it and derives its path conditions once each; an
-annotated one pays the gate and `validate` per analysis.
+conflicts `rclc.checker.check` verifies, depends on the clauses alone,
+which a `Contract` never changes, so the contract keeps it beside its
+layout (`ast.derived`), and every later analysis of it shares both. Each
+analysis runs `validate`, which reads the name and clause findings the
+contract keeps and checks its annotations afresh. So `validate` →
+`check` → `lower` on one `Contract` walks its clauses, validates its
+names and clauses and derives its path conditions once each.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from itertools import count
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -62,10 +55,7 @@ from .ast import (
     Permission,
     Prohibition,
     Span,
-    ValidationIssue,
     derived,
-    header_is_clean,
-    kept_findings,
     validate,
 )
 
@@ -211,48 +201,25 @@ def _table_of(contract: Contract) -> _Table:
     return table
 
 
-def _resolves(agents: set[str], actions: set[str], universe: tuple[Event, ...]) -> bool:
-    """Whether each event relates two distinct declared agents by a
-    declared action."""
-    for (performer, counterparty), action in universe:
-        if (performer == counterparty or performer not in agents
-                or counterparty not in agents or action not in actions):
-            return False
-    return True
-
-
 class ContractSemantics:
     """One analysed contract: its states, steps and path conditions, and
-    its warnings. `check`, `lower` and `co_simulate` share it.
+    its `warnings`. `check`, `lower` and `co_simulate` share it.
 
     Its clause table is the one its `Contract` keeps, built by the first
     analysis from the contract's one layout and shared by every later
-    one. Where the contract keeps what `validate` found, an error among
-    it raises `InvalidContract` and the rest are the `warnings`. Where
-    it does not, `validate` runs at construction only when the header or
-    the event universe could hold an error, to the same effect, and
-    otherwise `warnings` runs it on first read.
+    one. Building one runs `validate`: an error among what it reports
+    raises `InvalidContract`, and otherwise its issues, all warnings, are
+    the `warnings`.
     """
 
     def __init__(self, contract: Contract):
         self.contract = contract
         shared = self._shared = _table_of(contract)
         self.universe, self._index_of, self._table = shared.universe, shared.index_of, shared.rows
-        issues = kept_findings(contract)
-        if issues is None:
-            agents, actions = contract.agent_names(), contract.action_names()
-            if (header_is_clean(contract, agents, actions)
-                    and _resolves(set(agents), set(actions), self.universe)):
-                return
-            issues = validate(contract)
+        issues = validate(contract)
         if any(i.severity == "error" for i in issues):
-            raise InvalidContract(list(issues))
+            raise InvalidContract(issues)
         self.warnings = tuple(issues)
-
-    @cached_property
-    def warnings(self) -> tuple[ValidationIssue, ...]:
-        """Every issue `validate` reports, all of them warnings."""
-        return tuple(validate(self.contract))
 
     @classmethod
     def of(cls, contract: Contract | ContractSemantics) -> ContractSemantics:

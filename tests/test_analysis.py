@@ -1,16 +1,14 @@
 """One analysed contract: every CLI command builds exactly one
 `ContractSemantics` and validates its input once, and `check`, `lower`
 and `co_simulate` give the same answers for a `ContractSemantics` as for
-its `Contract`. Building one runs `validate` only when the contract could
-hold an error, raising `InvalidContract` exactly when it does; otherwise
-`sem.warnings` runs it on first read, and `check`, `lower` and
-`co_simulate` never do. What follows from the clause tuple alone, its
-layout and clause table, the initial state and the check's conflicts, is
-built once per `Contract` and shared by `validate` and every analysis of
-it, and so is what `validate` found while the contract carries no
-annotation and its fields are tuples. All of it is unseen: after any
-change to the contract, each question answers as on a contract built
-afresh."""
+its `Contract`. Building one runs `validate`, raising `InvalidContract`
+exactly when it finds an error. A `Contract`'s fields are read-only
+tuples, so what follows from them, its layout and clause table, the
+initial state, the check's conflicts and what `validate` finds from the
+names and clauses, is built once per `Contract` and shared by `validate`
+and every analysis of it, while each analysis checks the annotations
+afresh. All of it is unseen: each question answers as on a contract
+built afresh, after any change to the annotations too."""
 
 import copy
 import random
@@ -204,7 +202,7 @@ def test_invalid_contract_is_a_value_error_carrying_every_issue():
             stage(contract)
 
 
-# -- validate runs only where it can find an error -------------------------
+# -- every analysis validates its contract ----------------------------------
 
 def _declared(agents, actions, clauses, meta=None):
     return Contract(tuple(map(Decl, agents)), tuple(map(Decl, actions)), clauses, meta)
@@ -331,23 +329,6 @@ def calls(monkeypatch):
     return validated
 
 
-def test_check_lower_and_co_simulate_never_validate(calls):
-    rng = random.Random(27)
-    for contract in [random_lowerable(rng) for _ in range(10)]:
-        check(contract)
-        ir = lower(contract)
-        world = _greedy_world(ir)
-        assert co_simulate(contract, world) == []
-        assert calls == []
-        sem = ContractSemantics(contract)
-        assert calls == []
-        assert sem.warnings == tuple(validate(contract))
-        assert calls == [contract]
-        assert sem.warnings == tuple(validate(contract))
-        assert calls == [contract]
-        calls.clear()
-
-
 def test_an_annotated_contract_validates_once_at_construction(calls):
     contract = parsed((FIXTURES / "purchase_conflicted.rcl").read_text())
     sem = ContractSemantics(contract)
@@ -357,13 +338,21 @@ def test_an_annotated_contract_validates_once_at_construction(calls):
     assert calls == [contract]
 
 
-def test_a_command_reads_the_warnings_it_did_not_validate_at_construction(
-        tmp_path, calls, capsys):
+def test_a_command_validates_its_input_once_at_construction(tmp_path, calls, tests_of,
+                                                           capsys):
     path = tmp_path / "unused.rcl"
     path.write_text("agents a, b;\nactions x, y;\n{a,b}O(x);\n")
     assert main(["check", str(path)]) == 0
-    assert len(calls) == 1
+    assert len(calls) == tests_of["rows"] == 1
     assert capsys.readouterr().err == f"{path}: warning: action 'y' declared but never used\n"
+    # an annotation error is found by the analysis too
+    path = tmp_path / "nobody.rcl"
+    path.write_text((FIXTURES / "purchase_fixed.rcl").read_text().replace(
+        "\ncontract ", "\nrole nobody = X;\ncontract "))
+    assert main(["check", str(path)]) == 2
+    assert len(calls) == tests_of["rows"] == 2
+    assert capsys.readouterr().err == (
+        f"{path}: error: annotation refers to undeclared agent 'nobody'\n")
 
 
 def test_the_initial_state_is_built_once_and_shared():
@@ -437,31 +426,22 @@ def test_the_kept_analysis_answers_as_a_fresh_contract_in_any_order():
     assert lowered >= 40 and invalid >= 4
 
 
-def test_assigning_other_clauses_analyses_them_afresh():
+def test_a_field_refuses_assignment_and_deletion():
     fixed = parsed((FIXTURES / "purchase_fixed.rcl").read_text())
     conflicted = parsed((FIXTURES / "purchase_conflicted.rcl").read_text())
     actions = fixed.actions + tuple(a for a in conflicted.actions if a not in fixed.actions)
     contract = Contract(fixed.agents, actions, conflicted.clauses, fixed.meta)
     before = {name: _answer(call, contract) for name, call in QUESTIONS.items()}
     assert check(contract).conflicts
-    contract.clauses = fixed.clauses
-    twin = _fresh(contract)
-    for name, call in QUESTIONS.items():
-        assert _answer(call, contract) == _answer(call, twin), name
-    assert not check(contract).conflicts
-    contract.clauses = conflicted.clauses
+    for field, other in (("agents", fixed.agents[:1]), ("actions", fixed.actions),
+                         ("clauses", fixed.clauses), ("meta", conflicted.meta)):
+        with pytest.raises(AttributeError):
+            setattr(contract, field, other)
+        with pytest.raises(AttributeError):
+            delattr(contract, field)
+    assert contract.clauses is conflicted.clauses and contract.meta is fixed.meta
     for name, call in QUESTIONS.items():
         assert _answer(call, contract) == before[name], name
-    rng = random.Random(3131)
-    for _ in range(20):
-        first, second = random_lowerable(rng), random_lowerable(rng)
-        contract = _fresh(first)
-        for call in QUESTIONS.values():
-            _answer(call, contract)
-        contract.clauses = second.clauses
-        twin = Contract(first.agents, first.actions, second.clauses, first.meta)
-        for name, call in QUESTIONS.items():
-            assert _answer(call, contract) == _answer(call, twin), name
 
 
 def test_a_second_analysis_still_validates_the_header_and_annotations():
@@ -480,25 +460,23 @@ def test_a_second_analysis_still_validates_the_header_and_annotations():
             ContractSemantics(contract)
         del contract.meta.funcs[(None, None, "undeclared")]
         ContractSemantics(contract)
-        contract.agents = contract.agents[:1]
-        with pytest.raises(InvalidContract, match="at least two agents"):
-            ContractSemantics(contract)
+
+
+def _counting(counted, name, function):
+    """`function`, adding each call to `counted[name]`."""
+    def call(*args):
+        counted[name] += 1
+        return function(*args)
+    return call
 
 
 @pytest.fixture
 def walks(monkeypatch):
     """How often `ast.layout` and `semantics._clause_table` have run."""
     counted = {"layout": 0, "table": 0}
-
-    def counting(name, function):
-        def call(*args):
-            counted[name] += 1
-            return function(*args)
-        return call
-
-    monkeypatch.setattr(rclc.ast, "layout", counting("layout", rclc.ast.layout))
+    monkeypatch.setattr(rclc.ast, "layout", _counting(counted, "layout", rclc.ast.layout))
     monkeypatch.setattr(rclc.semantics, "_clause_table",
-                        counting("table", rclc.semantics._clause_table))
+                        _counting(counted, "table", rclc.semantics._clause_table))
     return counted
 
 
@@ -529,23 +507,39 @@ def test_each_command_lays_its_input_out_once(argv, code, walks, capsys):
 
 # -- validate's findings and the check's conflicts, kept ----------------------
 
-def test_a_list_field_changed_in_place_is_analysed_afresh():
+def test_a_list_passed_in_is_stored_as_a_tuple():
     ab = AgentPair("a", "b")
-    contract = Contract([Decl("a"), Decl("b")], [Decl("x")], [Obligation(ab, "x")], Meta())
+    agents, actions, clauses = [Decl("a"), Decl("b")], [Decl("x")], [Obligation(ab, "x")]
+    contract = Contract(agents, actions, clauses, Meta())
+    assert (contract.agents, contract.actions, contract.clauses) == (
+        tuple(agents), tuple(actions), tuple(clauses))
     assert check(contract).ok
-    contract.clauses.extend((Prohibition(ab, "x"),))
-    twin = Contract(tuple(contract.agents), tuple(contract.actions), tuple(contract.clauses),
-                    contract.meta)
-    assert len(check(twin).conflicts) == 1
-    assert _report(check(contract)) == _report(check(twin))
-    # names in lists beside clauses in a tuple
-    contract = Contract([Decl("a"), Decl("b")], [Decl("x")], (Obligation(ab, "x"),), Meta())
+    # later changes to the lists do not reach the contract
+    clauses.append(Prohibition(ab, "x"))
+    actions.append(Decl("y"))
+    agents.pop()
+    assert contract.clauses == (Obligation(ab, "x"),)
     assert validate(contract) == [] and ContractSemantics(contract).warnings == ()
-    contract.actions.append(Decl("y"))
-    assert [i.message for i in validate(contract)] == ["action 'y' declared but never used"]
-    contract.agents.pop()
-    with pytest.raises(InvalidContract, match="at least two agents"):
-        ContractSemantics(contract)
+    assert check(contract).ok
+    assert len(check(Contract(agents + [Decl("b")], actions, clauses)).conflicts) == 1
+
+
+def test_a_guard_body_passed_as_a_list_is_stored_as_a_tuple():
+    ab = AgentPair("a", "b")
+    for guard in (Box, IterBox):
+        body = [Obligation(ab, "y")]
+        twin_body = tuple(body)
+        node = guard(ab, "x", body)
+        assert node.body == twin_body and hash(node) == hash(guard(ab, "x", twin_body))
+        contract = _declared(["a", "b"], ["x", "y"], (node,))
+        assert check(contract).ok
+        body.append(Prohibition(ab, "y"))
+        twin = _declared(["a", "b"], ["x", "y"], (guard(ab, "x", twin_body),))
+        assert contract == twin
+        assert _report(check(contract)) == _report(check(twin))
+        # the answer the appended body would have given differs
+        grown = _declared(["a", "b"], ["x", "y"], (guard(ab, "x", tuple(body)),))
+        assert len(check(grown).conflicts) == 1
 
 
 def _annotate(contract):
@@ -564,39 +558,12 @@ def _mend_annotation(contract):
     del contract.meta.funcs[(None, None, "undeclared")]
 
 
-def _listed(*fields):
-    def step(contract):
-        for field in fields:
-            setattr(contract, field, list(getattr(contract, field)))
-    return step
-
-
-def _names_in_place(contract):
-    contract.agents.pop()
-    contract.actions.append(Decl("unused"))
-
-
-def _all_in_place(contract):
-    contract.agents.append(Decl("extra"))
-    contract.actions.pop(0)
-    pair = contract.clauses[0].pair
-    contract.clauses.append(Prohibition(pair, contract.clauses[0].action))
-
-
 # steps taken in turn on one contract, each followed by every question
 STEPS = {
-    "agents": lambda c: setattr(c, "agents", (*c.agents, c.agents[0])),  # a duplicate
-    "agents-again": lambda c: setattr(c, "agents", c.agents[:-1]),
-    "actions": lambda c: setattr(c, "actions", (*c.actions, Decl("spare"))),
-    "clauses": lambda c: setattr(c, "clauses", (*c.clauses, c.clauses[0])),
     "annotate": _annotate,
     "unannotate": _unannotate,
     "misannotate": _misannotate,
     "mend-annotation": _mend_annotation,
-    "names-listed": _listed("agents", "actions"),
-    "names-in-place": _names_in_place,
-    "clauses-listed": _listed("clauses"),
-    "all-in-place": _all_in_place,
 }
 
 # what the kept answers stand in for; each builds its own analysis
@@ -611,8 +578,7 @@ def test_the_kept_answers_follow_every_change_to_the_contract():
             for name in KEPT:
                 _answer(QUESTIONS[name], contract)
             step(contract)
-            twin = Contract(tuple(contract.agents), tuple(contract.actions),
-                            tuple(contract.clauses), contract.meta)
+            twin = _fresh(contract)
             for name in KEPT:
                 got = _answer(QUESTIONS[name], contract)
                 assert got == _answer(QUESTIONS[name], twin), name
@@ -626,45 +592,35 @@ def test_the_kept_answers_follow_every_change_to_the_contract():
 
 @pytest.fixture
 def tests_of(monkeypatch):
-    """How often the header is tested (by `validate` or the gate), how
-    often `validate` walks its rows, and how often a check walks the path
-    conditions. `validate` tests the header once per row walk."""
-    counted = {"header": 0, "rows": 0, "conditions": 0}
-    header_is_clean = rclc.ast.header_is_clean
-    conditions = ContractSemantics.conditions
-
-    def in_validate(*args):
-        counted["rows"] += 1
-        return in_gate(*args)
-
-    def in_gate(*args):
-        counted["header"] += 1
-        return header_is_clean(*args)
-
-    def walked(self):
-        counted["conditions"] += 1
-        return conditions(self)
-
-    monkeypatch.setattr(rclc.ast, "header_is_clean", in_validate)
-    monkeypatch.setattr(rclc.semantics, "header_is_clean", in_gate)
-    monkeypatch.setattr(ContractSemantics, "conditions", walked)
+    """How often `validate` walks a contract's rows, how often it checks
+    the annotations, and how often a check walks the path conditions."""
+    counted = {"rows": 0, "meta": 0, "conditions": 0}
+    monkeypatch.setattr(rclc.ast, "_findings", _counting(counted, "rows", rclc.ast._findings))
+    monkeypatch.setattr(rclc.ast, "_validate_meta",
+                        _counting(counted, "meta", rclc.ast._validate_meta))
+    monkeypatch.setattr(ContractSemantics, "conditions",
+                        _counting(counted, "conditions", ContractSemantics.conditions))
     return counted
 
 
 def _pipeline(contract):
-    """validate -> check -> lower -> co_simulate -> a later analysis."""
+    """validate -> check -> lower -> co_simulate -> a later analysis; how
+    many analyses it built, each of which validates the contract."""
     validate(contract)
     check(contract)
+    analyses = 3
     try:
         world = _greedy_world(lower(contract, allow_conflicts=True))
     except LowerError:
         pass
     else:
         co_simulate(contract, world)
+        analyses += 1
     ContractSemantics(contract).warnings
+    return analyses
 
 
-def test_an_unannotated_contract_is_validated_and_checked_once(tests_of):
+def test_an_unannotated_contract_is_validated_and_checked_once(tests_of, calls):
     rng = random.Random(3434)
     drawn = [random_contract(rng) for _ in range(10)]
     drawn += [random_lowerable(rng) for _ in range(10)]
@@ -672,26 +628,29 @@ def test_an_unannotated_contract_is_validated_and_checked_once(tests_of):
     # its names without its annotations
     drawn += [Contract(c.agents, c.actions, c.clauses) for c in
               (random_clashing(rng) for _ in range(10))]
-    walked = 0
+    walked = lowered = 0
     for contract in drawn:
         assert not any(rclc.ast._META_TABLES(contract.meta))
-        _pipeline(contract)
-        assert tests_of["header"] == tests_of["rows"] == 1
+        analyses = _pipeline(contract)
+        # each analysis validates; the rows are walked once
+        assert calls == [contract] * analyses
+        assert tests_of["rows"] == 1 and tests_of["meta"] == 0
         assert tests_of["conditions"] <= 1
         walked += tests_of["conditions"]
-        tests_of.update(header=0, rows=0, conditions=0)
+        lowered += analyses == 4
+        tests_of.update(rows=0, conditions=0)
+        calls.clear()
     assert walked >= 10  # the draws with a prohibition
+    assert lowered >= 10
 
 
-def test_an_annotated_contract_is_validated_by_every_analysis(tests_of):
+def test_an_annotated_contract_is_validated_by_every_analysis(tests_of, calls):
     for name in ("purchase_fixed.rcl", "purchase_conflicted.rcl"):
-        _pipeline(parsed((FIXTURES / name).read_text()))
-        # validate, then per analysis (check, lower, co_simulate, the last)
-        # the gate and validate; the check's conflicts are kept
-        assert tests_of == {"header": 9, "rows": 5, "conditions": 1}
-        tests_of.update(header=0, rows=0, conditions=0)
-    contract = random_lowerable(random.Random(35))
-    listed = Contract(list(contract.agents), list(contract.actions), list(contract.clauses))
-    _pipeline(listed)  # a list may change in place, so nothing is kept
-    # validate, the gate of each analysis, and the last one's warnings
-    assert tests_of == {"header": 6, "rows": 2, "conditions": 0}
+        contract = parsed((FIXTURES / name).read_text())
+        assert _pipeline(contract) == 4
+        assert calls == [contract] * 4
+        # validate and each of the four analyses check the annotations; the
+        # rows are walked and the check's conflicts derived once
+        assert tests_of == {"rows": 1, "meta": 5, "conditions": 1}
+        tests_of.update(rows=0, meta=0, conditions=0)
+        calls.clear()

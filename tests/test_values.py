@@ -42,8 +42,8 @@ def fixture(name):
 
 
 def frozen_values():
-    """One value of each formerly frozen class, with a twin built apart
-    that differs only in fields equality ignores."""
+    """One value of each formerly frozen class and a `Contract`, with a
+    twin built apart that differs only in fields equality ignores."""
     sem = ContractSemantics(fixture("purchase_fixed.rcl"))
     o_norm, f_norm = Norm("O", BS, "pay", S1), Norm("F", BS, "pay", S2)
     return [
@@ -55,6 +55,10 @@ def frozen_values():
          Box(SB, "ship", (Obligation(BS, "pay", S2),), S2)),
         (IterBox(SB, "ship", (Prohibition(BS, "pay", S1),), True, True, S1),
          IterBox(SB, "ship", (Prohibition(BS, "pay", S2),), True, True, S2)),
+        (Contract((Decl("b", S1), Decl("s", S1)), (Decl("pay", S1),),
+                  (Obligation(BS, "pay", S1),)),
+         Contract((Decl("b", S2), Decl("s", S2)), (Decl("pay", S2),),
+                  (Obligation(BS, "pay", S2),))),
         (ValidationIssue("error", "m", "clauses[0]", S1),
          ValidationIssue("error", "m", "clauses[0]", S2)),
         (ParseError(S1, "x", "y", "a.rcl"), ParseError(S1, "x", "y", "b.rcl")),
@@ -82,7 +86,8 @@ FUNCTION = FunctionIR(*FUNCTION_ARGS)
 def test_equality_ignores_spans_and_the_error_file_and_equal_values_hash_equal():
     for value, twin in frozen_values():
         assert value == twin and not value != twin, type(value).__name__
-        assert hash(value) == hash(twin), type(value).__name__
+        if type(value) is not Contract:  # unhashable: its `Meta` holds dicts
+            assert hash(value) == hash(twin), type(value).__name__
     assert Decl("a", S1) != Decl("b", S1)
     assert ParseError(S1, "x", "y") != ParseError(S2, "x", "y")  # the span is compared
     assert IterBox(SB, "ship", (), False) != IterBox(SB, "ship", (), True)
