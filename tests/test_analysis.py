@@ -329,6 +329,25 @@ def calls(monkeypatch):
     return validated
 
 
+def test_check_lower_and_co_simulate_each_validate_once(calls, tests_of):
+    rng = random.Random(27)
+    for contract in [random_lowerable(rng) for _ in range(10)]:
+        check(contract)
+        ir = lower(contract)
+        world = _greedy_world(ir)
+        assert co_simulate(contract, world) == []
+        assert calls == [contract] * 3
+        sem = ContractSemantics(contract)
+        assert calls == [contract] * 4
+        assert sem.warnings == tuple(validate(contract))
+        assert calls == [contract] * 4
+        # the rows are walked once, however many analyses validate them
+        assert tests_of["rows"] == 1 and tests_of["meta"] == 0
+        assert tests_of["conditions"] <= 1
+        tests_of.update(rows=0, conditions=0)
+        calls.clear()
+
+
 def test_an_annotated_contract_validates_once_at_construction(calls):
     contract = parsed((FIXTURES / "purchase_conflicted.rcl").read_text())
     sem = ContractSemantics(contract)
