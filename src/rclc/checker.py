@@ -5,10 +5,13 @@ action) active in the same reachable state. A norm state depends only
 on the fired set, so each O/F occurrence is in force exactly under a
 conjunction of literals on that set, its path condition, as
 `ContractSemantics.conditions` reads it off the clause table. `check`
-tests each O/F pair's two conditions together, builds the shortest
-witness directly, sorts the clashes once by witness rank and
-`lts.clash_order`, and verifies each by `admit` and `holds`: no state
-of the 2^n subset lattice is derived. A contract without a prohibition
+tests each O/F pair's two conditions together with one and of bitmasks
+over the watched actions: the banned ones against those wanted or
+performed by a needed guard event. Only a pair that passes walks its
+two guard chains, and the lowest-index event of each wanted action not
+yet performed joins them in the shortest witness. The clashes are
+sorted once by witness rank and `lts.clash_order`, and each is verified
+by `admit` and `holds`: no state of the 2^n subset lattice is derived. A contract without a prohibition
 has nothing to clash, so its conditions are not derived either. The
 verified conflicts depend on the clauses alone, so the clause table
 keeps them, and a later check of the same contract, `lower`'s own
@@ -25,7 +28,7 @@ from __future__ import annotations
 import time
 
 from .ast import Contract, Frozen
-from .semantics import Condition, ContractSemantics, Event, Norm, format_event
+from .semantics import Condition, ContractSemantics, Event, Norm, chain_indices, format_event
 
 __all__ = [
     "Conflict",
@@ -117,10 +120,11 @@ def _conflicts(sem: ContractSemantics) -> tuple[Conflict, ...]:
     for entry in sem.conditions():
         (obligations if entry[0].kind == "O" else forbidden).append(entry)
 
-    action_at = [action for _pair, action in universe]
-    first_with: dict[str, int] = {}
-    for i, action in enumerate(action_at):
-        first_with.setdefault(action, i)
+    bit_of = sem.watched
+    first_with: dict[int, int] = {}  # a watched action's bit -> its lowest event index
+    for i, (_pair, action) in enumerate(universe):
+        if action in bit_of:
+            first_with.setdefault(bit_of[action], i)
     ids: dict[Norm, int] = {}  # a clash is keyed by two norm ids
     obliged: dict[Event, list[tuple[int, Condition]]] = {}
     for ob, cond in obligations:
@@ -130,20 +134,25 @@ def _conflicts(sem: ContractSemantics) -> tuple[Conflict, ...]:
     # (obligation id, prohibition id) -> the least witness as (size, event
     # indices), the rank of a fired set in `fired_sets` order
     least: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for forbid, (f_need, f_banned, f_wanted) in forbidden:
+    for forbid, (f_need, f_banned, f_wanted, f_done) in forbidden:
         fid = ids.setdefault(forbid, len(ids))
-        for oid, (o_need, o_banned, o_wanted) in obliged.get((forbid.pair, forbid.action), ()):
+        same_event = obliged.get((forbid.pair, forbid.action), ())
+        for oid, (o_need, o_banned, o_wanted, o_done) in same_event:
             # The obligation's own literal, its event unfired, needs no
             # test: the prohibition bans that event's action.
-            banned = f_banned | o_banned
             wanted = f_wanted | o_wanted
-            need = f_need | o_need
-            done = set(map(action_at.__getitem__, need))
-            if not (banned.isdisjoint(wanted) and banned.isdisjoint(done)):
+            done = f_done | o_done
+            if (f_banned | o_banned) & (wanted | done):
                 continue
+            need = {*chain_indices(f_need), *chain_indices(o_need)}
             # each watched action not yet performed costs one event, and
             # the lowest-index one is the least choice
-            witness = tuple(sorted(need.union(map(first_with.__getitem__, wanted - done))))
+            missing = wanted & ~done
+            while missing:
+                low = missing & -missing
+                need.add(first_with[low])
+                missing ^= low
+            witness = tuple(sorted(need))
             rank = (len(witness), witness)
             best = least.get((oid, fid))
             if best is None or rank < best:

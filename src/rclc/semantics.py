@@ -26,8 +26,12 @@ permission. Deriving a state is one forward pass over it that jumps over
 the body of every guard not in force, builds no `Norm` and hashes no
 guarded body. A state keeps the table's own boxes and watches, so
 `rclc.lts` prints each distinct one once. `conditions` gives the check's
-path conditions; `holds` tests a norm up the layout's parent links at a
-fired set `admit` checked; `clause_rows` gives `lower` each row's clause.
+path conditions on small ints: the guard events as a chain each box links
+one event onto, so a nested condition shares its parent's and
+`chain_indices` walks it, and the watched actions, those a prohibition or
+a watch names, as bits of `ContractSemantics.watched`; `holds` tests a
+norm up the layout's parent links at a fired set `admit` checked;
+`clause_rows` gives `lower` each row's clause.
 
 The table, with what `holds` and `initial_state` build from it and the
 conflicts `rclc.checker.check` verifies, depends on the clauses alone,
@@ -67,6 +71,7 @@ __all__ = [
     "StepError",
     "InvalidContract",
     "ContractSemantics",
+    "chain_indices",
     "event_universe",
 ]
 
@@ -136,9 +141,24 @@ def event_universe(contract: Contract | ContractSemantics) -> tuple[Event, ...]:
 # nothing, then guards; `_UNTIL` is a `[!a]*` watch, `_ONCE` an `[a]*` one.
 _OBLIGED, _FORBIDDEN, _PERMITTED, _BOX, _UNTIL, _ONCE = range(6)
 
-# A path condition: (events that must have fired, as universe indices;
-# actions no fired event may perform; actions some fired event must perform)
-Condition = tuple[frozenset[int], frozenset[str], frozenset[str]]
+# A chain of guard events: () or (universe index, the enclosing chain), so a
+# nested box links to its parent's chain instead of copying it. It nests one
+# tuple per enclosing box, so a chain deeper than the recursion limit must be
+# walked, by `chain_indices`: comparing, printing, pickling or copying it
+# raises RecursionError.
+Chain = tuple
+# A path condition: (the chain of events that must have fired; then bitmasks
+# over the watched actions, `ContractSemantics.watched`: those no fired event
+# may perform, those some fired event must perform, and those the chain's
+# events perform)
+Condition = tuple[Chain, int, int, int]
+
+
+def chain_indices(chain: Chain) -> Iterator[int]:
+    """The universe indices of a chain's events, innermost box first."""
+    while chain:
+        index, chain = chain
+        yield index
 
 
 class _Table:
@@ -152,14 +172,17 @@ class _Table:
     the `Norm`, pending `(event, body)` or armed `(action, body,
     positive)`; `end` the row past the node's subtree. A permission's key
     and payload are None. `forbids` tells whether a row is a prohibition,
-    and `conflicts` keeps what `rclc.checker.check` verified."""
+    `watched` gives each action a prohibition or watch names its bit, in
+    order of first mention, and `conflicts` keeps what
+    `rclc.checker.check` verified."""
 
-    __slots__ = ("universe", "index_of", "rows", "nodes", "parents", "forbids", "rows_of",
-                 "initial", "conflicts")
+    __slots__ = ("universe", "index_of", "rows", "nodes", "parents", "forbids", "watched",
+                 "rows_of", "initial", "conflicts")
 
-    def __init__(self, universe, index_of, rows, nodes, parents, forbids):
+    def __init__(self, universe, index_of, rows, nodes, parents, forbids, watched):
         self.universe, self.index_of, self.rows = universe, index_of, rows
         self.nodes, self.parents, self.forbids = nodes, parents, forbids
+        self.watched = watched
         self.rows_of = None  # built by `holds`
         self.initial = None  # built by `initial_state`
         self.conflicts = None  # kept by `check`
@@ -173,6 +196,7 @@ def _clause_table(lay) -> _Table:
     index_of = dict(zip(universe, range(len(universe))))
     rows: list[tuple[int, object, object, int]] = []
     forbids = False
+    watched: dict[str, int] = {}  # action -> its bit
     for clause, event, end in zip(nodes, events, ends):
         kind = type(clause)
         pair, action = event
@@ -182,6 +206,7 @@ def _clause_table(lay) -> _Table:
         elif kind is Prohibition:
             rows.append((_FORBIDDEN, action, _new(Norm, ("F", pair, action, clause.span)), end))
             forbids = True
+            watched.setdefault(action, 1 << len(watched))
         elif kind is Permission:
             rows.append((_PERMITTED, None, None, end))
         elif kind is Box:
@@ -189,7 +214,8 @@ def _clause_table(lay) -> _Table:
         else:
             watch = (action, clause.body, clause.positive)
             rows.append((_ONCE if clause.positive else _UNTIL, action, watch, end))
-    return _Table(universe, index_of, tuple(rows), nodes, parents, forbids)
+            watched.setdefault(action, 1 << len(watched))
+    return _Table(universe, index_of, tuple(rows), nodes, parents, forbids, watched)
 
 
 def _table_of(contract: Contract) -> _Table:
@@ -209,13 +235,15 @@ class ContractSemantics:
     analysis from the contract's one layout and shared by every later
     one. Building one runs `validate`: an error among what it reports
     raises `InvalidContract`, and otherwise its issues, all warnings, are
-    the `warnings`.
+    the `warnings`. `watched` maps each action a prohibition or watch
+    names to its bit in the bitmasks of `conditions`.
     """
 
     def __init__(self, contract: Contract):
         self.contract = contract
         shared = self._shared = _table_of(contract)
         self.universe, self._index_of, self._table = shared.universe, shared.index_of, shared.rows
+        self.watched = shared.watched
         issues = validate(contract)
         if any(i.severity == "error" for i in issues):
             raise InvalidContract(issues)
@@ -332,23 +360,28 @@ class ContractSemantics:
         the condition on the fired set under which it is in force: each
         enclosing box's guard has fired; no fired event performs the
         prohibition's action or an enclosing `[!a]*`'s; some fired event
-        performs each enclosing `[a]*`'s. Each open guard stacks the
-        condition outside it until its `end`."""
-        cond: Condition = (frozenset(), frozenset(), frozenset())
+        performs each enclosing `[a]*`'s. A box links its guard event to
+        the chain outside it and adds its action's bit, if watched, to
+        `done`; each open guard stacks the condition outside it until its
+        `end`."""
+        bit_of = self.watched
+        bit = bit_of.get
+        cond: Condition = ((), 0, 0, 0)
         outer: list[tuple[int, Condition]] = []
         for i, (kind, key, payload, end) in enumerate(self._table):
             while outer and outer[-1][0] == i:
                 cond = outer.pop()[1]
-            need, banned, wanted = cond
             if kind == _OBLIGED:
                 yield payload, cond
             elif kind == _FORBIDDEN:
-                yield payload, (need, banned | {key}, wanted)
+                need, banned, wanted, done = cond
+                yield payload, (need, banned | bit_of[key], wanted, done)
             elif kind != _PERMITTED:
                 outer.append((end, cond))
+                need, banned, wanted, done = cond
                 if kind == _BOX:
-                    cond = (need | {key}, banned, wanted)
+                    cond = ((key, need), banned, wanted, done | bit(payload[0][1], 0))
                 elif kind == _UNTIL:
-                    cond = (need, banned | {key}, wanted)
+                    cond = (need, banned | bit_of[key], wanted, done)
                 else:
-                    cond = (need, banned, wanted | {key})
+                    cond = (need, banned, wanted | bit_of[key], done)

@@ -163,12 +163,15 @@ def under_one_box(rng: random.Random, contract: Contract) -> Contract:
     return Contract(contract.agents, contract.actions, (root,), contract.meta)
 
 
-def deep_flow(depth: int) -> Contract:
+def deep_flow(depth: int, clash: bool = False) -> Contract:
     """`depth` nested boxes under one root box, three clauses in each body,
     so the chain is the root alone: each box's event is obliged beside it,
-    and so is one terminal event. It holds no prohibition."""
+    and so is one terminal event. It holds no prohibition unless `clash`,
+    which forbids the terminal event beside its obligation at the bottom."""
     ab = AgentPair("a", "b")
     body = (Obligation(ab, "e", _SPAN), Obligation(ab, "f", _SPAN))
+    if clash:
+        body += (Prohibition(ab, "f", _SPAN),)
     for level in reversed(range(depth)):
         body = (Obligation(ab, f"e{level}", _SPAN), Obligation(ab, f"f{level}", _SPAN),
                 Box(ab, f"e{level}", body, _SPAN))

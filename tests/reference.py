@@ -17,7 +17,11 @@ streamed.
 `reference_event_universe` collects the universe through `iter_clauses`,
 and `reference_path_conditions` walks the clause tree with its own stack
 to pair each obligation and prohibition with its path condition, which
-`ContractSemantics.conditions` now reads off the clause table.
+`ContractSemantics.conditions` now reads off the clause table; there each
+condition's guard events are a chain and its actions bitmasks, which
+`reference_condition` turns back into the sets. `reference_check` redoes
+the O/F pair search `check` made on those sets, three frozenset unions
+per pair, before it tested bitmasks.
 `reference_validate` walks `reference_iter_clauses`, which spells out
 every clause's path, where `validate` spells one out only for an issue.
 `reference_walk_validate` is the one-walk `validate` that followed it,
@@ -27,8 +31,8 @@ every annotation table of a contract that has none.
 `reference_render_trace` formats every call record afresh, where
 `parse_script` and `render_trace` skip what a line or a repeated record
 does not need. `reference_cli_parser` is the argparse parser the CLI read
-its arguments with before it read them from its command table. All
-fifteen are kept as they were, apart from their
+its arguments with before it read them from its command table. The
+other fifteen slow paths are kept as they were, apart from their
 names, the lattice builder's event limit, which the printers now check,
 and two changes made on purpose: `reference_validate` checks the
 names in `inline` keys as `validate` now does, and `reference_stack_state`
@@ -67,6 +71,7 @@ from rclc.semantics import (
     Event,
     Norm,
     NormState,
+    chain_indices,
     format_event,
 )
 from rclc.simulator import SimError, World
@@ -560,6 +565,55 @@ def reference_path_conditions(contract: Contract, universe: tuple[Event, ...]):
                 inner = (need, banned | {clause.action}, wanted)
             stack.extend((c, inner) for c in reversed(clause.body))
     return out
+
+
+def reference_condition(watched: dict[str, int], cond) -> _Condition:
+    """A condition of `ContractSemantics.conditions`, its chain of guard
+    events and its bitmasks over `watched`, as the sets
+    `reference_path_conditions` gives: (events that must have fired,
+    banned actions, wanted actions)."""
+    chain, banned, wanted, _done = cond
+    return (frozenset(chain_indices(chain)),
+            frozenset(action for action, bit in watched.items() if banned & bit),
+            frozenset(action for action, bit in watched.items() if wanted & bit))
+
+
+def reference_check(contract: Contract) -> list[tuple[Norm, Norm, tuple[Event, ...]]]:
+    """`check`'s (obligation, prohibition, witness) list as its O/F pair
+    search found it on frozenset conditions: every pair of the same event
+    whose banned actions meet neither the wanted actions nor those its
+    guard events perform, with the least witness of each origin pair (the
+    guard events, plus the lowest-index event of each wanted action not
+    performed), sorted by witness size and indices, then by
+    `lts.clash_order`. Unverified."""
+    universe = reference_event_universe(contract)
+    first_with: dict[str, int] = {}
+    for i, (_pair, action) in enumerate(universe):
+        first_with.setdefault(action, i)
+    conditions = reference_path_conditions(contract, universe)
+    least: dict[tuple[Norm, Norm], tuple[int, tuple[int, ...]]] = {}
+    for forbid, (f_need, f_banned, f_wanted) in conditions:
+        if forbid.kind != "F":
+            continue
+        for ob, (o_need, o_banned, o_wanted) in conditions:
+            if ob.kind != "O" or (ob.pair, ob.action) != (forbid.pair, forbid.action):
+                continue
+            banned, wanted, need = f_banned | o_banned, f_wanted | o_wanted, f_need | o_need
+            done = {universe[i][1] for i in need}
+            if banned & wanted or banned & done:
+                continue
+            witness = tuple(sorted(need | {first_with[a] for a in wanted - done}))
+            rank = (len(witness), witness)
+            if (ob, forbid) not in least or rank < least[ob, forbid]:
+                least[ob, forbid] = rank
+
+    def order(norm: Norm):
+        return (norm.origin.line, norm.origin.col, norm.pair, norm.action)
+
+    ranked = sorted(least.items(), key=lambda item: (item[1], order(item[0][1]),
+                                                     order(item[0][0])))
+    return [(ob, forbid, tuple(universe[i] for i in indices))
+            for (ob, forbid), (_size, indices) in ranked]
 
 
 # `validate` as it was when it walked `iter_clauses`, formatting the path

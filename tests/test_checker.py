@@ -29,6 +29,7 @@ from rclc.ast import (
 )
 from rclc.parser import parse_contract
 from rclc.checker import (
+    ORACLE_EVENT_BOUND,
     CheckReport,
     CheckStats,
     brute_force_oracle,
@@ -46,9 +47,11 @@ from contractgen import (
     deep_flow,
     merged_contract,
     permission_positions,
+    random_clashing,
     random_contract,
     random_lowerable,
 )
+from reference import reference_check
 
 CONFLICTED = open("fixtures/purchase_conflicted.rcl").read()
 FIXED = open("fixtures/purchase_fixed.rcl").read()
@@ -260,6 +263,44 @@ def test_without_a_prohibition_check_derives_no_condition():
     with pytest.raises(AssertionError, match="walked the path conditions"):
         with mock.patch.object(ContractSemantics, "conditions", _no_conditions):
             check(parsed("agents a, b; actions x; {a,b}[x]({a,b}F(x));"))
+
+
+def test_check_matches_the_frozenset_pair_search_above_the_oracle_bound():
+    # the bitmask test and chain walk against the frozenset unions they
+    # replaced, on universes too large for the oracle: the same pairs,
+    # witnesses and order
+    rng = random.Random(20261022)
+    contracts = [merged_contract(rng, parts, max_events=30) for parts in (3, 4, 5, 6) * 12]
+    contracts += [parsed(pretty_print(c)) for c in contracts[::3]]
+    contracts += [random_clashing(rng) for _ in range(30)]
+    contracts += [dense_conflicts(n) for n in (1, 2, 7, 23, 40)]
+    clashing_above = 0  # contracts beyond the oracle's bound that clash
+    for contract in contracts:
+        report = check(contract)
+        got = [(c.obligation, c.prohibition, c.witness) for c in report.conflicts]
+        assert got == reference_check(contract)
+        if got and len(ContractSemantics(contract).universe) > ORACLE_EVENT_BOUND:
+            clashing_above += 1
+    assert clashing_above >= 30
+
+
+def test_a_clash_under_three_thousand_boxes_checks_in_little_memory():
+    # each box links one event to the chain outside it; when each box
+    # copied the enclosing guards' set, this took 220 MB
+    sem = ContractSemantics(deep_flow(2999, clash=True))  # and its root box
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check(sem)
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 20_000_000
+    (conflict,) = report.conflicts
+    assert (conflict.obligation.kind, conflict.prohibition.kind, conflict.action) == ("O", "F", "f")
+    ab = AgentPair("a", "b")
+    assert sorted(conflict.witness) == sorted([(ab, "go")] + [(ab, f"e{i}") for i in range(2999)])
+    assert list(conflict.witness) == sorted(conflict.witness)
 
 
 def test_a_replay_that_loses_the_prohibition_fails_the_check():

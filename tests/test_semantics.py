@@ -12,6 +12,7 @@ from rclc.ast import (
     Box,
     Contract,
     Decl,
+    IterBox,
     Obligation,
     Prohibition,
     Span,
@@ -32,6 +33,7 @@ from contractgen import (
     random_lowerable,
 )
 from reference import (
+    reference_condition,
     reference_dump_lts,
     reference_enumerate_reachable,
     reference_lts_to_dot,
@@ -378,7 +380,9 @@ def deep_box_chain():
 
 
 def test_conditions_and_universe_match_the_reference_walks():
-    # the clause table's one walk against the two walks it replaced
+    # the clause table's one walk against the two walks it replaced; each
+    # condition's chain and bitmasks read back as the walk's sets, and its
+    # `done` holds exactly the watched actions its chain's events perform
     rng = random.Random(20261019)
     contracts = [random_contract(rng) for _ in range(40)]
     contracts += [merged_contract(rng, parts, max_events=12) for parts in (2, 3) * 10]
@@ -395,7 +399,17 @@ def test_conditions_and_universe_match_the_reference_walks():
         universe = reference_event_universe(contract)
         assert sem.universe == event_universe(contract) == universe
         conditions = list(sem.conditions())
-        assert conditions == reference_path_conditions(contract, universe)
+        watched = sem.watched
+        assert [(norm, reference_condition(watched, cond)) for norm, cond in conditions] \
+            == reference_path_conditions(contract, universe)
+        for _norm, cond in conditions:
+            need = reference_condition(watched, cond)[0]
+            performed = {universe[i][1] for i in need}
+            assert cond[3] == sum(bit for action, bit in watched.items() if action in performed)
+        # the watched actions are those a prohibition or a watch names
+        assert set(watched) == {clause.action for clause, _path in iter_clauses(contract)
+                                if type(clause) in (Prohibition, IterBox)}
+        assert sorted(watched.values()) == [1 << i for i in range(len(watched))]
         # one per obligation and prohibition, in source order: no permission
         assert [norm.kind for norm, _cond in conditions] == [
             {Obligation: "O", Prohibition: "F"}[type(clause)]
